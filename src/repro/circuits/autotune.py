@@ -6,7 +6,7 @@ depends on the workload *shape*: a fused LUT gather wins on tiny episode
 batches (Python dispatch dominates), a streaming per-cell accumulation wins
 on huge stores (temporary memory dominates), and a blocked gather wins in
 between — e.g. the 20-way 5-shot episode shapes that a single hardcoded
-threshold (`MCAMArray._FUSED_GATHER_MAX_ELEMENTS`) mis-classified.
+size threshold mis-classified.
 
 Instead of hardcoding crossover points, the arrays consult a small
 process-global **kernel table** keyed by a compact shape signature.  On the

@@ -23,6 +23,7 @@ with the smallest total conductance is the nearest neighbor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -199,13 +200,20 @@ class ConductanceLUT:
         return ConductanceLUT(table_s=self.table_s * noise, bits=self.bits)
 
 
+@lru_cache(maxsize=64)
 def build_nominal_lut(
     bits: int = 3,
     device: Optional[FeFETParameters] = None,
     scheme: Optional[MCAMVoltageScheme] = None,
     ml_voltage_v: float = ML_PRECHARGE_V,
 ) -> ConductanceLUT:
-    """Build the ideal (variation-free) conductance table for a ``bits``-bit cell."""
+    """Build the ideal (variation-free) conductance table for a ``bits``-bit cell.
+
+    The table is a pure function of its (hashable) arguments, so it is
+    memoized on them and every MCAM/TCAM array built with the same
+    configuration shares one instance; its ``table_s`` is read-only.
+    ``build_nominal_lut.__wrapped__`` builds an uncached table.
+    """
     if scheme is None:
         scheme = MCAMVoltageScheme(bits=bits)
     elif scheme.bits != bits:
@@ -218,6 +226,7 @@ def build_nominal_lut(
     for stored in range(n):
         cell.program(stored)
         table[:, stored] = cell.conductance_profile()
+    table.flags.writeable = False
     return ConductanceLUT(table_s=table, bits=bits)
 
 

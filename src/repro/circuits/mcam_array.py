@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,6 +110,9 @@ def program_cell_profiles(
 ) -> np.ndarray:
     """Conductance profiles of physically programmed cells (vectorized).
 
+    Samples every cell's DL-side, then every cell's DL-bar-side threshold
+    voltage from one stream, then evaluates :func:`profiles_from_vth` once.
+
     Parameters
     ----------
     stored_states:
@@ -131,32 +134,70 @@ def program_cell_profiles(
     """
     generator = ensure_rng(rng)
     states = np.asarray(stored_states, dtype=np.int64)
-    flat = states.reshape(-1)
-    n = scheme.num_states
-    if flat.size and (flat.min() < 0 or flat.max() >= n):
-        raise CircuitError(f"stored states must lie in [0, {n - 1}]")
-
-    grid = scheme.level_grid_v
-    vth_dl = grid[flat + 1]
-    vth_dlbar = 2.0 * scheme.center_v - grid[flat]
+    vth_dl, vth_dlbar = _nominal_vth(states.reshape(-1), scheme)
     if variation is not None:
-        vth_dl = clip_vth(
-            np.asarray(variation.sample_vth(vth_dl, generator), dtype=np.float64), device
-        )
-        vth_dlbar = clip_vth(
-            np.asarray(variation.sample_vth(vth_dlbar, generator), dtype=np.float64), device
-        )
+        vth_dl = variation.sample_vth(vth_dl, generator)
+        vth_dlbar = variation.sample_vth(vth_dlbar, generator)
+    profiles = profiles_from_vth(vth_dl, vth_dlbar, scheme, device, ml_voltage_v)
+    return profiles.reshape(states.shape + (scheme.num_states,))
 
+
+def _nominal_vth(states: np.ndarray, scheme: MCAMVoltageScheme) -> Tuple[np.ndarray, np.ndarray]:
+    """Target (DL-side, DL-bar-side) threshold voltages of stored ``states``.
+
+    The DL-side FeFET sits at the upper bound of the stored range, the
+    DL-bar-side one at the analog inverse of the lower bound (Fig. 3(b)).
+    """
+    n = scheme.num_states
+    if states.size and (states.min() < 0 or states.max() >= n):
+        raise CircuitError(f"stored states must lie in [0, {n - 1}]")
+    grid = scheme.level_grid_v
+    return grid[states + 1], 2.0 * scheme.center_v - grid[states]
+
+
+def profiles_from_vth(
+    vth_dl,
+    vth_dlbar,
+    scheme: MCAMVoltageScheme,
+    device: FeFETParameters,
+    ml_voltage_v: float = ML_PRECHARGE_V,
+) -> np.ndarray:
+    """Conductance profiles of cells whose FeFETs hold the given V_th pairs.
+
+    The device physics of programming, separated from the V_th sampling so
+    that a whole write evaluates it once: both threshold voltages are
+    clipped to the plausible window (sampled tails saturate; nominal
+    targets already lie inside it, since a FeFET refuses to hold anything
+    else) and each cell's two channel conductances are summed under every
+    search input.  Elementwise, so the result for a cell does not depend on
+    how many cells are evaluated alongside it.
+
+    Parameters
+    ----------
+    vth_dl, vth_dlbar:
+        Arrays of equal, arbitrary shape with the DL-side and DL-bar-side
+        threshold voltages of each cell.
+    scheme, device:
+        Voltage scheme and FeFET parameters.
+    ml_voltage_v:
+        Drain bias during search.
+
+    Returns
+    -------
+    numpy.ndarray
+        Array of shape ``vth_dl.shape + (num_states,)``: ``[..., i]`` is
+        the cell's conductance when searched with input state ``i``.
+    """
+    vth_dl = np.asarray(clip_vth(vth_dl, device))
+    vth_dlbar = np.asarray(clip_vth(vth_dlbar, device))
     inputs = scheme.input_voltages_v()
     inputs_bar = 2.0 * scheme.center_v - inputs
-
-    overdrive_dl = inputs[np.newaxis, :] - vth_dl[:, np.newaxis]
-    overdrive_dlbar = inputs_bar[np.newaxis, :] - vth_dlbar[:, np.newaxis]
+    overdrive_dl = inputs - vth_dl[..., np.newaxis]
+    overdrive_dlbar = inputs_bar - vth_dlbar[..., np.newaxis]
     current = _drain_current_from_overdrive(
         overdrive_dl, ml_voltage_v, device
     ) + _drain_current_from_overdrive(overdrive_dlbar, ml_voltage_v, device)
-    profiles = np.asarray(current) / ml_voltage_v
-    return profiles.reshape(states.shape + (n,))
+    return np.asarray(current) / ml_voltage_v
 
 
 @dataclass(frozen=True)
@@ -484,7 +525,13 @@ class MCAMArray(FixedGeometryArray):
         rng: SeedLike,
         row_offset: int,
     ) -> None:
-        """Row-keyed device-mode profile update for :meth:`reprogram`."""
+        """Row-keyed device-mode profile update for :meth:`reprogram`.
+
+        Each changed row draws its DL then DL-bar threshold voltages from
+        its own ``(salt, base seed, global row)`` stream — the row-keyed
+        contract — and the device physics then runs once over every changed
+        row.
+        """
         if self._profiles is None and self._stored_states.shape[0]:
             # Rows written before the variation model was attached carry
             # nominal profiles, exactly as a subsequent write() would assume.
@@ -500,19 +547,17 @@ class MCAMArray(FixedGeometryArray):
         keep = np.flatnonzero(unchanged)
         if keep.size:
             new_profiles[keep] = self._profiles[keep]
-        for row in changed:
-            row = int(row)
-            generator = np.random.default_rng(
-                [_REPROGRAM_KEY_SALT, base_seed, row_offset + row]
+        if changed.size:
+            vth_dl, vth_dlbar = _nominal_vth(entries[changed], self.scheme)
+            for i, row in enumerate(changed.tolist()):
+                generator = np.random.default_rng(
+                    [_REPROGRAM_KEY_SALT, base_seed, row_offset + row]
+                )
+                vth_dl[i] = self.variation.sample_vth(vth_dl[i], generator)
+                vth_dlbar[i] = self.variation.sample_vth(vth_dlbar[i], generator)
+            new_profiles[changed] = profiles_from_vth(
+                vth_dl, vth_dlbar, self.scheme, self.device, self.ml_voltage_v
             )
-            new_profiles[row] = program_cell_profiles(
-                entries[row : row + 1],
-                scheme=self.scheme,
-                device=self.device,
-                variation=self.variation,
-                ml_voltage_v=self.ml_voltage_v,
-                rng=generator,
-            )[0]
         self._profiles = new_profiles
 
     def _update_profile_cache(
@@ -584,12 +629,6 @@ class MCAMArray(FixedGeometryArray):
     #: Kernel knob values accepted by the constructor and the per-call
     #: ``kernel=`` argument.
     _KERNEL_CHOICES = ("auto", "fused", "blocked", "dense")
-
-    #: Legacy hardcoded crossover (``num_queries * num_rows * num_cells``)
-    #: between the fused gather and the streaming per-cell accumulation.
-    #: Superseded by the shape-adaptive kernel table — kept only so the
-    #: benchmark suite can measure the old threshold policy as a baseline.
-    _FUSED_GATHER_MAX_ELEMENTS = 1 << 16
 
     #: Element bound above which the fused kernel is excluded from the
     #: autotuner's candidate set: its ``(cells, queries, rows)`` gather

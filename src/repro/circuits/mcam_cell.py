@@ -25,6 +25,7 @@ and no on-the-fly analog inverter is needed (Sec. III-A).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -100,8 +101,11 @@ class MCAMVoltageScheme:
 
     @property
     def level_grid_v(self) -> np.ndarray:
-        """The ``2^bits + 1`` threshold-voltage levels bounding the states."""
-        return np.linspace(self.window_low_v, self.window_high_v, self.num_states + 1)
+        """The ``2^bits + 1`` threshold-voltage levels bounding the states.
+
+        Built once per scheme value and returned read-only.
+        """
+        return _scheme_voltages(self)[0]
 
     def state_bounds_v(self, state: int) -> Tuple[float, float]:
         """Lower/upper threshold-voltage bounds of ``state`` (zero-based)."""
@@ -115,8 +119,11 @@ class MCAMVoltageScheme:
         return 0.5 * (low + high)
 
     def input_voltages_v(self) -> np.ndarray:
-        """All ``2^bits`` search-input voltages, ordered by state index."""
-        return np.array([self.input_voltage_v(s) for s in range(self.num_states)])
+        """All ``2^bits`` search-input voltages, ordered by state index.
+
+        Built once per scheme value and returned read-only.
+        """
+        return _scheme_voltages(self)[1]
 
     def stored_vth_pair_v(self, state: int) -> Tuple[float, float]:
         """Threshold voltages of the (DL-side, DLbar-side) FeFETs for ``state``.
@@ -136,6 +143,22 @@ class MCAMVoltageScheme:
 
     def _check_state(self, state: int) -> int:
         return check_int_in_range(state, "state", minimum=0, maximum=self.num_states - 1)
+
+
+@lru_cache(maxsize=64)
+def _scheme_voltages(scheme: MCAMVoltageScheme) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(level grid, input voltages)`` of a (frozen, hashable) scheme.
+
+    Every device-mode write evaluates both, so they are computed once per
+    scheme value instead of once per call.  Each input voltage is the
+    midpoint of its state's bounds: the same two IEEE operations
+    :meth:`MCAMVoltageScheme.input_voltage_v` performs on Python floats.
+    """
+    grid = np.linspace(scheme.window_low_v, scheme.window_high_v, scheme.num_states + 1)
+    inputs = 0.5 * (grid[:-1] + grid[1:])
+    grid.flags.writeable = False
+    inputs.flags.writeable = False
+    return grid, inputs
 
 
 class MCAMCell:

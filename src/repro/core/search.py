@@ -350,7 +350,8 @@ class NearestNeighborSearcher(abc.ABC):
         """Label of the nearest neighbor for every row of ``queries``.
 
         The batch is evaluated in one vectorized search over the programmed
-        array state.
+        array state, and the labels are one take over the winning indices
+        (no per-query label tuples are built).
         """
         self._require_fitted()
         if self._labels is None:
@@ -358,8 +359,8 @@ class NearestNeighborSearcher(abc.ABC):
         queries = self._check_query_batch(queries)
         if queries.shape[0] == 0:
             return self._labels[:0].copy()
-        result = self.kneighbors_batch(queries, k=1, rng=rng)
-        predictions: np.ndarray = self._labels[result.indices[:, 0]]
+        indices, _ = self.kneighbors_arrays(queries, k=1, rng=rng)
+        predictions: np.ndarray = self._labels[indices[:, 0]]
         return predictions
 
     def _require_fitted(self) -> None:

@@ -5,11 +5,13 @@ import pytest
 
 from repro.circuits import (
     ConductanceLUT,
+    MCAMArray,
+    MCAMVoltageScheme,
     build_lut_population,
     build_nominal_lut,
     build_varied_lut,
 )
-from repro.devices import GaussianVthVariationModel
+from repro.devices import FeFETParameters, GaussianVthVariationModel
 from repro.exceptions import CircuitError, ConfigurationError
 
 
@@ -33,10 +35,39 @@ class TestConstruction:
             ConductanceLUT(table_s=table, bits=2)
 
     def test_build_rejects_mismatched_scheme(self):
-        from repro.circuits import MCAMVoltageScheme
-
         with pytest.raises(ConfigurationError):
             build_nominal_lut(bits=3, scheme=MCAMVoltageScheme(bits=2))
+
+
+class TestNominalLutMemo:
+    """``build_nominal_lut`` is memoized on its arguments and read-only."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(bits=1),
+            dict(bits=2),
+            dict(bits=3),
+            dict(bits=3, device=FeFETParameters(width_nm=450.0, length_nm=450.0)),
+            dict(bits=3, scheme=MCAMVoltageScheme(bits=3), ml_voltage_v=0.6),
+        ],
+        ids=repr,
+    )
+    def test_memoized_table_is_bitwise_an_uncached_build(self, kwargs):
+        cached = build_nominal_lut(**kwargs)
+        uncached = build_nominal_lut.__wrapped__(**kwargs)
+        assert cached is not uncached
+        assert cached.table_s.tobytes() == uncached.table_s.tobytes()
+        assert build_nominal_lut(**kwargs) is cached
+
+    def test_memoized_table_rejects_writes(self, lut3):
+        assert lut3 is build_nominal_lut(bits=3)
+        with pytest.raises(ValueError):
+            lut3.table_s[0, 0] = 0.0
+
+    def test_arrays_with_equal_configuration_share_one_table(self):
+        first, second = MCAMArray(num_cells=4, bits=3), MCAMArray(num_cells=9, bits=3)
+        assert first.lut is second.lut
 
 
 class TestDistanceFunctionShape:

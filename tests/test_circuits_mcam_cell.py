@@ -85,6 +85,46 @@ class TestVoltageScheme:
             MCAMVoltageScheme(bits=3, window_low_v=1.0, window_high_v=0.5)
 
 
+SCHEMES = (
+    MCAMVoltageScheme(bits=1),
+    MCAMVoltageScheme(bits=2),
+    MCAMVoltageScheme(bits=3),
+    MCAMVoltageScheme(bits=3, window_low_v=0.3, window_high_v=1.5),
+)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=repr)
+class TestCachedSchemeVoltages:
+    """The grid and input voltages are built once per scheme, read-only."""
+
+    def test_level_grid_is_bitwise_an_uncached_linspace(self, scheme):
+        uncached = np.linspace(scheme.window_low_v, scheme.window_high_v, scheme.num_states + 1)
+        assert scheme.level_grid_v.tobytes() == uncached.tobytes()
+
+    def test_input_voltages_are_bitwise_the_per_state_midpoints(self, scheme):
+        grid = np.linspace(scheme.window_low_v, scheme.window_high_v, scheme.num_states + 1)
+        uncached = np.array(
+            [0.5 * (float(grid[s]) + float(grid[s + 1])) for s in range(scheme.num_states)]
+        )
+        assert scheme.input_voltages_v().tobytes() == uncached.tobytes()
+        per_state = [scheme.input_voltage_v(s) for s in range(scheme.num_states)]
+        assert scheme.input_voltages_v().tolist() == per_state
+
+    def test_cached_arrays_reject_writes(self, scheme):
+        for cached in (scheme.level_grid_v, scheme.input_voltages_v()):
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+
+    def test_equal_schemes_share_one_build(self, scheme):
+        twin = MCAMVoltageScheme(
+            bits=scheme.bits,
+            window_low_v=scheme.window_low_v,
+            window_high_v=scheme.window_high_v,
+        )
+        assert twin.level_grid_v is scheme.level_grid_v
+        assert twin.input_voltages_v() is scheme.input_voltages_v()
+
+
 class TestMCAMCell:
     @pytest.fixture(scope="class")
     def cell(self):

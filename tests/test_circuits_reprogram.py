@@ -1,11 +1,13 @@
-"""Delta reprogramming and the fused/batched search kernels.
+"""Delta reprogramming, device-mode programming and the batched search kernels.
 
 Covers the incremental write path on :class:`MCAMArray`,
 :class:`TCAMArray` and :class:`CAMTileSet` — changed-row detection,
 delta-equals-full equality under fixed seeds, cache consistency across
-grow/shrink refits — and the kernel rewrites behind batched search: the
-fused LUT gather (bitwise identical to the per-cell accumulation on both
-sides of its size threshold) and the exact matmul Hamming kernel.
+grow/shrink refits — the batched device-mode programming path against a
+frozen copy of the per-row loop it replaced, and the kernel rewrites behind
+batched search: the fused LUT gather (bitwise identical to the per-cell
+accumulation for single queries and large batches alike) and the exact
+matmul Hamming kernel.
 """
 
 from __future__ import annotations
@@ -14,13 +16,138 @@ import numpy as np
 import pytest
 
 from repro.circuits.mcam_array import MCAMArray
+from repro.circuits.mcam_cell import ML_PRECHARGE_V, MCAMVoltageScheme
 from repro.circuits.tcam import DONT_CARE, TCAMArray
 from repro.circuits.tiles import CAMTileSet, TileGeometry
 from repro.core.search import MCAMSearcher, TCAMLSHSearcher
-from repro.devices.variation import GaussianVthVariationModel
+from repro.devices.fefet import FeFETParameters, _drain_current_from_overdrive, clip_vth
+from repro.devices.variation import DomainSwitchingVariationModel, GaussianVthVariationModel
 from repro.exceptions import CapacityError, CircuitError
 
 RNG = np.random.default_rng(2024)
+
+
+def _frozen_cell_profiles(states, scheme, device, variation, generator):
+    """Device programming of a flat vector of cells, frozen as first shipped.
+
+    An inlined copy of the original ``program_cell_profiles`` body (voltage
+    grid, V_th draws in DL then DL-bar order, clip, EKV currents), so a
+    refactor of the library's programming path cannot move this reference.
+    """
+    ml_voltage_v = ML_PRECHARGE_V
+    n = scheme.num_states
+    grid = np.linspace(scheme.window_low_v, scheme.window_high_v, n + 1)
+    vth_dl = grid[states + 1]
+    vth_dlbar = 2.0 * scheme.center_v - grid[states]
+    vth_dl = clip_vth(np.asarray(variation.sample_vth(vth_dl, generator), dtype=np.float64), device)
+    vth_dlbar = clip_vth(
+        np.asarray(variation.sample_vth(vth_dlbar, generator), dtype=np.float64), device
+    )
+    inputs = np.array([0.5 * (float(grid[s]) + float(grid[s + 1])) for s in range(n)])
+    inputs_bar = 2.0 * scheme.center_v - inputs
+    overdrive_dl = inputs[np.newaxis, :] - vth_dl[:, np.newaxis]
+    overdrive_dlbar = inputs_bar[np.newaxis, :] - vth_dlbar[:, np.newaxis]
+    current = _drain_current_from_overdrive(
+        overdrive_dl, ml_voltage_v, device
+    ) + _drain_current_from_overdrive(overdrive_dlbar, ml_voltage_v, device)
+    return np.asarray(current) / ml_voltage_v
+
+
+def _frozen_row_keyed_profiles(entries, variation, base_seed, row_offset, bits):
+    """The original per-row reprogram loop: one keyed stream per global row."""
+    scheme, device = MCAMVoltageScheme(bits=bits), FeFETParameters()
+    return np.stack(
+        [
+            _frozen_cell_profiles(
+                np.asarray(entries[row], dtype=np.int64),
+                scheme,
+                device,
+                variation,
+                np.random.default_rng([0x52455052, base_seed, row_offset + row]),
+            )
+            for row in range(entries.shape[0])
+        ]
+    )
+
+
+#: The variation models the frozen-reference parity covers: no spread, the
+#: Fig. 7/8 Gaussian, a spread wide enough to hit ``clip_vth``, and the
+#: binomial domain-switching model.
+FROZEN_VARIATIONS = {
+    "gauss0": GaussianVthVariationModel(sigma_v=0.0),
+    "gauss50mV": GaussianVthVariationModel(sigma_v=0.05),
+    "gauss300mV": GaussianVthVariationModel(sigma_v=0.3),
+    "domains": DomainSwitchingVariationModel(),
+}
+
+
+@pytest.mark.parametrize("cells", (1, 7, 64))
+@pytest.mark.parametrize("bits", (2, 3))
+@pytest.mark.parametrize("variation", sorted(FROZEN_VARIATIONS))
+class TestBatchedProgrammingMatchesFrozenReference:
+    """Device-mode writes are bitwise identical to the per-row reference."""
+
+    ROWS = 12
+
+    def _case(self, variation, bits, cells):
+        rng = np.random.default_rng([bits, cells, sorted(FROZEN_VARIATIONS).index(variation)])
+        states = rng.integers(0, 2**bits, size=(self.ROWS, cells))
+        seed = int(rng.integers(2**31 - 1))
+        row_offset = int(rng.integers(0, 10**6))
+        return FROZEN_VARIATIONS[variation], states, seed, row_offset
+
+    def test_write(self, variation, bits, cells):
+        model, states, seed, _ = self._case(variation, bits, cells)
+        array = MCAMArray(num_cells=cells, bits=bits, variation=model)
+        array.write(states, rng=seed)
+        reference = _frozen_cell_profiles(
+            states.reshape(-1),
+            MCAMVoltageScheme(bits=bits),
+            FeFETParameters(),
+            model,
+            np.random.default_rng(seed),
+        ).reshape(states.shape + (2**bits,))
+        assert array.row_profiles().tobytes() == reference.tobytes()
+
+    def test_full_reprogram(self, variation, bits, cells):
+        model, states, seed, row_offset = self._case(variation, bits, cells)
+        array = MCAMArray(num_cells=cells, bits=bits, variation=model)
+        array.reprogram(states, rng=seed, row_offset=row_offset)
+        reference = _frozen_row_keyed_profiles(states, model, seed, row_offset, bits)
+        assert array.row_profiles().tobytes() == reference.tobytes()
+
+    def test_delta_reprogram(self, variation, bits, cells):
+        model, states, seed, row_offset = self._case(variation, bits, cells)
+        array = MCAMArray(num_cells=cells, bits=bits, variation=model)
+        array.reprogram(states, rng=seed, row_offset=row_offset)
+        mutated = states.copy()
+        mutated[::3] = (mutated[::3] + 1) % 2**bits
+        changed = array.reprogram(mutated, rng=seed, row_offset=row_offset)
+        np.testing.assert_array_equal(changed, np.arange(0, self.ROWS, 3))
+        reference = _frozen_row_keyed_profiles(mutated, model, seed, row_offset, bits)
+        assert array.row_profiles().tobytes() == reference.tobytes()
+
+    def test_tile_set_append(self, variation, bits, cells):
+        model, states, seed, _ = self._case(variation, bits, cells)
+        geometry = TileGeometry(max_rows=5, num_cells=cells)
+        tiles = CAMTileSet(
+            geometry,
+            lambda: MCAMArray(num_cells=cells, bits=bits, variation=model, max_rows=5),
+        )
+        tiles.reprogram(states[:7], rng=seed)
+        tiles.append(states[7:], rng=seed)
+        reference = _frozen_row_keyed_profiles(states, model, seed, 0, bits)
+        programmed = np.concatenate([tile.array.row_profiles() for tile in tiles.tiles])
+        assert programmed.tobytes() == reference.tobytes()
+
+
+def test_frozen_reference_wide_spread_exercises_the_clip():
+    # The 300 mV case only pins clip_vth if some draw actually saturates.
+    device = FeFETParameters()
+    generator = np.random.default_rng([0x52455052, 1, 0])
+    nominal = MCAMVoltageScheme(bits=3).level_grid_v[np.arange(1, 9).repeat(8)]
+    raw = FROZEN_VARIATIONS["gauss300mV"].sample_vth(nominal, generator)
+    assert np.any(clip_vth(raw, device) != raw)
 
 
 def _loop_conductances(array: MCAMArray, queries: np.ndarray) -> np.ndarray:
@@ -63,8 +190,6 @@ class TestFusedConductanceKernel:
         array = MCAMArray(num_cells=48, bits=3)
         array.write(RNG.integers(0, 8, size=(40, 48)))
         batch = RNG.integers(0, 8, size=(64, 48))
-        work = batch.shape[0] * array.num_rows * array.num_cells
-        assert work > MCAMArray._FUSED_GATHER_MAX_ELEMENTS
         full = array.row_conductances_batch(batch)
         singles = np.stack([array.row_conductances(q) for q in batch])
         np.testing.assert_array_equal(full, singles)
