@@ -14,21 +14,16 @@ benchmark gates all of it:
    baseline (clients serialized on the searcher, exactly what callers had
    before the scheduler existed).  Skipped below 4 cores like the other
    multi-core gates.
-2. **Cross-k coalescing** — the same 64 clients issuing bursty mixed-``k``
-   traffic (k cycling through 1/5/32) must sustain >= 1.3x the QPS of the
-   fixed-window, same-``k``-run scheduler configuration they replaced:
-   interleaved ``k`` values fragment same-``k`` runs into tiny batches,
-   while cross-``k`` coalescing keeps them bucket-shaped.
-3. **Adaptive window tail** — at a low arrival rate (open loop, far below
-   capacity) the adaptive window must match or beat the fixed-window
-   configuration's p99: a lone query must not pay the full flush window
-   waiting for batch-mates that never come.
-4. **Fair lanes** — two weighted lanes (3:1) sharing one
+2. **Adaptive window tail** — at a low arrival rate (open loop, far below
+   capacity) the adaptive window must match or beat a fixed window
+   (``min_delay_us == max_delay_us``) at the same cap: a lone query must
+   not pay the full flush window waiting for batch-mates that never come.
+3. **Fair lanes** — two weighted lanes (3:1) sharing one
    ``ProcessShardExecutor`` must split dispatched queries within 15
    percentage points of the configured share while both are backlogged,
    and flooding a third bounded lane must fast-fail *that lane's* clients
    without blowing the p99 of a victim lane's paced traffic.
-5. **Bitwise parity** — demultiplexed per-query results, including
+4. **Bitwise parity** — demultiplexed per-query results, including
    mixed-``k`` batches, are bitwise identical to direct
    ``kneighbors_batch`` calls (runs everywhere, no core gate: coalescing
    must never change results).
@@ -74,7 +69,6 @@ TOP_K = 3
 K_MIX = (1, 5, 32)
 LANE_WEIGHTS = (3.0, 1.0)
 REQUIRED_QPS_SPEEDUP = 2.0
-REQUIRED_MIXED_K_SPEEDUP = 1.3
 ADAPTIVE_P99_RATIO_MAX = 1.15
 ADAPTIVE_P99_SLACK_MS = 2.0
 FAIR_SHARE_TOLERANCE = 0.15
@@ -92,7 +86,6 @@ LOCAL_JSON_NAME = "BENCH_serving_latency.local.json"
 MEASUREMENT_NAMES = (
     "adaptive_window_tail",
     "demux_parity",
-    "mixed_k_cross_coalescing",
     "open_loop_tail",
     "sustained_qps",
     "weighted_lanes",
@@ -146,7 +139,6 @@ def bench_report(results_dir):
             "adaptive_p99_slack_ms": ADAPTIVE_P99_SLACK_MS,
             "fair_share_tolerance": FAIR_SHARE_TOLERANCE,
             "min_cores": MIN_CORES,
-            "mixed_k_qps_speedup_min": REQUIRED_MIXED_K_SPEEDUP,
             "open_loop_p99_ceiling_ms": OPEN_LOOP_P99_CEILING_MS,
             "qps_speedup_min": REQUIRED_QPS_SPEEDUP,
         },
@@ -247,90 +239,6 @@ def test_scheduler_sustains_2x_qps_and_bounded_tail(bench_report, record_result)
 
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < MIN_CORES,
-    reason=f"the {REQUIRED_MIXED_K_SPEEDUP}x mixed-k gate needs >= {MIN_CORES} cores",
-)
-def test_cross_k_coalescing_beats_same_k_runs_on_mixed_traffic(
-    bench_report, record_result
-):
-    """Bursty mixed-k closed loop: cross-k + adaptive vs the old policy.
-
-    64 clients cycle k through 1/5/32, so the pending queue interleaves k
-    values and the same-``k``-run policy (the PR 6 scheduler, reachable as
-    ``coalesce_across_k=False, adaptive_delay=False``) fragments it into
-    tiny batches.  Cross-``k`` coalescing ranks the whole queue once at
-    ``max(k)`` and must convert that into >= 1.3x sustained QPS.
-    """
-    features, labels, queries = _workload()
-    ks = list(K_MIX)
-    with _serving_searcher() as searcher:
-        searcher.fit(features, labels)
-        searcher.kneighbors_batch(queries, k=max(ks))  # warm caches + calibrate
-
-        with MicroBatchScheduler(
-            searcher,
-            max_batch=32,
-            max_delay_us=2000.0,
-            coalesce_across_k=False,
-            adaptive_delay=False,
-        ) as compat:
-            fragmented = run_closed_loop(
-                compat,
-                queries,
-                clients=CLIENTS,
-                requests_per_client=REQUESTS_PER_CLIENT,
-                k=ks,
-                warmup_per_client=WARMUP_PER_CLIENT,
-            )
-            compat_shapes = compat.stats.snapshot()["batch_shapes"]
-        with MicroBatchScheduler(
-            searcher, max_batch=32, max_delay_us=2000.0
-        ) as scheduler:
-            coalesced = run_closed_loop(
-                scheduler,
-                queries,
-                clients=CLIENTS,
-                requests_per_client=REQUESTS_PER_CLIENT,
-                k=ks,
-                warmup_per_client=WARMUP_PER_CLIENT,
-            )
-            stats = scheduler.stats.snapshot()
-
-    speedup = (
-        coalesced.qps / fragmented.qps if fragmented.qps else float("inf")
-    )
-    bench_report["mixed_k_cross_coalescing"] = {
-        "k_mix": ks,
-        "same_k_runs_qps": fragmented.qps,
-        "cross_k_qps": coalesced.qps,
-        "speedup": speedup,
-        "mixed_k_batches": stats["mixed_k"],
-    }
-    record_result(
-        "serving_mixed_k",
-        f"stored={STORED} shards={NUM_SHARDS} clients={CLIENTS} "
-        f"k cycling {ks}\n"
-        f"gate: cross-k + adaptive window >= {REQUIRED_MIXED_K_SPEEDUP}x the "
-        "fixed-window same-k-run scheduler on mixed-k closed-loop traffic",
-        timing=f"cores={os.cpu_count()}\n"
-        f"same-k runs (PR6 policy): {fragmented.summary()}\n"
-        f"cross-k coalescing:       {coalesced.summary()}\n"
-        f"qps speedup:              {speedup:.2f}x\n"
-        f"compat batch shapes: {compat_shapes}\n"
-        f"cross-k batch shapes: {stats['batch_shapes']} "
-        f"(mixed-k batches: {stats['mixed_k']})",
-    )
-    assert coalesced.completed == CLIENTS * REQUESTS_PER_CLIENT
-    assert coalesced.errors == 0 and fragmented.errors == 0
-    assert stats["mixed_k"] > 0, "mixed-k traffic never shared a batch"
-    assert speedup >= REQUIRED_MIXED_K_SPEEDUP, (
-        f"cross-k coalescing sustains only {speedup:.2f}x the same-k-run "
-        f"scheduler's QPS ({coalesced.qps:.0f} vs {fragmented.qps:.0f}; "
-        f"required: {REQUIRED_MIXED_K_SPEEDUP}x)"
-    )
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < MIN_CORES,
     reason=f"the adaptive-window tail gate needs >= {MIN_CORES} cores",
 )
 def test_adaptive_window_matches_or_beats_fixed_window_low_rate_tail(
@@ -352,7 +260,7 @@ def test_adaptive_window_matches_or_beats_fixed_window_low_rate_tail(
         searcher.kneighbors_batch(queries, k=TOP_K)  # warm caches + calibrate
 
         with MicroBatchScheduler(
-            searcher, max_batch=32, max_delay_us=2000.0, adaptive_delay=False
+            searcher, max_batch=32, max_delay_us=2000.0, min_delay_us=2000.0
         ) as fixed_scheduler:
             fixed = run_open_loop(
                 fixed_scheduler,

@@ -1,24 +1,14 @@
-"""Serving-path throughput: worker-resident shard caches and live appends.
+"""Serving-path appends on the worker-resident shard caches.
 
-The ``"processes"`` shard executor used to ship every programmed shard
-engine to the workers with every query batch, throwing away the
-amortization that makes in-memory CAM search fast (the paper's
-latency/energy advantage assumes arrays are programmed once and queried
-many times).  This benchmark gates the serving runtime built in its place:
-
-1. **Warm worker caches** — repeated query batches against worker-resident
-   shards must beat the ship-every-batch baseline by >= 3x per batch
-   (bitwise identically; skipped below 4 cores like the other multi-core
-   gates).
-2. **Live appends** — ``ShardedSearcher.append`` plus delta reprogramming
-   must be bitwise identical to a from-scratch refit under fixed seeds at
-   1, 2 and 4 workers on the ``"processes"`` executor.
+The ``"processes"`` shard executor publishes each programmed shard once per
+program epoch and keeps it resident in its workers, so steady-state query
+batches ship only queries.  This benchmark gates the live-append path on
+top of those caches: ``ShardedSearcher.append`` plus delta reprogramming
+must be bitwise identical to a from-scratch refit under fixed seeds at 1, 2
+and 4 workers on the ``"processes"`` executor.
 """
 
 from __future__ import annotations
-
-import os
-import time
 
 import numpy as np
 import pytest
@@ -28,23 +18,8 @@ from repro.core import make_searcher
 pytestmark = pytest.mark.smoke
 
 NUM_SHARDS = 4
-STORED = 8192
-FEATURES = 64
-QUERIES = 32
-REQUIRED_WARM_CACHE_SPEEDUP = 3.0
-MIN_CORES = 4
 
 RNG = np.random.default_rng(20260727)
-
-
-def _timed(fn, repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall time of ``fn()`` in seconds."""
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _workload(num_stored: int, num_features: int, num_queries: int):
@@ -52,54 +27,6 @@ def _workload(num_stored: int, num_features: int, num_queries: int):
     labels = RNG.integers(0, 32, size=num_stored)
     queries = RNG.normal(size=(num_queries, num_features))
     return features, labels, queries
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < MIN_CORES,
-    reason=f"the {REQUIRED_WARM_CACHE_SPEEDUP}x gate needs >= {MIN_CORES} cores",
-)
-def test_warm_worker_cache_beats_ship_every_batch(record_result):
-    features, labels, queries = _workload(STORED, FEATURES, QUERIES)
-
-    def build():
-        return make_searcher(
-            "mcam-3bit",
-            num_features=FEATURES,
-            seed=9,
-            shards=NUM_SHARDS,
-            executor="processes",
-            num_workers=MIN_CORES,
-        )
-
-    with build() as cached, build() as shipped:
-        shipped._executor.shard_cache = False  # the PR 3 ship-every-batch path
-        cached.fit(features, labels)
-        shipped.fit(features, labels)
-
-        reference = cached.kneighbors_batch(queries, k=3)  # publishes + warms
-        result = shipped.kneighbors_batch(queries, k=3)
-        np.testing.assert_array_equal(reference.indices, result.indices)
-        np.testing.assert_array_equal(reference.scores, result.scores)
-
-        warm_s = _timed(lambda: cached.kneighbors_batch(queries, k=3))
-        ship_s = _timed(lambda: shipped.kneighbors_batch(queries, k=3))
-
-    speedup = ship_s / warm_s
-    record_result(
-        "serving_warm_cache",
-        f"stored={STORED} shards={NUM_SHARDS} queries={QUERIES} "
-        f"workers={MIN_CORES}\n"
-        f"gate: warm worker cache >= {REQUIRED_WARM_CACHE_SPEEDUP}x "
-        "ship-every-batch, bitwise identical",
-        timing=f"cores={os.cpu_count()}\n"
-        f"ship-every-batch: {1e3 * ship_s:.1f} ms/batch\n"
-        f"warm worker cache: {1e3 * warm_s:.1f} ms/batch\n"
-        f"speedup:           {speedup:.2f}x",
-    )
-    assert speedup >= REQUIRED_WARM_CACHE_SPEEDUP, (
-        f"warm worker caches are only {speedup:.2f}x faster than shipping every "
-        f"batch (required: {REQUIRED_WARM_CACHE_SPEEDUP}x)"
-    )
 
 
 @pytest.mark.parametrize("num_workers", (1, 2, 4))

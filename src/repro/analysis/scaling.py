@@ -157,12 +157,6 @@ class ScalingStudy:
         parallel dispatch reproduces the serial results exactly.
     num_workers:
         Worker bound for the pooled trial strategies.
-    kernel:
-        Optional MCAM conductance-kernel override (``"fused"``,
-        ``"blocked"`` or ``"dense"``) forwarded to every operating point's
-        searcher.  The study sweeps exactly the mid-size (20-way) shapes
-        the shape-adaptive autotuner exists for; accuracies are identical
-        under any kernel, the knob only moves wall time.
     """
 
     def __init__(
@@ -176,7 +170,6 @@ class ScalingStudy:
         executor: str = "serial",
         trial_executor: str = "serial",
         num_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         self.ways = tuple(int(w) for w in ways)
         if not self.ways or any(w < 2 for w in self.ways):
@@ -197,7 +190,6 @@ class ScalingStudy:
         self.executor = executor
         self.trial_executor = trial_executor
         self.num_workers = num_workers
-        self.kernel = kernel
         # Persistent runner (also validates the executor name eagerly);
         # released by close(), a `with` block, or the pool finalizer.
         self._runner = resolve_trial_runner(trial_executor, num_workers=num_workers)
@@ -253,7 +245,6 @@ class ScalingStudy:
                         num_shards=max(self.shard_counts),
                         shard_executor=self.executor,
                         eval_seed=int(generator.integers(2**31 - 1)),
-                        kernel=self.kernel,
                     )
                 )
         return tuple(units)
@@ -309,7 +300,6 @@ class _ScalingTrial:
     num_shards: int
     shard_executor: str
     eval_seed: int
-    kernel: Optional[str] = None
 
 
 def _run_scaling_trial(trial: _ScalingTrial) -> float:
@@ -321,10 +311,10 @@ def _run_scaling_trial(trial: _ScalingTrial) -> float:
     energy/delay model sweeps the remaining shard counts analytically.
     """
     if trial.num_shards == 1:
-        factory = lambda: MCAMSearcher(bits=trial.bits, kernel=trial.kernel)  # noqa: E731
+        factory = lambda: MCAMSearcher(bits=trial.bits)  # noqa: E731
     else:
         factory = lambda: ShardedSearcher(  # noqa: E731
-            lambda: MCAMSearcher(bits=trial.bits, kernel=trial.kernel),
+            lambda: MCAMSearcher(bits=trial.bits),
             num_shards=trial.num_shards,
             executor=trial.shard_executor,
         )

@@ -124,12 +124,6 @@ class VariationSweep:
         count.
     num_workers:
         Worker bound for the pooled strategies; defaults to the CPU count.
-    kernel:
-        Optional MCAM conductance-kernel override (``"fused"``,
-        ``"blocked"`` or ``"dense"``) forwarded to every trial's searcher;
-        the default lets the shape-adaptive autotuner pick per episode
-        shape.  Sweep points are identical under any kernel — the knob only
-        moves wall time.
     """
 
     def __init__(
@@ -142,7 +136,6 @@ class VariationSweep:
         luts_per_sigma: int = 3,
         executor: str = "serial",
         num_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         self.space = space
         self.tasks = tuple(tasks)
@@ -158,7 +151,6 @@ class VariationSweep:
         self.luts_per_sigma = check_int_in_range(luts_per_sigma, "luts_per_sigma", minimum=1)
         self.executor = executor
         self.num_workers = num_workers
-        self.kernel = kernel
         # One persistent runner for the sweep's lifetime (also validates the
         # executor name eagerly, not in the middle of a sweep): pooled
         # workers stay warm across run() calls and are released by close(),
@@ -199,7 +191,6 @@ class VariationSweep:
                             bits=self.bits,
                             num_episodes=self.num_episodes,
                             rng=lut_rng,
-                            kernel=self.kernel,
                         )
                     )
         return tuple(units)
@@ -234,7 +225,6 @@ class _VariationTrial:
     bits: int
     num_episodes: int
     rng: np.random.Generator
-    kernel: Optional[str] = None
 
 
 def _run_variation_trial(trial: _VariationTrial) -> float:
@@ -253,9 +243,7 @@ def _run_variation_trial(trial: _VariationTrial) -> float:
         num_episodes=trial.num_episodes,
     ) as evaluator:
         result = evaluator.evaluate(
-            searcher_factory=lambda: MCAMSearcher(
-                bits=trial.bits, lut=lut, kernel=trial.kernel
-            ),
+            searcher_factory=lambda: MCAMSearcher(bits=trial.bits, lut=lut),
             method_name=f"mcam-{trial.bits}bit",
             rng=trial.rng,
         )

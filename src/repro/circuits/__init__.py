@@ -14,7 +14,7 @@ paper evaluates:
 * :mod:`~repro.circuits.tcam` — the TCAM Hamming-distance baseline,
 * :mod:`~repro.circuits.autotune` — shape-adaptive selection between the
   algebraically identical batched-search kernels (micro-calibrated once per
-  workload shape and process; overridable via the arrays' ``kernel=`` knob),
+  workload shape and process),
 * :mod:`~repro.circuits.tiles` — fixed-geometry tiling of stores larger than
   one physical array,
 * :mod:`~repro.circuits.acam` — the analog-CAM concept of Fig. 1(a),
@@ -61,7 +61,6 @@ from .tiles import (
     FixedGeometryArray,
     TileGeometry,
     partition_rows,
-    resolve_max_rows,
     split_rows_evenly,
 )
 
@@ -106,6 +105,5 @@ __all__ = [
     "FixedGeometryArray",
     "TileGeometry",
     "partition_rows",
-    "resolve_max_rows",
     "split_rows_evenly",
 ]

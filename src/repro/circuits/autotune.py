@@ -20,9 +20,8 @@ class and process.
 Selection never affects results (that is a hard invariant the circuit
 tests pin), so the table needs no cross-process coordination: each worker
 process calibrates independently and converges to its own host's fastest
-kernels.  An explicit ``kernel=`` override — per array, per searcher or per
-call — bypasses the table entirely, both to pin behavior in benchmarks and
-to let operators encode knowledge the micro-benchmark cannot see.
+kernels.  There is no per-array or per-call override: tests and benchmarks
+that need one specific kernel call the arrays' private kernel methods.
 """
 
 from __future__ import annotations
@@ -32,9 +31,7 @@ from __future__ import annotations
 # dependent, never results (all candidates are bitwise identical).
 
 import time
-from typing import Callable, Dict, Optional, Tuple
-
-from ..exceptions import ConfigurationError
+from typing import Callable, Dict, Optional
 
 #: Process-global kernel table: shape signature -> winning kernel name.
 _KERNEL_TABLE: Dict[tuple, str] = {}
@@ -54,17 +51,6 @@ def shape_bucket(n: int) -> int:
     finer than the crossover widths between the candidate kernels.
     """
     return int(n - 1).bit_length() if n > 1 else 0
-
-
-def check_kernel(kernel: Optional[str], choices: Tuple[str, ...], what: str) -> str:
-    """Validate a kernel knob; ``None`` means ``"auto"``."""
-    if kernel is None:
-        return "auto"
-    if kernel not in choices:
-        raise ConfigurationError(
-            f"{what} kernel must be one of {choices}, got {kernel!r}"
-        )
-    return kernel
 
 
 def lookup_kernel(key: tuple) -> Optional[str]:
@@ -142,13 +128,14 @@ def calibrated_query_buckets() -> frozenset:
 
     By convention every circuit autotune key ends with
     ``(..., shape_bucket(num_queries), eligibility_flag)`` — see
-    ``MCAMArray._autotuned_conductances`` and
-    ``TCAMArray._autotuned_hamming`` — so the second-to-last key element is
-    the query-count bucket.  The micro-batching scheduler consults this set
-    when shaping a flush: dispatching a batch whose bucket is already
-    calibrated can never stall on a one-shot micro-calibration, so such
-    shapes are "cheap" from the scheduler's point of view.  Aggregated over
-    every kernel family (a serving searcher typically exercises one).
+    ``MCAMArray.row_conductances_batch`` and
+    ``TCAMArray.hamming_distances_batch`` — so the second-to-last key
+    element is the query-count bucket.  The micro-batching scheduler
+    consults this set when shaping a flush: dispatching a batch whose bucket
+    is already calibrated can never stall on a one-shot micro-calibration,
+    so such shapes are "cheap" from the scheduler's point of view.
+    Aggregated over every kernel family (a serving searcher typically
+    exercises one).
     """
     return frozenset(key[-2] for key in _KERNEL_TABLE if len(key) >= 2)
 
@@ -180,7 +167,6 @@ def clear_kernel_table() -> None:
 __all__ = [
     "bucket_calibrated",
     "calibrated_query_buckets",
-    "check_kernel",
     "clear_kernel_table",
     "floor_bucket_size",
     "kernel_table",

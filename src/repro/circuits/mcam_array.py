@@ -31,10 +31,10 @@ from ..utils.rng import SeedLike, ensure_rng
 from ..utils.validation import check_bits, check_int_in_range, check_state_matrix
 from ..devices.fefet import FeFETParameters, _drain_current_from_overdrive, clip_vth
 from ..devices.variation import VariationModel
-from .autotune import check_kernel, lookup_kernel, select_kernel, shape_bucket
+from .autotune import lookup_kernel, select_kernel, shape_bucket
 from .conductance_lut import ConductanceLUT, build_nominal_lut
 from .matchline import MatchLineModel
-from .tiles import FixedGeometryArray, resolve_max_rows
+from .tiles import FixedGeometryArray
 from .mcam_cell import ML_PRECHARGE_V, MCAMVoltageScheme
 from .sense_amplifier import IdealWinnerTakeAll, SensingResult, sense_all
 
@@ -236,8 +236,6 @@ class MCAMArray(FixedGeometryArray):
         the MANN experiments and the feature count for the UCI datasets).
     bits:
         Bit precision of every cell (2 or 3 in the paper).
-    capacity:
-        Backward-compatible alias for ``max_rows``.
     max_rows:
         Explicit physical row count of the array; ``None`` means unbounded
         (simulation only).  A real array has fixed geometry — stores larger
@@ -253,20 +251,12 @@ class MCAMArray(FixedGeometryArray):
         FeFET parameters and voltage scheme used in per-cell device mode.
     sense_amplifier:
         Sensing model; defaults to :class:`IdealWinnerTakeAll`.
-    kernel:
-        Batched-conductance kernel override: ``"fused"``, ``"blocked"`` or
-        ``"dense"`` pin one implementation; ``None``/``"auto"`` (the
-        default) picks per workload shape through the micro-calibrated
-        kernel table of :mod:`repro.circuits.autotune`.  All kernels reduce
-        in the same sequential cell order, so the choice never changes a
-        result bit — only its speed.
     """
 
     def __init__(
         self,
         num_cells: int,
         bits: int = 3,
-        capacity: Optional[int] = None,
         lut: Optional[ConductanceLUT] = None,
         variation: Optional[VariationModel] = None,
         device: Optional[FeFETParameters] = None,
@@ -274,12 +264,12 @@ class MCAMArray(FixedGeometryArray):
         sense_amplifier=None,
         ml_voltage_v: float = ML_PRECHARGE_V,
         max_rows: Optional[int] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         self.num_cells = check_int_in_range(num_cells, "num_cells", minimum=1)
-        self.kernel = check_kernel(kernel, self._KERNEL_CHOICES, "MCAM")
         self.bits = check_bits(bits)
-        self.max_rows = resolve_max_rows(max_rows, capacity)
+        self.max_rows = (
+            None if max_rows is None else check_int_in_range(max_rows, "max_rows", minimum=1)
+        )
         self.scheme = scheme if scheme is not None else MCAMVoltageScheme(bits=self.bits)
         if self.scheme.bits != self.bits:
             raise ConfigurationError(
@@ -626,10 +616,6 @@ class MCAMArray(FixedGeometryArray):
             )
         return self.row_conductances_batch(query.reshape(1, -1))[0]
 
-    #: Kernel knob values accepted by the constructor and the per-call
-    #: ``kernel=`` argument.
-    _KERNEL_CHOICES = ("auto", "fused", "blocked", "dense")
-
     #: Element bound above which the fused kernel is excluded from the
     #: autotuner's candidate set: its ``(cells, queries, rows)`` gather
     #: temporary would dominate memory traffic long before this point, and
@@ -641,45 +627,28 @@ class MCAMArray(FixedGeometryArray):
     #: stack stays cache-friendly at mid-size (episode) shapes.
     _BLOCK_CELLS = 16
 
-    def row_conductances_batch(self, queries, kernel: Optional[str] = None) -> np.ndarray:
+    def row_conductances_batch(self, queries) -> np.ndarray:
         """ML conductance matrix ``(num_queries, num_rows)`` for a query batch.
 
         Cell conductances are accumulated in a fixed cell order over the
         cached programmed profiles by one of three kernels — the fused LUT
         gather (tiny batches), the blocked gather (mid-size episode shapes)
-        or the streaming per-cell accumulation (huge stores).  ``kernel``
-        overrides the choice for this call; otherwise the array's ``kernel``
-        knob applies, and in its default ``"auto"`` mode the shape-adaptive
-        table of :mod:`repro.circuits.autotune` picks the fastest measured
-        kernel for the workload shape.  All kernels reduce in the same
-        sequential cell order, so the result is independent of the kernel
-        choice and of the batch size: batched results are bitwise identical
-        to single-query :meth:`row_conductances` calls, and sharded
-        (row-sliced) evaluations are bitwise identical to unsharded ones.
-        """
-        queries = self._check_query_batch(queries)
-        by_cell = self._profiles_by_cell()
-        choice = (
-            check_kernel(kernel, self._KERNEL_CHOICES, "MCAM")
-            if kernel is not None
-            else self.kernel
-        )
-        if choice == "fused":
-            return self._fused_conductances(by_cell, queries)
-        if choice == "blocked":
-            return self._blocked_conductances(by_cell, queries)
-        if choice == "dense":
-            return self._dense_conductances(by_cell, queries)
-        return self._autotuned_conductances(by_cell, queries)
-
-    def _autotuned_conductances(self, by_cell: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        """Dispatch through the micro-calibrated kernel table.
+        or the streaming per-cell accumulation (huge stores) — and the
+        shape-adaptive table of :mod:`repro.circuits.autotune` picks the
+        fastest measured kernel for the workload shape.  All kernels reduce
+        in the same sequential cell order, so the result is independent of
+        the kernel choice and of the batch size: batched results are bitwise
+        identical to single-query :meth:`row_conductances` calls, and
+        sharded (row-sliced) evaluations are bitwise identical to unsharded
+        ones.
 
         The steady-state path is deliberately thin — key, table lookup,
         direct dispatch — because at episode shapes the kernels themselves
         finish in microseconds; candidate closures are only built on the
         one calibration miss per shape class.
         """
+        queries = self._check_query_batch(queries)
+        by_cell = self._profiles_by_cell()
         num_queries = queries.shape[0]
         if num_queries == 0:
             # Nothing to measure; do not let degenerate batches pollute the

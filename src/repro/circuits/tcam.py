@@ -24,10 +24,10 @@ from ..exceptions import CapacityError, CircuitError
 from ..utils.rng import SeedLike
 from ..utils.validation import check_int_in_range
 from ..devices.fefet import FeFETParameters
-from .autotune import check_kernel, lookup_kernel, select_kernel, shape_bucket
+from .autotune import lookup_kernel, select_kernel, shape_bucket
 from .conductance_lut import build_nominal_lut
 from .mcam_array import _labels_of_winners
-from .tiles import FixedGeometryArray, resolve_max_rows
+from .tiles import FixedGeometryArray
 from .mcam_cell import ML_PRECHARGE_V, MCAMVoltageScheme
 from .matchline import MatchLineModel
 from .sense_amplifier import IdealWinnerTakeAll, SensingResult, sense_all
@@ -72,8 +72,6 @@ class TCAMArray(FixedGeometryArray):
     ----------
     num_cells:
         Word width in bits (e.g. the LSH signature length).
-    capacity:
-        Backward-compatible alias for ``max_rows``.
     max_rows:
         Explicit physical row count; ``None`` means unbounded (simulation
         only).  Larger stores tile across arrays, see
@@ -82,17 +80,7 @@ class TCAMArray(FixedGeometryArray):
         FeFET parameters; the match/mismatch conductances are taken from the
         1-bit MCAM cell built from the same device, keeping the TCAM and MCAM
         energetically comparable as the paper assumes.
-    kernel:
-        Batched Hamming kernel override: ``"matmul"`` pins the exact affine
-        matmul form, ``"mask"`` the boolean mismatch evaluation;
-        ``None``/``"auto"`` (the default) picks per workload shape through
-        the micro-calibrated kernel table of
-        :mod:`repro.circuits.autotune`.  Both kernels recover the integer
-        distances exactly, so the choice never changes a result.
     """
-
-    #: Kernel knob values accepted by the constructor and per-call override.
-    _KERNEL_CHOICES = ("auto", "matmul", "mask")
 
     #: Element bound above which the mask kernel is excluded from the
     #: autotuner's candidates: its boolean mismatch temporary is
@@ -102,16 +90,15 @@ class TCAMArray(FixedGeometryArray):
     def __init__(
         self,
         num_cells: int,
-        capacity: Optional[int] = None,
         device: Optional[FeFETParameters] = None,
         sense_amplifier=None,
         ml_voltage_v: float = ML_PRECHARGE_V,
         max_rows: Optional[int] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         self.num_cells = check_int_in_range(num_cells, "num_cells", minimum=1)
-        self.kernel = check_kernel(kernel, self._KERNEL_CHOICES, "TCAM")
-        self.max_rows = resolve_max_rows(max_rows, capacity)
+        self.max_rows = (
+            None if max_rows is None else check_int_in_range(max_rows, "max_rows", minimum=1)
+        )
         self.device = device if device is not None else FeFETParameters()
         self.ml_voltage_v = ml_voltage_v
         # 1-bit MCAM cell conductances: diagonal = match, off-diagonal = mismatch.
@@ -298,38 +285,21 @@ class TCAMArray(FixedGeometryArray):
         query = self._check_query(query)
         return self.hamming_distances_batch(query.reshape(1, -1))[0]
 
-    def hamming_distances_batch(self, queries, kernel: Optional[str] = None) -> np.ndarray:
+    def hamming_distances_batch(self, queries) -> np.ndarray:
         """Hamming distance matrix ``(num_queries, num_rows)`` for a query batch.
 
         Evaluated by the exact affine matmul over the programmed-state
         kernel (see :meth:`_hamming_kernel`) or by the boolean mismatch
         masks; both recover the integer distances exactly, so results are
-        independent of the kernel choice and of batching.  ``kernel``
-        overrides the choice for this call; otherwise the array's knob
-        applies, with ``"auto"`` consulting the shape-adaptive table of
-        :mod:`repro.circuits.autotune` (the matmul wins essentially
-        everywhere except sub-cache shapes, but the table proves it per
-        host instead of assuming).
-        """
-        queries = self._check_query_batch(queries)
-        choice = (
-            check_kernel(kernel, self._KERNEL_CHOICES, "TCAM")
-            if kernel is not None
-            else self.kernel
-        )
-        if choice == "matmul":
-            return self._matmul_hamming(queries)
-        if choice == "mask":
-            return self._mask_hamming(queries)
-        return self._autotuned_hamming(queries)
-
-    def _autotuned_hamming(self, queries: np.ndarray) -> np.ndarray:
-        """Dispatch through the micro-calibrated kernel table.
-
+        independent of the kernel choice and of batching.  The
+        shape-adaptive table of :mod:`repro.circuits.autotune` picks between
+        them (the matmul wins essentially everywhere except sub-cache
+        shapes, but the table proves it per host instead of assuming).
         Steady state is key + table lookup + direct dispatch; candidate
         closures are built only on the one calibration miss per shape class
-        (see :meth:`MCAMArray._autotuned_conductances` for the rationale).
+        (see :meth:`MCAMArray.row_conductances_batch` for the rationale).
         """
+        queries = self._check_query_batch(queries)
         num_queries = queries.shape[0]
         if num_queries == 0 or self.num_rows == 0:
             return self._matmul_hamming(queries)
@@ -337,7 +307,7 @@ class TCAMArray(FixedGeometryArray):
             num_queries * self.num_rows * self.num_cells
             <= self._MASK_CANDIDATE_MAX_ELEMENTS
         )
-        # Eligibility is part of the key — see MCAMArray._autotuned_conductances.
+        # Eligibility is part of the key — see MCAMArray.row_conductances_batch.
         key = (
             "tcam",
             self.num_cells,
@@ -389,11 +359,9 @@ class TCAMArray(FixedGeometryArray):
         """ML conductance of every row: mismatches conduct, matches leak."""
         return self._conductances_from_distances(self.hamming_distances(query))
 
-    def row_conductances_batch(self, queries, kernel: Optional[str] = None) -> np.ndarray:
+    def row_conductances_batch(self, queries) -> np.ndarray:
         """ML conductance matrix ``(num_queries, num_rows)`` for a query batch."""
-        return self._conductances_from_distances(
-            self.hamming_distances_batch(queries, kernel=kernel)
-        )
+        return self._conductances_from_distances(self.hamming_distances_batch(queries))
 
     def search(self, query, rng: SeedLike = None) -> TCAMSearchResult:
         """Nearest-neighbor (minimum Hamming distance) search for one query."""

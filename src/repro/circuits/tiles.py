@@ -37,33 +37,14 @@ from ..utils.validation import check_int_in_range
 RowSpan = Tuple[int, int]
 
 
-def resolve_max_rows(max_rows: Optional[int], capacity: Optional[int]) -> Optional[int]:
-    """Unify the ``max_rows`` geometry parameter with its legacy ``capacity`` alias."""
-    if max_rows is not None and capacity is not None and max_rows != capacity:
-        raise ConfigurationError(
-            f"max_rows ({max_rows}) and its alias capacity ({capacity}) disagree; "
-            f"pass only max_rows"
-        )
-    limit = max_rows if max_rows is not None else capacity
-    if limit is not None:
-        limit = check_int_in_range(limit, "max_rows", minimum=1)
-    return limit
-
-
 class FixedGeometryArray:
     """Row-bound bookkeeping shared by the CAM array models.
 
     Mixin for array classes exposing ``max_rows`` (``None`` = unbounded) and
-    ``num_rows``; provides the derived occupancy properties and the legacy
-    ``capacity`` alias.
+    ``num_rows``; provides the derived occupancy properties.
     """
 
     max_rows: Optional[int]
-
-    @property
-    def capacity(self) -> Optional[int]:
-        """Alias for :attr:`max_rows` (kept for backward compatibility)."""
-        return self.max_rows
 
     @property
     def remaining_rows(self) -> Optional[int]:
@@ -387,7 +368,7 @@ class CAMTileSet:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def row_conductances_batch(self, queries, kernel: Optional[str] = None) -> np.ndarray:
+    def row_conductances_batch(self, queries) -> np.ndarray:
         """ML conductances of every stored row, ``(num_queries, num_rows)``.
 
         Tiles are evaluated left to right and concatenated in global row
@@ -397,21 +378,10 @@ class CAMTileSet:
         on how the writes were chunked across tiles, so tiled and
         monolithic programming differ — as two physically distinct layouts
         would.
-
-        ``kernel`` forwards a per-call kernel override to every tile (the
-        arrays' shape-adaptive autotuner otherwise picks per tile — note a
-        tile's row count, not the store's, is what sizes its workload);
-        kernel choice never changes a result bit, so tiled evaluations stay
-        exact under any override.
         """
         if not self._tiles:
             raise CircuitError("cannot search an empty tile set")
-        # Forward the override only when asked: tile sets accept any array
-        # type, and third-party arrays need not grow a kernel parameter.
-        kwargs = {} if kernel is None else {"kernel": kernel}
-        blocks = [
-            tile.array.row_conductances_batch(queries, **kwargs) for tile in self._tiles
-        ]
+        blocks = [tile.array.row_conductances_batch(queries) for tile in self._tiles]
         return np.concatenate(blocks, axis=1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -496,12 +496,6 @@ class MCAMSearcher(NearestNeighborSearcher):
         process-parallel experiment runtime relies on).  Ignored when no
         ``variation`` model is attached (LUT-mode programming is
         deterministic already).
-    kernel:
-        Batched-conductance kernel override forwarded to the array
-        (``"fused"``, ``"blocked"`` or ``"dense"``); the default
-        ``None``/``"auto"`` lets the shape-adaptive autotuner of
-        :mod:`repro.circuits.autotune` pick per workload shape.  Kernel
-        choice never changes a result bit.
     """
 
     def __init__(
@@ -513,7 +507,6 @@ class MCAMSearcher(NearestNeighborSearcher):
         seed: SeedLike = None,
         max_rows: Optional[int] = None,
         program_seed: Optional[int] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         super().__init__()
         self.bits = check_bits(bits)
@@ -522,7 +515,6 @@ class MCAMSearcher(NearestNeighborSearcher):
         self.sense_amplifier = sense_amplifier
         self.max_rows = max_rows
         self.program_seed = None if program_seed is None else int(program_seed)
-        self.kernel = kernel
         self._rng = ensure_rng(seed)
         self.quantizer = UniformQuantizer(bits=self.bits)
         self._calibrated = False
@@ -567,7 +559,6 @@ class MCAMSearcher(NearestNeighborSearcher):
                 variation=self.variation,
                 sense_amplifier=self.sense_amplifier,
                 max_rows=self.max_rows,
-                kernel=self.kernel,
             )
             self._array = array
         else:
@@ -640,10 +631,6 @@ class TCAMLSHSearcher(NearestNeighborSearcher):
     max_rows:
         Optional physical row count of the TCAM; stores larger than this
         raise a :class:`~repro.exceptions.CapacityError`.
-    kernel:
-        Batched Hamming kernel override forwarded to the TCAM (``"matmul"``
-        or ``"mask"``); ``None``/``"auto"`` picks per workload shape through
-        the autotuner.  Kernel choice never changes a result.
     """
 
     def __init__(
@@ -651,12 +638,10 @@ class TCAMLSHSearcher(NearestNeighborSearcher):
         num_bits: int,
         seed: SeedLike = None,
         max_rows: Optional[int] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         super().__init__()
         self.num_bits = check_int_in_range(num_bits, "num_bits", minimum=1)
         self.max_rows = max_rows
-        self.kernel = kernel
         self._rng = ensure_rng(seed)
         self.encoder = RandomHyperplaneLSH(num_bits=self.num_bits, seed=self._rng)
         self._calibrated = False
@@ -696,9 +681,7 @@ class TCAMLSHSearcher(NearestNeighborSearcher):
             # rows keep their cached Hamming kernel slices.
             self._tcam.reprogram(signatures, labels=label_list)
         else:
-            self._tcam = TCAMArray(
-                num_cells=self.num_bits, max_rows=self.max_rows, kernel=self.kernel
-            )
+            self._tcam = TCAMArray(num_cells=self.num_bits, max_rows=self.max_rows)
             self._tcam.write(signatures, labels=label_list)
 
     def _require_tcam(self) -> TCAMArray:
@@ -842,7 +825,6 @@ def _make_mcam(
     seed: SeedLike = None,
     max_rows_per_array: Optional[int] = None,
     program_seed: Optional[int] = None,
-    kernel: Optional[str] = None,
     **config: Any,
 ) -> MCAMSearcher:
     return MCAMSearcher(
@@ -852,7 +834,6 @@ def _make_mcam(
         seed=seed,
         max_rows=max_rows_per_array,
         program_seed=program_seed,
-        kernel=kernel,
     )
 
 
@@ -871,13 +852,10 @@ def _make_tcam_lsh(
     lsh_bits: Optional[int] = None,
     seed: SeedLike = None,
     max_rows_per_array: Optional[int] = None,
-    kernel: Optional[str] = None,
     **config: Any,
 ) -> TCAMLSHSearcher:
     signature_bits = lsh_bits if lsh_bits is not None else num_features
-    return TCAMLSHSearcher(
-        num_bits=signature_bits, seed=seed, max_rows=max_rows_per_array, kernel=kernel
-    )
+    return TCAMLSHSearcher(num_bits=signature_bits, seed=seed, max_rows=max_rows_per_array)
 
 
 register_backend("tcam-lsh", _make_tcam_lsh)
@@ -954,7 +932,6 @@ def make_searcher(
     num_workers: Optional[int] = None,
     program_seed: Optional[int] = None,
     appendable: bool = False,
-    kernel: Optional[str] = None,
 ) -> NearestNeighborSearcher:
     """Factory for the engines compared in the paper's figures.
 
@@ -979,13 +956,6 @@ def make_searcher(
     live: new rows route to the least-full shard, tiles grow through the
     delta-reprogramming path, and the served results stay bitwise identical
     to a from-scratch refit of the combined store.
-
-    ``kernel`` overrides the engine's batched-search kernel (the MCAM's
-    ``"fused"``/``"blocked"``/``"dense"`` conductance kernels, the TCAM's
-    ``"matmul"``/``"mask"`` Hamming kernels); the default lets the
-    shape-adaptive autotuner pick per workload shape.  Kernel choice never
-    changes a result, only its speed; values are validated by the engine
-    they reach.
     """
     factory = get_backend(name)
     if (shards is not None or max_rows_per_array is not None) and not getattr(
@@ -1012,5 +982,4 @@ def make_searcher(
         num_workers=num_workers,
         program_seed=program_seed,
         appendable=appendable,
-        kernel=kernel,
     )

@@ -30,10 +30,12 @@ bitwise-identical results.
 
 Two serving-oriented extensions ride on the executor seam:
 
-* executors advertising ``supports_shard_cache`` (the ``"processes"``
-  strategy) receive each programmed shard **once per program epoch** —
-  published through ``publish_shard`` and cached worker-resident — so
-  steady-state query batches ship only query payloads, and
+* executors exposing ``publish_shard`` and ``submit_cached`` (the
+  ``"processes"`` strategy) receive each programmed shard **once per
+  program epoch** — published through ``publish_shard`` and cached
+  worker-resident — so steady-state query batches ship only query payloads
+  through ``submit_cached``; every other executor ranks self-contained
+  shard jobs through ``map``, and
 * :meth:`ShardedSearcher.append` grows a fitted store live (with
   ``appendable=True``): new rows route to the least-full shard, the touched
   engines refit through the arrays' delta-reprogramming path, and the
@@ -958,15 +960,17 @@ class ShardedSearcher(NearestNeighborSearcher):
         """Dispatch one batch, returning a ``collect(timeout=None)`` callable.
 
         Executors exposing ``submit_cached`` (the ``"processes"`` strategy)
-        keep the dispatched batch **in flight**: workers rank it while the
-        caller is free to demultiplex the previous batch or write the next
-        one, and ``collect()`` blocks only until this batch's shards are
-        merged — or, with a ``timeout`` (seconds), until the executor's
-        supervised collect resolves, retries, or fails the batch with a
-        typed serving error.  Every other path computes eagerly and hands
-        back a completed collector (whose ``timeout`` is vacuous — the
-        result already exists), so :meth:`_rank_batch` behaves identically
-        either way.
+        get cache-keyed jobs against the shards they received through
+        ``publish_shard``, and keep the dispatched batch **in flight**:
+        workers rank it while the caller is free to demultiplex the previous
+        batch or write the next one, and ``collect()`` blocks only until
+        this batch's shards are merged — or, with a ``timeout`` (seconds),
+        until the executor's supervised collect resolves, retries, or fails
+        the batch with a typed serving error.  Every other executor ranks
+        self-contained jobs through ``map``, eagerly, and hands back a
+        completed collector (whose ``timeout`` is vacuous — the result
+        already exists), so :meth:`_rank_batch` behaves identically either
+        way.
         """
         if not self._shards:
             raise SearchError("sharded searcher must be fitted before searching")
@@ -980,31 +984,25 @@ class ShardedSearcher(NearestNeighborSearcher):
         # Independent per-shard streams: stochastic engines stay deterministic
         # under any executor because no generator is shared across workers.
         shard_rngs = spawn_rngs(rng, len(self._shards))
-        if getattr(self._executor, "supports_shard_cache", False):
-            jobs = self._cached_shard_jobs(shard_rngs, queries, k)
-            submit = getattr(self._executor, "submit_cached", None)
-            if submit is not None:
-                pending = submit(jobs)
+        submit = getattr(self._executor, "submit_cached", None)
+        if submit is not None:
+            pending = submit(self._cached_shard_jobs(shard_rngs, queries, k))
 
-                def collect(timeout: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
-                    try:
-                        results = pending(timeout=timeout)
-                    except TypeError:
-                        # Third-party executors may expose a zero-argument
-                        # collect; deadlines then bound only admission.
-                        results = pending()
-                    return self._merge_shard_results(results, k)
+            def collect(timeout: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
+                try:
+                    results = pending(timeout=timeout)
+                except TypeError:
+                    # Third-party executors may expose a zero-argument
+                    # collect; deadlines then bound only admission.
+                    results = pending()
+                return self._merge_shard_results(results, k)
 
-                return collect
-            results = self._executor.map_cached(jobs)
-        else:
-            jobs = [
-                (shard, index_map, shard_rng, queries, k)
-                for shard, index_map, shard_rng in zip(
-                    self._shards, self._index_maps, shard_rngs
-                )
-            ]
-            results = self._executor.map(_rank_shard_job, jobs)
+            return collect
+        jobs = [
+            (shard, index_map, shard_rng, queries, k)
+            for shard, index_map, shard_rng in zip(self._shards, self._index_maps, shard_rngs)
+        ]
+        results = self._executor.map(_rank_shard_job, jobs)
         merged = self._merge_shard_results(results, k)
         return lambda timeout=None: merged
 

@@ -31,7 +31,6 @@ def run(
     executor: str = "serial",
     episode_executor: str = "serial",
     num_workers: int = None,
-    kernel: str = None,
 ) -> ExperimentResult:
     """Evaluate all five methods on the four few-shot task configurations.
 
@@ -45,10 +44,7 @@ def run(
     ``episode_executor`` dispatches every ``method x episode-chunk`` pair
     through the parallel experiment runtime (``"threads"`` or
     ``"processes"``); the method factories are picklable, so the figure's
-    episode loops fan out across worker processes unchanged.  ``kernel``
-    pins the MCAM conductance kernel (``"fused"``/``"blocked"``/``"dense"``)
-    instead of the shape-adaptive autotuner — accuracies are identical
-    either way, the knob only moves wall time.
+    episode loops fan out across worker processes unchanged.
     """
     generator = ensure_rng(seed)
     num_episodes = 25 if quick else 200
@@ -59,7 +55,6 @@ def run(
         shards=shards,
         max_rows_per_array=max_rows_per_array,
         executor=executor,
-        kernel=kernel,
     )
 
     records = []
@@ -114,6 +109,5 @@ def run(
             "tasks": list(PAPER_FEWSHOT_TASKS),
             "shards": shards,
             "max_rows_per_array": max_rows_per_array,
-            "kernel": kernel,
         },
     )

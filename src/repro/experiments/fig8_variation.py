@@ -20,7 +20,6 @@ def run(
     seed: SeedLike = DEFAULT_EXPERIMENT_SEED,
     executor: str = "serial",
     num_workers: int = None,
-    kernel: str = None,
 ) -> ExperimentResult:
     """Sweep the Gaussian Vth sigma from 0 mV to 300 mV and re-evaluate accuracy.
 
@@ -30,9 +29,7 @@ def run(
     ``executor`` dispatches the sweep's Monte-Carlo trials through the
     parallel experiment runtime (``"serial"``, ``"threads"`` or
     ``"processes"``); every trial carries a pre-spawned RNG stream, so the
-    figure is bitwise identical at any worker count.  ``kernel`` pins the
-    MCAM conductance kernel instead of the shape-adaptive autotuner; the
-    figure is identical either way.
+    figure is bitwise identical at any worker count.
     """
     generator = ensure_rng(seed)
     space = SyntheticEmbeddingSpace(seed=generator.integers(2**31 - 1))
@@ -57,7 +54,6 @@ def run(
         luts_per_sigma=luts_per_sigma,
         executor=executor,
         num_workers=num_workers,
-        kernel=kernel,
     ) as sweep:
         result = sweep.run(rng=generator)
 
@@ -88,6 +84,5 @@ def run(
             "sigmas_v": list(sigmas),
             "tasks": list(tasks),
             "executor": executor,
-            "kernel": kernel,
         },
     )

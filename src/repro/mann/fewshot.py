@@ -317,7 +317,6 @@ def default_method_factories(
     shards: Optional[int] = None,
     max_rows_per_array: Optional[int] = None,
     executor: str = "serial",
-    kernel: Optional[str] = None,
 ) -> Dict[str, SearcherFactory]:
     """The five methods compared in Fig. 7, as searcher factories.
 
@@ -337,11 +336,6 @@ def default_method_factories(
         ``max_rows_per_array`` is given every method partitions its support
         set across fixed-capacity arrays (results stay identical — sharding
         is exact).
-    kernel:
-        Optional MCAM conductance-kernel override (``"fused"``,
-        ``"blocked"`` or ``"dense"``), forwarded to the MCAM methods; the
-        default lets the shape-adaptive autotuner pick per episode shape.
-        Kernel choice never changes accuracies — it only moves wall time.
     """
     generator = ensure_rng(seed)
     seeds = generator.integers(0, 2**31 - 1, size=8)
@@ -362,7 +356,6 @@ def default_method_factories(
             "mcam-3bit",
             embedding_dim,
             seed=int(seeds[0]),
-            kernel=kernel,
             **sharding,
         ),
         "mcam-2bit": partial(
@@ -370,7 +363,6 @@ def default_method_factories(
             "mcam-2bit",
             embedding_dim,
             seed=int(seeds[1]),
-            kernel=kernel,
             **sharding,
         ),
         "tcam-lsh": partial(

@@ -246,9 +246,8 @@ class FaultInjector:
     def _scribble_midstream(path: str) -> Optional[str]:
         """Overwrite four bytes mid-file, leaving integrity headers intact.
 
-        A clobbered magic would make the file masquerade as a tolerated
-        pre-checksum legacy entry; scribbling the payload region instead
-        guarantees the CRC can no longer match.
+        Scribbling the payload region guarantees the CRC can no longer
+        match, so the fault exercises the checksum, not the header check.
         """
         try:
             size = os.path.getsize(path)

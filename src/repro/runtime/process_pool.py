@@ -26,9 +26,13 @@ results bitwise identical to in-process execution.
 every query batch throws away the amortization that makes in-memory CAM
 search fast (arrays are programmed once and queried many times).  The
 ``"processes"`` shard executor therefore publishes each programmed shard to
-a spool **once per program epoch**; workers keep a process-global cache
-keyed by ``(searcher_id, shard_index, program_epoch)`` and load a shard from
-the spool only when the key misses — i.e. on first contact or after a
+a spool **once per program epoch**
+(:meth:`ProcessShardExecutor.publish_shard`) and ranks query batches
+against the published shards (:meth:`ProcessShardExecutor.submit_cached`);
+the sharded searcher takes this path whenever its executor has
+``submit_cached``.  Workers keep a process-global cache keyed by
+``(searcher_id, shard_index, program_epoch)`` and load a shard from the
+spool only when the key misses — i.e. on first contact or after a
 reprogram/append bumped the shard's epoch.  Steady-state query batches ship
 only query payloads.  A worker can never serve stale state: every job
 carries the current epoch, and an epoch mismatch forces a reload.  Closing
@@ -472,10 +476,6 @@ class ProcessShardExecutor:
     ----------
     num_workers:
         Worker-process bound; defaults to the host CPU count.
-    shard_cache:
-        Set False to fall back to shipping every programmed shard with
-        every batch (the pre-caching behavior, kept as a measurable
-        baseline).
     transport:
         ``"auto"`` (the default) uses the zero-copy shared-memory transport
         — query/result batches in a :class:`~.transport.SharedMemoryRing`,
@@ -528,7 +528,6 @@ class ProcessShardExecutor:
     def __init__(
         self,
         num_workers: Optional[int] = None,
-        shard_cache: bool = True,
         transport: str = "auto",
         ring_depth: int = 2,
         dispatch_timeout_s: Optional[float] = None,
@@ -552,7 +551,6 @@ class ProcessShardExecutor:
             )
         self._pool = PersistentProcessPool(num_workers=num_workers)
         self.num_workers = self._pool.num_workers
-        self.shard_cache = bool(shard_cache)
         self.transport = transport
         self.ring_depth = check_int_in_range(ring_depth, "ring_depth", minimum=1)
         self.dispatch_timeout_s = (
@@ -622,11 +620,6 @@ class ProcessShardExecutor:
         self._lock = threading.Lock()
 
     @property
-    def supports_shard_cache(self) -> bool:
-        """Whether the sharded searcher should dispatch cache-keyed jobs."""
-        return self.shard_cache
-
-    @property
     def dispatch_depth(self) -> Optional[int]:
         """Batches that may be in flight at once (``None``: unbounded).
 
@@ -644,11 +637,6 @@ class ProcessShardExecutor:
         """Dispatched-but-uncollected batches currently on the ring."""
         with self._lock:
             return self._ring_inflight
-
-    @property
-    def _shm_failed(self) -> bool:
-        """Whether the shm breaker is tripped (compat alias; read-only)."""
-        return self._shm_breaker.tripped
 
     @property
     def supervisor(self) -> PoolSupervisor:

@@ -289,7 +289,6 @@ _BUNDLE_MANIFEST = "manifest.json"
 
 #: Header of checksummed pickle-spool files: magic, 4-byte little-endian
 #: CRC-32 of the pickle stream, 8-byte little-endian stream length.
-#: Headerless files are the PR 4 format, still readable (unverified).
 _PICKLE_MAGIC = b"RSPL\x01"
 _PICKLE_HEADER_BYTES = len(_PICKLE_MAGIC) + 4 + 8
 
@@ -365,10 +364,8 @@ def write_spool_pickle(path: str, payload: Any, fsync: bool = False) -> str:
     return path
 
 
-def _read_bundle_manifest(path: str) -> Optional[dict]:
+def _read_bundle_manifest(path: str) -> dict:
     manifest_path = os.path.join(path, _BUNDLE_MANIFEST)
-    if not os.path.exists(manifest_path):  # pre-checksum bundle: unverified
-        return None
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -398,11 +395,11 @@ def _verify_bundle(path: str, manifest: dict, data: bytes) -> None:
 
 
 def _read_pickle_spool(path: str) -> bytes:
-    """The verified pickle stream of a pickle-spool file (either format)."""
+    """The verified pickle stream of a pickle-spool file."""
     with open(path, "rb") as fh:
         head = fh.read(_PICKLE_HEADER_BYTES)
         if not head.startswith(_PICKLE_MAGIC):
-            return head + fh.read()  # PR 4 headerless format: unverified
+            raise SpoolIntegrityError(f"spool file at {path} has no integrity header")
         data = fh.read()
     crc = int.from_bytes(head[len(_PICKLE_MAGIC) : len(_PICKLE_MAGIC) + 4], "little")
     length = int.from_bytes(head[len(_PICKLE_MAGIC) + 4 :], "little")
@@ -455,8 +452,7 @@ def load_spool_payload(path: str) -> Any:
             manifest = _read_bundle_manifest(path)
             with open(os.path.join(path, _BUNDLE_PAYLOAD), "rb") as fh:
                 data = fh.read()
-            if manifest is not None:
-                _verify_bundle(path, manifest, data)
+            _verify_bundle(path, manifest, data)
             buffers: List[np.ndarray] = []
             index = 0
             while True:
@@ -480,18 +476,18 @@ def verify_spool_entry(path: str) -> bool:
     """Whether a published spool entry passes its integrity header.
 
     The parent-side recovery check: cheap (checksums the pickle stream,
-    stats the buffer files — never unpickles or maps the payload) and
-    tolerant of pre-checksum entries, which report healthy as long as the
-    file exists.  Used by the supervisor to decide which entries must be
-    republished after a fault.
+    stats the buffer files — never unpickles or maps the payload).  An
+    entry without its integrity header — a pickle file whose magic is
+    overwritten, a bundle whose manifest is gone — is damaged, not an older
+    format: every spool entry is written with one.  Used by the supervisor
+    to decide which entries must be republished after a fault.
     """
     try:
         if os.path.isdir(path):
             manifest = _read_bundle_manifest(path)
             with open(os.path.join(path, _BUNDLE_PAYLOAD), "rb") as fh:
                 data = fh.read()
-            if manifest is not None:
-                _verify_bundle(path, manifest, data)
+            _verify_bundle(path, manifest, data)
             return True
         _read_pickle_spool(path)
         return True

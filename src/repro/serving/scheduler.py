@@ -34,8 +34,9 @@ not as ready-made batches.  :class:`MicroBatchScheduler` closes that gap:
   time says no batch-mate will arrive inside it, grows back toward the
   ``max_delay_us`` cap while deadline flushes are still attracting
   batch-mates, and is additionally clamped to the predicted time to fill a
-  batch (``inter_arrival_ewma * (max_batch - 1)``).  ``adaptive_delay=
-  False`` restores the fixed-window policy.
+  batch (``inter_arrival_ewma * (max_batch - 1)``).  A fixed window is
+  ``min_delay_us == max_delay_us``: the controller then has no room to
+  move.
 * **Per-tenant fair lanes** — one scheduler can serve several named lanes
   (:meth:`~MicroBatchScheduler.add_lane`), each with its own searcher
   (tenants sharing one executor/worker pool), weight, bounded queue and
@@ -262,7 +263,6 @@ class _Lane:
         "weight",
         "max_queue",
         "pending",
-        "adaptive",
         "min_delay_s",
         "max_delay_s",
         "delay_s",
@@ -285,7 +285,6 @@ class _Lane:
         searcher: Any,
         weight: float,
         max_queue: int,
-        adaptive: bool,
         min_delay_s: float,
         max_delay_s: float,
         max_batch: int,
@@ -295,7 +294,6 @@ class _Lane:
         self.weight = weight
         self.max_queue = max_queue
         self.pending: "deque[_Request]" = deque()
-        self.adaptive = adaptive
         self.min_delay_s = min(min_delay_s, max_delay_s)
         self.max_delay_s = max_delay_s
         #: Current adapted window; starts at the cap (the fixed-window
@@ -341,8 +339,6 @@ class _Lane:
             self.fill_ewma = fill
         else:
             self.fill_ewma += _EWMA_ALPHA * (fill - self.fill_ewma)
-        if not self.adaptive:
-            return
         if filled:
             self.delay_s = max(self.min_delay_s, self.delay_s * _WINDOW_SHRINK)
         elif self.inter_ewma is not None and self.inter_ewma > self.delay_s:
@@ -352,8 +348,6 @@ class _Lane:
 
     def effective_delay(self) -> float:
         """The flush window currently in force for this lane's head."""
-        if not self.adaptive:
-            return self.max_delay_s
         delay = self.delay_s
         if self.inter_ewma is not None:
             # Never wait longer than it plausibly takes to fill the batch.
@@ -396,9 +390,7 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
         max_queue: int,
         max_in_flight: int,
         prefer_calibrated_shapes: bool,
-        adaptive_delay: bool,
         min_delay_s: float,
-        coalesce_across_k: bool,
         latency_window: int,
         request_timeout_s: Optional[float] = None,
     ) -> None:
@@ -407,9 +399,7 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
         self.max_queue = max_queue
         self.max_in_flight = max_in_flight
         self.prefer_calibrated_shapes = prefer_calibrated_shapes
-        self.adaptive_delay = adaptive_delay
         self.min_delay_s = min_delay_s
-        self.coalesce_across_k = coalesce_across_k
         self.request_timeout_s = request_timeout_s
         self.stats = ServingStats(latency_window=latency_window)
         self._cond = threading.Condition()
@@ -453,7 +443,6 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
                 searcher=searcher,
                 weight=float(weight),
                 max_queue=max_queue,
-                adaptive=self.adaptive_delay,
                 min_delay_s=self.min_delay_s,
                 max_delay_s=self.max_delay_s,
                 max_batch=self.max_batch,
@@ -555,23 +544,6 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
         while self._inflight:
             self._collect_oldest()
 
-    def _run_length(self, lane: _Lane) -> int:
-        """Pending requests coalescible into this lane's next batch.
-
-        With cross-``k`` coalescing every pending request qualifies (the
-        batch ranks once at ``max(k)``); the compat policy coalesces only
-        the same-``k`` head run.
-        """
-        if self.coalesce_across_k:
-            return len(lane.pending)
-        run = 0
-        head_k = lane.pending[0].k
-        for request in lane.pending:
-            if request.k != head_k:
-                break
-            run += 1
-        return run
-
     def _flush_size(self, run: int) -> int:
         """How many of a pending run to flush when the delay window expires.
 
@@ -615,7 +587,7 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
                 if self._fresh_visit:
                     lane.deficit += lane.weight * quantum
                     self._fresh_visit = False
-                cost = min(self._run_length(lane), self.max_batch)
+                cost = min(len(lane.pending), self.max_batch)
                 if lane.deficit >= cost:
                     return lane
             self._cursor = (self._cursor + 1) % len(self._rotation)
@@ -649,7 +621,7 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
                 ready = [
                     lane
                     for lane in active
-                    if self._run_length(lane) >= self.max_batch
+                    if len(lane.pending) >= self.max_batch
                     or now >= lane.pending[0].arrival + lane.effective_delay()
                 ]
                 if ready:
@@ -660,7 +632,9 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
                 )
                 self._cond.wait(timeout=max(0.0, next_deadline - now))
             lane = self._pick_lane(ready)
-            run = self._run_length(lane)
+            # Every pending request qualifies whatever its k: the batch
+            # ranks once at max(k) (see _dispatch).
+            run = len(lane.pending)
             filled = run >= self.max_batch
             size = self._flush_size(run)
             trimmed = size < min(run, self.max_batch)
@@ -862,9 +836,8 @@ class MicroBatchScheduler:
     max_batch:
         Largest coalesced batch; a batch flushes immediately once full.
     max_delay_us:
-        Longest a pending query may wait for batch-mates, in microseconds.
-        With ``adaptive_delay`` this is the *cap* of the adaptive window;
-        without it, the fixed window.  The latency the scheduler may *add*
+        Longest a pending query may wait for batch-mates, in microseconds:
+        the *cap* of the adaptive window.  The latency the scheduler may *add*
         is bounded by roughly twice the effective window (one window
         queueing, one more if a shape-biased flush leaves the query for the
         next batch).
@@ -884,20 +857,12 @@ class MicroBatchScheduler:
         Bias partial flushes toward the autotuner's power-of-two shape
         buckets (see :func:`repro.circuits.autotune.floor_bucket_size`).
         Never affects results, only batch shapes.
-    adaptive_delay:
-        Adapt each lane's flush window inside ``[min_delay_us,
-        max_delay_us]`` from its observed arrival rate and batch fill (the
-        module docstring describes the controller).  ``False`` restores the
-        fixed ``max_delay_us`` window.
     min_delay_us:
-        Floor of the adaptive window (clamped to ``max_delay_us`` when the
-        cap is smaller).
-    coalesce_across_k:
-        Coalesce queries with different ``k`` into one batch, ranked once
-        at ``max(k)`` and sliced per client at demultiplex time — bitwise
-        identical to per-``k`` dispatch
-        (:func:`repro.core.search.slice_topk`).  ``False`` restores
-        same-``k``-run coalescing.
+        Floor of the adaptive window, which each lane moves inside
+        ``[min_delay_us, max_delay_us]`` from its observed arrival rate and
+        batch fill (the module docstring describes the controller).  It is
+        clamped to ``max_delay_us`` when the cap is smaller; setting it
+        equal to ``max_delay_us`` gives a fixed window.
     lane / weight:
         Name and fair-share weight of the default lane backed by
         ``searcher``.
@@ -932,9 +897,7 @@ class MicroBatchScheduler:
         max_queue: int = 1024,
         max_in_flight: int = 2,
         prefer_calibrated_shapes: bool = True,
-        adaptive_delay: bool = True,
         min_delay_us: float = 50.0,
-        coalesce_across_k: bool = True,
         lane: str = "default",
         weight: float = 1.0,
         latency_window: int = 2048,
@@ -957,9 +920,7 @@ class MicroBatchScheduler:
             max_queue=max_queue,
             max_in_flight=max_in_flight,
             prefer_calibrated_shapes=bool(prefer_calibrated_shapes),
-            adaptive_delay=bool(adaptive_delay),
             min_delay_s=float(min_delay_us) * 1e-6,
-            coalesce_across_k=bool(coalesce_across_k),
             latency_window=latency_window,
             request_timeout_s=(
                 None if request_timeout_s is None else float(request_timeout_s)

@@ -1,12 +1,12 @@
-"""Shape-adaptive kernel autotuning: parity, selection and the override knob.
+"""Shape-adaptive kernel autotuning: parity and selection.
 
 The autotuner's contract mirrors the executors': kernel selection changes
 *where the time goes*, never *what is computed*.  These tests pin the three
 MCAM conductance kernels (fused / blocked / dense) and the two TCAM Hamming
-kernels (matmul / mask) bitwise against each other at the gated workload
-shapes — the 5-way 1-shot episode, the 20-way 5-shot episode the old
-hardcoded threshold mis-classified, and a >64k-element store — and pin that
-explicit ``kernel=`` overrides win over whatever the tuned table says.
+kernels (matmul / mask), each called directly, bitwise against each other
+and against the autotuned public path at the gated workload shapes — the
+5-way 1-shot episode, the 20-way 5-shot episode the old hardcoded threshold
+mis-classified, and a >64k-element store.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import pytest
 
 from repro.circuits import MCAMArray, TCAMArray, clear_kernel_table, kernel_table
 from repro.circuits.autotune import select_kernel, shape_bucket
-from repro.core import make_searcher
-from repro.exceptions import ConfigurationError
 
 #: The gated workload shapes: (stored rows, queries), 64-cell words.
 #: 5-way 1-shot (5 support rows, 25 queries), 20-way 5-shot (100 rows,
@@ -33,10 +31,25 @@ WORD_LENGTH = 64
 RNG = np.random.default_rng(20260727)
 
 
-def _programmed_mcam(rows: int, kernel=None) -> MCAMArray:
-    array = MCAMArray(num_cells=WORD_LENGTH, bits=3, kernel=kernel)
+def _programmed_mcam(rows: int) -> MCAMArray:
+    array = MCAMArray(num_cells=WORD_LENGTH, bits=3)
     array.write(RNG.integers(0, 8, size=(rows, WORD_LENGTH)))
     return array
+
+
+def _mcam_kernel(array: MCAMArray, kernel: str, queries: np.ndarray) -> np.ndarray:
+    """One conductance kernel called directly; ``"auto"`` is the public path."""
+    if kernel == "auto":
+        return array.row_conductances_batch(queries)
+    implementation = getattr(array, f"_{kernel}_conductances")
+    return implementation(array._profiles_by_cell(), queries)
+
+
+def _tcam_kernel(tcam: TCAMArray, kernel: str, queries: np.ndarray) -> np.ndarray:
+    """One Hamming kernel called directly; ``"auto"`` is the public path."""
+    if kernel == "auto":
+        return tcam.hamming_distances_batch(queries)
+    return getattr(tcam, f"_{kernel}_hamming")(queries)
 
 
 class TestMCAMKernelParity:
@@ -46,8 +59,8 @@ class TestMCAMKernelParity:
         rows, num_queries = SHAPES[shape]
         array = _programmed_mcam(rows)
         queries = RNG.integers(0, 8, size=(num_queries, WORD_LENGTH))
-        reference = array.row_conductances_batch(queries, kernel="dense")
-        result = array.row_conductances_batch(queries, kernel=kernel)
+        reference = _mcam_kernel(array, "dense", queries)
+        result = _mcam_kernel(array, kernel, queries)
         np.testing.assert_array_equal(reference, result)
 
     def test_blocked_kernel_handles_partial_trailing_block(self):
@@ -56,8 +69,8 @@ class TestMCAMKernelParity:
         array.write(RNG.integers(0, 4, size=(37, 20)))
         queries = RNG.integers(0, 4, size=(11, 20))
         np.testing.assert_array_equal(
-            array.row_conductances_batch(queries, kernel="dense"),
-            array.row_conductances_batch(queries, kernel="blocked"),
+            _mcam_kernel(array, "dense", queries),
+            _mcam_kernel(array, "blocked", queries),
         )
 
     def test_single_query_row_conductances_match_batch(self):
@@ -65,7 +78,7 @@ class TestMCAMKernelParity:
         query = RNG.integers(0, 8, size=WORD_LENGTH)
         np.testing.assert_array_equal(
             array.row_conductances(query),
-            array.row_conductances_batch(query.reshape(1, -1), kernel="blocked")[0],
+            _mcam_kernel(array, "blocked", query.reshape(1, -1))[0],
         )
 
 
@@ -78,10 +91,10 @@ class TestTCAMKernelParity:
         bits[0, :3] = -1  # wildcards must match under both kernels
         tcam.write(bits)
         queries = RNG.integers(0, 2, size=(num_queries, WORD_LENGTH))
-        reference = tcam.hamming_distances_batch(queries, kernel="matmul")
+        reference = _tcam_kernel(tcam, "matmul", queries)
         assert reference.dtype == np.int64
         for kernel in ("mask", "auto"):
-            result = tcam.hamming_distances_batch(queries, kernel=kernel)
+            result = _tcam_kernel(tcam, kernel, queries)
             assert result.dtype == np.int64
             np.testing.assert_array_equal(reference, result)
 
@@ -131,7 +144,7 @@ class TestAutotunedSelection:
         rows, num_queries = SHAPES["20way_5shot"]
         array = _programmed_mcam(rows)
         queries = RNG.integers(0, 8, size=(num_queries, WORD_LENGTH))
-        expected = array.row_conductances_batch(queries, kernel="dense")
+        expected = _mcam_kernel(array, "dense", queries)
         np.testing.assert_array_equal(expected, array.row_conductances_batch(queries))
         # The winner is host-dependent (that is the point of measuring) but
         # it must be recorded, valid, and served from the table afterwards.
@@ -157,8 +170,7 @@ class TestAutotunedSelection:
             array = _programmed_mcam(rows)
             queries = RNG.integers(0, 8, size=(num_queries, WORD_LENGTH))
             np.testing.assert_array_equal(
-                array.row_conductances_batch(queries, kernel="dense"),
-                array.row_conductances_batch(queries),
+                _mcam_kernel(array, "dense", queries), array.row_conductances_batch(queries)
             )
         table = kernel_table()
         assert self._mcam_key(*eligible) in table
@@ -184,81 +196,6 @@ class TestAutotunedSelection:
         # Table hit: nothing re-runs, the caller dispatches itself.
         name_again, cached = select_kernel(key, {"a": lambda: "ra", "b": lambda: "rb"})
         assert name_again == name and cached is None
-
-
-class TestKernelOverrides:
-    def setup_method(self):
-        clear_kernel_table()
-
-    def teardown_method(self):
-        clear_kernel_table()
-
-    @pytest.mark.parametrize("kernel", ("fused", "blocked", "dense"))
-    def test_explicit_kernel_wins_over_the_tuned_table(self, kernel, monkeypatch):
-        """Regression: a ``kernel=`` override must bypass the table entirely."""
-        from repro.circuits import autotune
-
-        rows, num_queries = SHAPES["20way_5shot"]
-        queries = RNG.integers(0, 8, size=(num_queries, WORD_LENGTH))
-
-        # Poison the table with a contradictory winner; an override that
-        # consulted it would dispatch there instead.
-        contradictory = {"fused": "dense", "blocked": "dense", "dense": "fused"}[kernel]
-        key = ("mcam", 8, WORD_LENGTH, shape_bucket(rows), shape_bucket(num_queries), True)
-        monkeypatch.setitem(autotune._KERNEL_TABLE, key, contradictory)
-
-        array = _programmed_mcam(rows, kernel=kernel)
-        ran = []
-        implementations = {
-            "fused": MCAMArray._fused_conductances,
-            "blocked": MCAMArray._blocked_conductances,
-            "dense": MCAMArray._dense_conductances,
-        }
-        for name, implementation in implementations.items():
-            def spy(self, by_cell, q, _name=name, _impl=implementation):
-                ran.append(_name)
-                return _impl(self, by_cell, q)
-
-            monkeypatch.setattr(MCAMArray, implementation.__name__, spy)
-        array.row_conductances_batch(queries)  # constructor knob
-        assert ran == [kernel]
-        ran.clear()
-        array.row_conductances_batch(queries, kernel=kernel)  # per-call knob
-        assert ran == [kernel]
-
-    def test_invalid_kernel_rejected_everywhere(self):
-        with pytest.raises(ConfigurationError):
-            MCAMArray(num_cells=8, bits=3, kernel="simd")
-        with pytest.raises(ConfigurationError):
-            TCAMArray(num_cells=8, kernel="fused")
-        array = _programmed_mcam(4)
-        with pytest.raises(ConfigurationError):
-            array.row_conductances_batch(
-                RNG.integers(0, 8, size=(2, WORD_LENGTH)), kernel="matmul"
-            )
-
-    def test_make_searcher_forwards_the_kernel_knob(self):
-        features = RNG.normal(size=(60, 16))
-        labels = RNG.integers(0, 4, size=60)
-        queries = RNG.normal(size=(9, 16))
-        reference = (
-            make_searcher("mcam-3bit", num_features=16, seed=5)
-            .fit(features, labels)
-            .kneighbors_batch(queries, k=3)
-        )
-        for kernel in ("fused", "blocked", "dense"):
-            searcher = make_searcher("mcam-3bit", num_features=16, seed=5, kernel=kernel)
-            searcher.fit(features, labels)
-            assert searcher.array.kernel == kernel
-            result = searcher.kneighbors_batch(queries, k=3)
-            np.testing.assert_array_equal(reference.indices, result.indices)
-            np.testing.assert_array_equal(reference.scores, result.scores)
-        tcam = make_searcher("tcam-lsh", num_features=16, seed=5, kernel="mask")
-        tcam.fit(features, labels)
-        assert tcam.tcam.kernel == "mask"
-        np.testing.assert_array_equal(
-            reference.indices.shape, tcam.kneighbors_batch(queries, k=3).indices.shape
-        )
 
 
 class TestShapeBucket:

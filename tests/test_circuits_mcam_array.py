@@ -26,7 +26,7 @@ class TestWrite:
         assert array.labels == [None]
 
     def test_capacity_enforced(self):
-        array = MCAMArray(num_cells=2, bits=2, capacity=2)
+        array = MCAMArray(num_cells=2, bits=2, max_rows=2)
         array.write([[0, 1], [1, 2]])
         with pytest.raises(CapacityError):
             array.write([[2, 3]])

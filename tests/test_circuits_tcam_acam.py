@@ -36,7 +36,7 @@ class TestTCAMStorage:
             tcam.write([[0, 1]])
 
     def test_capacity(self):
-        tcam = TCAMArray(num_cells=2, capacity=1)
+        tcam = TCAMArray(num_cells=2, max_rows=1)
         tcam.write([[0, 1]])
         with pytest.raises(CapacityError):
             tcam.write([[1, 0]])

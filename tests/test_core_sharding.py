@@ -525,8 +525,3 @@ class TestCircuitTiles:
         assert array.remaining_rows == 0
         with pytest.raises(CapacityError):
             array.write(np.zeros((1, 3), dtype=np.int64))
-
-    def test_max_rows_and_capacity_alias_must_agree(self):
-        assert MCAMArray(num_cells=2, bits=2, capacity=5).max_rows == 5
-        with pytest.raises(ConfigurationError):
-            MCAMArray(num_cells=2, bits=2, capacity=5, max_rows=6)

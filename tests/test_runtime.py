@@ -11,7 +11,6 @@ reference.
 from __future__ import annotations
 
 import os
-import pickle
 from functools import partial
 
 import numpy as np
@@ -38,6 +37,7 @@ from repro.runtime.process_pool import (
     _rank_cached_shard_job,
     worker_shard_cache_epochs,
 )
+from repro.runtime.transport import write_spool_pickle
 
 WORKERS = 2
 
@@ -194,9 +194,7 @@ class TestWorkerShardCache:
         path = tmp_path / "shard.pkl"
         key = ("test-searcher", 0)
         try:
-            path.write_bytes(
-                pickle.dumps((SoftwareSearcher("euclidean").fit(features), index_map))
-            )
+            write_spool_pickle(str(path), (SoftwareSearcher("euclidean").fit(features), index_map))
             job = lambda epoch: (  # noqa: E731
                 *key,
                 epoch,
@@ -210,10 +208,8 @@ class TestWorkerShardCache:
             # Re-publish different contents WITHOUT bumping the epoch: the
             # resident copy must keep serving (the parent only rewrites the
             # spool together with an epoch bump).
-            path.write_bytes(
-                pickle.dumps(
-                    (SoftwareSearcher("euclidean").fit(features + 5.0), index_map)
-                )
+            write_spool_pickle(
+                str(path), (SoftwareSearcher("euclidean").fit(features + 5.0), index_map)
             )
             second, _ = _rank_cached_shard_job(job(1))
             np.testing.assert_array_equal(first, second)
@@ -223,26 +219,6 @@ class TestWorkerShardCache:
             assert not np.array_equal(first, third)
         finally:
             _WORKER_SHARD_CACHE.pop(key, None)
-
-    def test_disabling_the_cache_restores_ship_every_batch(self):
-        features, labels, queries = self._store()
-        with make_searcher(
-            "mcam-3bit",
-            num_features=12,
-            seed=8,
-            shards=4,
-            executor="processes",
-            num_workers=WORKERS,
-        ) as sharded:
-            sharded._executor.shard_cache = False
-            reference = make_searcher("mcam-3bit", num_features=12, seed=8)
-            sharded.fit(features, labels)
-            reference.fit(features, labels)
-            np.testing.assert_array_equal(
-                reference.kneighbors_batch(queries, k=3).indices,
-                sharded.kneighbors_batch(queries, k=3).indices,
-            )
-            assert sharded._published_epochs == {}
 
 
 class TestTrialRunners:

@@ -16,7 +16,6 @@ deadline, with no hang and no leaked ring slot either way.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 
 import numpy as np
@@ -144,6 +143,15 @@ def two_shard_jobs(executor, queries, k=2, searcher_id="chaos", epoch=1, delay_s
         )
         expected.append((local_indices + 8 * index, scores))
     return jobs, expected
+
+
+def damage_spool_header(path):
+    """Overwrite a pickle entry's magic, or delete a bundle's manifest."""
+    if os.path.isdir(path):
+        os.remove(os.path.join(path, "manifest.json"))
+    else:
+        with open(path, "r+b") as fh:
+            fh.write(b"\x00" * 5)
 
 
 def assert_batch_matches(results, expected):
@@ -351,15 +359,21 @@ class TestSpoolIntegrity:
         with pytest.raises(SpoolIntegrityError):
             load_spool_payload(path)
 
-    def test_legacy_headerless_pickle_still_loads_unverified(self, tmp_path):
-        path = str(tmp_path / "legacy.pkl")
-        with open(path, "wb") as fh:
-            pickle.dump(self._payload(), fh)
-        # Pre-checksum entries stay readable and report healthy if present
-        # — upgrading the library must not strand a warm spool.
-        assert verify_spool_entry(path)
-        shard, index_map = load_spool_payload(path)
-        np.testing.assert_array_equal(index_map, np.arange(8))
+    def test_pickle_spool_with_overwritten_magic_fails_typed(self, tmp_path):
+        # Every spool entry is written with its header, so a file without
+        # one is damaged — never an older format to load unverified.
+        path = write_spool_pickle(str(tmp_path / "entry.pkl"), self._payload())
+        damage_spool_header(path)
+        assert not verify_spool_entry(path)
+        with pytest.raises(SpoolIntegrityError, match="integrity header"):
+            load_spool_payload(path)
+
+    def test_bundle_without_manifest_fails_typed(self, tmp_path):
+        path = write_spool_bundle(str(tmp_path / "bundle"), self._payload())
+        damage_spool_header(path)
+        assert not verify_spool_entry(path)
+        with pytest.raises(SpoolIntegrityError, match="manifest"):
+            load_spool_payload(path)
 
 
 # ----------------------------------------------------------------------
@@ -479,6 +493,33 @@ class TestChaosRecovery:
             for path in executor._published.values():
                 assert verify_spool_entry(path)
 
+    @pytest.mark.parametrize(
+        "transport",
+        [
+            "pickle",
+            pytest.param(
+                "shm",
+                marks=pytest.mark.skipif(
+                    not shared_memory_available(), reason="no shared memory on host"
+                ),
+            ),
+        ],
+    )
+    def test_damaged_headers_are_republished_and_replayed_bitwise(self, transport):
+        queries = RNG.normal(size=(4, 4))
+        with ProcessShardExecutor(num_workers=1, transport=transport) as executor:
+            jobs, expected = two_shard_jobs(executor, queries)
+            assert_batch_matches(executor.map_cached(jobs), expected)
+            # Force the next batch to reload from the spool.
+            assert executor._pool.broadcast(_evict_searcher_entries, "chaos") == 1
+            path = executor._published[("chaos", 0)]
+            damage_spool_header(path)
+            assert not verify_spool_entry(path)
+            assert_batch_matches(executor.map_cached(jobs), expected)
+            assert executor.supervisor.total_restarts == 0
+            for entry in executor._published.values():
+                assert verify_spool_entry(entry)
+
     @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
     def test_lost_segment_demotes_to_pickle_and_replays_bitwise(self):
         queries = RNG.normal(size=(4, 4))
@@ -489,7 +530,7 @@ class TestChaosRecovery:
             executor.fault_injector = injector
             assert_batch_matches(executor.map_cached(jobs), expected)
             assert [f["fault"] for f in injector.fired] == ["corrupt_segment"]
-            assert executor._shm_failed
+            assert executor._shm_breaker.tripped
             assert executor.active_transport == "pickle"
             assert executor.ring_in_flight == 0
             # Transport demotion is not a pool restart.
@@ -511,7 +552,7 @@ class TestChaosRecovery:
             # closes the breaker.
             assert executor.active_transport == "shm"
             assert_batch_matches(executor.map_cached(jobs), expected)
-            assert not executor._shm_failed
+            assert not executor._shm_breaker.tripped
 
     def test_restart_budget_demotes_to_serial_then_reprobes(self):
         queries = RNG.normal(size=(4, 4))

@@ -32,6 +32,7 @@ from repro.runtime.transport import (
     remove_spool_entry,
     shared_memory_available,
     write_spool_bundle,
+    write_spool_pickle,
 )
 
 WORKERS = 2
@@ -142,12 +143,9 @@ class TestSpoolBundles:
         np.testing.assert_array_equal(expected_scores, scores)
 
     def test_load_reads_the_pickle_fallback_format(self, tmp_path):
-        import pickle
-
         payload = {"answer": np.arange(5)}
-        path = tmp_path / "shard.pkl"
-        path.write_bytes(pickle.dumps(payload))
-        loaded = load_spool_payload(str(path))
+        path = write_spool_pickle(str(tmp_path / "shard.pkl"), payload)
+        loaded = load_spool_payload(path)
         np.testing.assert_array_equal(loaded["answer"], np.arange(5))
 
     def test_remove_spool_entry_handles_both_formats(self, tmp_path):
@@ -274,7 +272,7 @@ class TestTransportFallback:
 
             monkeypatch.setattr(SharedMemoryRing, "acquire", exhausted)
             result = sharded.kneighbors_batch(queries, k=3)  # falls back live
-            assert sharded._executor._shm_failed
+            assert sharded._executor._shm_breaker.tripped
             assert sharded._executor.active_transport == "pickle"
             monkeypatch.undo()
             reference = make_searcher("mcam-3bit", num_features=10, seed=8, shards=4)
@@ -370,22 +368,18 @@ class TestWorkerShardCacheEviction:
             assert executor._pool._ensure_pool() is pool
 
     def test_evict_purges_the_calling_process_cache(self, tmp_path):
-        import pickle
-
         from repro.core import SoftwareSearcher
 
         features = RNG.normal(size=(10, 4))
-        path = tmp_path / "shard.pkl"
-        path.write_bytes(
-            pickle.dumps(
-                (SoftwareSearcher("euclidean").fit(features), np.arange(10, dtype=np.int64))
-            )
+        path = write_spool_pickle(
+            str(tmp_path / "shard.pkl"),
+            (SoftwareSearcher("euclidean").fit(features), np.arange(10, dtype=np.int64)),
         )
         job = (
             "evict-me",
             0,
             1,
-            str(path),
+            path,
             np.random.default_rng(1),
             RNG.normal(size=(3, 4)),
             2,
@@ -418,21 +412,16 @@ class TestWorkerShardCacheEviction:
 
 class TestResidentShardBound:
     def test_cache_is_lru_bounded_so_missed_evictions_age_out(self, tmp_path, monkeypatch):
-        import pickle
-
         from repro.core import SoftwareSearcher
         from repro.runtime import process_pool
 
         monkeypatch.setattr(process_pool, "_MAX_RESIDENT_SHARDS", 3)
         features = RNG.normal(size=(6, 3))
-        payload = pickle.dumps(
-            (SoftwareSearcher("euclidean").fit(features), np.arange(6, dtype=np.int64))
-        )
-        paths = []
-        for index in range(4):
-            path = tmp_path / f"shard{index}.pkl"
-            path.write_bytes(payload)
-            paths.append(str(path))
+        payload = (SoftwareSearcher("euclidean").fit(features), np.arange(6, dtype=np.int64))
+        paths = [
+            write_spool_pickle(str(tmp_path / f"shard{index}.pkl"), payload)
+            for index in range(4)
+        ]
         try:
             for index in range(3):
                 process_pool._resident_shard("bounded", index, 1, paths[index])

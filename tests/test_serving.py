@@ -66,11 +66,9 @@ class _GatedSearcher(SoftwareSearcher):
         super().__init__("euclidean")
         self.release = threading.Event()
         self.dispatched = []
-        self.dispatched_k = []
 
     def submit_serving(self, queries, k=1, rng=None):
         self.dispatched.append(int(queries.shape[0]))
-        self.dispatched_k.append(int(k))
         result = self.kneighbors_arrays(queries, k=k, rng=rng)
 
         def collect():
@@ -438,7 +436,6 @@ class TestDeadlinesAndFailureAccounting:
             max_batch=1,
             max_in_flight=1,
             max_delay_us=0,
-            adaptive_delay=False,
             request_timeout_s=0.15,
         ) as scheduler:
             first = scheduler.submit(_queries(1)[0], k=2)
@@ -576,45 +573,8 @@ class TestCrossKCoalescing:
                 np.testing.assert_array_equal(result.indices, expected.indices)
                 np.testing.assert_array_equal(result.scores, expected.scores)
 
-    def test_compat_mode_coalesces_only_same_k_head_runs(self):
-        engine = _make_engine(coalesce_across_k=False)
-        lane = engine._lanes["a"]
-        _stage(lane, [2, 2, 5, 5, 2])
-        assert engine._run_length(lane) == 2  # the same-k head run only
-        engine.coalesce_across_k = True
-        assert engine._run_length(lane) == 5  # cross-k takes the whole queue
 
-    def test_compat_mode_dispatches_mixed_k_separately_end_to_end(self):
-        searcher = _GatedSearcher()
-        searcher.fit(np.random.default_rng(3).normal(size=(32, FEATURES)))
-        searcher.release.set()  # no gating: collects return immediately
-        queries = _queries(4)
-        with MicroBatchScheduler(
-            searcher,
-            max_batch=8,
-            max_delay_us=10e6,
-            coalesce_across_k=False,
-            prefer_calibrated_shapes=False,
-        ) as scheduler:
-            futures = [
-                scheduler.submit(query, k=2 if index < 2 else 5)
-                for index, query in enumerate(queries)
-            ]
-            for future in futures:
-                future.result(timeout=WAIT_S)
-        # Two same-k runs, never one mixed batch.
-        assert searcher.dispatched == [2, 2]
-        assert searcher.dispatched_k == [2, 5]
-        assert scheduler.stats.snapshot()["mixed_k"] == 0
-
-
-def _make_engine(
-    max_batch=4,
-    weights=(("a", 3.0),),
-    coalesce_across_k=True,
-    adaptive_delay=False,
-    searcher=None,
-):
+def _make_engine(max_batch=4, weights=(("a", 3.0),), searcher=None):
     """A pump-less engine with staged lanes, for deterministic policy tests."""
     if searcher is None:
         searcher = _fitted_searcher()
@@ -624,9 +584,7 @@ def _make_engine(
         max_queue=1024,
         max_in_flight=2,
         prefer_calibrated_shapes=False,
-        adaptive_delay=adaptive_delay,
         min_delay_s=0.0,
-        coalesce_across_k=coalesce_across_k,
         latency_window=64,
     )
     for name, weight in weights:
@@ -645,13 +603,12 @@ def _stage(lane, ks):
 class TestAdaptiveWindow:
     """The per-lane window controller, driven with synthetic timestamps."""
 
-    def _lane(self, adaptive=True, min_delay_s=0.0001, max_delay_s=0.01):
+    def _lane(self, min_delay_s=0.0001, max_delay_s=0.01):
         return _Lane(
             name="lane",
             searcher=None,
             weight=1.0,
             max_queue=8,
-            adaptive=adaptive,
             min_delay_s=min_delay_s,
             max_delay_s=max_delay_s,
             max_batch=9,
@@ -710,12 +667,22 @@ class TestAdaptiveWindow:
         lane.inter_ewma = 10.0  # would extrapolate above the cap
         assert lane.effective_delay() == pytest.approx(0.01)
 
-    def test_fixed_window_mode_ignores_the_controller(self):
-        lane = self._lane(adaptive=False)
-        lane.note_arrival(0.0)
-        lane.note_arrival(1.0)
-        lane.note_flush(9, max_batch=9, filled=True)
-        assert lane.effective_delay() == pytest.approx(0.01)
+    def test_equal_floor_and_cap_hold_the_window_at_the_cap(self):
+        # min_delay == max_delay is the fixed window: no arrival gap or
+        # flush outcome may move it, neither sparse traffic (which would
+        # shrink it), dense traffic (fill-horizon clamp) nor filled batches.
+        lane = self._lane(min_delay_s=0.01, max_delay_s=0.01)
+        assert lane.effective_delay() == 0.01
+        trace = np.random.default_rng(17)
+        now = 0.0
+        for _ in range(200):
+            now += float(trace.exponential(trace.choice([1e-5, 1e-3, 1.0])))
+            lane.note_arrival(now)
+            assert lane.effective_delay() == 0.01
+            lane.note_flush(
+                int(trace.integers(1, 10)), max_batch=9, filled=bool(trace.integers(2))
+            )
+            assert lane.effective_delay() == 0.01
 
     def test_scheduler_converges_to_the_floor_under_saturation(self):
         searcher = _fitted_searcher()
