@@ -1,4 +1,4 @@
-"""Shape-adaptive kernel autotuning: parity and selection.
+"""Shape-adaptive kernel autotuning: parity, selection and explicit kernels.
 
 The autotuner's contract mirrors the executors': kernel selection changes
 *where the time goes*, never *what is computed*.  These tests pin the three
@@ -6,7 +6,9 @@ MCAM conductance kernels (fused / blocked / dense) and the two TCAM Hamming
 kernels (matmul / mask), each called directly, bitwise against each other
 and against the autotuned public path at the gated workload shapes — the
 5-way 1-shot episode, the 20-way 5-shot episode the old hardcoded threshold
-mis-classified, and a >64k-element store.
+mis-classified, and a >64k-element store — and pin that a directly called
+kernel bypasses whatever the tuned table says, while the public path
+follows the table and never dispatches a name that is not a candidate.
 """
 
 from __future__ import annotations
@@ -196,6 +198,106 @@ class TestAutotunedSelection:
         # Table hit: nothing re-runs, the caller dispatches itself.
         name_again, cached = select_kernel(key, {"a": lambda: "ra", "b": lambda: "rb"})
         assert name_again == name and cached is None
+
+
+class TestKernelOverrides:
+    def setup_method(self):
+        clear_kernel_table()
+
+    def teardown_method(self):
+        clear_kernel_table()
+
+    @pytest.mark.parametrize("kernel", ("fused", "blocked", "dense"))
+    def test_explicit_kernel_wins_over_the_tuned_table(self, kernel, monkeypatch):
+        """Regression: a directly called kernel must bypass the table entirely.
+
+        The parity asserts above call the private kernels; one that consulted
+        the table would compare the table's winner with itself.
+        """
+        from repro.circuits import autotune
+
+        rows, num_queries = SHAPES["20way_5shot"]
+        queries = RNG.integers(0, 8, size=(num_queries, WORD_LENGTH))
+
+        # Poison the table with a contradictory winner; an explicit call that
+        # consulted it would dispatch there instead.
+        contradictory = {"fused": "dense", "blocked": "dense", "dense": "fused"}[kernel]
+        key = ("mcam", 8, WORD_LENGTH, shape_bucket(rows), shape_bucket(num_queries), True)
+        monkeypatch.setitem(autotune._KERNEL_TABLE, key, contradictory)
+
+        array = _programmed_mcam(rows)
+        ran = []
+        for name in ("fused", "blocked", "dense"):
+            implementation = getattr(MCAMArray, f"_{name}_conductances")
+
+            def spy(self, by_cell, q, _name=name, _impl=implementation):
+                ran.append(_name)
+                return _impl(self, by_cell, q)
+
+            monkeypatch.setattr(MCAMArray, implementation.__name__, spy)
+        explicit = _mcam_kernel(array, kernel, queries)
+        assert ran == [kernel]
+        ran.clear()
+        # The public path follows the table, its only kernel selector.
+        np.testing.assert_array_equal(explicit, array.row_conductances_batch(queries))
+        assert ran == [contradictory]
+
+    @pytest.mark.parametrize("kernel", ("matmul", "mask"))
+    def test_explicit_hamming_kernel_wins_over_the_tuned_table(self, kernel, monkeypatch):
+        from repro.circuits import autotune
+
+        rows, num_queries = SHAPES["20way_5shot"]
+        assert rows * num_queries * WORD_LENGTH <= TCAMArray._MASK_CANDIDATE_MAX_ELEMENTS
+        tcam = TCAMArray(num_cells=WORD_LENGTH)
+        tcam.write(RNG.integers(0, 2, size=(rows, WORD_LENGTH)))
+        queries = RNG.integers(0, 2, size=(num_queries, WORD_LENGTH))
+
+        contradictory = {"matmul": "mask", "mask": "matmul"}[kernel]
+        key = ("tcam", WORD_LENGTH, shape_bucket(rows), shape_bucket(num_queries), True)
+        monkeypatch.setitem(autotune._KERNEL_TABLE, key, contradictory)
+
+        ran = []
+        for name in ("matmul", "mask"):
+            implementation = getattr(TCAMArray, f"_{name}_hamming")
+
+            def spy(self, q, _name=name, _impl=implementation):
+                ran.append(_name)
+                return _impl(self, q)
+
+            monkeypatch.setattr(TCAMArray, implementation.__name__, spy)
+        explicit = _tcam_kernel(tcam, kernel, queries)
+        assert ran == [kernel]
+        ran.clear()
+        np.testing.assert_array_equal(explicit, tcam.hamming_distances_batch(queries))
+        assert ran == [contradictory]
+
+    def test_invalid_kernel_rejected_everywhere(self, monkeypatch):
+        """A table entry naming no candidate is recalibrated, never dispatched."""
+        from repro.circuits import autotune
+
+        rows, num_queries = SHAPES["5way_1shot"]
+        array = _programmed_mcam(rows)
+        mcam_queries = RNG.integers(0, 8, size=(num_queries, WORD_LENGTH))
+        mcam_key = ("mcam", 8, WORD_LENGTH, shape_bucket(rows), shape_bucket(num_queries), True)
+        tcam = TCAMArray(num_cells=WORD_LENGTH)
+        tcam.write(RNG.integers(0, 2, size=(rows, WORD_LENGTH)))
+        tcam_queries = RNG.integers(0, 2, size=(num_queries, WORD_LENGTH))
+        tcam_key = ("tcam", WORD_LENGTH, shape_bucket(rows), shape_bucket(num_queries), True)
+
+        # Each family's table slot names the other family's kernel.
+        monkeypatch.setitem(autotune._KERNEL_TABLE, mcam_key, "matmul")
+        monkeypatch.setitem(autotune._KERNEL_TABLE, tcam_key, "fused")
+        np.testing.assert_array_equal(
+            _mcam_kernel(array, "dense", mcam_queries),
+            array.row_conductances_batch(mcam_queries),
+        )
+        np.testing.assert_array_equal(
+            _tcam_kernel(tcam, "matmul", tcam_queries),
+            tcam.hamming_distances_batch(tcam_queries),
+        )
+        table = kernel_table()
+        assert table[mcam_key] in ("fused", "blocked", "dense")
+        assert table[tcam_key] in ("matmul", "mask")
 
 
 class TestShapeBucket:

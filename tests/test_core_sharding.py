@@ -15,6 +15,7 @@ import pytest
 from repro.circuits import (
     CAMTileSet,
     MCAMArray,
+    TCAMArray,
     TileGeometry,
     partition_rows,
     split_rows_evenly,
@@ -525,3 +526,13 @@ class TestCircuitTiles:
         assert array.remaining_rows == 0
         with pytest.raises(CapacityError):
             array.write(np.zeros((1, 3), dtype=np.int64))
+
+    def test_max_rows_validated_on_both_arrays(self):
+        assert MCAMArray(num_cells=2, bits=2, max_rows=5).max_rows == 5
+        assert TCAMArray(num_cells=2, max_rows=5).max_rows == 5
+        assert TCAMArray(num_cells=2).max_rows is None
+        for bad in (0, -1, 2.5, True):
+            with pytest.raises(ConfigurationError):
+                MCAMArray(num_cells=2, bits=2, max_rows=bad)
+            with pytest.raises(ConfigurationError):
+                TCAMArray(num_cells=2, max_rows=bad)

@@ -34,6 +34,7 @@ from repro.runtime import (
 )
 from repro.runtime.process_pool import (
     _WORKER_SHARD_CACHE,
+    ProcessShardExecutor,
     _rank_cached_shard_job,
     worker_shard_cache_epochs,
 )
@@ -219,6 +220,40 @@ class TestWorkerShardCache:
             assert not np.array_equal(first, third)
         finally:
             _WORKER_SHARD_CACHE.pop(key, None)
+
+    def test_disabling_the_cache_restores_ship_every_batch(self):
+        # An executor without submit_cached gets self-contained shard jobs
+        # through map: the worker processes receive every programmed shard
+        # with every batch, and nothing is published to the spool.
+        features, labels, queries = self._store()
+        processes = ProcessShardExecutor(num_workers=WORKERS)
+        batches = []
+
+        class MapOnly:
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                batches.append(len(jobs))
+                return processes.map(fn, jobs)
+
+            def close(self):
+                processes.close()
+
+        try:
+            with make_searcher(
+                "mcam-3bit", num_features=12, seed=8, shards=4, executor=MapOnly()
+            ) as sharded:
+                reference = make_searcher("mcam-3bit", num_features=12, seed=8)
+                sharded.fit(features, labels)
+                reference.fit(features, labels)
+                for _ in range(2):
+                    np.testing.assert_array_equal(
+                        reference.kneighbors_batch(queries, k=3).indices,
+                        sharded.kneighbors_batch(queries, k=3).indices,
+                    )
+                assert batches == [4, 4]
+                assert sharded._published_epochs == {}
+        finally:
+            processes.close()
 
 
 class TestTrialRunners:

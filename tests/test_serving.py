@@ -667,7 +667,7 @@ class TestAdaptiveWindow:
         lane.inter_ewma = 10.0  # would extrapolate above the cap
         assert lane.effective_delay() == pytest.approx(0.01)
 
-    def test_equal_floor_and_cap_hold_the_window_at_the_cap(self):
+    def test_fixed_window_mode_ignores_the_controller(self):
         # min_delay == max_delay is the fixed window: no arrival gap or
         # flush outcome may move it, neither sparse traffic (which would
         # shrink it), dense traffic (fill-horizon clamp) nor filled batches.
