@@ -35,7 +35,7 @@ import pytest
 
 from repro.analysis.variation_study import VariationSweep
 from repro.circuits.mcam_array import MCAMArray
-from repro.circuits.tcam import TCAMArray
+from repro.circuits.tcam import DONT_CARE, TCAMArray
 from repro.core.search import make_searcher
 from repro.datasets.omniglot import SyntheticEmbeddingSpace
 from repro.devices.variation import GaussianVthVariationModel
@@ -201,8 +201,9 @@ def test_every_conductance_kernel_matches_dense(bench_report, record_result):
 def _seed_hamming_masks(tcam: TCAMArray, queries: np.ndarray) -> np.ndarray:
     """The seed boolean-mismatch Hamming evaluation."""
     checked = tcam._check_query_batch(queries)
-    care = tcam.care_mask()
-    mismatches = (tcam.stored_bits[np.newaxis] != checked[:, np.newaxis]) & care[np.newaxis]
+    stored = tcam.stored_bits
+    care = stored != DONT_CARE
+    mismatches = (stored[np.newaxis] != checked[:, np.newaxis]) & care[np.newaxis]
     return mismatches.sum(axis=2)
 
 

@@ -13,8 +13,8 @@ paper evaluates:
   — the RC discharge model of Fig. 4(c) and the winner-take-all sensing,
 * :mod:`~repro.circuits.tcam` — the TCAM Hamming-distance baseline,
 * :mod:`~repro.circuits.autotune` — shape-adaptive selection between the
-  algebraically identical batched-search kernels (micro-calibrated once per
-  workload shape and process),
+  MCAM's algebraically identical conductance kernels (micro-calibrated once
+  per workload shape and process),
 * :mod:`~repro.circuits.tiles` — fixed-geometry tiling of stores larger than
   one physical array,
 * :mod:`~repro.circuits.acam` — the analog-CAM concept of Fig. 1(a),

@@ -1,21 +1,21 @@
-"""Shape-adaptive kernel selection for the batched search hot paths.
+"""Shape-adaptive kernel selection for the batched MCAM conductance path.
 
-The conductance/Hamming evaluations at the heart of every search have
-several algebraically identical implementations whose relative speed
-depends on the workload *shape*: a fused LUT gather wins on tiny episode
-batches (Python dispatch dominates), a streaming per-cell accumulation wins
-on huge stores (temporary memory dominates), and a blocked gather wins in
-between — e.g. the 20-way 5-shot episode shapes that a single hardcoded
-size threshold mis-classified.
+The MCAM's row-conductance evaluation has three algebraically identical
+implementations whose relative speed depends on the workload *shape*: a
+fused LUT gather wins on tiny episode batches (Python dispatch dominates), a
+streaming per-cell accumulation wins on huge stores (temporary memory
+dominates), and a blocked gather wins in between — e.g. the 20-way 5-shot
+episode shapes that a single hardcoded size threshold mis-classified.  (The
+TCAM has one Hamming kernel, the exact affine matmul, and no table entry.)
 
-Instead of hardcoding crossover points, the arrays consult a small
-process-global **kernel table** keyed by a compact shape signature.  On the
-first call with a new signature the candidates are micro-calibrated *on the
-live call*: every candidate kernel is timed on the actual operands, the
-fastest is recorded, and — because all candidates are bitwise identical by
-construction — the winning run's output is returned directly, so
-calibration costs only the extra candidates' runs, exactly once per shape
-class and process.
+Instead of hardcoding crossover points, :class:`~repro.circuits.MCAMArray`
+consults a small process-global **kernel table** keyed by a compact shape
+signature.  On the first call with a new signature the candidates are
+micro-calibrated *on the live call*: every candidate kernel is timed on the
+actual operands, the fastest is recorded, and — because all candidates are
+bitwise identical by construction — the winning run's output is returned
+directly, so calibration costs only the extra candidates' runs, exactly
+once per shape class and process.
 
 Selection never affects results (that is a hard invariant the circuit
 tests pin), so the table needs no cross-process coordination: each worker
@@ -106,54 +106,6 @@ def select_kernel(key: tuple, candidates: Dict[str, Callable[[], object]]):
     return best_name, best_result
 
 
-def floor_bucket_size(n: int) -> int:
-    """The largest size ``<= n`` that sits exactly on a shape-bucket boundary.
-
-    Bucket boundaries are the powers of two (:func:`shape_bucket` buckets
-    cover ``(2**(b-1), 2**b]``), so flushing a serving micro-batch at
-    ``floor_bucket_size`` of its pending count keeps coalesced traffic inside
-    at most ``log2(max_batch)`` distinct shape classes — each one reusable
-    from the kernel table after its first calibration — instead of
-    calibrating a long tail of odd batch sizes.  Always at least half of
-    ``n`` (and never less than 1), so a shape-biased flush can never starve
-    more than half of a pending run.
-    """
-    if n <= 1:
-        return 1
-    return 1 << (int(n).bit_length() - 1)
-
-
-def calibrated_query_buckets() -> frozenset:
-    """Bucketed query-batch sizes that already have a calibrated winner.
-
-    By convention every circuit autotune key ends with
-    ``(..., shape_bucket(num_queries), eligibility_flag)`` — see
-    ``MCAMArray.row_conductances_batch`` and
-    ``TCAMArray.hamming_distances_batch`` — so the second-to-last key
-    element is the query-count bucket.  The micro-batching scheduler
-    consults this set when shaping a flush: dispatching a batch whose bucket
-    is already calibrated can never stall on a one-shot micro-calibration,
-    so such shapes are "cheap" from the scheduler's point of view.
-    Aggregated over every kernel family (a serving searcher typically
-    exercises one).
-    """
-    return frozenset(key[-2] for key in _KERNEL_TABLE if len(key) >= 2)
-
-
-def bucket_calibrated(num_queries: int) -> bool:
-    """Whether a query count's shape bucket already has a calibrated winner.
-
-    The serving scheduler consults this before shaping a flush: a batch
-    whose bucket is calibrated dispatches as a kernel-table hit and can
-    never stall on a one-shot micro-calibration.  Cross-``k`` coalescing
-    does not change the answer — the autotune keys bucket the *query count*
-    (and the store geometry), not ``k``, so a mixed-``k`` batch ranked once
-    at ``max(k)`` lands in the same bucket as its same-``k`` siblings and
-    the ``max(k)``-sliced shapes reuse the same calibrated winners.
-    """
-    return shape_bucket(num_queries) in calibrated_query_buckets()
-
-
 def kernel_table() -> Dict[tuple, str]:
     """Copy of the calibrated kernel table (introspection/tests)."""
     return dict(_KERNEL_TABLE)
@@ -165,10 +117,7 @@ def clear_kernel_table() -> None:
 
 
 __all__ = [
-    "bucket_calibrated",
-    "calibrated_query_buckets",
     "clear_kernel_table",
-    "floor_bucket_size",
     "kernel_table",
     "lookup_kernel",
     "select_kernel",

@@ -24,7 +24,6 @@ from ..exceptions import CapacityError, CircuitError
 from ..utils.rng import SeedLike
 from ..utils.validation import check_int_in_range
 from ..devices.fefet import FeFETParameters
-from .autotune import lookup_kernel, select_kernel, shape_bucket
 from .conductance_lut import build_nominal_lut
 from .mcam_array import _labels_of_winners
 from .tiles import FixedGeometryArray
@@ -82,11 +81,6 @@ class TCAMArray(FixedGeometryArray):
         energetically comparable as the paper assumes.
     """
 
-    #: Element bound above which the mask kernel is excluded from the
-    #: autotuner's candidates: its boolean mismatch temporary is
-    #: ``O(queries * rows * cells)`` and cannot win once that spills caches.
-    _MASK_CANDIDATE_MAX_ELEMENTS = 1 << 22
-
     def __init__(
         self,
         num_cells: int,
@@ -114,25 +108,21 @@ class TCAMArray(FixedGeometryArray):
         self.sense_amplifier = sense_amplifier
         self._stored_bits = np.zeros((0, self.num_cells), dtype=np.int64)
         self._labels: List[Optional[int]] = []
-        # Programmed-state caches, rebuilt on write and reused across every
-        # query: which stored cells participate in Hamming comparisons (i.e.
-        # are not wildcards), and the affine matmul form of the batched
-        # Hamming kernel (see _hamming_kernel).
-        self._care_mask: Optional[np.ndarray] = None
+        # Programmed-state cache, rebuilt on write and reused across every
+        # query: the affine matmul form of the batched Hamming kernel (see
+        # _hamming_kernel).
         self._hamming_base: Optional[np.ndarray] = None
         self._hamming_weights: Optional[np.ndarray] = None
 
     def __getstate__(self):
-        """Pickle without the derived search kernels.
+        """Pickle without the derived search kernel.
 
-        The care mask and the affine Hamming factors are pure functions of
-        the stored bits and roughly ``9x`` the size of the bit matrix in
-        float64; dropping them keeps cross-process shipment (the
-        worker-resident shard cache) proportional to the programmed contents.
-        The receiver rebuilds them lazily and bitwise identically.
+        The affine Hamming factors are pure functions of the stored bits;
+        dropping them keeps cross-process shipment (the worker-resident
+        shard cache) proportional to the programmed contents.  The receiver
+        rebuilds them lazily and bitwise identically.
         """
         state = self.__dict__.copy()
-        state["_care_mask"] = None
         state["_hamming_base"] = None
         state["_hamming_weights"] = None
         return state
@@ -159,7 +149,6 @@ class TCAMArray(FixedGeometryArray):
         """Erase all stored rows."""
         self._stored_bits = np.zeros((0, self.num_cells), dtype=np.int64)
         self._labels = []
-        self._care_mask = None
         self._hamming_base = None
         self._hamming_weights = None
 
@@ -192,7 +181,6 @@ class TCAMArray(FixedGeometryArray):
             )
         self._stored_bits = np.vstack([self._stored_bits, rows])
         self._labels.extend(labels)
-        self._care_mask = None
         self._hamming_base = None
         self._hamming_weights = None
 
@@ -233,10 +221,6 @@ class TCAMArray(FixedGeometryArray):
         changed = np.flatnonzero(~unchanged)
 
         same_geometry = rows.shape[0] == old.shape[0]
-        if same_geometry and self._care_mask is not None and changed.size:
-            self._care_mask[changed] = rows[changed] != DONT_CARE
-        elif not same_geometry:
-            self._care_mask = None
         if self._hamming_weights is not None and same_geometry:
             if changed.size:
                 base, weights = _hamming_kernel_factors(rows[changed])
@@ -253,15 +237,6 @@ class TCAMArray(FixedGeometryArray):
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def care_mask(self) -> np.ndarray:
-        """Boolean matrix marking stored cells that are not wildcards.
-
-        Built once per programming and reused by every Hamming evaluation.
-        """
-        if self._care_mask is None:
-            self._care_mask = self._stored_bits != DONT_CARE
-        return self._care_mask
-
     def _hamming_kernel(self):
         """Affine matmul form of the batched Hamming evaluation.
 
@@ -270,9 +245,9 @@ class TCAMArray(FixedGeometryArray):
         :func:`_hamming_kernel_factors`).  Both factors are integer-valued
         and bounded by the word width, far inside the float64 exact-integer
         range, so the BLAS product is exact and the kernel is bitwise
-        identical to the mismatch-mask evaluation it replaces — while running
-        an order of magnitude faster and never materializing the
-        ``(num_queries, num_rows, num_cells)`` mismatch temporary.
+        identical to counting caring mismatched cells — while never
+        materializing the ``(num_queries, num_rows, num_cells)`` mismatch
+        temporary such a count needs.
         """
         if self._hamming_weights is None:
             base, weights = _hamming_kernel_factors(self._stored_bits)
@@ -288,45 +263,10 @@ class TCAMArray(FixedGeometryArray):
     def hamming_distances_batch(self, queries) -> np.ndarray:
         """Hamming distance matrix ``(num_queries, num_rows)`` for a query batch.
 
-        Evaluated by the exact affine matmul over the programmed-state
-        kernel (see :meth:`_hamming_kernel`) or by the boolean mismatch
-        masks; both recover the integer distances exactly, so results are
-        independent of the kernel choice and of batching.  The
-        shape-adaptive table of :mod:`repro.circuits.autotune` picks between
-        them (the matmul wins essentially everywhere except sub-cache
-        shapes, but the table proves it per host instead of assuming).
-        Steady state is key + table lookup + direct dispatch; candidate
-        closures are built only on the one calibration miss per shape class
-        (see :meth:`MCAMArray.row_conductances_batch` for the rationale).
+        One exact affine matmul over the programmed-state kernel (see
+        :meth:`_hamming_kernel`), so results are independent of batching.
         """
-        queries = self._check_query_batch(queries)
-        num_queries = queries.shape[0]
-        if num_queries == 0 or self.num_rows == 0:
-            return self._matmul_hamming(queries)
-        mask_eligible = (
-            num_queries * self.num_rows * self.num_cells
-            <= self._MASK_CANDIDATE_MAX_ELEMENTS
-        )
-        # Eligibility is part of the key — see MCAMArray.row_conductances_batch.
-        key = (
-            "tcam",
-            self.num_cells,
-            shape_bucket(self.num_rows),
-            shape_bucket(num_queries),
-            mask_eligible,
-        )
-        name = lookup_kernel(key)
-        if name == "matmul":
-            return self._matmul_hamming(queries)
-        if name == "mask":
-            return self._mask_hamming(queries)
-        candidates = {"matmul": lambda: self._matmul_hamming(queries)}
-        if mask_eligible:
-            candidates["mask"] = lambda: self._mask_hamming(queries)
-        name, result = select_kernel(key, candidates)
-        if result is not None:
-            return result
-        return candidates[name]()
+        return self._matmul_hamming(self._check_query_batch(queries))
 
     def _matmul_hamming(self, queries: np.ndarray) -> np.ndarray:
         """The exact affine matmul form (one BLAS product, no temporaries)."""
@@ -334,20 +274,6 @@ class TCAMArray(FixedGeometryArray):
         mismatches = queries.astype(np.float64) @ weights
         mismatches += base[np.newaxis, :]
         return np.rint(mismatches).astype(np.int64)
-
-    def _mask_hamming(self, queries: np.ndarray) -> np.ndarray:
-        """Boolean mismatch-mask evaluation (sub-cache shape candidate).
-
-        Counts caring mismatching cells directly; exact integers, bitwise
-        identical to the matmul form, but materializes the
-        ``(num_queries, num_rows, num_cells)`` mismatch temporary — which is
-        only competitive while that fits in cache.
-        """
-        care = self.care_mask()
-        mismatches = (
-            self._stored_bits[np.newaxis, :, :] != queries[:, np.newaxis, :]
-        ) & care[np.newaxis]
-        return mismatches.sum(axis=2, dtype=np.int64)
 
     def _conductances_from_distances(self, distances) -> np.ndarray:
         matches = self.num_cells - distances

@@ -48,7 +48,7 @@ from ..circuits.mcam_array import MCAMArray
 from ..circuits.sense_amplifier import IdealWinnerTakeAll, sense_all
 from ..circuits.tcam import TCAMArray
 from ..devices.variation import VariationModel
-from ..distance.metrics import get_batch_metric, get_matrix_metric
+from ..distance.metrics import get_matrix_metric
 from ..encoding.lsh import RandomHyperplaneLSH
 from .quantization import UniformQuantizer
 
@@ -247,16 +247,14 @@ class NearestNeighborSearcher(abc.ABC):
         return self
 
     def kneighbors(self, query: Any, k: int = 1, rng: SeedLike = None) -> QueryResult:
-        """Return the ``k`` nearest stored entries for one query vector."""
-        self._require_fitted()
-        k = check_int_in_range(k, "k", minimum=1, maximum=self._num_entries)
-        query = np.asarray(query, dtype=np.float64).reshape(-1)
-        indices, scores = self._rank(query, rng=ensure_rng(rng))
-        top = indices[:k]
-        labels = tuple(
-            None if self._labels is None else self._labels[i] for i in top
-        )
-        return QueryResult(indices=top, scores=scores[:k], labels=labels)
+        """Return the ``k`` nearest stored entries for one query vector.
+
+        A single query is ranked as a batch of one: the result, and every
+        validation error, is exactly that of :meth:`kneighbors_batch` on
+        ``query`` reshaped to one row.
+        """
+        query = np.asarray(query, dtype=np.float64).reshape(1, -1)
+        return self.kneighbors_batch(query, k=k, rng=rng)[0]
 
     def kneighbors_batch(
         self, queries: Any, k: int = 1, rng: SeedLike = None
@@ -264,11 +262,12 @@ class NearestNeighborSearcher(abc.ABC):
         """The ``k`` nearest stored entries for every row of ``queries``.
 
         The whole query matrix is evaluated in one vectorized pass over the
-        programmed array state.  For the CAM engines the results are bitwise
-        identical to a loop of :meth:`kneighbors` calls; for the software
-        metrics the neighbor ranking matches while scores may differ from
-        the loop by float rounding (BLAS matrix-matrix vs. matrix-vector).
-        An empty batch (``(0, num_features)``) yields an empty result.
+        programmed array state; :meth:`kneighbors` is this method on a batch
+        of one.  Query rows are ranked independently, so for the CAM engines
+        each row is bitwise identical to ranking that query alone; for the
+        software metrics the neighbor ranking matches while scores may
+        differ by float rounding between batch sizes (BLAS blocking).  An
+        empty batch (``(0, num_features)``) yields an empty result.
         """
         self._require_fitted()
         k = check_int_in_range(k, "k", minimum=1, maximum=self._num_entries)
@@ -389,24 +388,14 @@ class NearestNeighborSearcher(abc.ABC):
         """Engine-specific storage of the fitted data."""
 
     @abc.abstractmethod
-    def _rank(
-        self, query: np.ndarray, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(indices_sorted_best_first, scores_sorted_best_first)``."""
-
     def _rank_batch(
         self, queries: np.ndarray, rng: np.random.Generator, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batch counterpart of :meth:`_rank`: top-``k`` ``(num_queries, k)`` arrays.
+        """Top-``k`` ``(indices, scores)`` arrays of shape ``(num_queries, k)``.
 
-        The default implementation loops over :meth:`_rank` so custom
-        subclasses keep working; the built-in engines override it with a
-        fully vectorized pass.
+        ``queries`` is a validated, non-empty ``(num_queries, num_features)``
+        matrix; result row ``i`` lists query ``i``'s best entries first.
         """
-        ranked = [self._rank(query, rng=rng) for query in queries]
-        indices = np.stack([indices[:k] for indices, _ in ranked])
-        scores = np.stack([scores[:k] for _, scores in ranked])
-        return indices, scores
 
 
 class SoftwareSearcher(NearestNeighborSearcher):
@@ -421,7 +410,6 @@ class SoftwareSearcher(NearestNeighborSearcher):
     def __init__(self, metric: str = "cosine") -> None:
         super().__init__()
         self.metric = metric
-        self._distance = get_batch_metric(metric)
         self._distance_matrix = get_matrix_metric(metric)
         self._features: Optional[np.ndarray] = None
 
@@ -432,20 +420,6 @@ class SoftwareSearcher(NearestNeighborSearcher):
         if self._features is None:
             raise SearchError("searcher must be fitted before searching")
         return self._features
-
-    def _rank(
-        self, query: np.ndarray, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        features = self._require_features()
-        if query.shape[0] != features.shape[1]:
-            raise SearchError(
-                f"query has {query.shape[0]} features, expected {features.shape[1]}"
-            )
-        distances = np.asarray(
-            self._distance(features, query.astype(np.float32)), dtype=np.float64
-        )
-        order = np.argsort(distances, kind="stable")
-        return order, distances[order]
 
     def _rank_batch(
         self, queries: np.ndarray, rng: np.random.Generator, k: int
@@ -584,14 +558,6 @@ class MCAMSearcher(NearestNeighborSearcher):
             raise SearchError("searcher must be fitted before searching")
         return self._array
 
-    def _rank(
-        self, query: np.ndarray, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        query_states = self.quantizer.quantize(query.reshape(1, -1))[0]
-        result = self._require_array().search(query_states, rng=rng)
-        order = result.sensing.ranking
-        return order, result.row_conductances_s[order]
-
     def _rank_batch(
         self, queries: np.ndarray, rng: np.random.Generator, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -688,14 +654,6 @@ class TCAMLSHSearcher(NearestNeighborSearcher):
         if self._tcam is None:
             raise SearchError("searcher must be fitted before searching")
         return self._tcam
-
-    def _rank(
-        self, query: np.ndarray, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        signature = self.encoder.encode(query.reshape(1, -1))[0]
-        result = self._require_tcam().search(signature, rng=rng)
-        order = result.sensing.ranking
-        return order, result.hamming_distances[order].astype(np.float64)
 
     def _rank_batch(
         self, queries: np.ndarray, rng: np.random.Generator, k: int

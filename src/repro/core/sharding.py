@@ -897,12 +897,6 @@ class ShardedSearcher(NearestNeighborSearcher):
     # ------------------------------------------------------------------
     # Ranking
     # ------------------------------------------------------------------
-    def _rank(
-        self, query: np.ndarray, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        indices, scores = self._rank_batch(query.reshape(1, -1), rng=rng, k=self._num_entries)
-        return indices[0], scores[0]
-
     def _cached_shard_jobs(self, shard_rngs: Any, queries: np.ndarray, k: int) -> list:
         """Jobs for a worker-caching executor: payloads ship once per epoch.
 

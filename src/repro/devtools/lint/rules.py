@@ -532,7 +532,7 @@ class LockOrderRule(Rule):
     )
 
     @staticmethod
-    def _rank(filename: str, attr: str) -> Optional[int]:
+    def _lock_rank(filename: str, attr: str) -> Optional[int]:
         for rank, (table_file, table_attr) in enumerate(LOCK_ORDER):
             if filename.endswith(table_file) and attr == table_attr:
                 return rank
@@ -549,7 +549,7 @@ class LockOrderRule(Rule):
                     # Accept both `with self._lock:` and `with lock.acquire…`-
                     # style attribute chains; the table is attribute-name keyed.
                     attr = expr.attr if isinstance(expr, ast.Attribute) else ""
-                    rank = self._rank(path, attr)
+                    rank = self._lock_rank(path, attr)
                     if rank is None:
                         continue
                     for held_attr, held_rank in held + acquired:

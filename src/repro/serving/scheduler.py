@@ -18,12 +18,9 @@ not as ready-made batches.  :class:`MicroBatchScheduler` closes that gap:
   the batch is ranked once at ``max(k)`` and each client's rows are sliced
   at demultiplex time — **bitwise identical** to per-``k`` dispatch,
   because every engine's stable ranking makes the top-``k`` prefix of a
-  deeper ranking exact (:func:`repro.core.search.slice_topk`).  Flush
-  sizes are biased toward **autotuner-cheap shapes**: the shape-adaptive
-  kernel table of :mod:`repro.circuits.autotune` is bucketed by powers of
-  two, so partial flushes are trimmed to bucket boundaries (never below
-  half the pending run) unless the pending count's bucket is already
-  calibrated.
+  deeper ranking exact (:func:`repro.core.search.slice_topk`).  A flush
+  takes ``min(pending, max_batch)`` queries, so batch shapes depend only
+  on the queue.
 * **Adaptive flush windows** — a fixed ``max_delay_us`` wastes latency at
   low arrival rates (a lone query waits the whole window for batch-mates
   that never come) and is irrelevant at high rates (batches fill first).
@@ -94,7 +91,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..circuits.autotune import bucket_calibrated, floor_bucket_size
 from ..core.search import QueryResult, slice_topk
 from ..exceptions import (
     ConfigurationError,
@@ -134,9 +130,11 @@ class ServingStats:
       other query (i.e. rode in a batch of size >= 2),
     * ``mixed_k`` — dispatched batches that coalesced queries with more
       than one distinct ``k`` (ranked once at ``max(k)``),
-    * ``trimmed`` — flushes shrunk to an autotuner bucket boundary,
     * ``batch_shapes`` — histogram ``{batch_size: count}`` of dispatched
       batch shapes.
+
+    :meth:`snapshot` also reports ``trimmed``, which is always 0: a flush
+    takes ``min(pending, max_batch)`` queries and is never trimmed.
 
     A bounded ring buffer additionally holds the last ``latency_window``
     delivered-request latencies (submission to delivered result,
@@ -159,7 +157,6 @@ class ServingStats:
         self.batches = 0
         self.coalesced = 0
         self.mixed_k = 0
-        self.trimmed = 0
         self.batch_shapes: Dict[int, int] = {}
         self._latencies_ms: "deque[float]" = deque(maxlen=latency_window)
 
@@ -169,7 +166,7 @@ class ServingStats:
             for name, delta in deltas.items():
                 setattr(self, name, getattr(self, name) + delta)
 
-    def record_batch(self, size: int, trimmed: bool, mixed: bool = False) -> None:
+    def record_batch(self, size: int, mixed: bool = False) -> None:
         """Account one dispatched micro-batch of ``size`` queries."""
         with self._lock:
             self.batches += 1
@@ -177,8 +174,6 @@ class ServingStats:
                 self.coalesced += size
             if mixed:
                 self.mixed_k += 1
-            if trimmed:
-                self.trimmed += 1
             self.batch_shapes[size] = self.batch_shapes.get(size, 0) + 1
 
     def record_latency(self, latency_ms: float) -> None:
@@ -218,7 +213,9 @@ class ServingStats:
                 "batches": self.batches,
                 "coalesced": self.coalesced,
                 "mixed_k": self.mixed_k,
-                "trimmed": self.trimmed,
+                # Flushes are never trimmed; the constant key stays because
+                # perfbench/serve_mixed.py reads it for serving.trimmed.
+                "trimmed": 0,
                 "batch_shapes": dict(self.batch_shapes),
                 "latency_ms": self._percentiles_locked(),
             }
@@ -389,7 +386,6 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
         max_delay_s: float,
         max_queue: int,
         max_in_flight: int,
-        prefer_calibrated_shapes: bool,
         min_delay_s: float,
         latency_window: int,
         request_timeout_s: Optional[float] = None,
@@ -398,7 +394,6 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
         self.max_delay_s = max_delay_s
         self.max_queue = max_queue
         self.max_in_flight = max_in_flight
-        self.prefer_calibrated_shapes = prefer_calibrated_shapes
         self.min_delay_s = min_delay_s
         self.request_timeout_s = request_timeout_s
         self.stats = ServingStats(latency_window=latency_window)
@@ -544,28 +539,6 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
         while self._inflight:
             self._collect_oldest()
 
-    def _flush_size(self, run: int) -> int:
-        """How many of a pending run to flush when the delay window expires.
-
-        Full batches flush whole.  Partial flushes are biased toward
-        autotuner-cheap shapes: a run whose power-of-two shape bucket is
-        already calibrated dispatches as-is (its kernels are table hits);
-        otherwise the run is trimmed to the bucket boundary below — a
-        reusable shape class, never less than half the run.  The remainder
-        keeps its own arrival deadlines and rides the next flush.
-        """
-        size = min(run, self.max_batch)
-        if (
-            not self.prefer_calibrated_shapes
-            or self._closing
-            or size <= 1
-            or size >= self.max_batch
-        ):
-            return size
-        if bucket_calibrated(size):
-            return size
-        return floor_bucket_size(size)
-
     def _pick_lane(self, ready: List[_Lane]) -> _Lane:
         """Deficit round robin over the ready lanes (caller holds the lock).
 
@@ -636,13 +609,11 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
             # ranks once at max(k) (see _dispatch).
             run = len(lane.pending)
             filled = run >= self.max_batch
-            size = self._flush_size(run)
-            trimmed = size < min(run, self.max_batch)
             requests = []
             expired = []
             distinct_k = set()
             gather_now = time.monotonic()
-            for _ in range(size):
+            for _ in range(min(run, self.max_batch)):
                 request = lane.pending.popleft()
                 # Claim the future; a client that cancelled while queueing
                 # is dropped here, before its query costs any compute.
@@ -668,9 +639,7 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
                 lane,
             )
         if requests:
-            self.stats.record_batch(
-                len(requests), trimmed, mixed=len(distinct_k) > 1
-            )
+            self.stats.record_batch(len(requests), mixed=len(distinct_k) > 1)
         return lane, requests
 
     def _dispatch(self, lane: _Lane, requests: List[_Request]) -> None:
@@ -838,9 +807,7 @@ class MicroBatchScheduler:
     max_delay_us:
         Longest a pending query may wait for batch-mates, in microseconds:
         the *cap* of the adaptive window.  The latency the scheduler may *add*
-        is bounded by roughly twice the effective window (one window
-        queueing, one more if a shape-biased flush leaves the query for the
-        next batch).
+        is about one effective window of queueing.
     max_queue:
         Per-lane pending-queue bound: admission control fast-fails
         submissions to a full lane with
@@ -853,10 +820,6 @@ class MicroBatchScheduler:
         sharing one executor instance share its ring).  Depth > 1 overlaps
         worker-side compute of one batch with demultiplexing and dispatch
         of the next.
-    prefer_calibrated_shapes:
-        Bias partial flushes toward the autotuner's power-of-two shape
-        buckets (see :func:`repro.circuits.autotune.floor_bucket_size`).
-        Never affects results, only batch shapes.
     min_delay_us:
         Floor of the adaptive window, which each lane moves inside
         ``[min_delay_us, max_delay_us]`` from its observed arrival rate and
@@ -896,7 +859,6 @@ class MicroBatchScheduler:
         max_delay_us: float = 2000.0,
         max_queue: int = 1024,
         max_in_flight: int = 2,
-        prefer_calibrated_shapes: bool = True,
         min_delay_us: float = 50.0,
         lane: str = "default",
         weight: float = 1.0,
@@ -919,7 +881,6 @@ class MicroBatchScheduler:
             max_delay_s=float(max_delay_us) * 1e-6,
             max_queue=max_queue,
             max_in_flight=max_in_flight,
-            prefer_calibrated_shapes=bool(prefer_calibrated_shapes),
             min_delay_s=float(min_delay_us) * 1e-6,
             latency_window=latency_window,
             request_timeout_s=(

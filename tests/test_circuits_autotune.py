@@ -2,13 +2,14 @@
 
 The autotuner's contract mirrors the executors': kernel selection changes
 *where the time goes*, never *what is computed*.  These tests pin the three
-MCAM conductance kernels (fused / blocked / dense) and the two TCAM Hamming
-kernels (matmul / mask), each called directly, bitwise against each other
-and against the autotuned public path at the gated workload shapes — the
-5-way 1-shot episode, the 20-way 5-shot episode the old hardcoded threshold
-mis-classified, and a >64k-element store — and pin that a directly called
-kernel bypasses whatever the tuned table says, while the public path
-follows the table and never dispatches a name that is not a candidate.
+MCAM conductance kernels (fused / blocked / dense), each called directly,
+bitwise against each other and against the autotuned public path at the
+gated workload shapes — the 5-way 1-shot episode, the 20-way 5-shot
+episode the old hardcoded threshold mis-classified, and a >64k-element
+store — and pin that a directly called kernel bypasses whatever the tuned
+table says, while the public path follows the table and never dispatches a
+name that is not a candidate.  The TCAM has a single Hamming kernel and
+never touches the table.
 """
 
 from __future__ import annotations
@@ -47,13 +48,6 @@ def _mcam_kernel(array: MCAMArray, kernel: str, queries: np.ndarray) -> np.ndarr
     return implementation(array._profiles_by_cell(), queries)
 
 
-def _tcam_kernel(tcam: TCAMArray, kernel: str, queries: np.ndarray) -> np.ndarray:
-    """One Hamming kernel called directly; ``"auto"`` is the public path."""
-    if kernel == "auto":
-        return tcam.hamming_distances_batch(queries)
-    return getattr(tcam, f"_{kernel}_hamming")(queries)
-
-
 class TestMCAMKernelParity:
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     @pytest.mark.parametrize("kernel", ("fused", "blocked", "auto"))
@@ -82,23 +76,6 @@ class TestMCAMKernelParity:
             array.row_conductances(query),
             _mcam_kernel(array, "blocked", query.reshape(1, -1))[0],
         )
-
-
-class TestTCAMKernelParity:
-    @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_mask_and_auto_bitwise_identical_to_matmul(self, shape):
-        rows, num_queries = SHAPES[shape]
-        tcam = TCAMArray(num_cells=WORD_LENGTH)
-        bits = RNG.integers(0, 2, size=(rows, WORD_LENGTH))
-        bits[0, :3] = -1  # wildcards must match under both kernels
-        tcam.write(bits)
-        queries = RNG.integers(0, 2, size=(num_queries, WORD_LENGTH))
-        reference = _tcam_kernel(tcam, "matmul", queries)
-        assert reference.dtype == np.int64
-        for kernel in ("mask", "auto"):
-            result = _tcam_kernel(tcam, kernel, queries)
-            assert result.dtype == np.int64
-            np.testing.assert_array_equal(reference, result)
 
 
 class TestAutotunedSelection:
@@ -180,6 +157,16 @@ class TestAutotunedSelection:
         assert self._mcam_key(*eligible) != self._mcam_key(*ineligible)
         assert table[self._mcam_key(*ineligible)] in ("blocked", "dense")
 
+    def test_tcam_hamming_never_calibrates(self):
+        rows, num_queries = SHAPES["5way_1shot"]
+        tcam = TCAMArray(num_cells=WORD_LENGTH)
+        tcam.write(RNG.integers(0, 2, size=(rows, WORD_LENGTH)))
+        queries = RNG.integers(0, 2, size=(num_queries, WORD_LENGTH))
+        np.testing.assert_array_equal(
+            tcam._matmul_hamming(queries), tcam.hamming_distances_batch(queries)
+        )
+        assert kernel_table() == {}
+
     def test_empty_batch_does_not_pollute_the_table(self):
         array = _programmed_mcam(8)
         empty = array.row_conductances_batch(np.empty((0, WORD_LENGTH), dtype=np.int64))
@@ -242,35 +229,6 @@ class TestKernelOverrides:
         np.testing.assert_array_equal(explicit, array.row_conductances_batch(queries))
         assert ran == [contradictory]
 
-    @pytest.mark.parametrize("kernel", ("matmul", "mask"))
-    def test_explicit_hamming_kernel_wins_over_the_tuned_table(self, kernel, monkeypatch):
-        from repro.circuits import autotune
-
-        rows, num_queries = SHAPES["20way_5shot"]
-        assert rows * num_queries * WORD_LENGTH <= TCAMArray._MASK_CANDIDATE_MAX_ELEMENTS
-        tcam = TCAMArray(num_cells=WORD_LENGTH)
-        tcam.write(RNG.integers(0, 2, size=(rows, WORD_LENGTH)))
-        queries = RNG.integers(0, 2, size=(num_queries, WORD_LENGTH))
-
-        contradictory = {"matmul": "mask", "mask": "matmul"}[kernel]
-        key = ("tcam", WORD_LENGTH, shape_bucket(rows), shape_bucket(num_queries), True)
-        monkeypatch.setitem(autotune._KERNEL_TABLE, key, contradictory)
-
-        ran = []
-        for name in ("matmul", "mask"):
-            implementation = getattr(TCAMArray, f"_{name}_hamming")
-
-            def spy(self, q, _name=name, _impl=implementation):
-                ran.append(_name)
-                return _impl(self, q)
-
-            monkeypatch.setattr(TCAMArray, implementation.__name__, spy)
-        explicit = _tcam_kernel(tcam, kernel, queries)
-        assert ran == [kernel]
-        ran.clear()
-        np.testing.assert_array_equal(explicit, tcam.hamming_distances_batch(queries))
-        assert ran == [contradictory]
-
     def test_invalid_kernel_rejected_everywhere(self, monkeypatch):
         """A table entry naming no candidate is recalibrated, never dispatched."""
         from repro.circuits import autotune
@@ -279,25 +237,14 @@ class TestKernelOverrides:
         array = _programmed_mcam(rows)
         mcam_queries = RNG.integers(0, 8, size=(num_queries, WORD_LENGTH))
         mcam_key = ("mcam", 8, WORD_LENGTH, shape_bucket(rows), shape_bucket(num_queries), True)
-        tcam = TCAMArray(num_cells=WORD_LENGTH)
-        tcam.write(RNG.integers(0, 2, size=(rows, WORD_LENGTH)))
-        tcam_queries = RNG.integers(0, 2, size=(num_queries, WORD_LENGTH))
-        tcam_key = ("tcam", WORD_LENGTH, shape_bucket(rows), shape_bucket(num_queries), True)
 
-        # Each family's table slot names the other family's kernel.
+        # The table slot names a kernel that is not an MCAM candidate.
         monkeypatch.setitem(autotune._KERNEL_TABLE, mcam_key, "matmul")
-        monkeypatch.setitem(autotune._KERNEL_TABLE, tcam_key, "fused")
         np.testing.assert_array_equal(
             _mcam_kernel(array, "dense", mcam_queries),
             array.row_conductances_batch(mcam_queries),
         )
-        np.testing.assert_array_equal(
-            _tcam_kernel(tcam, "matmul", tcam_queries),
-            tcam.hamming_distances_batch(tcam_queries),
-        )
-        table = kernel_table()
-        assert table[mcam_key] in ("fused", "blocked", "dense")
-        assert table[tcam_key] in ("matmul", "mask")
+        assert kernel_table()[mcam_key] in ("fused", "blocked", "dense")
 
 
 class TestShapeBucket:

@@ -10,9 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.circuits import MatchLineModel, TimeDomainSenseAmplifier
 from repro.core import make_searcher
 from repro.core.search import (
-    NearestNeighborSearcher,
+    MCAMSearcher,
     SoftwareSearcher,
     available_backends,
     get_backend,
@@ -22,7 +23,12 @@ from repro.exceptions import SearchError
 
 ENGINES = ("cosine", "euclidean", "manhattan", "linf", "mcam-3bit", "mcam-2bit", "tcam-lsh")
 
+#: Every registered backend, the sharded wrapper, and an MCAM with noisy
+#: time-domain sensing.
+SINGLE_QUERY_ENGINES = available_backends() + ("sharded(mcam-3bit)", "noisy-mcam")
+
 NUM_FEATURES = 12
+NOISE_SIGMA_S = 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +63,9 @@ class TestBatchMatchesLooped:
                 # CAM conductances/Hamming distances are bitwise identical.
                 np.testing.assert_array_equal(batch.scores[i], single.scores)
             else:
-                # FP software metrics go through a BLAS matrix-matrix product
-                # in the batch path vs matrix-vector in the loop; scores may
-                # differ by 1 ulp while the ranking stays identical.
+                # FP software metrics go through BLAS products whose
+                # blocking depends on the batch size; scores may differ by
+                # 1 ulp from a batch of one while the ranking stays identical.
                 np.testing.assert_allclose(
                     batch.scores[i], single.scores, rtol=1e-12, atol=1e-15
                 )
@@ -148,25 +154,59 @@ class TestBatchEdgeCases:
         np.testing.assert_array_equal(batch.indices[0], single.indices)
 
 
-class TestGenericRankBatchFallback:
-    def test_default_rank_batch_loops_over_rank(self, data):
-        class LoopOnlySearcher(NearestNeighborSearcher):
-            """Engine without a vectorized override (exercises the fallback)."""
+def _noisy_mcam():
+    amplifier = TimeDomainSenseAmplifier(
+        MatchLineModel(num_cells=NUM_FEATURES), timing_noise_sigma_s=NOISE_SIGMA_S
+    )
+    return MCAMSearcher(bits=3, sense_amplifier=amplifier, seed=11)
 
-            def _fit(self, features, labels):
-                self._features = features
 
-            def _rank(self, query, rng):
-                distances = np.linalg.norm(self._features - query, axis=1)
-                order = np.argsort(distances, kind="stable")
-                return order, distances[order]
+def _fitted_any(name, data):
+    """A fitted engine by backend name, plus the sharded and noisy variants."""
+    if name == "noisy-mcam":
+        features, labels, _ = data
+        return _noisy_mcam().fit(features, labels)
+    if name.startswith("sharded("):
+        features, labels, _ = data
+        searcher = make_searcher(name, num_features=NUM_FEATURES, seed=11, shards=4)
+        return searcher.fit(features, labels)
+    return fitted(name, data)
 
-        features, labels, queries = data
-        searcher = LoopOnlySearcher().fit(features, labels)
-        batch = searcher.kneighbors_batch(queries, k=3)
-        for i, query in enumerate(queries):
-            single = searcher.kneighbors(query, k=3)
-            np.testing.assert_array_equal(batch.indices[i], single.indices)
+
+class TestSingleQueryIsABatchOfOne:
+    @pytest.mark.parametrize("name", SINGLE_QUERY_ENGINES)
+    def test_kneighbors_equals_batch_of_one_bitwise(self, name, data):
+        searcher = _fitted_any(name, data)
+        for query in data[2]:
+            single = searcher.kneighbors(query, k=5, rng=3)
+            batch = searcher.kneighbors_batch(query[None], k=5, rng=3)[0]
+            np.testing.assert_array_equal(single.indices, batch.indices)
+            assert single.scores.dtype == batch.scores.dtype
+            assert single.scores.tobytes() == batch.scores.tobytes()
+            assert single.labels == batch.labels
+
+    def test_noisy_sensing_draws_from_the_rng(self, data):
+        # The parity above is only meaningful if the noise moves rankings.
+        searcher = _fitted_any("noisy-mcam", data)
+        query = data[2][0]
+        rankings = [searcher.kneighbors(query, k=5, rng=seed).indices for seed in range(8)]
+        assert len({tuple(ranking) for ranking in rankings}) > 1
+
+    @pytest.mark.parametrize("name", ("cosine", "mcam-3bit", "tcam-lsh", "sharded(mcam-3bit)"))
+    @pytest.mark.parametrize("defect", ("nan", "inf", "too_wide", "too_narrow"))
+    def test_invalid_query_raises_search_error(self, name, defect, data):
+        searcher = _fitted_any(name, data)
+        query = data[2][0].copy()
+        if defect == "nan":
+            query[1] = np.nan
+        elif defect == "inf":
+            query[1] = -np.inf
+        elif defect == "too_wide":
+            query = np.append(query, 0.5)
+        else:
+            query = query[:-1]
+        with pytest.raises(SearchError):
+            searcher.kneighbors(query, k=3)
 
 
 class TestBackendRegistry:

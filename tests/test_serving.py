@@ -3,12 +3,12 @@
 The scheduler's contract mirrors the runtime's: coalescing single queries
 into micro-batches changes *when and how* dispatches happen, never *what*
 they compute.  These tests pin the coalescing policy boundaries (a full
-batch flushes immediately; a partial run flushes when the head's delay
-window expires; shape-biased flushes trim to autotuner bucket boundaries),
-bounded-queue admission control, cancellation before dispatch, drain on
-``close()``, the finalizer safety net, the asyncio front-end, and —
-most importantly — bitwise parity of demultiplexed per-query results
-against direct ``kneighbors_batch`` calls at 1, 2 and 4 workers.
+batch flushes immediately; a partial run flushes whole when the head's
+delay window expires, whatever the kernel table holds), bounded-queue
+admission control, cancellation before dispatch, drain on ``close()``, the
+finalizer safety net, the asyncio front-end, and — most importantly —
+bitwise parity of demultiplexed per-query results against direct
+``kneighbors_batch`` calls at 1, 2 and 4 workers.
 """
 
 from __future__ import annotations
@@ -90,9 +90,7 @@ def _wait_until(predicate, timeout=WAIT_S):
 class TestCoalescingPolicy:
     def test_full_batch_flushes_without_waiting_for_the_delay_window(self):
         searcher = _fitted_searcher()
-        with MicroBatchScheduler(
-            searcher, max_batch=4, max_delay_us=10e6, prefer_calibrated_shapes=False
-        ) as scheduler:
+        with MicroBatchScheduler(searcher, max_batch=4, max_delay_us=10e6) as scheduler:
             start = time.monotonic()
             futures = [scheduler.submit(q) for q in _queries(4)]
             for future in futures:
@@ -104,9 +102,7 @@ class TestCoalescingPolicy:
 
     def test_partial_run_flushes_when_the_head_deadline_expires(self):
         searcher = _fitted_searcher()
-        with MicroBatchScheduler(
-            searcher, max_batch=64, max_delay_us=100_000, prefer_calibrated_shapes=False
-        ) as scheduler:
+        with MicroBatchScheduler(searcher, max_batch=64, max_delay_us=100_000) as scheduler:
             futures = [scheduler.submit(q) for q in _queries(3)]
             for future in futures:
                 future.result(timeout=WAIT_S)
@@ -114,37 +110,28 @@ class TestCoalescingPolicy:
         # Far below max_batch, so only the 100 ms delay window flushed it.
         assert sum(size * count for size, count in shapes.items()) == 3
 
-    def test_uncalibrated_partial_flush_trims_to_the_bucket_boundary(self, monkeypatch):
-        monkeypatch.setattr(autotune, "_KERNEL_TABLE", {})
+    @pytest.mark.parametrize("table", ("empty", "bucket_entry"))
+    def test_partial_run_flushes_whole_whatever_the_kernel_table(self, table, monkeypatch):
+        # Flush shapes depend only on the queue: the process-global kernel
+        # table (empty, or holding an entry for this run's shape bucket) has
+        # no say in how many pending queries a flush takes.
+        entries = {}
+        if table == "bucket_entry":
+            entries[("fake-family", autotune.shape_bucket(6), True)] = "dense"
+        monkeypatch.setattr(autotune, "_KERNEL_TABLE", entries)
         searcher = _fitted_searcher()
+        # A fixed 100 ms window: all six submissions land inside it.
         with MicroBatchScheduler(
-            searcher, max_batch=16, max_delay_us=100_000, max_in_flight=1
+            searcher,
+            max_batch=16,
+            max_delay_us=100_000,
+            min_delay_us=100_000,
+            max_in_flight=1,
         ) as scheduler:
             futures = [scheduler.submit(q) for q in _queries(6)]
             for future in futures:
                 future.result(timeout=WAIT_S)
             stats = scheduler.stats.snapshot()
-        # 6 pending, bucket uncalibrated: flush 4 (the boundary below), then
-        # the 2 left behind on their own deadline — never an odd shape.
-        assert stats["batch_shapes"] == {4: 1, 2: 1}
-        assert stats["trimmed"] == 1
-
-    def test_calibrated_bucket_flushes_whole(self, monkeypatch):
-        monkeypatch.setattr(
-            autotune,
-            "_KERNEL_TABLE",
-            {("fake-family", autotune.shape_bucket(6), True): "dense"},
-        )
-        searcher = _fitted_searcher()
-        with MicroBatchScheduler(
-            searcher, max_batch=16, max_delay_us=100_000, max_in_flight=1
-        ) as scheduler:
-            futures = [scheduler.submit(q) for q in _queries(6)]
-            for future in futures:
-                future.result(timeout=WAIT_S)
-            stats = scheduler.stats.snapshot()
-        # Bucket 3 has a calibrated winner: dispatching 6 is a table hit,
-        # so the flush is not trimmed.
         assert stats["batch_shapes"] == {6: 1}
         assert stats["trimmed"] == 0
 
@@ -152,9 +139,7 @@ class TestCoalescingPolicy:
         searcher = _fitted_searcher()
         reference = searcher.kneighbors_batch(_queries(6), k=2)
         reference5 = searcher.kneighbors_batch(_queries(6), k=5)
-        with MicroBatchScheduler(
-            searcher, max_batch=16, max_delay_us=50_000, prefer_calibrated_shapes=False
-        ) as scheduler:
+        with MicroBatchScheduler(searcher, max_batch=16, max_delay_us=50_000) as scheduler:
             futures = []
             for index, query in enumerate(_queries(6)):
                 futures.append(scheduler.submit(query, k=2 if index % 2 == 0 else 5))
@@ -340,9 +325,7 @@ class TestSubmitMany:
         searcher = _fitted_searcher()
         queries = _queries(9)
         expected = searcher.kneighbors_batch(queries, k=2)
-        with MicroBatchScheduler(
-            searcher, max_delay_us=20_000, prefer_calibrated_shapes=False
-        ) as scheduler:
+        with MicroBatchScheduler(searcher, max_delay_us=20_000) as scheduler:
             futures = scheduler.submit_many(queries, k=2)
             assert len(futures) == 9
             for index, future in enumerate(futures):
@@ -366,14 +349,14 @@ class TestServingStats:
     def test_counters_and_snapshot_consistency(self):
         stats = ServingStats()
         stats.bump(enqueued=3, rejected=1)
-        stats.record_batch(4, trimmed=True)
-        stats.record_batch(1, trimmed=False)
+        stats.record_batch(4)
+        stats.record_batch(1)
         snapshot = stats.snapshot()
         assert snapshot["enqueued"] == 3
         assert snapshot["rejected"] == 1
         assert snapshot["batches"] == 2
         assert snapshot["coalesced"] == 4  # only the size-4 batch coalesced
-        assert snapshot["trimmed"] == 1
+        assert snapshot["trimmed"] == 0  # flushes are never trimmed
         assert snapshot["batch_shapes"] == {4: 1, 1: 1}
         # The snapshot is a copy, not a live view.
         snapshot["batch_shapes"][4] = 99
@@ -394,8 +377,8 @@ class TestServingStats:
 
     def test_mixed_k_batches_are_counted(self):
         stats = ServingStats()
-        stats.record_batch(4, trimmed=False, mixed=True)
-        stats.record_batch(4, trimmed=False)
+        stats.record_batch(4, mixed=True)
+        stats.record_batch(4)
         assert stats.snapshot()["mixed_k"] == 1
 
 
@@ -507,9 +490,7 @@ class TestCrossKCoalescing:
         queries = _queries(12)
         ks = [1, 5, 32] * 4
         references = {k: searcher.kneighbors_batch(queries, k=k) for k in (1, 5, 32)}
-        with MicroBatchScheduler(
-            searcher, max_batch=12, max_delay_us=10e6, prefer_calibrated_shapes=False
-        ) as scheduler:
+        with MicroBatchScheduler(searcher, max_batch=12, max_delay_us=10e6) as scheduler:
             futures = [
                 scheduler.submit(query, k=k) for query, k in zip(queries, ks)
             ]
@@ -538,9 +519,7 @@ class TestCrossKCoalescing:
         )
         searcher.fit(features, labels)
         references = {k: searcher.kneighbors_batch(queries, k=k) for k in (1, 5, 32)}
-        with MicroBatchScheduler(
-            searcher, max_batch=9, max_delay_us=10e6, prefer_calibrated_shapes=False
-        ) as scheduler:
+        with MicroBatchScheduler(searcher, max_batch=9, max_delay_us=10e6) as scheduler:
             futures = [
                 scheduler.submit(query, k=k) for query, k in zip(queries, ks)
             ]
@@ -561,9 +540,7 @@ class TestCrossKCoalescing:
         queries = np.round(RNG.normal(size=(10, FEATURES)))
         ks = [1, 5, 32, 5, 1] * 2
         references = {k: searcher.kneighbors_batch(queries, k=k) for k in (1, 5, 32)}
-        with MicroBatchScheduler(
-            searcher, max_batch=10, max_delay_us=10e6, prefer_calibrated_shapes=False
-        ) as scheduler:
+        with MicroBatchScheduler(searcher, max_batch=10, max_delay_us=10e6) as scheduler:
             futures = [
                 scheduler.submit(query, k=k) for query, k in zip(queries, ks)
             ]
@@ -583,7 +560,6 @@ def _make_engine(max_batch=4, weights=(("a", 3.0),), searcher=None):
         max_delay_s=0.0,
         max_queue=1024,
         max_in_flight=2,
-        prefer_calibrated_shapes=False,
         min_delay_s=0.0,
         latency_window=64,
     )
@@ -692,7 +668,6 @@ class TestAdaptiveWindow:
             max_batch=4,
             max_delay_us=50_000,
             min_delay_us=100.0,
-            prefer_calibrated_shapes=False,
         ) as scheduler:
             # Full batches over and over: every flush is batch-driven, so
             # the window halves its way down to the floor.
