@@ -244,7 +244,7 @@ def test_post_recovery_qps_within_ten_percent_of_baseline(bench_report, record_r
     features, labels, queries = _workload()
     with _serving_searcher() as searcher:
         searcher.fit(features, labels)
-        expected = searcher.kneighbors_batch(queries, k=TOP_K)  # warm + calibrate
+        expected = searcher.kneighbors_batch(queries, k=TOP_K)  # warm caches
         executor = searcher._executor
         with MicroBatchScheduler(
             searcher, max_batch=32, max_delay_us=2000.0, request_timeout_s=30.0

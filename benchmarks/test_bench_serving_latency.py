@@ -169,7 +169,7 @@ def test_scheduler_sustains_2x_qps_and_bounded_tail(bench_report, record_result)
     features, labels, queries = _workload()
     with _serving_searcher() as searcher:
         searcher.fit(features, labels)
-        searcher.kneighbors_batch(queries, k=TOP_K)  # warm caches + calibrate
+        searcher.kneighbors_batch(queries, k=TOP_K)  # warm caches
 
         naive = run_closed_loop(
             direct_submitter(searcher),
@@ -257,7 +257,7 @@ def test_adaptive_window_matches_or_beats_fixed_window_low_rate_tail(
     features, labels, queries = _workload()
     with _serving_searcher() as searcher:
         searcher.fit(features, labels)
-        searcher.kneighbors_batch(queries, k=TOP_K)  # warm caches + calibrate
+        searcher.kneighbors_batch(queries, k=TOP_K)  # warm caches
 
         with MicroBatchScheduler(
             searcher, max_batch=32, max_delay_us=2000.0, min_delay_us=2000.0
@@ -337,7 +337,7 @@ def test_weighted_lanes_share_one_executor_fairly_and_isolate_overload(
         with searcher_a, searcher_b:
             searcher_a.fit(features[:half], labels[:half])
             searcher_b.fit(features[half:], labels[half:])
-            searcher_a.kneighbors_batch(queries, k=TOP_K)  # warm + calibrate
+            searcher_a.kneighbors_batch(queries, k=TOP_K)  # warm caches
             searcher_b.kneighbors_batch(queries, k=TOP_K)
             with MicroBatchScheduler(
                 searcher_a,

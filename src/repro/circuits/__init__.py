@@ -8,13 +8,13 @@ paper evaluates:
 * :mod:`~repro.circuits.conductance_lut` — the 2-D conductance look-up table
   ``F(I, S) = G`` used by the application studies (Sec. IV-A),
 * :mod:`~repro.circuits.mcam_array` — rows of cells sharing match lines,
-  performing single-step in-memory NN search,
+  performing single-step in-memory NN search; the batched conductance sum
+  runs the fused LUT gather for small batches and the per-cell
+  accumulation for large ones, chosen by one static size rule (both are
+  bitwise identical),
 * :mod:`~repro.circuits.matchline` / :mod:`~repro.circuits.sense_amplifier`
   — the RC discharge model of Fig. 4(c) and the winner-take-all sensing,
 * :mod:`~repro.circuits.tcam` — the TCAM Hamming-distance baseline,
-* :mod:`~repro.circuits.autotune` — shape-adaptive selection between the
-  MCAM's algebraically identical conductance kernels (micro-calibrated once
-  per workload shape and process),
 * :mod:`~repro.circuits.tiles` — fixed-geometry tiling of stores larger than
   one physical array,
 * :mod:`~repro.circuits.acam` — the analog-CAM concept of Fig. 1(a),
@@ -23,7 +23,6 @@ paper evaluates:
 """
 
 from .acam import ACAMArray, AnalogRange, mcam_input_levels, mcam_ranges
-from .autotune import clear_kernel_table, kernel_table, shape_bucket
 from .and_array import (
     ANDArrayExperiment,
     ANDArrayMeasurementConfig,
@@ -69,9 +68,6 @@ __all__ = [
     "AnalogRange",
     "mcam_input_levels",
     "mcam_ranges",
-    "clear_kernel_table",
-    "kernel_table",
-    "shape_bucket",
     "ANDArrayExperiment",
     "ANDArrayMeasurementConfig",
     "DL_SWEEP_HIGH_V",

@@ -31,7 +31,6 @@ from ..utils.rng import SeedLike, ensure_rng
 from ..utils.validation import check_bits, check_int_in_range, check_state_matrix
 from ..devices.fefet import FeFETParameters, _drain_current_from_overdrive, clip_vth
 from ..devices.variation import VariationModel
-from .autotune import lookup_kernel, select_kernel, shape_bucket
 from .conductance_lut import ConductanceLUT, build_nominal_lut
 from .matchline import MatchLineModel
 from .tiles import FixedGeometryArray
@@ -616,75 +615,31 @@ class MCAMArray(FixedGeometryArray):
             )
         return self.row_conductances_batch(query.reshape(1, -1))[0]
 
-    #: Element bound above which the fused kernel is excluded from the
-    #: autotuner's candidate set: its ``(cells, queries, rows)`` gather
-    #: temporary would dominate memory traffic long before this point, and
-    #: calibration should not allocate hundreds of megabytes to prove it.
-    _FUSED_CANDIDATE_MAX_ELEMENTS = 1 << 22
-
-    #: Cells gathered per ``take`` by the blocked kernel: large enough to
-    #: amortize the per-cell Python dispatch, small enough that the block
-    #: stack stays cache-friendly at mid-size (episode) shapes.
-    _BLOCK_CELLS = 16
+    #: Largest ``queries * rows * cells`` gather the fused kernel takes.
+    #: Measured with 64 cells on a 2-core Xeon: up to this size the fused
+    #: gather led the per-cell loop on every shape but one near-tie
+    #: (4096 rows x 1 query); from ``2**19`` elements up the loop led.
+    _FUSED_MAX_ELEMENTS = 1 << 18
 
     def row_conductances_batch(self, queries) -> np.ndarray:
         """ML conductance matrix ``(num_queries, num_rows)`` for a query batch.
 
         Cell conductances are accumulated in a fixed cell order over the
-        cached programmed profiles by one of three kernels — the fused LUT
-        gather (tiny batches), the blocked gather (mid-size episode shapes)
-        or the streaming per-cell accumulation (huge stores) — and the
-        shape-adaptive table of :mod:`repro.circuits.autotune` picks the
-        fastest measured kernel for the workload shape.  All kernels reduce
-        in the same sequential cell order, so the result is independent of
-        the kernel choice and of the batch size: batched results are bitwise
-        identical to single-query :meth:`row_conductances` calls, and
-        sharded (row-sliced) evaluations are bitwise identical to unsharded
-        ones.
-
-        The steady-state path is deliberately thin — key, table lookup,
-        direct dispatch — because at episode shapes the kernels themselves
-        finish in microseconds; candidate closures are only built on the
-        one calibration miss per shape class.
+        cached programmed profiles by one of two kernels, picked by one
+        static size rule: the fused LUT gather while its
+        ``(cells, queries, rows)`` stack holds at most
+        :attr:`_FUSED_MAX_ELEMENTS` elements, the streaming per-cell
+        accumulation above that.  Both kernels reduce in the same
+        sequential cell order, so the result is independent of the kernel
+        choice and of the batch size: batched results are bitwise identical
+        to single-query :meth:`row_conductances` calls, and sharded
+        (row-sliced) evaluations are bitwise identical to unsharded ones.
         """
         queries = self._check_query_batch(queries)
         by_cell = self._profiles_by_cell()
-        num_queries = queries.shape[0]
-        if num_queries == 0:
-            # Nothing to measure; do not let degenerate batches pollute the
-            # calibration table.
-            return np.zeros((0, self.num_rows))
-        fused_eligible = (
-            num_queries * self.num_rows * self.num_cells
-            <= self._FUSED_CANDIDATE_MAX_ELEMENTS
-        )
-        # Eligibility is part of the key: a shape bucket can straddle the
-        # fused size guard, and a restricted calibration must not overwrite
-        # the winner measured with the full candidate set (or vice versa).
-        key = (
-            "mcam",
-            self.num_states,
-            self.num_cells,
-            shape_bucket(self.num_rows),
-            shape_bucket(num_queries),
-            fused_eligible,
-        )
-        name = lookup_kernel(key)
-        if name == "fused":
+        if queries.shape[0] * self.num_rows * self.num_cells <= self._FUSED_MAX_ELEMENTS:
             return self._fused_conductances(by_cell, queries)
-        if name == "blocked":
-            return self._blocked_conductances(by_cell, queries)
-        if name == "dense":
-            return self._dense_conductances(by_cell, queries)
-        candidates = {}
-        if fused_eligible:
-            candidates["fused"] = lambda: self._fused_conductances(by_cell, queries)
-        candidates["blocked"] = lambda: self._blocked_conductances(by_cell, queries)
-        candidates["dense"] = lambda: self._dense_conductances(by_cell, queries)
-        name, result = select_kernel(key, candidates)
-        if result is not None:
-            return result
-        return candidates[name]()
+        return self._dense_conductances(by_cell, queries)
 
     def _ensure_gather_offsets(self) -> np.ndarray:
         """``(cell * num_states)`` row offsets into the flattened LUT table."""
@@ -709,32 +664,12 @@ class MCAMArray(FixedGeometryArray):
         gathered = np.take(flat, queries.T + self._ensure_gather_offsets(), axis=0)
         return np.add.reduce(gathered, axis=0)
 
-    def _blocked_conductances(self, by_cell: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        """Blocked LUT gather with dense in-order accumulation (mid sizes).
-
-        The missing middle between the fused gather and the streaming
-        per-cell loop — e.g. the 20-way 5-shot episode shapes: one ``take``
-        gathers ``_BLOCK_CELLS`` cells' contributions at a time (amortizing
-        the per-cell Python dispatch the dense path pays for every cell)
-        while the block's slices are added to the accumulator strictly in
-        cell order, so the temporary stays bounded by one block stack and
-        the floating-point reduction is the exact sequence the other two
-        kernels perform — bitwise identical results.
-        """
-        flat = by_cell.reshape(self.num_cells * self.num_states, self.num_rows)
-        keys = queries.T + self._ensure_gather_offsets()
-        conductances = np.zeros((queries.shape[0], self.num_rows))
-        for start in range(0, self.num_cells, self._BLOCK_CELLS):
-            block = np.take(flat, keys[start : start + self._BLOCK_CELLS], axis=0)
-            for offset in range(block.shape[0]):
-                conductances += block[offset]
-        return conductances
-
     def _dense_conductances(self, by_cell: np.ndarray, queries: np.ndarray) -> np.ndarray:
-        """Streaming per-cell accumulation (huge stores).
+        """Streaming per-cell accumulation (batches past the fused bound).
 
         Never materializes more than one ``(num_queries, num_rows)``
-        temporary, which is what wins once the workload is memory-bound.
+        temporary, which is what wins once the fused gather's stack would
+        exceed :attr:`_FUSED_MAX_ELEMENTS` and the workload is memory-bound.
         """
         conductances = np.zeros((queries.shape[0], self.num_rows))
         for cell in range(self.num_cells):

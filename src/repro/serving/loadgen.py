@@ -16,7 +16,7 @@ Two complementary traffic models:
 Both return a :class:`LoadReport` with sustained QPS and p50/p95/p99
 latency, and both support a **warmup phase** excluded from the measured
 distribution: the first requests through a cold stack pay one-time costs
-(pump start, executor spin-up, kernel autotuning, allocator warm-up) that
+(pump start, executor spin-up, cache builds, allocator warm-up) that
 belong to none of the steady-state numbers the CI gates compare.  Warmup
 exclusion and request timing share one helper, :class:`WarmupClock`, so
 the two generators (and anything else that times requests, like the
@@ -24,12 +24,8 @@ benchmarks' direct-submitter baselines) cannot drift apart in *how* they
 exclude — a request counts toward the measured distribution iff it was
 *submitted* at or after the measurement cutoff.
 
-The generators accept ``k`` as a single value or a sequence — a sequence
-is cycled across requests (client ``c``'s ``i``-th request uses the same
-schedule position as its query row), producing the deterministic mixed-
-``k`` traffic the cross-``k`` coalescing gates replay against both
-scheduler configurations.  They target anything with a
-``submit(query, k) -> Future`` method — the
+Every request asks for the same ``k``.  The generators target anything
+with a ``submit(query, k) -> Future`` method — the
 :class:`~repro.serving.scheduler.MicroBatchScheduler`, one of its
 :class:`~repro.serving.scheduler.ServingLane` handles, or the baseline
 wrapper — and never interpret results beyond completion, so they add no
@@ -42,11 +38,11 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, ServingOverloadError
+from ..exceptions import ServingOverloadError
 
 #: Worst-case wait the load generators put on any single future.  The
 #: scheduler's own request deadlines fire long before this; the bound only
@@ -195,37 +191,25 @@ def direct_submitter(searcher: Any) -> _SerialDirect:
     return _SerialDirect(searcher)
 
 
-def _k_schedule(k: Union[int, Sequence[int]]) -> List[int]:
-    """Normalize a ``k`` spec to the non-empty list the generators cycle."""
-    if np.isscalar(k):
-        return [int(k)]
-    ks = [int(value) for value in k]
-    if not ks:
-        raise ConfigurationError("k sequence must be non-empty")
-    return ks
-
-
 def run_closed_loop(
     target: Any,
     queries: np.ndarray,
     clients: int = 8,
     requests_per_client: int = 32,
-    k: Union[int, Sequence[int]] = 1,
+    k: int = 1,
     warmup_per_client: int = 0,
 ) -> LoadReport:
     """Drive ``target.submit`` from ``clients`` threads, one request each in flight.
 
     Client ``c`` walks the query set starting at offset ``c`` (stride
-    ``clients``), so all clients exercise the full set without coordinating;
-    a ``k`` sequence is cycled on the same schedule, giving deterministic
-    mixed-``k`` traffic.  With ``warmup_per_client`` > 0, each client first
+    ``clients``), so all clients exercise the full set without coordinating.
+    With ``warmup_per_client`` > 0, each client first
     issues that many requests in a separate phase that completes (all
     threads joined) before the measurement window opens — those requests
     are tallied only in ``LoadReport.warmup``.  The measured window spans
     the post-warmup cutoff to the last completion.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    ks = _k_schedule(k)
     report = LoadReport()
     lock = threading.Lock()
     clock = WarmupClock()
@@ -236,7 +220,7 @@ def run_closed_loop(
             row = queries[position % queries.shape[0]]
             start = clock.now()
             try:
-                target.submit(row, k=ks[position % len(ks)]).result(CLIENT_TIMEOUT_S)
+                target.submit(row, k=k).result(CLIENT_TIMEOUT_S)
             except ServingOverloadError:
                 with lock:
                     if clock.in_measurement(start):
@@ -284,7 +268,7 @@ def run_open_loop(
     queries: np.ndarray,
     rate_qps: float,
     duration_s: float,
-    k: Union[int, Sequence[int]] = 1,
+    k: int = 1,
     warmup_s: float = 0.0,
 ) -> LoadReport:
     """Issue queries on a fixed arrival schedule for ``duration_s`` seconds.
@@ -296,13 +280,11 @@ def run_open_loop(
     requests submitted before the cutoff are tallied only in
     ``LoadReport.warmup`` — the schedule never pauses, so the stack sees an
     uninterrupted arrival process while the measured window stays honest.
-    A ``k`` sequence is cycled across arrivals in issue order.  Completions
-    are recorded from future callbacks; the run waits for every in-flight
-    request before reporting.
+    Completions are recorded from future callbacks; the run waits for every
+    in-flight request before reporting.
     """
     queries = np.asarray(queries, dtype=np.float64)
     interval = 1.0 / float(rate_qps)
-    ks = _k_schedule(k)
     report = LoadReport()
     lock = threading.Lock()
     outstanding: List[Future] = []
@@ -335,7 +317,7 @@ def run_open_loop(
         row = queries[issued % queries.shape[0]]
         start = clock.now()
         try:
-            future = target.submit(row, k=ks[issued % len(ks)])
+            future = target.submit(row, k=k)
         except ServingOverloadError:
             with lock:
                 if clock.in_measurement(start):

@@ -16,6 +16,7 @@ import pytest
 
 from repro.devtools.lint import (
     Finding,
+    _collect_suppressions,
     all_rules,
     iter_python_files,
     lint_paths,
@@ -407,3 +408,18 @@ class TestRepositoryIsClean:
         findings, checked = lint_paths([str(REPO_ROOT / tree)])
         assert checked > 0
         assert findings == [], "\n".join(f.render() for f in findings)
+
+    def test_library_scope_never_suppresses_wall_clock_rule(self):
+        # Library results are a pure function of their inputs, with no
+        # exceptions: no file in RPL002's scope may silence it.
+        rule = next(rule for rule in all_rules() if rule.code == "RPL002")
+        in_scope = [
+            path for path in iter_python_files([str(REPO_ROOT / "src")]) if rule.applies_to(path)
+        ]
+        assert in_scope
+        suppressing = []
+        for path in in_scope:
+            per_line, per_file = _collect_suppressions(Path(path).read_text(encoding="utf-8"))
+            if {"RPL002", "all"} & per_file.union(*per_line.values()):
+                suppressing.append(path)
+        assert suppressing == []

@@ -4,7 +4,7 @@ The scheduler's contract mirrors the runtime's: coalescing single queries
 into micro-batches changes *when and how* dispatches happen, never *what*
 they compute.  These tests pin the coalescing policy boundaries (a full
 batch flushes immediately; a partial run flushes whole when the head's
-delay window expires, whatever the kernel table holds), bounded-queue
+delay window expires), bounded-queue
 admission control, cancellation before dispatch, drain on ``close()``, the
 finalizer safety net, the asyncio front-end, and — most importantly —
 bitwise parity of demultiplexed per-query results against direct
@@ -21,7 +21,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.circuits import autotune
 from repro.core import SoftwareSearcher, make_searcher
 from repro.exceptions import (
     ConfigurationError,
@@ -110,15 +109,9 @@ class TestCoalescingPolicy:
         # Far below max_batch, so only the 100 ms delay window flushed it.
         assert sum(size * count for size, count in shapes.items()) == 3
 
-    @pytest.mark.parametrize("table", ("empty", "bucket_entry"))
-    def test_partial_run_flushes_whole_whatever_the_kernel_table(self, table, monkeypatch):
-        # Flush shapes depend only on the queue: the process-global kernel
-        # table (empty, or holding an entry for this run's shape bucket) has
-        # no say in how many pending queries a flush takes.
-        entries = {}
-        if table == "bucket_entry":
-            entries[("fake-family", autotune.shape_bucket(6), True)] = "dense"
-        monkeypatch.setattr(autotune, "_KERNEL_TABLE", entries)
+    def test_partial_run_flushes_whole(self):
+        # Flush shapes depend only on the queue: a flush takes every
+        # pending query up to max_batch.
         searcher = _fitted_searcher()
         # A fixed 100 ms window: all six submissions land inside it.
         with MicroBatchScheduler(

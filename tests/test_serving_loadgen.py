@@ -1,12 +1,12 @@
-"""Load generators: warmup exclusion, mixed-k schedules, report math.
+"""Load generators: warmup exclusion and report math.
 
 The CI gates compare LoadReports across scheduler configurations, so the
 generators themselves must be beyond suspicion: both loops must time on
-one monotonic clock, exclude warmup the same way (by *submission* time
-against the WarmupClock cutoff), and cycle mixed-``k`` schedules
-deterministically.  These tests drive the loops against synthetic targets
-whose latency profile is controlled, so warmup leakage would be visible as
-an order-of-magnitude shift in the reported percentiles.
+one monotonic clock and exclude warmup the same way (by *submission* time
+against the WarmupClock cutoff).  These tests drive the loops against
+synthetic targets whose latency profile is controlled, so warmup leakage
+would be visible as an order-of-magnitude shift in the reported
+percentiles.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, ServingOverloadError
+from repro.exceptions import ServingOverloadError
 from repro.serving import LoadReport, WarmupClock, run_closed_loop, run_open_loop
 
 FEATURES = 4
@@ -33,7 +33,7 @@ class _ScriptedTarget:
 
     The first ``slow_first`` requests (in submission order, across all
     client threads) sleep ``slow_s`` before resolving; the rest resolve
-    immediately.  Thread-safe; records every requested ``k`` in order.
+    immediately.  Thread-safe.
     """
 
     def __init__(self, slow_first=0, slow_s=0.05):
@@ -41,13 +41,11 @@ class _ScriptedTarget:
         self._count = 0
         self.slow_first = slow_first
         self.slow_s = slow_s
-        self.seen_k = []
 
     def submit(self, query, k=1):
         with self._lock:
             index = self._count
             self._count += 1
-            self.seen_k.append(int(k))
         if index < self.slow_first:
             time.sleep(self.slow_s)
         future: Future = Future()
@@ -104,21 +102,6 @@ class TestClosedLoopWarmup:
         )
         assert report.warmup == 0
         assert report.completed == 8
-
-    def test_mixed_k_schedule_cycles_deterministically(self):
-        target = _ScriptedTarget()
-        run_closed_loop(
-            target,
-            _queries(12),
-            clients=1,
-            requests_per_client=6,
-            k=[1, 5, 32],
-        )
-        assert target.seen_k == [1, 5, 32, 1, 5, 32]
-
-    def test_empty_k_schedule_rejected(self):
-        with pytest.raises(ConfigurationError, match="non-empty"):
-            run_closed_loop(_ScriptedTarget(), _queries(4), k=[])
 
 
 class TestOpenLoopWarmup:
