@@ -3,10 +3,12 @@
 Kernel choice changes *where the time goes*, never *what is computed*.
 These tests pin the fused LUT gather and the public path bitwise against
 the dense per-cell accumulation — at the 5-way 1-shot episode, the 20-way
-5-shot episode and a store past the fused bound, on a 2-bit array and on a
-device-mode array programmed under Vth variation — and pin that the public
-path runs exactly one kernel, chosen by size alone.  The TCAM has a single
-Hamming kernel, the exact affine matmul.
+5-shot episode and a store past the fused bound, on a 2-bit array, on a
+20-cell word and on a device-mode array programmed under Vth variation —
+and pin that a directly called kernel runs only itself, while the public path
+runs exactly one kernel, chosen by the size of this call alone: at the
+bound, one row past it and at the shapes the README's rule table lists.
+The TCAM has a single Hamming kernel, the exact affine matmul.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import MCAMArray, TCAMArray
+from repro.circuits.autotune import clear_kernel_table
 from repro.devices.variation import GaussianVthVariationModel
 
 #: Parity inputs: (stored rows, queries, bits, Vth sigma in volts), 64-cell
@@ -49,6 +52,20 @@ def _mcam_kernel(array: MCAMArray, kernel: str, queries: np.ndarray) -> np.ndarr
     return implementation(array._profiles_by_cell(), queries)
 
 
+def _spy_on_kernels(monkeypatch) -> list:
+    """Record the name of every MCAM kernel that runs, in call order."""
+    ran = []
+    for name in ("fused", "dense"):
+        implementation = getattr(MCAMArray, f"_{name}_conductances")
+
+        def spy(self, by_cell, queries, _name=name, _impl=implementation):
+            ran.append(_name)
+            return _impl(self, by_cell, queries)
+
+        monkeypatch.setattr(MCAMArray, implementation.__name__, spy)
+    return ran
+
+
 class TestMCAMKernelParity:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("kernel", ("fused", "auto"))
@@ -59,6 +76,34 @@ class TestMCAMKernelParity:
         reference = _mcam_kernel(array, "dense", queries)
         result = _mcam_kernel(array, kernel, queries)
         np.testing.assert_array_equal(reference, result)
+
+    @pytest.mark.parametrize("kernel", ("fused", "auto"))
+    def test_odd_word_length_matches_dense(self, kernel):
+        # 20 cells, 2-bit: no kernel may assume a 64-cell word.
+        array = MCAMArray(num_cells=20, bits=2)
+        array.write(RNG.integers(0, 4, size=(37, 20)))
+        queries = RNG.integers(0, 4, size=(11, 20))
+        np.testing.assert_array_equal(
+            _mcam_kernel(array, "dense", queries),
+            _mcam_kernel(array, kernel, queries),
+        )
+
+    @pytest.mark.parametrize(
+        ("kernel", "case"), (("fused", "past_fused_bound"), ("dense", "5way_1shot"))
+    )
+    def test_direct_kernel_call_runs_only_itself(self, kernel, case, monkeypatch):
+        """Regression: a directly called kernel must never re-dispatch.
+
+        The parity asserts above call the private kernels at shapes where
+        the rule picks the other one; a kernel that consulted the rule
+        would compare the rule's pick with itself.
+        """
+        rows, num_queries, bits, sigma_v = CASES[case]
+        array = _programmed_mcam(rows, bits, sigma_v)
+        queries = RNG.integers(0, 2**bits, size=(num_queries, WORD_LENGTH))
+        ran = _spy_on_kernels(monkeypatch)
+        _mcam_kernel(array, kernel, queries)
+        assert ran == [kernel]
 
     def test_single_query_row_conductances_match_batch(self):
         array = _programmed_mcam(CASES["20way_5shot"][0])
@@ -87,18 +132,54 @@ class TestStaticKernelRule:
         array = _programmed_mcam(rows)
         query = RNG.integers(0, 8, size=(1, WORD_LENGTH))
         reference = _mcam_kernel(array, "dense", query)
-        ran = []
-        for name in ("fused", "dense"):
-            implementation = getattr(MCAMArray, f"_{name}_conductances")
-
-            def spy(self, by_cell, queries, _name=name, _impl=implementation):
-                ran.append(_name)
-                return _impl(self, by_cell, queries)
-
-            monkeypatch.setattr(MCAMArray, implementation.__name__, spy)
+        ran = _spy_on_kernels(monkeypatch)
         result = array.row_conductances_batch(query)
         assert ran == [kernel]
         np.testing.assert_array_equal(reference, result)
+
+    #: The README's rule table, (rows, queries) -> kernel, 64-cell 3-bit
+    #: words; its 4096 x 1 row is the bound case above.
+    @pytest.mark.parametrize(
+        ("rows", "num_queries", "kernel"),
+        (
+            (5, 25, "fused"),
+            (20, 100, "fused"),
+            (64, 64, "fused"),
+            (100, 100, "dense"),
+            (4096, 32, "dense"),
+        ),
+    )
+    def test_rule_picks_the_documented_kernel(self, rows, num_queries, kernel, monkeypatch):
+        array = _programmed_mcam(rows)
+        queries = RNG.integers(0, 8, size=(num_queries, WORD_LENGTH))
+        reference = _mcam_kernel(array, "dense", queries)
+        ran = _spy_on_kernels(monkeypatch)
+        result = array.row_conductances_batch(queries)
+        assert ran == [kernel]
+        np.testing.assert_array_equal(reference, result)
+
+    def test_choice_depends_on_this_call_alone(self, monkeypatch):
+        # 64 and 65 queries against 64 rows straddle the bound: alternating
+        # them must alternate the kernel, so no earlier call steers a later
+        # one and no process-global state is left behind.
+        array = _programmed_mcam(64)
+        batches = [RNG.integers(0, 8, size=(n, WORD_LENGTH)) for n in (64, 65, 64, 65)]
+        references = [_mcam_kernel(array, "dense", batch) for batch in batches]
+        ran = _spy_on_kernels(monkeypatch)
+        for batch, reference in zip(batches, references):
+            np.testing.assert_array_equal(reference, array.row_conductances_batch(batch))
+        assert ran == ["fused", "dense", "fused", "dense"]
+
+    def test_clear_kernel_table_is_a_no_op(self, monkeypatch):
+        # Kept only for callers of the retired autotuner; clearing must not
+        # change which kernel runs or what it returns.
+        array = _programmed_mcam(5)
+        queries = RNG.integers(0, 8, size=(25, WORD_LENGTH))
+        before = array.row_conductances_batch(queries)
+        ran = _spy_on_kernels(monkeypatch)
+        assert clear_kernel_table() is None
+        np.testing.assert_array_equal(before, array.row_conductances_batch(queries))
+        assert ran == ["fused"]
 
     def test_empty_batch_returns_no_rows(self):
         array = _programmed_mcam(8)

@@ -1,9 +1,10 @@
-"""Load generators: warmup exclusion and report math.
+"""Load generators: warmup exclusion, the requested ``k``, report math.
 
 The CI gates compare LoadReports across scheduler configurations, so the
 generators themselves must be beyond suspicion: both loops must time on
-one monotonic clock and exclude warmup the same way (by *submission* time
-against the WarmupClock cutoff).  These tests drive the loops against
+one monotonic clock, exclude warmup the same way (by *submission* time
+against the WarmupClock cutoff) and pass the same ``k`` with every
+request, warmup included.  These tests drive the loops against
 synthetic targets whose latency profile is controlled, so warmup leakage
 would be visible as an order-of-magnitude shift in the reported
 percentiles.
@@ -33,7 +34,7 @@ class _ScriptedTarget:
 
     The first ``slow_first`` requests (in submission order, across all
     client threads) sleep ``slow_s`` before resolving; the rest resolve
-    immediately.  Thread-safe.
+    immediately.  Thread-safe; records every requested ``k`` in order.
     """
 
     def __init__(self, slow_first=0, slow_s=0.05):
@@ -41,11 +42,13 @@ class _ScriptedTarget:
         self._count = 0
         self.slow_first = slow_first
         self.slow_s = slow_s
+        self.seen_k = []
 
     def submit(self, query, k=1):
         with self._lock:
             index = self._count
             self._count += 1
+            self.seen_k.append(k)
         if index < self.slow_first:
             time.sleep(self.slow_s)
         future: Future = Future()
@@ -103,6 +106,18 @@ class TestClosedLoopWarmup:
         assert report.warmup == 0
         assert report.completed == 8
 
+    def test_every_request_carries_k(self):
+        target = _ScriptedTarget()
+        run_closed_loop(
+            target,
+            _queries(12),
+            clients=2,
+            requests_per_client=3,
+            k=5,
+            warmup_per_client=1,
+        )
+        assert target.seen_k == [5] * 8
+
 
 class TestOpenLoopWarmup:
     def test_warmup_window_is_excluded_but_arrivals_never_pause(self):
@@ -121,6 +136,19 @@ class TestOpenLoopWarmup:
         # offered rate rather than being diluted by warmup time.
         assert report.duration_s < 0.2 * 1.5
         assert report.completed + report.warmup == target._count
+
+    def test_every_arrival_carries_k(self):
+        target = _ScriptedTarget()
+        report = run_open_loop(
+            target,
+            _queries(4),
+            rate_qps=300.0,
+            duration_s=0.05,
+            k=5,
+            warmup_s=0.05,
+        )
+        assert report.warmup > 0
+        assert target.seen_k == [5] * target._count
 
     def test_overload_during_warmup_is_not_a_measured_rejection(self):
         class _Overloaded:
