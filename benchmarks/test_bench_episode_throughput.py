@@ -161,12 +161,15 @@ def test_fused_conductance_kernel_matches_per_cell_loop(bench_report, record_res
 
 
 def test_every_conductance_kernel_matches_dense(bench_report, record_result):
-    """Pin the fused kernel and the public path bitwise to dense.
+    """Pin the fused kernel, the public path and the screen bitwise to dense.
 
     Covers the 5-way 1-shot shape, where the static size rule picks the
     fused gather, and the 20-way 5-shot shape (100 rows x 100 queries x 64
     cells), where it picks the dense loop; the public path's time per
-    shape is recorded without a gate.
+    shape is recorded without a gate.  At one saturated ``serve_mixed``
+    shard (32 queries x 4096 rows x 64 cells) the screened top-k must
+    return the dense ranking's first ``k`` indices and score bytes for
+    ``k`` in 1, 5 and 32; its time is recorded without a gate too.
     """
     shapes = {
         "5way_1shot": (EPISODE_ROWS, EPISODE_QUERIES),
@@ -189,11 +192,28 @@ def test_every_conductance_kernel_matches_dense(bench_report, record_result):
             "rule_us": 1e6 * rule_s,
         }
         lines.append(f"{name}: static rule {1e6 * rule_s:.0f} us")
+
+    array = MCAMArray(num_cells=WORD_LENGTH, bits=3)
+    array.write(RNG.integers(0, 8, size=(4096, WORD_LENGTH)))
+    queries = RNG.integers(0, 8, size=(32, WORD_LENGTH))
+    reference = _kernel(array, "dense", queries)
+    ranking = np.argsort(reference, axis=1, kind="stable")
+    for k in (1, 5, 32):
+        assert array.in_screen_band(len(queries), k)
+        indices, scores = array.screened_top_k(queries, k)
+        np.testing.assert_array_equal(indices, ranking[:, :k])
+        expected = np.take_along_axis(reference, ranking[:, :k], axis=1)
+        assert scores.tobytes() == expected.tobytes()
+    screen_s = _best_of(lambda: array.screened_top_k(queries, 32), repeats=20)
+    report["serve_shard_screen"] = {"shape": f"32x4096x{WORD_LENGTH}", "screen_us": 1e6 * screen_s}
+    lines.append(f"serve_shard_screen (k=32): {1e6 * screen_s:.0f} us")
     bench_report["mcam_rule_kernel"] = report
     record_result(
         "episode_kernel_rule",
         "MCAM conductance kernels on the 5-way and 20-way episode shapes\n"
-        "parity: fused and public path bitwise identical to dense (timed, no gate)",
+        "parity: fused and public path bitwise identical to dense (timed, no gate)\n"
+        "screened top-k at 32x4096x64, k in 1/5/32: dense ranking's indices and "
+        "score bytes (timed, no gate)",
         timing="\n".join(lines),
     )
 

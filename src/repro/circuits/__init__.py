@@ -10,8 +10,9 @@ paper evaluates:
 * :mod:`~repro.circuits.mcam_array` — rows of cells sharing match lines,
   performing single-step in-memory NN search; the batched conductance sum
   runs the fused LUT gather for small batches and the per-cell
-  accumulation for large ones, chosen by one static size rule (both are
-  bitwise identical),
+  accumulation for large ones, chosen by one static size rule, and large
+  ideal-sensing top-k batches rank through an exact BLAS screen (all three
+  are bitwise identical),
 * :mod:`~repro.circuits.matchline` / :mod:`~repro.circuits.sense_amplifier`
   — the RC discharge model of Fig. 4(c) and the winner-take-all sensing,
 * :mod:`~repro.circuits.tcam` — the TCAM Hamming-distance baseline,

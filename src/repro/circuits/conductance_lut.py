@@ -36,6 +36,23 @@ from ..devices.variation import VariationModel
 from .mcam_cell import ML_PRECHARGE_V, MCAMCell, MCAMVoltageScheme
 
 
+def sum_cells_in_order(stack: np.ndarray) -> np.ndarray:
+    """Sum a ``(cells, ...)`` stack over its leading axis strictly in cell order.
+
+    Every conductance path of the package adds a row's cell contributions
+    as ``((c0 + c1) + c2) + ...``, so that any two of them, on any batch or
+    shard shape, return the same bits.  ``np.add.reduce`` over the leading
+    axis of a C-contiguous stack adds whole slices in that order, except
+    when a slice holds a single value: numpy then reduces the contiguous
+    cell axis itself, pairwise, and the last bits differ.  That case
+    accumulates instead.
+    """
+    stack = np.ascontiguousarray(stack)
+    if stack[0].size == 1:
+        return np.add.accumulate(stack, axis=0)[-1]
+    return np.add.reduce(stack, axis=0)
+
+
 @dataclass(frozen=True)
 class ConductanceLUT:
     """A 2-D conductance table ``G[input_state, stored_state]``.
@@ -109,7 +126,10 @@ class ConductanceLUT:
         numpy.ndarray
             Vector of length ``num_rows``: the ML conductance of every row.
             The row with the smallest value is the nearest neighbor
-            (Sec. III-B).
+            (Sec. III-B).  Cells are summed in cell order
+            (:func:`sum_cells_in_order`), so the values are bitwise those
+            of an :class:`~repro.circuits.mcam_array.MCAMArray` programmed
+            with the same table.
         """
         rows = check_state_matrix(stored_rows, self.num_states, name="stored_rows")
         query = np.asarray(query)
@@ -120,8 +140,8 @@ class ConductanceLUT:
             raise CircuitError(
                 f"query length {query.shape[0]} does not match row width {rows.shape[1]}"
             )
-        per_cell = self.table_s[query[np.newaxis, :], rows]
-        return per_cell.sum(axis=1)
+        per_cell = self.table_s[query[:, np.newaxis], rows.T]
+        return sum_cells_in_order(per_cell)
 
     def row_profiles(self, stored_rows) -> np.ndarray:
         """Per-cell conductance profiles of programmed rows, for caching.

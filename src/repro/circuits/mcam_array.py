@@ -31,7 +31,7 @@ from ..utils.rng import SeedLike, ensure_rng
 from ..utils.validation import check_bits, check_int_in_range, check_state_matrix
 from ..devices.fefet import FeFETParameters, _drain_current_from_overdrive, clip_vth
 from ..devices.variation import VariationModel
-from .conductance_lut import ConductanceLUT, build_nominal_lut
+from .conductance_lut import ConductanceLUT, build_nominal_lut, sum_cells_in_order
 from .matchline import MatchLineModel
 from .tiles import FixedGeometryArray
 from .mcam_cell import ML_PRECHARGE_V, MCAMVoltageScheme
@@ -634,6 +634,11 @@ class MCAMArray(FixedGeometryArray):
         choice and of the batch size: batched results are bitwise identical
         to single-query :meth:`row_conductances` calls, and sharded
         (row-sliced) evaluations are bitwise identical to unsharded ones.
+
+        The rule's third band serves ideal-sensing top-``k`` only, which
+        needs the smallest sums rather than this matrix: inside
+        :meth:`in_screen_band`, :meth:`screened_top_k` ranks through a BLAS
+        estimate and re-sums only the surviving rows, in this same order.
         """
         queries = self._check_query_batch(queries)
         by_cell = self._profiles_by_cell()
@@ -656,13 +661,14 @@ class MCAMArray(FixedGeometryArray):
         table; row ``cell * num_states + state`` holds the conductances the
         ``cell``-th cell contributes to every stored row under input
         ``state``.  A single ``take`` gathers the
-        ``(num_cells, num_queries, num_rows)`` contribution stack and one
-        ``add.reduce`` over the leading axis accumulates it in cell order —
-        the exact floating-point reduction the per-cell loop performs.
+        ``(num_cells, num_queries, num_rows)`` contribution stack and
+        :func:`~repro.circuits.conductance_lut.sum_cells_in_order`
+        accumulates it over the leading axis — the exact floating-point
+        reduction the per-cell loop performs, for every shape.
         """
         flat = by_cell.reshape(self.num_cells * self.num_states, self.num_rows)
         gathered = np.take(flat, queries.T + self._ensure_gather_offsets(), axis=0)
-        return np.add.reduce(gathered, axis=0)
+        return sum_cells_in_order(gathered)
 
     def _dense_conductances(self, by_cell: np.ndarray, queries: np.ndarray) -> np.ndarray:
         """Streaming per-cell accumulation (batches past the fused bound).
@@ -675,6 +681,81 @@ class MCAMArray(FixedGeometryArray):
         for cell in range(self.num_cells):
             conductances += by_cell[cell][queries[:, cell]]
         return conductances
+
+    #: Screened top-k band, ideal sensing only (see :meth:`in_screen_band`).
+    #: Measured with 64 cells, 3 bits, on a 2-core Xeon with one BLAS thread.
+    _SCREEN_MIN_QUERIES = 24
+    _SCREEN_MIN_ROWS = 1024
+    _SCREEN_ROWS_PER_K = 64
+
+    def in_screen_band(self, num_queries: int, k: int) -> bool:
+        """Whether an ideal-sensing top-``k`` of this batch takes the screen.
+
+        The third band of the static kernel rule: :meth:`screened_top_k`
+        for at least :attr:`_SCREEN_MIN_QUERIES` queries against at least
+        :attr:`_SCREEN_MIN_ROWS` rows with ``k`` at most one
+        :attr:`_SCREEN_ROWS_PER_K`-th of the rows.  Smaller batches leave
+        the BLAS product too little to amortize, a larger ``k`` lets too
+        many rows survive the screen, and the row floor keeps small stores
+        (the Fig. 7 episodes among them) on the full-matrix kernels.  The
+        README's kernel section holds the measurements.
+        """
+        return (
+            num_queries >= self._SCREEN_MIN_QUERIES
+            and self.num_rows >= self._SCREEN_MIN_ROWS
+            and k * self._SCREEN_ROWS_PER_K <= self.num_rows
+        )
+
+    def screened_top_k(self, queries, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Exact top-``k`` rows by conductance, through a BLAS screen.
+
+        One ``onehot(queries) @ by_cell`` product estimates every row's
+        conductance.  Summing ``num_cells`` non-negative terms in any order
+        stays within ``gamma_(num_cells - 1)`` times the exact sum, so every
+        row among the ``k`` smallest cell-order sums has an estimate of at
+        most ``E_k * (1 + 4 * num_cells * eps)``, where ``E_k`` is the
+        query's ``k``-th smallest estimate.  Only the rows under that bound
+        are re-summed in cell order and ranked by ``(conductance, row)``, so
+        the result is bitwise the first ``k`` columns of a stable argsort of
+        :meth:`row_conductances_batch`, ties and near-ties included.
+
+        Returns
+        -------
+        (indices, scores):
+            ``(num_queries, k)`` arrays, closest row first.
+        """
+        queries = self._check_query_batch(queries)
+        k = check_int_in_range(k, "k", minimum=1, maximum=self.num_rows)
+        cells, states = self.num_cells, self.num_states
+        onehot = np.zeros((queries.shape[0], cells * states))
+        np.put_along_axis(onehot, queries + self._ensure_gather_offsets().T, 1.0, axis=1)
+        estimates = onehot @ self._profiles_by_cell().reshape(cells * states, self.num_rows)
+        kth = np.partition(estimates, k - 1, axis=1)[:, k - 1]
+        bound = kth * (1.0 + 4 * cells * np.finfo(np.float64).eps)
+        hits = np.flatnonzero(estimates <= bound[:, np.newaxis])
+        hit_q, hit_r = np.divmod(hits, self.num_rows)
+        exact = sum_cells_in_order(self._cell_conductances(queries[hit_q], hit_r))
+        # Hits come by query, then row, and lexsort is stable, so equal
+        # conductances stay in row order.
+        order = np.lexsort((exact, hit_q))
+        counts = np.bincount(hit_q, minlength=queries.shape[0])
+        first = np.cumsum(counts) - counts
+        top = order[first[:, np.newaxis] + np.arange(k)]
+        return hit_r[top], exact[top]
+
+    def _cell_conductances(self, queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``(num_cells, n)`` contributions of stored ``rows[j]`` to ``queries[j]``.
+
+        Read from what the search cache is built from — the device profiles,
+        or the LUT and the stored states — so every value is bitwise the
+        cached one, and only ``n`` rows are touched.
+        """
+        inputs = queries.T
+        if self._profiles is not None:
+            cells = np.arange(self.num_cells)[:, np.newaxis]
+            return self._profiles[rows, cells, inputs]
+        table = self.lut.table_s.reshape(-1)
+        return table[inputs * self.num_states + self._stored_states[rows].T]
 
     def search(self, query, rng: SeedLike = None) -> ArraySearchResult:
         """Single-step in-memory nearest-neighbor search for one query."""

@@ -561,16 +561,28 @@ class MCAMSearcher(NearestNeighborSearcher):
     def _rank_batch(
         self, queries: np.ndarray, rng: np.random.Generator, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Top-``k`` rows by match-line conductance, as the sense amplifier sees them.
+
+        Ideal sensing ranks by ``(conductance, row)``.  Inside the array's
+        screen band (:meth:`MCAMArray.in_screen_band`: large batches against
+        large stores at small ``k``) :meth:`MCAMArray.screened_top_k`
+        returns that ranking, bitwise, without summing every row in cell
+        order; elsewhere every row is summed
+        (:meth:`MCAMArray.row_conductances_batch`) and the ``k`` smallest
+        are selected without a full sort.  A non-ideal sense amplifier
+        always senses the full conductance matrix, since its noise draws
+        cover every row.
+        """
         array = self._require_array()
         query_states = self.quantizer.quantize(queries)
+        ideal = type(array.sense_amplifier) is IdealWinnerTakeAll
+        if ideal and array.in_screen_band(query_states.shape[0], k):
+            return array.screened_top_k(query_states, k)
         conductances = array.row_conductances_batch(query_states)
-        amplifier = array.sense_amplifier
-        if type(amplifier) is IdealWinnerTakeAll:
-            # Ideal sensing ranks by conductance with stable tie-breaking,
-            # which the top-k selector reproduces without a full sort.
+        if ideal:
             indices = _stable_smallest_k(conductances, k)
         else:
-            indices = sense_all(amplifier, conductances, rng=rng).rankings[:, :k]
+            indices = sense_all(array.sense_amplifier, conductances, rng=rng).rankings[:, :k]
         return indices, np.take_along_axis(conductances, indices, axis=1)
 
     @property

@@ -74,6 +74,7 @@ when a caller forgets to close.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import os
 import shutil
 import signal
@@ -111,6 +112,35 @@ _BROADCAST_TIMEOUT_S = 30.0
 def default_worker_count() -> int:
     """Worker count used when none is requested: the host CPU count."""
     return os.cpu_count() or 1
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Pool-worker initializer: run numpy's OpenBLAS on one thread.
+
+    A pool already runs one worker per core, so an OpenBLAS thread pool in
+    every worker oversubscribes the cores: each matmul then waits on its
+    own threads while other workers hold the cores.  On a 2-core host, two
+    workers each screening ``32 x 4096 x 64`` MCAM shards
+    (:meth:`~repro.circuits.MCAMArray.screened_top_k`, ``k=32``) finished
+    207-381 calls per 5 s with OpenBLAS's default two threads and 760-835
+    with one.  numpy has no thread-count API, so the loaded library is
+    found in ``/proc/self/maps`` and its ``blas_cpu_number``, the count
+    every BLAS call reads, is set through ctypes.  OpenBLAS's own setter
+    (``scipy_openblas_set_num_threads64_``) would first restart the thread
+    pool that a fork leaves behind, and the new idle thread spins for about
+    0.13 s of CPU per worker start; that added about 80 ms to every
+    ``serve_mixed`` set-up on 2 cores.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line}
+        for path in sorted(paths):
+            ctypes.c_int.in_dll(ctypes.CDLL(path), "blas_cpu_number").value = 1
+    except (OSError, ValueError):
+        # No /proc (not Linux), or an OpenBLAS that does not export its
+        # thread count (ctypes raises ValueError): the worker keeps the
+        # build's default.
+        pass
 
 
 def _probe_echo(value: Any) -> Any:
@@ -158,6 +188,11 @@ class PersistentProcessPool:
     shuts the workers down at garbage collection or interpreter exit if the
     owner never closed the pool explicitly.
 
+    Workers start with numpy's OpenBLAS pinned to one thread
+    (:func:`_pin_blas_to_one_thread`): the pool is the parallelism, and
+    BLAS threads on top of it fight the other workers for the same cores.
+    The parent process keeps its own BLAS setting.
+
     Parameters
     ----------
     num_workers:
@@ -183,7 +218,9 @@ class PersistentProcessPool:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            pool = ProcessPoolExecutor(max_workers=self.effective_workers)
+            pool = ProcessPoolExecutor(
+                max_workers=self.effective_workers, initializer=_pin_blas_to_one_thread
+            )
             self._pool = pool
             # Safety net: shut the workers down when the pool object is
             # garbage collected or the interpreter exits, even if the owner

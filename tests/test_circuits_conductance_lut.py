@@ -131,6 +131,19 @@ class TestLookupAndRows:
         expected = lut3.table_s[2, 1] + lut3.table_s[2, 3] + lut3.table_s[2, 5]
         assert lut3.row_conductance(stored, query)[0] == pytest.approx(expected)
 
+    @pytest.mark.parametrize("rows", (1, 2, 40))
+    def test_row_conductance_sums_cells_in_array_order(self, lut3, rows):
+        # 64 cells: numpy's pairwise sum over a contiguous cell axis would
+        # differ from the array's cell-order sum in the last bits.
+        rng = np.random.default_rng(rows)
+        for _ in range(20):
+            stored = rng.integers(0, 8, size=(rows, 64))
+            query = rng.integers(0, 8, size=64)
+            array = MCAMArray(num_cells=64, bits=3, lut=lut3)
+            array.write(stored)
+            expected = array.row_conductances(query)
+            assert lut3.row_conductance(stored, query).tobytes() == expected.tobytes()
+
     def test_row_conductance_rejects_width_mismatch(self, lut3):
         with pytest.raises(CircuitError):
             lut3.row_conductance(np.zeros((2, 4), dtype=int), np.zeros(3, dtype=int))

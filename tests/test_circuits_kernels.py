@@ -4,10 +4,12 @@ Kernel choice changes *where the time goes*, never *what is computed*.
 These tests pin the fused LUT gather and the public path bitwise against
 the dense per-cell accumulation — at the 5-way 1-shot episode, the 20-way
 5-shot episode and a store past the fused bound, on a 2-bit array, on a
-20-cell word and on a device-mode array programmed under Vth variation —
-and pin that a directly called kernel runs only itself, while the public path
-runs exactly one kernel, chosen by the size of this call alone: at the
-bound, one row past it and at the shapes the README's rule table lists.
+20-cell word, on one-row arrays and on a device-mode array programmed under
+Vth variation — and pin that a directly called kernel runs only itself,
+while the public path runs exactly one kernel, chosen by the size of this
+call alone: at the bound, one row past it and at the shapes the README's
+rule table lists.  The rule's third band, the screened top-k, is pinned
+at the README's shapes, and never runs behind a non-ideal sense amplifier.
 The TCAM has a single Hamming kernel, the exact affine matmul.
 """
 
@@ -16,8 +18,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuits import MCAMArray, TCAMArray
+from repro.circuits import MatchLineModel, MCAMArray, TCAMArray
 from repro.circuits.autotune import clear_kernel_table
+from repro.circuits.sense_amplifier import TimeDomainSenseAmplifier
+from repro.core import MCAMSearcher
 from repro.devices.variation import GaussianVthVariationModel
 
 #: Parity inputs: (stored rows, queries, bits, Vth sigma in volts), 64-cell
@@ -66,6 +70,24 @@ def _spy_on_kernels(monkeypatch) -> list:
     return ran
 
 
+def _spy_on_ranking(monkeypatch) -> list:
+    """Record every conductance kernel and every screened top-k that runs."""
+    ran = _spy_on_kernels(monkeypatch)
+    screen = MCAMArray.screened_top_k
+
+    def spy(self, queries, k):
+        ran.append("screen")
+        return screen(self, queries, k)
+
+    monkeypatch.setattr(MCAMArray, "screened_top_k", spy)
+    return ran
+
+
+def _fitted_searcher(rows: int, **config) -> MCAMSearcher:
+    features = RNG.normal(size=(rows, WORD_LENGTH))
+    return MCAMSearcher(bits=3, seed=3, **config).fit(features, np.arange(rows))
+
+
 class TestMCAMKernelParity:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("kernel", ("fused", "auto"))
@@ -104,6 +126,38 @@ class TestMCAMKernelParity:
         ran = _spy_on_kernels(monkeypatch)
         _mcam_kernel(array, kernel, queries)
         assert ran == [kernel]
+
+    def test_one_row_array_matches_dense(self):
+        """Regression: one query against one row summed its cells pairwise.
+
+        With a single ``(query, row)`` pair, ``np.add.reduce`` over the cell
+        axis of the fused stack reduced that contiguous axis pairwise, and
+        the fused kernel's last bits differed from the cell-order loop.
+        """
+        rng = np.random.default_rng(114)
+        for _ in range(100):
+            cells = int(rng.integers(9, 80))
+            bits = int(rng.choice((2, 3)))
+            array = MCAMArray(num_cells=cells, bits=bits)
+            array.write(rng.integers(0, 2**bits, size=(1, cells)))
+            queries = rng.integers(0, 2**bits, size=(int(rng.integers(1, 4)), cells))
+            reference = _mcam_kernel(array, "dense", queries)
+            assert reference.tobytes() == _mcam_kernel(array, "fused", queries).tobytes()
+            assert reference.tobytes() == _mcam_kernel(array, "auto", queries).tobytes()
+
+    def test_single_survivor_is_summed_in_cell_order(self):
+        # One query whose nearest row is unique leaves one survivor to
+        # re-sum: the one-value-per-cell shape that numpy sums pairwise.
+        rng = np.random.default_rng(40)
+        for _ in range(50):
+            array = _programmed_mcam(int(rng.integers(1, 40)))
+            query = rng.integers(0, 8, size=(1, WORD_LENGTH))
+            conductances = _mcam_kernel(array, "dense", query)
+            if np.count_nonzero(conductances == conductances.min()) > 1:
+                continue
+            indices, scores = array.screened_top_k(query, 1)
+            assert indices[0, 0] == np.argmin(conductances)
+            assert scores.tobytes() == conductances.min(axis=1).tobytes()
 
     def test_single_query_row_conductances_match_batch(self):
         array = _programmed_mcam(CASES["20way_5shot"][0])
@@ -185,3 +239,53 @@ class TestStaticKernelRule:
         array = _programmed_mcam(8)
         empty = array.row_conductances_batch(np.empty((0, WORD_LENGTH), dtype=np.int64))
         assert empty.shape == (0, 8)
+
+    #: The README's screen table, plus the 5-way episode and the k bound at
+    #: 1024 rows: (rows, queries, k) -> what ranks an ideal top-k, the
+    #: screen or the full-matrix kernel of the size rule.
+    @pytest.mark.parametrize(
+        ("rows", "num_queries", "k", "ranking"),
+        (
+            (5, 25, 1, "fused"),
+            (100, 100, 1, "dense"),
+            (100, 100, 32, "dense"),
+            (512, 32, 1, "dense"),
+            (1024, 24, 1, "screen"),
+            (1024, 32, 16, "screen"),
+            (1024, 32, 32, "dense"),
+            (2048, 32, 32, "screen"),
+            (4096, 16, 32, "dense"),
+            (4096, 24, 32, "screen"),
+            (4096, 32, 1, "screen"),
+            (4096, 32, 5, "screen"),
+            (4096, 32, 32, "screen"),
+            (4096, 32, 64, "screen"),
+            (4096, 32, 128, "dense"),
+        ),
+    )
+    def test_rule_picks_the_documented_ranking(self, rows, num_queries, k, ranking, monkeypatch):
+        searcher = _fitted_searcher(rows)
+        queries = RNG.normal(size=(num_queries, WORD_LENGTH))
+        states = searcher.quantizer.quantize(queries)
+        conductances = _mcam_kernel(searcher.array, "dense", states)
+        reference = np.argsort(conductances, axis=1, kind="stable")[:, :k]
+        ran = _spy_on_ranking(monkeypatch)
+        indices, scores = searcher.kneighbors_arrays(queries, k=k)
+        assert ran == [ranking]
+        np.testing.assert_array_equal(indices, reference)
+        expected = np.take_along_axis(conductances, reference, axis=1)
+        assert scores.tobytes() == expected.tobytes()
+
+    def test_non_ideal_sensing_never_takes_the_screen(self, monkeypatch):
+        # The same in-band shape as above, behind a noisy time-domain sense
+        # amplifier: it senses every row, so the full matrix must be built.
+        amplifier = TimeDomainSenseAmplifier(
+            MatchLineModel(num_cells=WORD_LENGTH), timing_noise_sigma_s=1e-12
+        )
+        searcher = _fitted_searcher(4096, sense_amplifier=amplifier)
+        assert searcher.array.in_screen_band(32, 5)
+        queries = RNG.normal(size=(32, WORD_LENGTH))
+        ran = _spy_on_ranking(monkeypatch)
+        indices, _ = searcher.kneighbors_arrays(queries, k=5, rng=1)
+        assert ran == ["dense"]
+        assert indices.shape == (32, 5)

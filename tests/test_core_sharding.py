@@ -92,6 +92,46 @@ class TestShardParity:
                 base.kneighbors_batch(queries, k=k), sharded.kneighbors_batch(queries, k=k)
             )
 
+    @pytest.mark.parametrize("name", ("mcam-3bit", "mcam-2bit"))
+    @pytest.mark.parametrize("shards", (1, 2, 3))
+    def test_tie_heavy_data_through_the_screen(self, tie_heavy_store, name, shards):
+        # 52 copies of the tie-heavy store, queried twice over, put the
+        # unsharded engine in the MCAM screen band; two shards stay in it
+        # for k <= 16, three leave it.  Every score is tied dozens of times,
+        # so the row index alone orders the copies.
+        features, labels, queries = tie_heavy_store
+        queries = np.tile(queries, (2, 1))
+        tiled = (np.tile(features, (52, 1)), np.tile(labels, 52), queries)
+        base, sharded = _fit_pair(name, tiled, shards=shards)
+        assert base.array.in_screen_band(len(queries), 32)
+        conductances = base.array.row_conductances_batch(base.quantizer.quantize(queries))
+        for k in (1, 5, 32):
+            expected = base.kneighbors_batch(queries, k=k)
+            reference = np.argsort(conductances, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(expected.indices, reference)
+            scores = np.take_along_axis(conductances, reference, axis=1)
+            assert expected.scores.tobytes() == scores.tobytes()
+            _assert_batch_equal(expected, sharded.kneighbors_batch(queries, k=k))
+
+    @pytest.mark.parametrize("name", ("mcam-3bit", "mcam-2bit"))
+    def test_one_row_shards_score_a_single_query_like_the_store(self, name):
+        """Regression: a one-row shard summed a single query's cells pairwise.
+
+        Nine 64-feature rows in eight shards leave seven one-row shards,
+        whose scores for one query differed in the last bits from the
+        unsharded store's.
+        """
+        rng = np.random.default_rng(40)
+        for _ in range(10):
+            features = rng.normal(size=(9, 64))
+            query = rng.normal(size=64)
+            base = make_searcher(name, num_features=64, seed=7).fit(features)
+            sharded = make_searcher(name, num_features=64, seed=7, shards=8).fit(features)
+            expected = base.kneighbors(query, k=9)
+            actual = sharded.kneighbors(query, k=9)
+            np.testing.assert_array_equal(expected.indices, actual.indices)
+            assert expected.scores.tobytes() == actual.scores.tobytes()
+
     @pytest.mark.parametrize("name", CAM_BACKENDS)
     def test_single_query_kneighbors_parity(self, store, name):
         base, sharded = _fit_pair(name, store, shards=3)

@@ -100,5 +100,6 @@ class TestDistanceFunctionConsistency:
         train_states = searcher.quantizer.quantize(split.train.features)
         query_states = searcher.quantizer.quantize(split.test.features[:5])
         for query_row, query in zip(query_states, split.test.features[:5]):
-            expected = int(np.argmin(distance.to_rows(train_states, query_row)))
-            assert searcher.nearest(query) == expected
+            distances = distance.to_rows(train_states, query_row)
+            assert searcher.nearest(query) == int(np.argmin(distances))
+            assert distances.tobytes() == searcher.array.row_conductances(query_row).tobytes()

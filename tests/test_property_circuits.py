@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.circuits import MatchLineModel, MCAMVoltageScheme, build_nominal_lut
+from repro.circuits import MatchLineModel, MCAMArray, MCAMVoltageScheme, build_nominal_lut
 from repro.circuits.sense_amplifier import IdealWinnerTakeAll
 from repro.core import MCAMDistance
-from repro.devices import FeFET, PreisachModel
+from repro.devices import FeFET, GaussianVthVariationModel, PreisachModel
 
 #: Shared nominal 3-bit table (module-level so hypothesis examples reuse it).
 LUT3 = build_nominal_lut(bits=3)
@@ -120,3 +120,46 @@ class TestMatchLineProperties:
         assert result.winner == int(np.argmin(conductances))
         ranked = conductances[result.ranking]
         assert np.all(np.diff(ranked) >= 0)
+
+
+class TestScreenedTopKProperties:
+    @given(
+        bits=st.sampled_from((2, 3)),
+        sigma_v=st.sampled_from((None, 0.0, 0.03)),
+        cells=st.integers(1, 72),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_screen_equals_stable_argsort_bitwise(self, bits, sigma_v, cells, data):
+        """The BLAS screen returns the stable ranking of the exact sums.
+
+        Stores repeat a few base rows (exact ties) and permute the cells of
+        some copies.  Against a constant query a permuted copy sums the same
+        cell conductances in another order: a near-tie of a few ulps, which
+        the BLAS estimate may order either way — what the screen's margin
+        exists for.  ``sigma_v`` picks LUT mode (``None``) or device mode,
+        nominal (``0.0``, the same ties) or varied.
+        """
+        states = 2**bits
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, states, size=(data.draw(st.integers(1, 6), label="base"), cells))
+        stored = base[rng.integers(0, len(base), size=data.draw(st.integers(1, 48), label="rows"))]
+        for row in np.flatnonzero(rng.random(len(stored)) < 0.5):
+            stored[row] = stored[row][rng.permutation(cells)]
+        variation = None if sigma_v is None else GaussianVthVariationModel(sigma_v=sigma_v)
+        array = MCAMArray(num_cells=cells, bits=bits, variation=variation)
+        array.write(stored, rng=seed)
+        queries = np.vstack(
+            [
+                np.repeat(np.arange(states)[:, np.newaxis], cells, axis=1),
+                rng.integers(0, states, size=(data.draw(st.integers(0, 4)), cells)),
+            ]
+        )
+        k = data.draw(st.integers(1, len(stored)), label="k")
+
+        conductances = array.row_conductances_batch(queries)
+        expected = np.argsort(conductances, axis=1, kind="stable")[:, :k]
+        indices, scores = array.screened_top_k(queries, k)
+        np.testing.assert_array_equal(indices, expected)
+        assert scores.tobytes() == np.take_along_axis(conductances, expected, axis=1).tobytes()

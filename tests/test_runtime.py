@@ -10,6 +10,7 @@ reference.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from functools import partial
 
@@ -47,6 +48,18 @@ def _square(x):
     return x * x
 
 
+def _openblas_thread_counts(_job=None):
+    """``scipy_openblas_get_num_threads64_`` of every OpenBLAS mapped here."""
+    with open("/proc/self/maps") as maps:
+        paths = {line.split(None, 5)[-1].strip() for line in maps if "openblas" in line}
+    counts = []
+    for path in sorted(paths):
+        getter = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            counts.append(getter())
+    return counts
+
+
 class TestPersistentProcessPool:
     def test_map_preserves_order_and_results(self):
         pool = PersistentProcessPool(num_workers=WORKERS)
@@ -79,6 +92,19 @@ class TestPersistentProcessPool:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(Exception):
             PersistentProcessPool(num_workers=0)
+
+    def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(self):
+        try:
+            parent_before = _openblas_thread_counts()
+        except OSError:
+            parent_before = []
+        if not parent_before:
+            pytest.skip("numpy's BLAS exports no scipy_openblas_get_num_threads64_")
+        with PersistentProcessPool(num_workers=WORKERS) as pool:
+            futures = pool.submit_all(_openblas_thread_counts, range(2 * WORKERS))
+            workers = [future.result(timeout=60) for future in futures]
+        assert workers == [[1] * len(parent_before)] * (2 * WORKERS)
+        assert _openblas_thread_counts() == parent_before
 
 
 class TestProcessShardExecutor:
