@@ -6,7 +6,7 @@ was before the fault.  This benchmark pins both halves of that promise:
 
 1. **Kill recovery** — SIGKILL a worker mid-batch on a warm sharded
    searcher.  The batch must complete bitwise identical to the no-fault
-   reference via the transparent heal + replay, with no leaked ring slot,
+   reference via the transparent heal + replay, with no leaked ring segment,
    and the recovery latency (faulted batch wall time vs the undisturbed
    baseline) is recorded.  Runs everywhere, no core gate: recovery is a
    correctness property.
@@ -320,9 +320,7 @@ def test_post_recovery_qps_within_ten_percent_of_baseline(bench_report, record_r
 
 def test_hung_worker_fails_typed_within_budget(bench_report, record_result):
     queries = RNG.normal(size=(4, FEATURES))
-    with ProcessShardExecutor(
-        num_workers=2, transport="pickle", dispatch_timeout_s=DEADLINE_BUDGET_S
-    ) as executor:
+    with ProcessShardExecutor(num_workers=2, dispatch_timeout_s=DEADLINE_BUDGET_S) as executor:
         searcher_id = "bench-sleepy"
         paths = [
             executor.publish_shard(

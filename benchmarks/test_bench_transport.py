@@ -1,58 +1,29 @@
-"""Zero-copy transport throughput: the serving path's dispatch-cost gate.
+"""Zero-copy transport parity: the serving path's bitwise gate.
 
-PR 4's worker-resident shard caches left exactly one bulk payload on the
-steady-state serving path: every query batch was pickled once per shard job
-and pushed through the worker pipes, and every top-k result array was
-pickled back.  The shared-memory transport removes both — queries are
-written once into a shared segment every worker maps, and workers write
-their results back in place.
+Steady-state batches reach the workers through shared memory — queries are
+written once into a segment every worker maps, and workers write their
+results back in place — and shards reach them as memory-mapped spool
+bundles.  This benchmark pins that moving bytes this way changes nothing
+that is computed: the shared-memory transport must match the serial
+executor bitwise at 1, 2 and 4 workers (run on every host).
 
-This benchmark gates that seam in isolation: the same searcher, the same
-worker-resident caches, the same batches — only the transport differs.
-
-1. **Dispatch speedup** — steady-state batch dispatch through the
-   shared-memory ring must beat the pickle transport by >= 2x on a
-   dispatch-dominated workload (large query payloads, small per-shard
-   compute; 4+ cores, skipped below like the other multi-core gates).
-2. **Bitwise parity** — the shared-memory transport must match the serial
-   executor bitwise at 1, 2 and 4 workers (run on every host).
+Its speed gate compared shared memory against the pickle transport, which
+no longer ships; ``perfbench``'s ``serve_mixed`` workload measures the
+transport end to end instead.
 """
 
 from __future__ import annotations
-
-import os
-import time
 
 import numpy as np
 import pytest
 
 from repro.core import make_searcher
-from repro.runtime.transport import shared_memory_available
 
 pytestmark = pytest.mark.smoke
 
 NUM_SHARDS = 4
-#: Dispatch-dominated workload: a tiny store (cheap per-shard ranking) hit
-#: with wide, many-query batches (16 MB of query payload per shard job on
-#: the pickle path — the cost the zero-copy transport deletes).
-STORED = 16
-FEATURES = 1024
-QUERIES = 2048
-TOP_K = 4
-REQUIRED_TRANSPORT_SPEEDUP = 2.0
-MIN_CORES = 4
 
 RNG = np.random.default_rng(20260727)
-
-
-def _timed(fn, repeats: int = 5) -> float:
-    """Best-of-``repeats`` wall time of ``fn()`` in seconds."""
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _workload(num_stored: int, num_features: int, num_queries: int):
@@ -60,62 +31,6 @@ def _workload(num_stored: int, num_features: int, num_queries: int):
     labels = RNG.integers(0, 8, size=num_stored)
     queries = RNG.normal(size=(num_queries, num_features))
     return features, labels, queries
-
-
-def _build(num_workers: int, executor: str = "processes"):
-    return make_searcher(
-        "euclidean",
-        num_features=FEATURES,
-        shards=NUM_SHARDS,
-        executor=executor,
-        num_workers=None if executor == "serial" else num_workers,
-    )
-
-
-@pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < MIN_CORES,
-    reason=f"the {REQUIRED_TRANSPORT_SPEEDUP}x gate needs >= {MIN_CORES} cores",
-)
-def test_shared_memory_dispatch_beats_pickle_dispatch(record_result):
-    features, labels, queries = _workload(STORED, FEATURES, QUERIES)
-
-    with _build(MIN_CORES) as shm, _build(MIN_CORES) as pickled:
-        pickled._executor.transport = "pickle"  # the PR 4 dispatch path
-        shm.fit(features, labels)
-        pickled.fit(features, labels)
-
-        # Warm both sides: publish the shards, populate the worker caches,
-        # allocate the ring.  From here on, batches are pure dispatch.
-        reference = shm.kneighbors_batch(queries, k=TOP_K)
-        result = pickled.kneighbors_batch(queries, k=TOP_K)
-        np.testing.assert_array_equal(reference.indices, result.indices)
-        np.testing.assert_array_equal(reference.scores, result.scores)
-        assert shm._executor.active_transport == "shm"
-        assert pickled._executor.active_transport == "pickle"
-
-        shm_s = _timed(lambda: shm.kneighbors_batch(queries, k=TOP_K))
-        pickle_s = _timed(lambda: pickled.kneighbors_batch(queries, k=TOP_K))
-
-    speedup = pickle_s / shm_s
-    payload_mb = queries.nbytes * NUM_SHARDS / 2**20
-    record_result(
-        "transport_dispatch",
-        f"stored={STORED} shards={NUM_SHARDS} queries={QUERIES} "
-        f"features={FEATURES} workers={MIN_CORES} "
-        f"({payload_mb:.0f} MB pickled query payload per batch)\n"
-        f"gate: shared-memory dispatch >= {REQUIRED_TRANSPORT_SPEEDUP}x pickle "
-        "dispatch on steady-state cached batches, bitwise identical",
-        timing=f"cores={os.cpu_count()}\n"
-        f"pickle transport:        {1e3 * pickle_s:.1f} ms/batch\n"
-        f"shared-memory transport: {1e3 * shm_s:.1f} ms/batch\n"
-        f"speedup:                 {speedup:.2f}x",
-    )
-    assert speedup >= REQUIRED_TRANSPORT_SPEEDUP, (
-        f"shared-memory dispatch is only {speedup:.2f}x faster than pickle "
-        f"dispatch (required: {REQUIRED_TRANSPORT_SPEEDUP}x on "
-        f"{os.cpu_count()} cores)"
-    )
 
 
 @pytest.mark.parametrize("num_workers", (1, 2, 4))

@@ -20,8 +20,8 @@ Per-shard ranking is dispatched through a pluggable executor strategy:
   threads scale on multi-core hosts without any pickling cost,
 * ``"processes"`` — shards are ranked in a persistent worker-process pool
   (:class:`~repro.runtime.process_pool.ProcessShardExecutor`), sidestepping
-  the GIL entirely; on hosts with POSIX shared memory the query/result
-  payloads travel through a zero-copy shared-memory ring instead of pickle.
+  the GIL entirely; the query/result payloads travel through a zero-copy
+  shared-memory ring.
 
 Additional strategies (e.g. an async gateway) can be plugged in through
 :func:`register_shard_executor`.  Shard jobs are self-contained module-level
@@ -936,8 +936,9 @@ class ShardedSearcher(NearestNeighborSearcher):
     def _merge_shard_results(self, results: Any, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Pool per-shard candidates and merge them into exact global top-k.
 
-        ``np.concatenate`` copies, so shared-memory result views are
-        consumed here — the merged arrays never alias a ring segment.
+        Every executor hands back arrays the caller owns (the
+        ``"processes"`` executor copies its results out of shared memory
+        before it reuses a segment), so the merge may run at any time.
         """
         candidate_indices = np.concatenate([indices for indices, _ in results], axis=1)
         candidate_scores = np.concatenate([scores for _, scores in results], axis=1)
@@ -1003,30 +1004,6 @@ class ShardedSearcher(NearestNeighborSearcher):
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    @property
-    def serving_depth(self) -> Optional[int]:
-        """Batches the executor can keep in flight at once (None: unbounded).
-
-        Mirrors the executor's ``dispatch_depth`` — for the shared-memory
-        transport that is the ring depth, since a ring slot may only be
-        rewritten after the batch occupying it has been collected.  The
-        micro-batching scheduler caps its ``max_in_flight`` at this value.
-        """
-        return getattr(self._executor, "dispatch_depth", None)
-
-    @property
-    def serving_channel(self) -> Any:
-        """The dispatch channel this searcher's serving batches travel on.
-
-        Searchers sharing one executor *instance* (several tenants on one
-        long-running worker pool) share its shared-memory ring, so their
-        in-flight batches compete for the same ring slots.  A multi-lane
-        scheduler uses this identity to recognize lanes that share a
-        channel: the total in-flight bound and the FIFO collect order are
-        per channel, not per searcher.
-        """
-        return self._executor
-
     def submit_serving(
         self, queries: Any, k: int = 1, rng: SeedLike = None
     ) -> Callable[..., Tuple[np.ndarray, np.ndarray]]:
@@ -1037,12 +1014,11 @@ class ShardedSearcher(NearestNeighborSearcher):
         :meth:`kneighbors_arrays`.  On the ``"processes"`` executor the
         batch travels through the shared-memory ring and stays in flight —
         worker processes rank it while the caller demultiplexes earlier
-        batches — bounded by :attr:`serving_depth`; a ``timeout`` passed to
-        the collect bounds the batch in wall-clock seconds, failing it with
-        a typed serving error (after the executor's supervised heal/retry)
-        instead of blocking forever.  Collect order must follow submit
-        order (FIFO), which is what keeps ring-slot reuse safe; the
-        micro-batching scheduler enforces exactly that.
+        batches; a ``timeout`` passed to the collect bounds the batch in
+        wall-clock seconds, failing it with a typed serving error (after
+        the executor's supervised heal/retry) instead of blocking forever.
+        Each batch holds its own segment, so any number of threads may
+        dispatch and collect, in any order; call each collect once.
         """
         self._require_fitted()
         k = check_int_in_range(k, "k", minimum=1, maximum=self._num_entries)

@@ -16,13 +16,16 @@ Scopes follow the layering the repo established in PRs 1–8:
   ``submit_cached``/``broadcast``/``register_shard_executor`` (RPL008);
 * **persistence scope** (``repro.utils.io``, ``repro.storage``,
   ``repro.runtime.transport``): files land via tmp-write +
-  ``os.replace``, never an in-place write-mode open (RPL011).
+  ``os.replace``, never an in-place write-mode open (RPL011);
+* **no unframed spool read** (all of ``src/repro``): only the two
+  modules that check a CRC before unpickling may call ``pickle.load``
+  or ``pickle.loads`` (RPL012).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Type
+from typing import Iterator, List, Optional, Set, Tuple, Type
 
 from . import Finding, Rule
 
@@ -511,7 +514,7 @@ class UntimedBlockingRule(Rule):
 LOCK_ORDER: Tuple[Tuple[str, str], ...] = (
     ("scheduler.py", "_cond"),  # engine pump condition — always outermost
     ("process_pool.py", "_lock"),  # executor publish/evict/transport state
-    ("transport.py", "_lock"),  # ring/segment bookkeeping (reserved)
+    ("transport.py", "_lock"),  # ring/segment bookkeeping
     ("scheduler.py", "_lock"),  # ServingStats counters — always a leaf
 )
 
@@ -656,6 +659,47 @@ class NonAtomicPersistRule(Rule):
             )
 
 
+class UnframedPickleLoadRule(Rule):
+    """RPL012: only CRC-checking modules unpickle.
+
+    Unpickling bytes that no checksum covers turns one scribbled byte of a
+    spool bundle, snapshot file or journal record into arbitrary objects.
+    :mod:`repro.runtime.transport` (spools and snapshot files) and
+    :mod:`repro.storage.journal` (append records) check a CRC before every
+    unpickle; anywhere else in the package ``pickle.load`` and
+    ``pickle.loads`` are flagged, as is importing them from ``pickle``.
+    """
+
+    code = "RPL012"
+    name = "unframed-pickle-load"
+    description = (
+        "pickle.load/pickle.loads only in repro/runtime/transport.py and "
+        "repro/storage/journal.py, which check a CRC before unpickling"
+    )
+    scope = _PACKAGE
+
+    _FRAMED_READERS = ("src/repro/runtime/transport.py", "src/repro/storage/journal.py")
+    _CALLS = {"pickle.load", "pickle.loads"}
+
+    def check(self, tree: ast.Module, source: str, path: str) -> Iterator[Finding]:
+        if path.endswith(self._FRAMED_READERS):
+            return
+        for node in ast.walk(tree):
+            imported = (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "pickle"
+                and any("pickle." + alias.name in self._CALLS for alias in node.names)
+            )
+            if imported or (isinstance(node, ast.Call) and _call_name(node) in self._CALLS):
+                yield self.finding(
+                    path,
+                    node,
+                    "unpickling outside transport.py/journal.py reads bytes no "
+                    "CRC covers; load persisted pickles through "
+                    "repro.runtime.transport",
+                )
+
+
 #: Every rule, in code order; the framework instantiates these.
 RULES: Tuple[Type[Rule], ...] = (
     UnseededRandomRule,
@@ -669,4 +713,5 @@ RULES: Tuple[Type[Rule], ...] = (
     UntimedBlockingRule,
     LockOrderRule,
     NonAtomicPersistRule,
+    UnframedPickleLoadRule,
 )

@@ -7,15 +7,15 @@ The execution layer behind the statistical sweeps:
   a worker-resident shard cache so programmed arrays ship to each worker
   once per program epoch instead of once per query batch,
 * :mod:`repro.runtime.transport` — the zero-copy transport layer under the
-  shard executor: a shared-memory ring for query/result batches and
-  memory-mapped ``.npy`` spool bundles, with a transparent pickle fallback,
+  shard executor: a shared-memory ring for query/result batches, safe for
+  concurrent dispatching threads, and memory-mapped ``.npy`` spool
+  bundles,
 * :mod:`repro.runtime.trials` — the trial/episode dispatcher the Fig. 7/8
   harnesses fan out on, with a strict determinism contract (self-contained
   units, bitwise-identical results at any worker count),
-* :mod:`repro.runtime.supervision` — the fault-tolerance policy objects:
-  a circuit breaker for transport degradation and a pool supervisor that
-  heals a dead/hung worker pool in place at a bounded restart rate
-  (the full degradation ladder is ``shm → pickle → serial →
+* :mod:`repro.runtime.supervision` — the fault-tolerance policy: a pool
+  supervisor that heals a dead/hung worker pool in place at a bounded
+  restart rate (the full degradation ladder is ``shm → serial →
   disk-restore``, the last rung served by :mod:`repro.storage`
   snapshots),
 * :mod:`repro.runtime.faults` — a deterministic, seeded fault-injection
@@ -32,7 +32,7 @@ from .process_pool import (
     default_worker_count,
     worker_shard_cache_epochs,
 )
-from .supervision import CircuitBreaker, PoolSupervisor
+from .supervision import PoolSupervisor
 from .transport import (
     SharedMemoryRing,
     load_spool_payload,
@@ -52,7 +52,6 @@ from .trials import (
 )
 
 __all__ = [
-    "CircuitBreaker",
     "FaultInjector",
     "PersistentProcessPool",
     "PoolSupervisor",

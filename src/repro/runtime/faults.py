@@ -14,7 +14,8 @@ assert exact recovery behavior:
   (:class:`~repro.exceptions.SpoolIntegrityError`),
 * ``drop_spool`` — delete a published spool entry outright,
 * ``corrupt_segment`` — unlink a just-acquired shared-memory ring
-  segment so workers fail to attach (the runtime-shm-loss fault),
+  segment so workers fail to attach (the runtime-shm-loss fault; the batch
+  replays in process),
 * ``delay_collect`` — sleep before a collect, simulating a stalled
   dispatch for deadline tests,
 * ``torn_journal_tail`` — truncate the append journal mid-frame right
@@ -187,10 +188,7 @@ class FaultInjector:
             path = self._pick_spool_entry(executor)
             if path is None:
                 return None
-            payload_path = (
-                os.path.join(path, "payload.pkl") if os.path.isdir(path) else path
-            )
-            return self._scribble_midstream(payload_path)
+            return self._scribble_midstream(os.path.join(path, "payload.pkl"))
         if armed.fault == "torn_journal_tail":
             if path is None:
                 return None

@@ -40,30 +40,31 @@ a :class:`~repro.core.sharding.ShardedSearcher` sends an eviction message
 (:meth:`ProcessShardExecutor.evict`) so long-running shared pools do not
 accumulate shards of dead searchers.
 
-**Zero-copy transport.**  On hosts with POSIX shared memory (the default,
-``transport="auto"``) steady-state batches do not pickle ndarray payloads
-at all: queries are written once into a :class:`~.transport.SharedMemoryRing`
-segment that every worker maps, workers write their top-k indices/scores
-back into the same segment in place, and published shards are memory-mapped
-``.npy`` bundles whose pages all workers share.  When shared memory is
-unavailable (or fails at runtime) the executor falls back transparently to
-the PR 4 pickle path — results are bitwise identical either way.
+**Zero-copy transport.**  Every multi-shard batch moves through POSIX
+shared memory: queries are written once into a segment of the executor's
+:class:`~.transport.SharedMemoryRing` that every worker maps, workers
+write their top-k indices/scores back into the same segment in place, and
+published shards are memory-mapped ``.npy`` bundles whose pages all
+workers share.  A batch holds its segment from dispatch until its collect
+has copied the results out, so any number of threads may dispatch through
+one executor and collect in any order.  A host without shared memory
+cannot build the executor; ``executor="serial"`` serves there.
 
 **Supervision and recovery.**  Cached-rank dispatches are supervised: a
 batch whose worker crashes (``BrokenProcessPool``), hangs past
-``dispatch_timeout_s``, reads a corrupt spool entry, or loses its
-shared-memory segment is not fatal.  The executor *heals in place* —
-terminate the dead pool, re-arm the ring, verify and republish spool
-entries from the parent-resident payloads (see
+``dispatch_timeout_s`` or reads a corrupt spool entry is not fatal.  The
+executor *heals in place* — terminate the dead pool, verify and republish
+spool entries from the parent-resident payloads (see
 :class:`~.supervision.PoolSupervisor`) — and retries the idempotent batch
 once on the healed pool before failing it with a typed error
 (:class:`~repro.exceptions.WorkerCrashError` /
-:class:`~repro.exceptions.ServingTimeoutError`).  Transport degradation is
-a ladder: a :class:`~.supervision.CircuitBreaker` demotes ``shm → pickle``
-on segment failures (re-probing shm after a cool-down), and a pool that
-dies faster than it heals is demoted to in-process serial execution —
-bitwise identical, just slow — until its own cool-down passes.  All
-injection points for the chaos suite live in :mod:`~.faults`.
+:class:`~repro.exceptions.ServingTimeoutError`).  A batch that cannot get
+or keep its shared-memory segment (allocation fails, or a worker finds it
+gone) is replayed in process, and the next batch tries shared memory
+again.  A pool that dies faster than it heals is demoted to in-process
+serial execution — bitwise identical, just slow — until its cool-down
+passes, so the degradation ladder is ``shm → serial → disk-restore``.
+All injection points for the chaos suite live in :mod:`~.faults`.
 
 All pools support the context-manager protocol, ``close()`` is idempotent,
 and a :func:`weakref.finalize`-based safety net shuts workers down (and
@@ -83,8 +84,9 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
+from multiprocessing import resource_tracker
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -100,7 +102,7 @@ from ..exceptions import (
 )
 from ..utils.validation import check_int_in_range
 from . import transport as _transport
-from .supervision import CircuitBreaker, PoolSupervisor
+from .supervision import PoolSupervisor
 
 
 #: Bound on each best-effort broadcast delivery wait: generous next to any
@@ -143,6 +145,19 @@ def _pin_blas_to_one_thread() -> None:
         pass
 
 
+def _init_worker() -> None:
+    """Pool-worker initializer: a fresh resource-tracker lock, one BLAS thread.
+
+    A fork copies every lock in whatever state the parent's other threads
+    left it.  :mod:`multiprocessing`'s resource tracker takes one lock on
+    each shared-memory create, unlink and attach, so a worker forked while
+    another dispatching thread held it would wait forever on its first
+    segment attach.  The new worker runs one thread, so a new lock is safe.
+    """
+    resource_tracker._resource_tracker._lock = threading.RLock()  # type: ignore[attr-defined]
+    _pin_blas_to_one_thread()
+
+
 def _probe_echo(value: Any) -> Any:
     """Trivial round-trip job used by :meth:`PersistentProcessPool.probe`."""
     return value
@@ -155,7 +170,8 @@ def _await_futures(futures: List, timeout: Optional[float] = None, what: str = "
     batch can die into the library's typed serving errors: a future that
     does not resolve within the (shared, wall-clock) ``timeout`` raises
     :class:`~repro.exceptions.ServingTimeoutError`, and a broken pool (a
-    worker killed mid-batch) raises
+    worker killed mid-batch, or a heal that cancelled this batch's queued
+    jobs while healing another's) raises
     :class:`~repro.exceptions.WorkerCrashError` with the executor failure
     chained.  Job-raised exceptions (e.g. a worker surfacing
     :class:`~repro.exceptions.SpoolIntegrityError`) propagate untouched.
@@ -176,7 +192,7 @@ def _await_futures(futures: List, timeout: Optional[float] = None, what: str = "
                 f"{what} missed its {float(timeout):.3f}s deadline; a worker is "
                 "hung or the pool is overloaded"
             ) from exc
-        except BrokenExecutor as exc:
+        except (BrokenExecutor, CancelledError) as exc:
             raise WorkerCrashError(f"{what} failed: a worker process died mid-batch") from exc
     return results
 
@@ -188,10 +204,10 @@ class PersistentProcessPool:
     shuts the workers down at garbage collection or interpreter exit if the
     owner never closed the pool explicitly.
 
-    Workers start with numpy's OpenBLAS pinned to one thread
-    (:func:`_pin_blas_to_one_thread`): the pool is the parallelism, and
-    BLAS threads on top of it fight the other workers for the same cores.
-    The parent process keeps its own BLAS setting.
+    Workers start through :func:`_init_worker`, which also pins numpy's
+    OpenBLAS to one thread (:func:`_pin_blas_to_one_thread`): the pool is
+    the parallelism, and BLAS threads on top of it fight the other workers
+    for the same cores.  The parent process keeps its own BLAS setting.
 
     Parameters
     ----------
@@ -205,6 +221,10 @@ class PersistentProcessPool:
         self.num_workers = num_workers
         self._pool: Optional[ProcessPoolExecutor] = None
         self._finalizer: Optional[weakref.finalize] = None
+        #: Guards starting, submitting to and tearing down the pool, so a
+        #: thread never submits to a pool another thread's heal just shut
+        #: down, and two threads never start two pools.
+        self._lock = threading.RLock()
 
     @property
     def effective_workers(self) -> int:
@@ -217,16 +237,17 @@ class PersistentProcessPool:
         return self._pool is not None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            pool = ProcessPoolExecutor(
-                max_workers=self.effective_workers, initializer=_pin_blas_to_one_thread
-            )
-            self._pool = pool
-            # Safety net: shut the workers down when the pool object is
-            # garbage collected or the interpreter exits, even if the owner
-            # forgot close(); close() triggers the same finalizer.
-            self._finalizer = weakref.finalize(self, pool.shutdown, wait=True)
-        return self._pool
+        with self._lock:
+            if self._pool is None:
+                pool = ProcessPoolExecutor(
+                    max_workers=self.effective_workers, initializer=_init_worker
+                )
+                self._pool = pool
+                # Safety net: shut the workers down when the pool object is
+                # garbage collected or the interpreter exits, even if the
+                # owner forgot close(); close() triggers the same finalizer.
+                self._finalizer = weakref.finalize(self, pool.shutdown, wait=True)
+            return self._pool
 
     def worker_pids(self) -> List[int]:
         """PIDs of the live worker processes (empty when not running)."""
@@ -300,8 +321,9 @@ class PersistentProcessPool:
         (or ``future.result(timeout)``) when a hung worker must become a
         typed error instead of a deadlock.
         """
-        pool = self._ensure_pool()
-        return [pool.submit(fn, job) for job in jobs]
+        with self._lock:
+            pool = self._ensure_pool()
+            return [pool.submit(fn, job) for job in jobs]
 
     def broadcast(self, fn: Callable, arg: Any) -> int:
         """Best-effort: submit ``fn(arg)`` once per worker slot, then wait.
@@ -344,15 +366,16 @@ class PersistentProcessPool:
         Pending futures fail with ``BrokenProcessPool``/cancellation; the
         supervisor retries their batches on the respawned pool.
         """
-        pool, self._pool = self._pool, None
-        finalizer, self._finalizer = self._finalizer, None
-        if finalizer is not None:
-            finalizer.detach()
-        if pool is None:
-            return
-        processes = list(getattr(pool, "_processes", {}).values())
-        with contextlib.suppress(Exception):  # pool already broken mid-shutdown
-            pool.shutdown(wait=False, cancel_futures=True)
+        with self._lock:
+            pool, self._pool = self._pool, None
+            finalizer, self._finalizer = self._finalizer, None
+            if finalizer is not None:
+                finalizer.detach()
+            if pool is None:
+                return
+            processes = list(getattr(pool, "_processes", {}).values())
+            with contextlib.suppress(Exception):  # pool already broken mid-shutdown
+                pool.shutdown(wait=False, cancel_futures=True)
         for process in processes:
             try:
                 if process.is_alive():
@@ -370,8 +393,9 @@ class PersistentProcessPool:
 
     def close(self) -> None:
         """Shut the workers down (idempotent; the pool restarts on next use)."""
-        finalizer, self._finalizer = self._finalizer, None
-        self._pool = None
+        with self._lock:
+            finalizer, self._finalizer = self._finalizer, None
+            self._pool = None
         if finalizer is not None:
             finalizer()
 
@@ -425,8 +449,8 @@ def _resident_shard(
     """The worker-resident ``(shard, index_map)`` for one cache key.
 
     On an epoch match the resident entry serves without touching the spool;
-    on a miss the published payload (pickle file or memory-mapped bundle)
-    is loaded and replaces the cached entry in place.  A corrupt or missing
+    on a miss the published memory-mapped bundle is loaded and replaces
+    the cached entry in place.  A corrupt or missing
     spool entry raises :class:`~repro.exceptions.SpoolIntegrityError` —
     typed and recoverable (the parent repairs the spool and retries) —
     instead of crashing the worker on garbage bytes.
@@ -444,12 +468,13 @@ def _resident_shard(
 
 
 def _rank_cached_shard_job(job: Any) -> Tuple[np.ndarray, np.ndarray]:
-    """Rank one query batch on a worker-resident shard (pickle transport).
+    """Rank one query batch on a resident shard, in the calling process.
 
     The job carries ``(searcher_id, shard_index, epoch, spool_path,
-    shard_rng, queries, shard_k)``; queries and results travel pickled
-    through the worker pipes (the PR 4 path, kept as the shared-memory
-    fallback).
+    shard_rng, queries, shard_k)``.  This is the in-process rung: single-job
+    batches, batches that could not use shared memory, and a pool demoted
+    to serial run it, bitwise identical to the worker-side
+    :func:`_rank_cached_shard_job_shm`.
     """
     searcher_id, shard_index, epoch, path, shard_rng, queries, shard_k = job
     shard, index_map = _resident_shard(searcher_id, shard_index, epoch, path)
@@ -502,34 +527,18 @@ class ProcessShardExecutor:
     The ``"processes"`` strategy of the shard-executor seam.  Programmed
     shards are published to a spool once per program epoch and cached
     worker-resident (see the module docstring), so steady-state query
-    batches ship only query payloads; jobs and results stay bitwise
-    identical to the ``"serial"`` and ``"threads"`` strategies at any worker
-    count because per-shard RNG streams are spawned before dispatch and the
-    ranked payloads are self-contained.  That self-containment is also what
-    makes recovery safe: a crashed or hung batch can be replayed on a
-    healed pool and produce the same bytes.
+    batches ship only query payloads, through shared memory; jobs and
+    results stay bitwise identical to the ``"serial"`` and ``"threads"``
+    strategies at any worker count because per-shard RNG streams are
+    spawned before dispatch and the ranked payloads are self-contained.
+    That self-containment is also what makes recovery safe: a crashed or
+    hung batch can be replayed on a healed pool, or in process, and produce
+    the same bytes.
 
     Parameters
     ----------
     num_workers:
         Worker-process bound; defaults to the host CPU count.
-    transport:
-        ``"auto"`` (the default) uses the zero-copy shared-memory transport
-        — query/result batches in a :class:`~.transport.SharedMemoryRing`,
-        shards published as memory-mapped ``.npy`` bundles — when the host
-        supports it and falls back to ``"pickle"`` otherwise; ``"shm"``
-        requires shared memory (raising on hosts without it) and
-        ``"pickle"`` forces the PR 4 pickle path.  A runtime shared-memory
-        failure (e.g. an exhausted ``/dev/shm``) trips a circuit breaker
-        that downgrades ``"auto"`` to the pickle path transparently and
-        re-probes shm after ``shm_cooldown_s``; both transports produce
-        bitwise identical results.
-    ring_depth:
-        Slots in the shared-memory ring, i.e. how many dispatched batches
-        may be **in flight** at once on the shm transport (a slot may only
-        be rewritten after its batch has been collected).  The default of 2
-        lets a serving scheduler overlap one batch's worker-side compute
-        with the next batch's dispatch; raise it for deeper pipelines.
     dispatch_timeout_s:
         Per-attempt hang detector for supervised cached-rank collects: an
         attempt that has not resolved after this many seconds is treated
@@ -542,16 +551,12 @@ class ProcessShardExecutor:
         ``max_restarts`` heals inside ``restart_window_s`` demote the
         executor to in-process serial execution, re-probing the pool after
         ``serial_cooldown_s``.
-    shm_cooldown_s:
-        Cool-down of the shared-memory circuit breaker before a demoted
-        transport is probed again.
 
     The pool itself persists across searches — the worker start-up cost is
-    paid once per searcher, not per query batch.  Spool/eviction
-    bookkeeping is thread-safe, so a serving scheduler's pump thread and
-    foreground lifecycle calls (``close``/``evict``) can overlap; the
-    shared-memory ring itself is single-dispatcher (route all of one
-    executor's batch traffic through one thread, e.g. one scheduler).
+    paid once per searcher, not per query batch.  Every method is
+    thread-safe: a serving scheduler's pump thread, other threads
+    dispatching through the same executor, and foreground lifecycle calls
+    (``close``/``evict``) may overlap.
 
     Chaos tests hand the executor a :class:`~.faults.FaultInjector` via the
     :attr:`fault_injector` attribute; production leaves it ``None``.
@@ -559,28 +564,19 @@ class ProcessShardExecutor:
 
     name = "processes"
 
-    #: Recognized transport modes.
-    _TRANSPORTS = ("auto", "shm", "pickle")
-
     def __init__(
         self,
         num_workers: Optional[int] = None,
-        transport: str = "auto",
-        ring_depth: int = 2,
         dispatch_timeout_s: Optional[float] = None,
         max_restarts: int = 5,
         restart_window_s: float = 30.0,
         serial_cooldown_s: float = 5.0,
-        shm_cooldown_s: float = 30.0,
     ) -> None:
-        if transport not in self._TRANSPORTS:
+        if not _transport.shared_memory_available():
             raise ConfigurationError(
-                f"transport must be one of {self._TRANSPORTS}, got {transport!r}"
-            )
-        if transport == "shm" and not _transport.shared_memory_available():
-            raise ConfigurationError(
-                "transport='shm' requires multiprocessing.shared_memory, "
-                "which is unavailable on this host; use 'auto' or 'pickle'"
+                "the 'processes' executor moves batches through "
+                "multiprocessing.shared_memory, which is unavailable on this "
+                "host; use executor='serial'"
             )
         if dispatch_timeout_s is not None and not float(dispatch_timeout_s) > 0:
             raise ConfigurationError(
@@ -588,15 +584,9 @@ class ProcessShardExecutor:
             )
         self._pool = PersistentProcessPool(num_workers=num_workers)
         self.num_workers = self._pool.num_workers
-        self.transport = transport
-        self.ring_depth = check_int_in_range(ring_depth, "ring_depth", minimum=1)
         self.dispatch_timeout_s = (
             None if dispatch_timeout_s is None else float(dispatch_timeout_s)
         )
-        #: One runtime shm failure demotes to pickle (the attempt is never
-        #: worth repaying while /dev/shm is broken); shm is probed again
-        #: after the cool-down.
-        self._shm_breaker = CircuitBreaker(failure_threshold=1, cooldown_s=shm_cooldown_s)
         # The supervisor must not keep the executor alive (the GC safety
         # nets rely on refcount death of abandoned executors), so it gets
         # the heal callback through a weak method, never a bound one.
@@ -631,12 +621,8 @@ class ProcessShardExecutor:
         #: source's ``applied_seq`` so the disk rung never republishes a
         #: shard from a snapshot that pre-dates acknowledged appends.
         self._append_seqs: Dict[str, int] = {}
-        self._ring: Optional[_transport.SharedMemoryRing] = None
-        #: Dispatched-but-uncollected batches on the shared-memory ring.
-        #: Guards slot reuse: batch ``N + ring_depth`` rewrites batch
-        #: ``N``'s segment, so overcommitting the ring must fast-fail
-        #: instead of silently corrupting an in-flight batch.
-        self._ring_inflight = 0
+        #: Shared-memory segments of dispatched batches (thread-safe).
+        self._ring = _transport.SharedMemoryRing()
         self._spool_dir: Optional[str] = None
         self._spool_finalizer: Optional[weakref.finalize] = None
         #: Current spool path per published ``(searcher_id, shard_index)``;
@@ -657,23 +643,9 @@ class ProcessShardExecutor:
         self._lock = threading.Lock()
 
     @property
-    def dispatch_depth(self) -> Optional[int]:
-        """Batches that may be in flight at once (``None``: unbounded).
-
-        On the shared-memory transport this is the ring depth — batch
-        ``N + ring_depth`` reuses batch ``N``'s slot, so ``N`` must be
-        collected first.  The pickle transport pipes self-contained result
-        payloads, so nothing aliases and the bound disappears.
-        """
-        if self.active_transport == "shm":
-            return self.ring_depth
-        return None
-
-    @property
     def ring_in_flight(self) -> int:
-        """Dispatched-but-uncollected batches currently on the ring."""
-        with self._lock:
-            return self._ring_inflight
+        """Shared-memory segments held by dispatched, uncollected batches."""
+        return self._ring.in_use
 
     @property
     def supervisor(self) -> PoolSupervisor:
@@ -682,12 +654,8 @@ class ProcessShardExecutor:
 
     @property
     def active_transport(self) -> str:
-        """Transport actually in use right now: ``"shm"`` or ``"pickle"``."""
-        if self.transport == "pickle" or not self._shm_breaker.allows():
-            return "pickle"
-        if self.transport == "shm":
-            return "shm"
-        return "shm" if _transport.shared_memory_available() else "pickle"
+        """``"shm"``, or ``"serial"`` while the supervisor has demoted the pool."""
+        return "shm" if self._supervisor.pool_allowed else "serial"
 
     def _fire_fault(self, site: str, segment: Any = None) -> None:
         injector = self.fault_injector
@@ -703,23 +671,17 @@ class ProcessShardExecutor:
             )
         return self._spool_dir
 
-    def _ensure_ring(self) -> _transport.SharedMemoryRing:
-        if self._ring is None:
-            self._ring = _transport.SharedMemoryRing(depth=self.ring_depth)
-        return self._ring
-
     def publish_shard(
         self, searcher_id: str, shard_index: int, payload: Any, epoch: int = 0
     ) -> str:
         """Write one shard's payload to the spool, return its path.
 
         Called by the sharded searcher once per ``(shard, program epoch)`` —
-        not per batch.  The shared-memory transport publishes an epoch-named
-        memory-mapped bundle (readers can never observe a half-written
-        epoch because the directory is renamed into place, and the previous
-        epoch's bundle is deleted after the swap); the pickle transport
-        writes an atomically replaced, checksum-headered pickle file.  Both
-        formats carry integrity headers, and the payload reference is
+        not per batch; publishing an epoch again is a no-op.  The payload
+        lands in an epoch-named memory-mapped bundle with an integrity
+        manifest (readers can never observe a half-written epoch because
+        the directory is renamed into place, and the previous epoch's
+        bundle is deleted after the swap), and the payload reference is
         retained parent-side so the supervisor can republish a corrupted
         entry during recovery.
         """
@@ -729,11 +691,13 @@ class ProcessShardExecutor:
             )
             key = (searcher_id, shard_index)
             previous = self._published.get(key)
-            if self.active_transport == "shm":
-                path = _transport.write_spool_bundle(f"{stem}-e{epoch}", payload)
-            else:
-                path = _transport.write_spool_pickle(f"{stem}.pkl", payload)
-            if previous is not None and previous != path:
+            path = f"{stem}-e{epoch}"
+            if previous == path:
+                # Another thread dispatching through the same searcher
+                # published this epoch first; an epoch names one payload.
+                return path
+            _transport.write_spool_bundle(path, payload)
+            if previous is not None:
                 _transport.remove_spool_entry(previous)
             self._published[key] = path
             self._payloads[key] = (payload, epoch)
@@ -800,25 +764,15 @@ class ProcessShardExecutor:
         self._supervisor.record_disk_restore()
         return payload
 
-    def _republish_entry(self, path: str, payload: Any) -> None:
-        """Rewrite one spool entry in place, preserving its path and format.
-
-        Recovery must not move entries: dispatched job tuples carry the
-        spool path, and retried batches replay those same tuples.
-        """
-        if path.endswith(".pkl"):
-            _transport.write_spool_pickle(path, payload)
-        else:
-            _transport.remove_spool_entry(path)
-            _transport.write_spool_bundle(path, payload)
-
     def _repair_spool(self) -> int:
         """Verify every published entry; republish the broken ones.
 
         Returns how many entries were republished.  Broken entries are
         rewritten from the parent-resident payload when one exists, else
         from the searcher's snapshot restore source (the disk rung); an
-        entry with neither is skipped — its jobs fail typed.
+        entry with neither is skipped — its jobs fail typed.  A rewrite
+        keeps the entry's path: dispatched job tuples carry it, and retried
+        batches replay those same tuples.
         """
         with self._lock:
             entries = [
@@ -835,35 +789,23 @@ class ProcessShardExecutor:
                 payload = self._load_restore_payload(key, sources.get(key[0]))
             if payload is None:
                 continue
-            self._republish_entry(path, payload)
+            _transport.remove_spool_entry(path)
+            _transport.write_spool_bundle(path, payload)
             repaired += 1
         return repaired
 
     def _heal_pool(self) -> None:
-        """Replace the dead pool and replay recovery (supervisor callback).
+        """Replace the dead pool and repair the spool (supervisor callback).
 
-        Terminates the workers (hard: a hung worker cannot be waited on),
-        drops the shared-memory ring so in-flight slots cannot alias the
-        next generation's batches, and verifies/republishes the spool.
-        The pool itself respawns lazily on the next dispatch; workers
-        rebuild their shard caches from the (verified) spool on first
-        contact, which is the same cold path as any first batch.
+        Terminates the workers (hard: a hung worker cannot be waited on) and
+        verifies/republishes the spool.  The ring needs no reset: every
+        batch the dead pool held fails its collect, which unlinks that
+        batch's segment.  The pool respawns lazily on the next dispatch;
+        workers rebuild their shard caches from the (verified) spool on
+        first contact, which is the same cold path as any first batch.
         """
         self._pool.terminate()
-        with self._lock:
-            ring, self._ring = self._ring, None
-            self._ring_inflight = 0
-        if ring is not None:
-            ring.close()
         self._repair_spool()
-
-    def _record_shm_failure(self) -> None:
-        """Trip the shm breaker and drop the ring (demote to pickle)."""
-        self._shm_breaker.record_failure()
-        with self._lock:
-            ring, self._ring = self._ring, None
-        if ring is not None:
-            ring.close()
 
     def map(self, fn: Callable, jobs: Iterable) -> list:
         """Apply ``fn`` to every job in worker processes, preserving order."""
@@ -873,18 +815,11 @@ class ProcessShardExecutor:
         """Rank cache-keyed shard jobs (built against published payloads).
 
         Jobs carry ``(searcher_id, shard_index, epoch, spool_path,
-        shard_rng, queries, shard_k)``.  On the shared-memory transport the
-        query matrix is written into a ring segment once — which assumes
-        every job of one batch carries the *same* query matrix, as the
-        sharded searcher's fan-out does; batches with per-job query arrays
-        are detected and routed through the pickle path, which honors them.
-        Workers write their top-k results back in place; the returned
-        ``(indices, scores)`` pairs are then zero-copy views into that
-        segment, valid until the ring slot is reused (``ring_depth``
-        subsequent dispatches) — callers consume them immediately (the
-        cross-shard merge copies).  The pickle transport (and the
-        single-job in-process short cut, where no pipe is crossed) returns
-        ordinary arrays.
+        shard_rng, queries, shard_k)``.  Every job of one batch carries the
+        same query matrix, as the sharded searcher's fan-out does: it is
+        written into shared memory once, and a batch that mixes query
+        matrices raises :class:`~repro.exceptions.ServingError`.  Returns
+        one ``(indices, scores)`` pair of ordinary arrays per job.
         """
         return self.submit_cached(jobs, timeout=timeout)()
 
@@ -895,22 +830,23 @@ class ProcessShardExecutor:
 
         The non-blocking counterpart of :meth:`map_cached` and the primitive
         under the serving scheduler's multi-batch pipeline: the batch's
-        queries are written (shm) and the per-shard jobs submitted to the
-        workers, then a ``collect(timeout=None)`` callable is returned
-        whose call blocks until every shard finished and yields the
-        per-shard result list.  Up to :attr:`dispatch_depth` batches may be
-        in flight at once, and collects must follow submit order (FIFO) —
-        batch ``N + ring_depth`` rewrites batch ``N``'s ring slot, so ``N``
-        must be collected (and its views consumed) first.
+        queries are written into a shared-memory segment and the per-shard
+        jobs submitted to the workers, then a ``collect(timeout=None)``
+        callable is returned whose call blocks until every shard finished
+        and yields the per-shard result list.  The batch holds its segment
+        until that collect has copied the results out, so any number of
+        batches, dispatched from any threads, may be in flight at once and
+        be collected in any order.  Call each collect once.
 
         **Deadlines and recovery.**  ``timeout`` (here, or passed to the
         collect, which wins) is the batch's total wall-clock budget.  The
         collect supervises the dispatch: a crashed worker, a hang past
-        ``dispatch_timeout_s``, a corrupt spool entry or a lost shm segment
-        triggers an in-place heal (pool restart / spool repair / transport
-        demotion) and **one** replay of the idempotent jobs — bitwise
-        identical to an undisturbed run — within the remaining budget.  A
-        second failure (or an exhausted budget) raises
+        ``dispatch_timeout_s`` or a corrupt spool entry triggers an
+        in-place heal (pool restart / spool repair) and **one** replay of
+        the idempotent jobs — bitwise identical to an undisturbed run —
+        within the remaining budget.  A batch whose segment cannot be
+        allocated, or that a worker finds gone, replays in process instead.
+        A second failure (or an exhausted budget) raises
         :class:`~repro.exceptions.WorkerCrashError` /
         :class:`~repro.exceptions.ServingTimeoutError` /
         :class:`~repro.exceptions.SpoolIntegrityError`; the pool is healed
@@ -932,13 +868,19 @@ class ProcessShardExecutor:
                 return results
 
             return collect_ready
+        queries = job_list[0][5]
+        if any(job[5] is not queries for job in job_list[1:]):
+            raise ServingError(
+                "every job of one batch must carry the same query matrix: it "
+                "is written to shared memory once for all shards"
+            )
         if not self._supervisor.pool_allowed:
             return self._submit_cached_serial(job_list)
         self._fire_fault("dispatch")
         observed = self._supervisor.generation
         try:
             inner = self._dispatch_cached(job_list)
-        except BrokenExecutor as exc:
+        except BrokenExecutor:
             # The pool was already broken at submit time (a worker died
             # between batches).  Heal once and re-dispatch; a pool too
             # broken to accept work twice is a crash, not a retry loop.
@@ -947,26 +889,31 @@ class ProcessShardExecutor:
                 return self._submit_cached_serial(job_list)
             try:
                 inner = self._dispatch_cached(job_list)
-            except BrokenExecutor as exc2:
+            except BrokenExecutor as exc:
                 raise WorkerCrashError(
                     "worker pool broke dispatching a batch, then again after a restart"
-                ) from exc2
+                ) from exc
+        if inner is None:
+            return self._submit_cached_serial(job_list)
+        dispatched = inner
 
         def collect(timeout: Optional[float] = default_timeout) -> list:
-            return self._collect_with_recovery(inner, job_list, observed, timeout)
+            return self._collect_with_recovery(dispatched, job_list, observed, timeout)
 
         return collect
 
     def _submit_cached_serial(self, jobs: list) -> Callable[..., list]:
-        """In-process serial execution: the last rung of the degradation ladder.
+        """In-process execution: the rung below the worker pool.
 
         Used while the supervisor has demoted the pool (restarts exceeded
-        the budget).  Jobs run in the parent at collect time with the same
-        worker function, so results stay bitwise identical — the service
-        degrades in throughput, not in answers or availability.  One rung
-        remains below serial: a corrupt spool entry is repaired (from the
+        the budget) and for a batch that could not get or keep its
+        shared-memory segment.  Jobs run in the parent at collect time with
+        the same ranking function, so results stay bitwise identical — the
+        service degrades in throughput, not in answers or availability.
+        One rung remains below: a corrupt spool entry is repaired (from the
         parent payload, else from the snapshot restore source on disk) and
-        the batch replayed once before failing typed.
+        the batch replayed once before failing typed.  Neither use records
+        a pool success.
         """
 
         def collect(timeout: Optional[float] = None) -> list:
@@ -979,56 +926,24 @@ class ProcessShardExecutor:
 
         return collect
 
-    def _dispatch_cached(self, jobs: list) -> Callable[..., list]:
-        """Submit one multi-job batch; returns a raw ``collect(timeout)``.
+    def _dispatch_cached(self, jobs: list) -> Optional[Callable[..., list]]:
+        """Submit one multi-job batch through shared memory.
 
-        The transport-selection core shared by first dispatches and
-        recovery replays: shm when the breaker allows and the batch
-        qualifies, pickle otherwise.  The returned collect translates pool
-        failures into typed errors (see :func:`_await_futures`) but does
-        not itself retry — recovery lives one layer up.
+        Returns a raw ``collect(timeout)``, or ``None`` when no segment can
+        be allocated (an exhausted ``/dev/shm``), in which case the caller
+        ranks the batch in process.  The collect copies every shard's
+        results out of the segment and then returns the segment to the
+        ring; a failed batch's segment is unlinked instead, because one of
+        its workers may still write into it.  Pool failures become typed
+        errors (see :func:`_await_futures`), but the collect does not
+        itself retry — recovery lives one layer up.
         """
-        shared_queries = all(job[5] is jobs[0][5] for job in jobs[1:])
-        if shared_queries and self.active_transport == "shm":
-            with self._lock:
-                if self._ring_inflight >= self.ring_depth:
-                    raise ServingError(
-                        f"shared-memory ring overcommitted: {self._ring_inflight} "
-                        f"batches already in flight on {self.ring_depth} ring "
-                        "slots; collect dispatched batches in FIFO order before "
-                        "dispatching deeper, or raise ring_depth"
-                    )
-            try:
-                segment, layout = self._acquire_batch_segment(jobs)
-            except OSError:
-                # Segment allocation failed (exhausted /dev/shm,
-                # permissions): trip the breaker and fall through to the
-                # pickle path.  Scoped to the segment operations on
-                # purpose — a worker raising OSError (e.g. a reaped spool)
-                # must propagate, not masquerade as a shared-memory
-                # failure.
-                self._record_shm_failure()
-            else:
-                self._fire_fault("segment", segment=segment)
-                return self._submit_cached_shm(segment, layout, jobs)
-        futures = self._pool.submit_all(_rank_cached_shard_job, jobs)
-
-        def collect(timeout: Optional[float] = None) -> list:
-            return _await_futures(futures, timeout, what="cached-rank batch")
-
-        return collect
-
-    def _acquire_batch_segment(self, jobs: list) -> Tuple[Any, _transport.ShardBatchLayout]:
-        """A ring segment sized and loaded for one batch's queries/results."""
         layout = _transport.ShardBatchLayout(jobs[0][5], [job[6] for job in jobs])
-        segment = self._ensure_ring().acquire(layout.total_bytes)
-        layout.write_queries(segment)
-        return segment, layout
-
-    def _submit_cached_shm(
-        self, segment: Any, layout: _transport.ShardBatchLayout, jobs: list
-    ) -> Callable[..., list]:
-        """Dispatch one batch through the shared-memory ring (in flight)."""
+        ring = self._ring
+        try:
+            segment = ring.acquire(layout.total_bytes)
+        except OSError:
+            return None
         shm_jobs = [
             (
                 searcher_id,
@@ -1053,26 +968,31 @@ class ProcessShardExecutor:
                 shard_k,
             ) in enumerate(jobs)
         ]
-        futures = self._pool.submit_all(_rank_cached_shard_job_shm, shm_jobs)
-        with self._lock:
-            self._ring_inflight += 1
-        released = threading.Event()
+        try:
+            layout.write_queries(segment)
+            self._fire_fault("segment", segment=segment)
+            futures = self._pool.submit_all(_rank_cached_shard_job_shm, shm_jobs)
+        except BaseException:
+            ring.discard(segment)
+            raise
+        held = [segment]
 
         def collect(timeout: Optional[float] = None) -> list:
+            if not held:
+                raise ServingError("a dispatched batch can be collected only once")
+            held.clear()
             try:
                 _await_futures(futures, timeout, what="shared-memory batch")
-            finally:
-                # The slot is charged once per dispatch; release exactly
-                # once even if a worker raised or collect is retried.
-                if not released.is_set():
-                    released.set()
-                    with self._lock:
-                        self._ring_inflight = max(0, self._ring_inflight - 1)
-            # A full shm round trip doubles as the breaker's health probe.
-            self._shm_breaker.record_success()
-            return [
-                layout.result_views(segment, position) for position in range(len(jobs))
-            ]
+                results = []
+                for position in range(len(jobs)):
+                    indices, scores = layout.result_views(segment, position)
+                    results.append((indices.copy(), scores.copy()))
+            except BaseException:
+                ring.discard(segment)
+                raise
+            if not ring.release(segment):
+                raise ServingError("the executor was closed while the batch was in flight")
+            return results
 
         return collect
 
@@ -1091,18 +1011,14 @@ class ProcessShardExecutor:
         * corrupt/missing spool entry → verify + republish the spool (the
           workers are alive; they raised cleanly),
         * a worker-side ``OSError`` (a lost shm segment: failed attach) →
-          trip the shm breaker and drop the ring; the retry dispatches over
-          pickle,
+          nothing to heal: the failed collect already unlinked the segment,
         * anything else (crash, hang, broken pool) → supervisor heal:
-          terminate + respawn the pool, re-arm the ring, verify the spool.
+          terminate + respawn the pool, verify the spool.
         """
         if isinstance(exc, SpoolIntegrityError):
             self._repair_spool()
-            return
-        if isinstance(exc, OSError) and not isinstance(exc, ServingError):
-            self._record_shm_failure()
-            return
-        self._supervisor.ensure_healed(observed_generation)
+        elif not isinstance(exc, OSError):
+            self._supervisor.ensure_healed(observed_generation)
 
     def _collect_with_recovery(
         self,
@@ -1128,7 +1044,11 @@ class ProcessShardExecutor:
         deadline: Optional[float],
         exc: BaseException,
     ) -> list:
-        """Heal, then replay the idempotent batch once within its budget."""
+        """Heal, then replay the idempotent batch once within its budget.
+
+        A lost segment and a demoted pool replay in process; every other
+        failure replays on the healed pool.
+        """
         self._classify_and_heal(exc, observed_generation)
         remaining = None if deadline is None else deadline - time.monotonic()
         if remaining is not None and remaining <= 0:
@@ -1136,27 +1056,26 @@ class ProcessShardExecutor:
                 "batch deadline exhausted before the retry on the healed "
                 f"pool could run (first failure: {exc})"
             ) from exc
-        if not self._supervisor.pool_allowed:
-            # Serial fallback: bitwise identical, but NOT a pool success —
-            # recording one here would lift the demotion that was just
+        in_process = self._submit_cached_serial(jobs)
+        if isinstance(exc, OSError) or not self._supervisor.pool_allowed:
+            # In process: bitwise identical, but NOT a pool success —
+            # recording one here would lift a demotion that was just
             # imposed and send the next batch straight back to a pool that
             # dies faster than it heals.
-            return [_rank_cached_shard_job(job) for job in jobs]
+            return in_process()
         generation = self._supervisor.generation
         try:
             retry_collect = self._dispatch_cached(jobs)
+            if retry_collect is None:
+                return in_process()
             results = retry_collect(timeout=remaining)
         except (ServingError, OSError, BrokenExecutor) as retry_exc:
             # Heal once more behind the raise so the NEXT batch finds a
             # working pool, then fail this one cleanly and typed.
             self._classify_and_heal(retry_exc, generation)
-            if isinstance(retry_exc, BrokenExecutor):
+            if isinstance(retry_exc, (BrokenExecutor, OSError)):
                 raise WorkerCrashError(
-                    "worker pool broke again replaying a batch after a restart"
-                ) from retry_exc
-            if isinstance(retry_exc, OSError) and not isinstance(retry_exc, ServingError):
-                raise WorkerCrashError(
-                    f"batch replay failed again after recovery: {retry_exc}"
+                    f"batch replay failed again after recovery: {retry_exc!r}"
                 ) from retry_exc
             raise
         self._supervisor.record_success()
@@ -1165,8 +1084,8 @@ class ProcessShardExecutor:
     def evict(self, searcher_id: str, broadcast: bool = True) -> None:
         """Drop cached shards of one (closed) searcher from worker caches.
 
-        The calling process's entries — populated when the <=1-job short
-        cut ranked in-process — are dropped synchronously; with
+        The calling process's entries — populated whenever a batch ranked
+        in process — are dropped synchronously; with
         ``broadcast=True`` an eviction message is additionally submitted
         once per worker slot of the live pool (best effort, see
         :meth:`PersistentProcessPool.broadcast`).  Correctness never
@@ -1205,16 +1124,13 @@ class ProcessShardExecutor:
         """
         self._pool.close()
         with self._lock:
-            ring, self._ring = self._ring, None
-            self._ring_inflight = 0
             self._published.clear()
             self._payloads.clear()
             self._restore_sources.clear()
             self._append_seqs.clear()
             finalizer, self._spool_finalizer = self._spool_finalizer, None
             self._spool_dir = None
-        if ring is not None:
-            ring.close()
+        self._ring.close()
         if finalizer is not None:
             finalizer()
 

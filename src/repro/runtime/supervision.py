@@ -1,34 +1,23 @@
-"""Worker supervision: circuit breakers and pool heal/restart policy.
+"""Worker supervision: the pool heal/restart policy.
 
-The serving runtime of PRs 3–7 is fast but brittle: a worker killed
-mid-batch used to leave a :class:`~.transport.SharedMemoryRing` slot
-permanently in flight, a ``BrokenProcessPool`` was fatal to every lane on
-the scheduler, and a hung worker blocked its collect forever.  This module
-holds the two small, deterministic policy objects that
+A worker killed mid-batch, a ``BrokenProcessPool`` or a hung worker must
+not be fatal to the serving runtime.  :class:`PoolSupervisor` is the small,
+deterministic policy object that
 :class:`~.process_pool.ProcessShardExecutor` composes into a self-healing
-dispatch path:
+dispatch path.  It owns the executor's *heal* callback (terminate the
+pool, verify and republish spool entries) and guards it with a generation
+counter so concurrent collects that observed the same dead pool heal it
+exactly once.  When restarts come too fast — ``max_restarts`` within
+``restart_window_s`` — the supervisor demotes the executor to in-process
+serial execution and re-probes the pool after a cool-down.  The full
+degradation ladder is ``shm -> serial -> disk-restore``: below serial sits
+the storage tier, which republishes lost shard payloads from on-disk
+snapshots (counted via :meth:`PoolSupervisor.record_disk_restore`).
 
-* :class:`CircuitBreaker` — the transport-degradation policy.  The
-  executor keeps one breaker per degradable resource (the shared-memory
-  transport today); repeated failures open the breaker, which demotes the
-  resource (``shm -> pickle``), and after a cool-down the breaker lets a
-  probe dispatch through to test whether the resource recovered.
-* :class:`PoolSupervisor` — the restart policy.  It owns the executor's
-  *heal* callback (terminate the pool, re-arm the ring, verify and
-  republish spool entries) and guards it with a generation counter so
-  concurrent collects that observed the same dead pool heal it exactly
-  once.  When restarts come too fast — ``max_restarts`` within
-  ``restart_window_s`` — the supervisor demotes the executor to
-  in-process serial execution and re-probes the pool after a cool-down.
-  The full degradation ladder is ``shm -> pickle -> serial ->
-  disk-restore``: below serial sits the storage tier, which republishes
-  lost shard payloads from on-disk snapshots (counted via
-  :meth:`PoolSupervisor.record_disk_restore`).
-
-Both objects take an injectable monotonic ``clock`` so the chaos tests can
-drive cool-down transitions deterministically, and both are thread-safe:
+The supervisor takes an injectable monotonic ``clock`` so the chaos tests
+can drive cool-down transitions deterministically, and it is thread-safe:
 collects racing on a scheduler's pump thread and foreground lifecycle
-calls may hit them concurrently.
+calls may hit it concurrently.
 """
 
 from __future__ import annotations
@@ -41,7 +30,7 @@ from typing import Callable, Deque, Optional
 from ..exceptions import ConfigurationError
 from ..utils.validation import check_int_in_range
 
-__all__ = ["CircuitBreaker", "PoolSupervisor"]
+__all__ = ["PoolSupervisor"]
 
 
 def _check_positive_float(value: float, name: str) -> float:
@@ -51,88 +40,12 @@ def _check_positive_float(value: float, name: str) -> float:
     return value
 
 
-class CircuitBreaker:
-    """Failure-counting breaker with a cool-down re-probe.
-
-    Closed (healthy) until ``failure_threshold`` consecutive failures are
-    recorded, then open: :meth:`allows` answers False and the owner routes
-    around the resource.  Once ``cooldown_s`` has elapsed since the trip,
-    :meth:`allows` answers True again — the *half-open* probe — and the
-    next recorded outcome decides: a success closes the breaker, a failure
-    re-opens it and restarts the cool-down.
-
-    Parameters
-    ----------
-    failure_threshold:
-        Consecutive failures that trip the breaker.  The shared-memory
-        breaker uses 1: segment allocation failing once (an exhausted
-        ``/dev/shm``) is reason enough to stop paying the attempt.
-    cooldown_s:
-        Seconds an open breaker waits before admitting a probe.
-    clock:
-        Monotonic time source; injectable for deterministic tests.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 1,
-        cooldown_s: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.failure_threshold = check_int_in_range(
-            failure_threshold, "failure_threshold", minimum=1
-        )
-        self.cooldown_s = _check_positive_float(cooldown_s, "cooldown_s")
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._failures = 0
-        self._opened_at: Optional[float] = None
-
-    @property
-    def tripped(self) -> bool:
-        """Whether the breaker is open (a cooled-down probe may still run)."""
-        with self._lock:
-            return self._opened_at is not None
-
-    @property
-    def failures(self) -> int:
-        """Consecutive failures recorded since the last success."""
-        with self._lock:
-            return self._failures
-
-    def allows(self) -> bool:
-        """Whether the guarded resource may be used right now.
-
-        True while closed; once open, False until ``cooldown_s`` elapses,
-        then True again so one (or a few racing) probe dispatches can test
-        recovery.  Read-only: probing does not mutate the breaker — the
-        probe's :meth:`record_success`/:meth:`record_failure` does.
-        """
-        with self._lock:
-            if self._opened_at is None:
-                return True
-            return self._clock() - self._opened_at >= self.cooldown_s
-
-    def record_failure(self) -> None:
-        """Count one failure; trip (or re-trip) at the threshold."""
-        with self._lock:
-            self._failures += 1
-            if self._failures >= self.failure_threshold:
-                self._opened_at = self._clock()
-
-    def record_success(self) -> None:
-        """Close the breaker: the resource (or its probe) worked."""
-        with self._lock:
-            self._failures = 0
-            self._opened_at = None
-
-
 class PoolSupervisor:
     """Heal a worker pool in place, at a bounded restart rate.
 
     The supervisor owns a ``heal`` callback supplied by the executor —
-    terminate the dead workers, reset the shared-memory ring, verify and
-    republish spool entries — and two policies around it:
+    terminate the dead workers, verify and republish spool entries — and
+    two policies around it:
 
     * **Generation guard.**  Every dispatch snapshots :attr:`generation`;
       a collect that hits a dead pool calls :meth:`ensure_healed` with the
@@ -153,8 +66,7 @@ class PoolSupervisor:
     reload a shard from its on-disk snapshot (no parent-resident payload —
     a warm-restarted host or an evicted cold tenant), the executor counts
     it here via :meth:`record_disk_restore`, making
-    ``shm -> pickle -> serial -> disk-restore`` degradations observable
-    end to end.
+    ``shm -> serial -> disk-restore`` degradations observable end to end.
     """
 
     def __init__(

@@ -1,4 +1,4 @@
-"""Zero-copy transports for the shard-serving runtime.
+"""Zero-copy transport for the shard-serving runtime.
 
 The ``"processes"`` shard executor moves two kinds of bulk payload across
 the process boundary on the serving hot path:
@@ -8,17 +8,16 @@ the process boundary on the serving hot path:
 * **per-epoch payloads** — the programmed shard engines published to the
   spool once per program epoch.
 
-PR 4 shipped both through pickle, which costs one serialize + one
-deserialize memcpy per array *and* pushes every byte through the worker
-pipes.  This module removes both copies on hosts that support POSIX shared
-memory:
+Both travel through POSIX shared memory, so no ndarray payload is pickled
+on the steady-state path:
 
-* :class:`SharedMemoryRing` manages a small ring of reusable
+* :class:`SharedMemoryRing` keeps the executor's reusable
   ``multiprocessing.shared_memory`` segments.  The parent writes a query
   batch into a segment once; every worker maps the same physical pages and
-  writes its shard's top-k distances/indices back **in place**, so no
-  ndarray payload is pickled in either direction and only tiny job tuples
-  cross the pipes.  :class:`ShardBatchLayout` computes the byte layout of
+  writes its shard's top-k distances/indices back **in place**, so only
+  tiny job tuples cross the pipes.  Each dispatched batch holds its own
+  segment until it is collected, so any number of threads may dispatch
+  through one ring.  :class:`ShardBatchLayout` computes the byte layout of
   one dispatched batch (the query block followed by per-shard result
   blocks).
 * :func:`write_spool_bundle` / :func:`load_spool_payload` publish shard
@@ -30,10 +29,11 @@ memory:
   deserialized clones — and a worker that never touches a shard never
   faults its pages in at all.
 
-Everything degrades transparently: when ``multiprocessing.shared_memory``
-is unavailable (or segment allocation fails at runtime) the executor falls
-back to the PR 4 pickle path, and :func:`load_spool_payload` reads both
-spool formats, so mixed states during a fallback are safe.
+:func:`write_spool_pickle` / :func:`load_pickle_spool_bytes` are the
+single-file, checksum-framed format that durable snapshots use
+(:mod:`repro.storage.snapshot`).  Every unpickle in this module follows a
+CRC check, so a scribbled byte surfaces as
+:class:`~repro.exceptions.SpoolIntegrityError`, never as garbage.
 
 Lifecycle: segments are unlinked on ``close()``, on context-manager exit of
 the owning executor, and by a :func:`weakref.finalize` safety net when the
@@ -46,10 +46,11 @@ import json
 import os
 import pickle
 import shutil
+import threading
 import weakref
 import zlib
 from collections import OrderedDict
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +65,6 @@ except ImportError:  # pragma: no cover - exotic builds without _posixshmem
 _shared_memory: Any = _shm_module
 
 from ..exceptions import ConfigurationError, SpoolIntegrityError
-from ..utils.validation import check_int_in_range
 
 
 def shared_memory_available() -> bool:
@@ -104,61 +104,80 @@ def _release_segments(segments: List) -> None:
 
 
 class SharedMemoryRing:
-    """A ring of reusable shared-memory segments for query/result batches.
+    """The reusable shared-memory segments of one executor.
 
-    ``acquire(nbytes)`` hands out segments round-robin across ``depth``
-    slots, creating (or growing) a slot's segment only when the requested
-    batch does not fit.  Steady-state serving therefore allocates nothing:
-    the same segments are rewritten batch after batch.  The ring depth keeps
-    the previous batch's result blocks mapped while the next batch is being
-    written, so callers may hold the returned result views across exactly
-    one subsequent dispatch.
-
-    Parameters
-    ----------
-    depth:
-        Number of independent slots (>= 1).
+    :meth:`acquire` hands a dispatched batch an idle segment that fits, or
+    creates one; the batch holds it until :meth:`release` returns it (its
+    results copied out) or :meth:`discard` unlinks it (the batch failed,
+    and a worker may still write into it).  A held segment is never handed
+    to another batch, so batches dispatched from any number of threads
+    cannot overwrite each other's results, and steady-state serving still
+    allocates nothing.  When no idle segment fits, the smallest idle one is
+    unlinked before a new one is created: the ring then holds at most as
+    many segments as batches were ever in flight at once.
     """
 
-    def __init__(self, depth: int = 2) -> None:
+    def __init__(self) -> None:
         if not shared_memory_available():  # pragma: no cover - fallback hosts
-            raise ConfigurationError(
-                "shared memory is unavailable in this interpreter; "
-                "use the pickle transport instead"
-            )
-        self.depth = check_int_in_range(depth, "depth", minimum=1)
-        self._slots: List[Optional[Any]] = [None] * self.depth
-        self._cursor = 0
-        #: Live segments, shared with the GC safety net: close() empties the
-        #: list in place, turning a later finalize into a no-op.
+            raise ConfigurationError("shared memory is unavailable in this interpreter")
+        self._lock = threading.Lock()
+        self._idle: List[Any] = []
+        #: Every segment, held or idle, shared with the GC safety net:
+        #: close() empties the list in place, turning a later finalize into
+        #: a no-op.
         self._live: List[Any] = []
         self._finalizer = weakref.finalize(self, _release_segments, self._live)
 
     @property
     def segment_names(self) -> Tuple[str, ...]:
         """Names of the currently allocated segments (introspection/tests)."""
-        return tuple(segment.name for segment in self._live)
+        with self._lock:
+            return tuple(segment.name for segment in self._live)
+
+    @property
+    def in_use(self) -> int:
+        """Segments held by dispatched, not yet collected batches."""
+        with self._lock:
+            return len(self._live) - len(self._idle)
 
     def acquire(self, nbytes: int) -> Any:
-        """A segment of at least ``nbytes``, reusing the next ring slot."""
-        slot = self._cursor
-        self._cursor = (self._cursor + 1) % self.depth
-        segment = self._slots[slot]
-        if segment is not None and segment.size >= nbytes:
+        """A segment of at least ``nbytes`` that no other batch holds."""
+        with self._lock:
+            for segment in reversed(self._idle):
+                if segment.size >= nbytes:
+                    self._idle.remove(segment)
+                    return segment
+            if self._idle:
+                smallest = min(self._idle, key=lambda segment: segment.size)
+                self._idle.remove(smallest)
+                self._live.remove(smallest)
+                _release_segments([smallest])
+            segment = _shared_memory.SharedMemory(create=True, size=max(int(nbytes), 1))
+            self._live.append(segment)
             return segment
-        if segment is not None:
+
+    def release(self, segment: Any) -> bool:
+        """Return a held segment for reuse; False if :meth:`close` dropped it."""
+        with self._lock:
+            if segment not in self._live:
+                return False
+            if segment not in self._idle:
+                self._idle.append(segment)
+            return True
+
+    def discard(self, segment: Any) -> None:
+        """Unlink a held segment so that no later batch can reuse it."""
+        with self._lock:
+            if segment not in self._live:
+                return
             self._live.remove(segment)
-            _release_segments([segment])
-        segment = _shared_memory.SharedMemory(create=True, size=max(int(nbytes), 1))
-        self._slots[slot] = segment
-        self._live.append(segment)
-        return segment
+        _release_segments([segment])
 
     def close(self) -> None:
         """Unlink every segment (idempotent; the ring is reusable after)."""
-        _release_segments(self._live)
-        self._slots = [None] * self.depth
-        self._cursor = 0
+        with self._lock:
+            self._idle.clear()
+            _release_segments(self._live)
 
     def __enter__(self) -> "SharedMemoryRing":
         return self
@@ -226,7 +245,7 @@ class ShardBatchLayout:
 #: Process-global cache of attached segments by name.  Ring segments are
 #: reused across batches, so each worker attaches a handful of names once
 #: and serves every subsequent batch from the mapping; the cache is bounded
-#: because a ring replaces (rather than accumulates) segment names, and
+#: because a ring holds no more segments than batches in flight, and
 #: attachments whose segment the parent has unlinked are pruned eagerly so
 #: dead pages are not pinned for the worker's lifetime.
 _ATTACHED_SEGMENTS: "OrderedDict[str, Any]" = OrderedDict()
@@ -248,11 +267,12 @@ def _close_attachment(segment: Any) -> None:
 def _prune_unlinked_attachments() -> None:
     """Drop cached attachments whose segments the owner has unlinked.
 
-    A ring that grows a slot unlinks the old segment in the parent, but the
-    steady state only ever re-attaches the live ring names, so the dead
-    mapping would otherwise survive below the LRU bound forever — N workers
-    each pinning the replaced segment's pages.  Only effective where shared
-    memory is file-backed (Linux); elsewhere the LRU bound still applies.
+    A ring unlinks a too-small idle segment, or a failed batch's segment,
+    in the parent, but the steady state only ever re-attaches the live
+    ring names, so the dead mapping would otherwise survive below the LRU
+    bound forever — N workers each pinning the replaced segment's pages.
+    Only effective where shared memory is file-backed (Linux); elsewhere
+    the LRU bound still applies.
     """
     if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-Linux hosts
         return
@@ -270,8 +290,8 @@ def attach_segment(name: str) -> Any:
     if segment is not None:
         _ATTACHED_SEGMENTS.move_to_end(name)
         return segment
-    # A new name means the ring moved (first contact, or a slot was
-    # replaced by a bigger batch): prune what the owner unlinked.
+    # A new name means the ring moved (first contact, or a segment was
+    # replaced or discarded): prune what the owner unlinked.
     _prune_unlinked_attachments()
     segment = _shared_memory.SharedMemory(name=name)
     _ATTACHED_SEGMENTS[name] = segment
@@ -286,6 +306,9 @@ def attach_segment(name: str) -> Any:
 # ----------------------------------------------------------------------
 _BUNDLE_PAYLOAD = "payload.pkl"
 _BUNDLE_MANIFEST = "manifest.json"
+
+#: Every field a bundle manifest must carry, with its JSON type.
+_MANIFEST_FIELDS = {"format": int, "payload_crc32": int, "payload_bytes": int, "buffer_bytes": list}
 
 #: Header of checksummed pickle-spool files: magic, 4-byte little-endian
 #: CRC-32 of the pickle stream, 8-byte little-endian stream length.
@@ -332,15 +355,13 @@ def write_spool_bundle(path: str, payload: Any) -> str:
 
 
 def write_spool_pickle(path: str, payload: Any, fsync: bool = False) -> str:
-    """Publish ``payload`` as a checksummed pickle-spool file at ``path``.
+    """Write ``payload`` as a checksummed pickle-spool file at ``path``.
 
-    The pickle-transport counterpart of :func:`write_spool_bundle`: the
-    stream is prefixed with a magic/CRC-32/length header and atomically
-    replaced into place, so readers either see a verifiable complete file
-    or the previous epoch's.  ``fsync=True`` flushes the file and its
-    directory entry before returning — the durability contract snapshot
-    shards need, and overkill for transport spools whose loss is healed
-    by a republish.
+    The single-file format of durable snapshots: the stream is prefixed
+    with a magic/CRC-32/length header and atomically replaced into place,
+    so readers either see a verifiable complete file or the previous one.
+    ``fsync=True`` flushes the file and its directory entry before
+    returning.  :func:`load_pickle_spool_bytes` reads it back.
     """
     data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     header = (
@@ -365,18 +386,37 @@ def write_spool_pickle(path: str, payload: Any, fsync: bool = False) -> str:
 
 
 def _read_bundle_manifest(path: str) -> dict:
+    """A bundle's manifest, with every field present and of its JSON type."""
     manifest_path = os.path.join(path, _BUNDLE_MANIFEST)
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
         raise SpoolIntegrityError(f"spool bundle manifest unreadable at {path}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise SpoolIntegrityError(f"spool bundle manifest malformed at {path}")
+    # ``type(...) is`` rather than isinstance: JSON booleans are not sizes.
+    if not (
+        isinstance(manifest, dict)
+        and all(type(manifest.get(field)) is kind for field, kind in _MANIFEST_FIELDS.items())
+        and all(type(size) is int for size in manifest["buffer_bytes"])
+    ):
+        raise SpoolIntegrityError(
+            f"spool bundle manifest malformed at {path} (a field is missing or mistyped)"
+        )
     return manifest
 
 
-def _verify_bundle(path: str, manifest: dict, data: bytes) -> None:
+def _read_verified_bundle(path: str) -> Tuple[bytes, int]:
+    """A bundle's pickle stream and buffer count, checked against its manifest.
+
+    The stream's length and CRC-32 must match, and every ``buf*.npy`` file
+    must exist with its recorded byte size; anything else raises
+    :class:`~repro.exceptions.SpoolIntegrityError`.
+    """
+    if not os.path.isdir(path):
+        raise SpoolIntegrityError(f"spool entry missing at {path}")
+    manifest = _read_bundle_manifest(path)
+    with open(os.path.join(path, _BUNDLE_PAYLOAD), "rb") as fh:
+        data = fh.read()
     if len(data) != manifest["payload_bytes"] or (
         zlib.crc32(data) & 0xFFFFFFFF
     ) != manifest["payload_crc32"]:
@@ -392,31 +432,17 @@ def _verify_bundle(path: str, manifest: dict, data: bytes) -> None:
                 f"spool bundle buffer truncated at {buffer_path} "
                 f"({actual} bytes, expected {expected})"
             )
-
-
-def _read_pickle_spool(path: str) -> bytes:
-    """The verified pickle stream of a pickle-spool file."""
-    with open(path, "rb") as fh:
-        head = fh.read(_PICKLE_HEADER_BYTES)
-        if not head.startswith(_PICKLE_MAGIC):
-            raise SpoolIntegrityError(f"spool file at {path} has no integrity header")
-        data = fh.read()
-    crc = int.from_bytes(head[len(_PICKLE_MAGIC) : len(_PICKLE_MAGIC) + 4], "little")
-    length = int.from_bytes(head[len(_PICKLE_MAGIC) + 4 :], "little")
-    if len(data) != length or (zlib.crc32(data) & 0xFFFFFFFF) != crc:
-        raise SpoolIntegrityError(f"spool file corrupt at {path} (checksum mismatch)")
-    return data
+    return data, len(manifest["buffer_bytes"])
 
 
 def load_pickle_spool_bytes(data: bytes, source: str, checksummed: bool = True) -> Any:
     """Unpickle an in-memory pickle-spool image, validating its framing.
 
-    The zero-reread path for callers that already hold the whole file —
-    the snapshot loader checksums each file against its manifest CRC
-    first, then passes ``checksummed=False`` so the frame's own CRC (over
-    the same bytes) is not recomputed.  Raises
-    :class:`~repro.exceptions.SpoolIntegrityError` on bad framing exactly
-    like :func:`load_spool_payload`.
+    The reader of :func:`write_spool_pickle` files for callers that already
+    hold the whole file — the snapshot loader checksums each file against
+    its manifest CRC first, then passes ``checksummed=False`` so the
+    frame's own CRC (over the same bytes) is not recomputed.  Bad framing
+    raises :class:`~repro.exceptions.SpoolIntegrityError`.
     """
     if not data.startswith(_PICKLE_MAGIC):
         raise SpoolIntegrityError(f"spool image at {source} has no integrity header")
@@ -435,35 +461,24 @@ def load_pickle_spool_bytes(data: bytes, source: str, checksummed: bool = True) 
 
 
 def load_spool_payload(path: str) -> Any:
-    """Load a published shard payload from either spool format, verified.
+    """Load a published shard bundle, verified against its manifest.
 
-    Bundle directories reconstruct their pickled object around
-    ``np.load(mmap_mode="r")`` buffer views, so every ndarray in the
-    payload is backed by the page cache and shared physically across the
-    workers of one host (the arrays come back read-only, which the search
-    path never violates).  Plain files are the pickle spool.  Both formats
-    carry checksummed headers; a missing, truncated or scribbled entry
-    raises :class:`~repro.exceptions.SpoolIntegrityError` — a typed,
-    recoverable signal the executor answers by evicting and republishing
-    the entry — instead of crashing the worker on garbage bytes.
+    The pickled object is reconstructed around ``np.load(mmap_mode="r")``
+    buffer views, so every ndarray in the payload is backed by the page
+    cache and shared physically across the workers of one host (the
+    arrays come back read-only, which the search path never violates).  A
+    missing, truncated or scribbled bundle raises
+    :class:`~repro.exceptions.SpoolIntegrityError` — a typed, recoverable
+    signal the executor answers by republishing the entry — instead of
+    crashing the worker on garbage bytes.
     """
     try:
-        if os.path.isdir(path):
-            manifest = _read_bundle_manifest(path)
-            with open(os.path.join(path, _BUNDLE_PAYLOAD), "rb") as fh:
-                data = fh.read()
-            _verify_bundle(path, manifest, data)
-            buffers: List[np.ndarray] = []
-            index = 0
-            while True:
-                buffer_path = os.path.join(path, f"buf{index}.npy")
-                if not os.path.exists(buffer_path):
-                    break
-                buffers.append(np.load(buffer_path, mmap_mode="r"))
-                index += 1
-            return pickle.loads(data, buffers=buffers)
-        data = _read_pickle_spool(path)
-        return pickle.loads(data)
+        data, buffer_count = _read_verified_bundle(path)
+        buffers = [
+            np.load(os.path.join(path, f"buf{index}.npy"), mmap_mode="r")
+            for index in range(buffer_count)
+        ]
+        return pickle.loads(data, buffers=buffers)
     except SpoolIntegrityError:
         raise
     except FileNotFoundError as exc:
@@ -473,43 +488,32 @@ def load_spool_payload(path: str) -> Any:
 
 
 def verify_spool_entry(path: str) -> bool:
-    """Whether a published spool entry passes its integrity header.
+    """Whether a published spool bundle passes its manifest checks.
 
     The parent-side recovery check: cheap (checksums the pickle stream,
-    stats the buffer files — never unpickles or maps the payload).  An
-    entry without its integrity header — a pickle file whose magic is
-    overwritten, a bundle whose manifest is gone — is damaged, not an older
-    format: every spool entry is written with one.  Used by the supervisor
-    to decide which entries must be republished after a fault.
+    stats the buffer files — never unpickles or maps the payload).  A
+    bundle whose manifest is gone or lacks a field is damaged, not an
+    older format: every bundle is written with a complete one.  Used by
+    the supervisor to decide which entries must be republished after a
+    fault.
     """
     try:
-        if os.path.isdir(path):
-            manifest = _read_bundle_manifest(path)
-            with open(os.path.join(path, _BUNDLE_PAYLOAD), "rb") as fh:
-                data = fh.read()
-            _verify_bundle(path, manifest, data)
-            return True
-        _read_pickle_spool(path)
+        _read_verified_bundle(path)
         return True
     except (SpoolIntegrityError, OSError):
         return False
 
 
 def remove_spool_entry(path: str) -> None:
-    """Delete a published spool entry of either format (best effort)."""
-    if os.path.isdir(path):
-        shutil.rmtree(path, ignore_errors=True)
-        return
-    try:
-        os.remove(path)
-    except OSError:
-        pass
+    """Delete a published spool bundle (best effort)."""
+    shutil.rmtree(path, ignore_errors=True)
 
 
 __all__ = [
     "SharedMemoryRing",
     "ShardBatchLayout",
     "attach_segment",
+    "load_pickle_spool_bytes",
     "load_spool_payload",
     "remove_spool_entry",
     "shared_memory_available",

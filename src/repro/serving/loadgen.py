@@ -158,9 +158,9 @@ class _SerialDirect:
 
     Wraps a searcher behind the same ``submit(query, k) -> Future``
     surface the load generators drive, but each call performs one
-    single-query dispatch under a lock — exactly what concurrent clients
-    sharing a searcher had before the scheduler existed (the executor
-    transport is single-dispatcher, so callers must serialize).
+    single-query dispatch under a lock — the one-query-per-dispatch
+    serving that concurrent clients sharing a searcher had before the
+    scheduler existed.
     """
 
     def __init__(self, searcher: Any) -> None:
@@ -183,9 +183,9 @@ class _SerialDirect:
 def direct_submitter(searcher: Any) -> _SerialDirect:
     """A naive one-query-per-dispatch submitter over ``searcher``.
 
-    The honest baseline for scheduler speedups: concurrent clients
-    serialize on a lock because the underlying executor transport admits a
-    single dispatcher.  Returns an object with the same
+    The baseline for scheduler speedups: concurrent clients serialize on
+    a lock and each dispatch carries one query.  Returns an object with the
+    same
     ``submit(query, k) -> Future`` surface as the scheduler.
     """
     return _SerialDirect(searcher)

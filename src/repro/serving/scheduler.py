@@ -38,7 +38,7 @@ not as ready-made batches.  :class:`MicroBatchScheduler` closes that gap:
   (:meth:`~MicroBatchScheduler.add_lane`), each with its own searcher
   (tenants sharing one executor/worker pool), weight, bounded queue and
   adaptive window.  The pump dispatches across lanes by **deficit round
-  robin** over the in-flight ring slots: each visit tops a backlogged
+  robin** over the in-flight slots: each visit tops a backlogged
   lane's deficit up by ``weight * max_batch`` query credits and the lane
   dispatches while its credits last, so under saturation the measured
   dispatch share converges to the configured weights.  Admission control
@@ -47,13 +47,11 @@ not as ready-made batches.  :class:`MicroBatchScheduler` closes that gap:
   another lane's latency budget.
 * **Dispatch** — coalesced batches go through the searcher's
   ``submit_serving`` seam.  On the sharded ``"processes"`` executor that
-  path keeps several batches **in flight** on the shared-memory ring
-  (bounded by ``max_in_flight`` and the smallest ``serving_depth`` across
-  the lanes' searchers — lanes sharing one executor share its ring, see
-  :attr:`~repro.core.sharding.ShardedSearcher.serving_channel`): worker
-  processes rank batch *N+1* while the pump demultiplexes batch *N*.
-  Collects follow dispatch order (FIFO) across all lanes, which is what
-  keeps ring-slot reuse safe on a shared channel.
+  path keeps up to ``max_in_flight`` batches **in flight** on the
+  shared-memory ring: worker processes rank batch *N+1* while the pump
+  demultiplexes batch *N*.  The pump collects in dispatch order across
+  all lanes; each batch holds its own ring segment, so that order is the
+  scheduler's choice, not a safety requirement.
 * **Demultiplexing** — per-query top-k rows are sliced out of the batch
   result and delivered to each awaiting future as a
   :class:`~repro.core.search.QueryResult`.  Coalescing is a transport
@@ -74,9 +72,9 @@ queries are served, not dropped — and a :func:`weakref.finalize` safety net
 scheduler is collectable and its finalizer drains the pump).
 
 The scheduler does not own its searchers: close the searchers (and their
-executor) after the scheduler, the usual nesting of ``with`` blocks.  While
-a scheduler is serving, route all of its searchers' traffic through it —
-the shared-memory ring is single-dispatcher.
+executor) after the scheduler, the usual nesting of ``with`` blocks.  Other
+threads may keep dispatching through the same searchers and executor while
+the scheduler serves.
 """
 
 from __future__ import annotations
@@ -403,7 +401,6 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
         self._default_lane: Optional[str] = None
         self._cursor = 0
         self._fresh_visit = True
-        self._in_flight_cap = max_in_flight
         self._inflight: "deque[tuple]" = deque()
         self._thread: Optional[threading.Thread] = None
         self._closing = False
@@ -446,11 +443,6 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
             self._rotation.append(lane)
             if self._default_lane is None:
                 self._default_lane = name
-            depth = getattr(searcher, "serving_depth", None)
-            if depth is not None:
-                # Lanes sharing one executor instance share its ring, so
-                # the total in-flight bound is the channel's, not a sum.
-                self._in_flight_cap = max(1, min(self._in_flight_cap, int(depth)))
 
     def _resolve_lane(self, name: Optional[str]) -> _Lane:
         key = self._default_lane if name is None else name
@@ -667,8 +659,7 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
                 backlog = (
                     any(lane.pending for lane in self._rotation) or self._closing
                 )
-                cap = self._in_flight_cap
-            if backlog and len(self._inflight) < cap:
+            if backlog and len(self._inflight) < self.max_in_flight:
                 return
             self._collect_oldest()
 
@@ -814,12 +805,9 @@ class MicroBatchScheduler:
         :class:`~repro.exceptions.ServingOverloadError`.  ``add_lane`` may
         override it per lane.
     max_in_flight:
-        Dispatched batches that may be outstanding at once, capped at the
-        smallest ``serving_depth`` across the lanes' searchers (the
-        shared-memory ring depth on the ``"processes"`` executor — lanes
-        sharing one executor instance share its ring).  Depth > 1 overlaps
-        worker-side compute of one batch with demultiplexing and dispatch
-        of the next.
+        Dispatched batches that may be outstanding at once, across all
+        lanes.  Depth > 1 overlaps worker-side compute of one batch with
+        demultiplexing and dispatch of the next.
     min_delay_us:
         Floor of the adaptive window, which each lane moves inside
         ``[min_delay_us, max_delay_us]`` from its observed arrival rate and
@@ -911,8 +899,8 @@ class MicroBatchScheduler:
 
     @property
     def max_in_flight(self) -> int:
-        """Effective in-flight bound (after the ``serving_depth`` caps)."""
-        return self._engine._in_flight_cap
+        """Dispatched batches that may be outstanding at once."""
+        return self._engine.max_in_flight
 
     @property
     def max_queue(self) -> int:
@@ -951,8 +939,8 @@ class MicroBatchScheduler:
         ``searcher`` defaults to the scheduler's default searcher (several
         priority classes over one store); passing another fitted searcher
         serves a different tenant's store — typically sharing the same
-        executor instance, in which case the lanes also share its
-        in-flight ring slots and the DRR dispatcher arbitrates them.
+        executor instance; the DRR dispatcher arbitrates the in-flight
+        slots between lanes.
         ``weight`` sets the lane's dispatch share under contention;
         ``max_queue`` overrides the scheduler-wide bound for this lane.
         """

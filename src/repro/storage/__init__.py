@@ -17,7 +17,7 @@ restart.  Three pieces compose:
   their next lease.
 
 Every on-disk artifact is either the spool-pickle format (validated by
-:func:`~repro.runtime.transport.verify_spool_entry`) or a length+CRC
+:func:`~repro.runtime.transport.load_pickle_spool_bytes`) or a length+CRC
 framed journal record; nothing partial is ever served — corruption
 surfaces as :class:`~repro.exceptions.SnapshotIntegrityError`.
 """

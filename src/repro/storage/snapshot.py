@@ -16,10 +16,10 @@ Layout under the snapshot directory::
         shard-<i>.pkl   <- spool-pickle format (RSPL magic + CRC header)
         store.pkl       <- retained features/labels payload
 
-Each data file reuses the PR 8 spool-header format
-(:func:`~repro.runtime.transport.write_spool_pickle`), so
-:func:`~repro.runtime.transport.verify_spool_entry` validates snapshot
-shards exactly like transport spools — one CRC idiom across the tier.
+Each data file uses the spool-pickle format
+(:func:`~repro.runtime.transport.write_spool_pickle`), whose own CRC frame
+:func:`~repro.runtime.transport.load_pickle_spool_bytes` checks on top of
+the manifest's CRC — one CRC idiom across the tier.
 The generation directory is staged under a ``.tmp`` name and renamed into
 place before the manifest flips to it, so a crash at any point leaves
 either the previous complete snapshot or none; readers trust only what

@@ -282,6 +282,17 @@ class TestRuleViolations:
         )
         assert "RPL011" not in codes_of(lint_source(staged, STORAGE_PATH))
 
+    def test_rpl012_flags_unframed_pickle_load(self):
+        bad = "import pickle\ndef read(data):\n    return pickle.loads(data)\n"
+        assert "RPL012" in codes_of(lint_source(bad, PACKAGE_PATH))
+        # The CRC-checking spool reader is where persisted pickles load.
+        assert "RPL012" not in codes_of(lint_source(bad, "src/repro/runtime/transport.py"))
+
+    def test_rpl012_flags_pickle_loads_imported_by_name(self):
+        bad = "from pickle import dumps, loads\n"
+        assert "RPL012" in codes_of(lint_source(bad, PACKAGE_PATH))
+        assert "RPL012" not in codes_of(lint_source("from pickle import dumps\n", PACKAGE_PATH))
+
     def test_lock_order_table_is_well_formed(self):
         assert len(LOCK_ORDER) >= 2
         assert len(set(LOCK_ORDER)) == len(LOCK_ORDER)

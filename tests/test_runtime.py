@@ -39,7 +39,7 @@ from repro.runtime.process_pool import (
     _rank_cached_shard_job,
     worker_shard_cache_epochs,
 )
-from repro.runtime.transport import write_spool_pickle
+from repro.runtime.transport import remove_spool_entry, write_spool_bundle
 
 WORKERS = 2
 
@@ -218,10 +218,10 @@ class TestWorkerShardCache:
         features = rng.normal(size=(10, 4))
         queries = rng.normal(size=(3, 4))
         index_map = np.arange(10, dtype=np.int64)
-        path = tmp_path / "shard.pkl"
+        path = tmp_path / "shard-e1"
         key = ("test-searcher", 0)
         try:
-            write_spool_pickle(str(path), (SoftwareSearcher("euclidean").fit(features), index_map))
+            write_spool_bundle(str(path), (SoftwareSearcher("euclidean").fit(features), index_map))
             job = lambda epoch: (  # noqa: E731
                 *key,
                 epoch,
@@ -235,7 +235,8 @@ class TestWorkerShardCache:
             # Re-publish different contents WITHOUT bumping the epoch: the
             # resident copy must keep serving (the parent only rewrites the
             # spool together with an epoch bump).
-            write_spool_pickle(
+            remove_spool_entry(str(path))
+            write_spool_bundle(
                 str(path), (SoftwareSearcher("euclidean").fit(features + 5.0), index_map)
             )
             second, _ = _rank_cached_shard_job(job(1))

@@ -3,18 +3,19 @@
 The recovery contract extends the transport's: a worker killed mid-batch,
 a hung worker, a corrupt or deleted spool entry, or a lost shared-memory
 segment changes *how long* a batch takes — never *what it computes* and
-never whether the process survives.  These tests pin the policy objects
-(:class:`~repro.runtime.supervision.CircuitBreaker` and
-:class:`~repro.runtime.supervision.PoolSupervisor`, driven by fake
+never whether the process survives.  These tests pin the policy object
+(:class:`~repro.runtime.supervision.PoolSupervisor`, driven by fake
 clocks), the determinism of the fault-injection harness, the spool
 integrity headers, and — most importantly — the end-to-end chaos
 scenarios: every injected fault either heals in place and replays the
 idempotent batch to a bitwise-identical result, or fails typed within its
-deadline, with no hang and no leaked ring slot either way.
+deadline, with no hang and no leaked ring segment either way.
 """
 
 from __future__ import annotations
 
+import json
+import multiprocessing
 import os
 import time
 
@@ -31,16 +32,16 @@ from repro.exceptions import (
     WorkerCrashError,
 )
 from repro.runtime import (
-    CircuitBreaker,
     FaultInjector,
     PersistentProcessPool,
     PoolSupervisor,
     ProcessShardExecutor,
+    worker_shard_cache_epochs,
 )
 from repro.runtime.process_pool import _evict_searcher_entries
 from repro.runtime.transport import (
+    load_pickle_spool_bytes,
     load_spool_payload,
-    shared_memory_available,
     verify_spool_entry,
     write_spool_bundle,
     write_spool_pickle,
@@ -145,13 +146,13 @@ def two_shard_jobs(executor, queries, k=2, searcher_id="chaos", epoch=1, delay_s
     return jobs, expected
 
 
-def damage_spool_header(path):
-    """Overwrite a pickle entry's magic, or delete a bundle's manifest."""
-    if os.path.isdir(path):
-        os.remove(os.path.join(path, "manifest.json"))
-    else:
-        with open(path, "r+b") as fh:
-            fh.write(b"\x00" * 5)
+def damage_manifest(path, replacement=None):
+    """Delete a bundle's manifest, or replace it with ``replacement``'s JSON."""
+    manifest_path = os.path.join(path, "manifest.json")
+    os.remove(manifest_path)
+    if replacement is not None:
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(replacement, fh)
 
 
 def assert_batch_matches(results, expected):
@@ -163,46 +164,6 @@ def assert_batch_matches(results, expected):
 # ----------------------------------------------------------------------
 # Policy objects (unit, fake clocks)
 # ----------------------------------------------------------------------
-class TestCircuitBreaker:
-    def test_closed_breaker_allows_and_counts_nothing(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown_s=10.0, clock=FakeClock())
-        assert breaker.allows()
-        assert not breaker.tripped
-        assert breaker.failures == 0
-
-    def test_trips_at_threshold_not_before(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown_s=10.0, clock=FakeClock())
-        breaker.record_failure()
-        assert breaker.allows() and not breaker.tripped
-        breaker.record_failure()
-        assert breaker.tripped
-        assert not breaker.allows()
-
-    def test_cooldown_admits_a_probe_and_its_outcome_decides(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=10.0, clock=clock)
-        breaker.record_failure()
-        assert not breaker.allows()
-        clock.advance(10.0)
-        # Half-open: still tripped, but a probe may pass — and checking is
-        # read-only, so racing probes all see the same answer.
-        assert breaker.allows() and breaker.tripped
-        assert breaker.allows()
-        breaker.record_failure()  # probe failed: re-open, fresh cooldown
-        assert not breaker.allows()
-        clock.advance(10.0)
-        assert breaker.allows()
-        breaker.record_success()  # probe passed: fully closed
-        assert not breaker.tripped
-        assert breaker.failures == 0
-
-    def test_validation(self):
-        with pytest.raises(Exception):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ConfigurationError, match="cooldown_s"):
-            CircuitBreaker(cooldown_s=0.0)
-
-
 class TestPoolSupervisor:
     @staticmethod
     def _supervisor(heals, clock, **kwargs):
@@ -324,10 +285,14 @@ class TestSpoolIntegrity:
     def _payload():
         return (SoftwareSearcher("euclidean").fit(RNG.normal(size=(8, 4))), np.arange(8))
 
+    @staticmethod
+    def _read(path):
+        with open(path, "rb") as fh:
+            return fh.read()
+
     def test_pickle_spool_round_trips_and_verifies(self, tmp_path):
         path = write_spool_pickle(str(tmp_path / "entry.pkl"), self._payload())
-        assert verify_spool_entry(path)
-        shard, index_map = load_spool_payload(path)
+        shard, index_map = load_pickle_spool_bytes(self._read(path), path)
         np.testing.assert_array_equal(index_map, np.arange(8))
         assert shard.num_entries == 8
 
@@ -337,12 +302,11 @@ class TestSpoolIntegrity:
         with open(path, "r+b") as fh:
             fh.seek(size // 2)
             fh.write(b"\xde\xad\xbe\xef")
-        assert not verify_spool_entry(path)
         with pytest.raises(SpoolIntegrityError, match="checksum"):
-            load_spool_payload(path)
+            load_pickle_spool_bytes(self._read(path), path)
 
     def test_missing_entry_raises_typed(self, tmp_path):
-        path = str(tmp_path / "gone.pkl")
+        path = str(tmp_path / "gone")
         assert not verify_spool_entry(path)
         with pytest.raises(SpoolIntegrityError, match="missing"):
             load_spool_payload(path)
@@ -360,17 +324,35 @@ class TestSpoolIntegrity:
             load_spool_payload(path)
 
     def test_pickle_spool_with_overwritten_magic_fails_typed(self, tmp_path):
-        # Every spool entry is written with its header, so a file without
+        # Every spool file is written with its header, so a file without
         # one is damaged — never an older format to load unverified.
         path = write_spool_pickle(str(tmp_path / "entry.pkl"), self._payload())
-        damage_spool_header(path)
-        assert not verify_spool_entry(path)
+        with open(path, "r+b") as fh:
+            fh.write(b"\x00" * 5)
         with pytest.raises(SpoolIntegrityError, match="integrity header"):
-            load_spool_payload(path)
+            load_pickle_spool_bytes(self._read(path), path)
 
     def test_bundle_without_manifest_fails_typed(self, tmp_path):
         path = write_spool_bundle(str(tmp_path / "bundle"), self._payload())
-        damage_spool_header(path)
+        damage_manifest(path)
+        assert not verify_spool_entry(path)
+        with pytest.raises(SpoolIntegrityError, match="manifest"):
+            load_spool_payload(path)
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            {},
+            {"format": 1},
+            {"format": 1, "payload_crc32": 0, "payload_bytes": 0, "buffer_bytes": [True]},
+        ],
+        ids=["empty", "format-only", "boolean-size"],
+    )
+    def test_manifest_missing_fields_fails_typed(self, tmp_path, manifest):
+        # A manifest that parses but lacks payload_bytes, payload_crc32 or
+        # buffer_bytes is damage, not a KeyError for the caller to meet.
+        path = write_spool_bundle(str(tmp_path / "bundle"), self._payload())
+        damage_manifest(path, manifest)
         assert not verify_spool_entry(path)
         with pytest.raises(SpoolIntegrityError, match="manifest"):
             load_spool_payload(path)
@@ -400,6 +382,18 @@ class TestPoolTimeouts:
         finally:
             pool.terminate()
 
+    def test_jobs_cancelled_by_a_heal_raise_worker_crash(self):
+        # Healing one batch's pool cancels the jobs another thread's batch
+        # still had queued; that batch must see a crash it can replay.
+        from concurrent.futures import Future
+
+        from repro.runtime.process_pool import _await_futures
+
+        future = Future()
+        future.cancel()
+        with pytest.raises(WorkerCrashError, match="died mid-batch"):
+            _await_futures([future], timeout=1.0)
+
     def test_probe_and_kill_one_worker(self):
         pool = PersistentProcessPool(num_workers=WORKERS)
         try:
@@ -416,9 +410,9 @@ class TestPoolTimeouts:
 # ----------------------------------------------------------------------
 @pytest.mark.chaos
 class TestChaosRecovery:
-    def test_worker_kill_mid_batch_heals_and_replays_bitwise_pickle(self):
+    def test_worker_kill_mid_batch_heals_and_replays_bitwise(self):
         queries = RNG.normal(size=(5, 4))
-        with ProcessShardExecutor(num_workers=WORKERS, transport="pickle") as executor:
+        with ProcessShardExecutor(num_workers=WORKERS) as executor:
             jobs, expected = two_shard_jobs(executor, queries, delay_s=0.2)
             assert_batch_matches(executor.map_cached(jobs), expected)  # warm pool
             injector = FaultInjector().arm("kill_worker")
@@ -427,31 +421,17 @@ class TestChaosRecovery:
             assert [f["fault"] for f in injector.fired] == ["kill_worker"]
             assert isinstance(injector.fired[0]["detail"], int)
             assert executor.supervisor.total_restarts == 1
+            # No segment leak: the crashed dispatch unlinked its segment.
+            assert executor.ring_in_flight == 0
+            assert executor.active_transport == "shm"
             # The healed pool serves undisturbed steady state.
             assert_batch_matches(executor.map_cached(jobs), expected)
             assert executor.supervisor.total_restarts == 1
-
-    @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
-    def test_worker_kill_mid_batch_heals_and_replays_bitwise_shm(self):
-        queries = RNG.normal(size=(5, 4))
-        with ProcessShardExecutor(num_workers=WORKERS, transport="shm") as executor:
-            jobs, expected = two_shard_jobs(executor, queries, delay_s=0.2)
-            assert_batch_matches(executor.map_cached(jobs), expected)
-            executor.fault_injector = FaultInjector().arm("kill_worker")
-            assert_batch_matches(executor.map_cached(jobs), expected)
-            assert executor.supervisor.total_restarts == 1
-            # No ring-slot leak: the crashed dispatch released its slot and
-            # the heal re-armed the ring.
-            assert executor.ring_in_flight == 0
-            assert executor.active_transport == "shm"
-            assert_batch_matches(executor.map_cached(jobs), expected)
             assert executor.ring_in_flight == 0
 
     def test_hung_worker_fails_typed_within_deadline_and_heals_behind(self):
         queries = RNG.normal(size=(3, 4))
-        with ProcessShardExecutor(
-            num_workers=WORKERS, transport="pickle", dispatch_timeout_s=0.25
-        ) as executor:
+        with ProcessShardExecutor(num_workers=WORKERS, dispatch_timeout_s=0.25) as executor:
             searcher_id = "sleepy"
             paths = [
                 executor.publish_shard(
@@ -470,6 +450,7 @@ class TestChaosRecovery:
             # the 30 s the hung workers would have cost.
             assert time.monotonic() - started < 15.0
             assert executor.supervisor.total_restarts >= 1
+            assert executor.ring_in_flight == 0
             # The pool was healed behind the raise: the next batch works.
             good_jobs, expected = two_shard_jobs(executor, queries)
             assert_batch_matches(executor.map_cached(good_jobs), expected)
@@ -477,7 +458,7 @@ class TestChaosRecovery:
     @pytest.mark.parametrize("fault", ["corrupt_spool", "drop_spool"])
     def test_spool_faults_are_repaired_and_replayed_bitwise(self, fault):
         queries = RNG.normal(size=(4, 4))
-        with ProcessShardExecutor(num_workers=1, transport="pickle") as executor:
+        with ProcessShardExecutor(num_workers=1) as executor:
             jobs, expected = two_shard_jobs(executor, queries)
             assert_batch_matches(executor.map_cached(jobs), expected)
             # Evict the single worker's resident shards so the next batch
@@ -493,72 +474,88 @@ class TestChaosRecovery:
             for path in executor._published.values():
                 assert verify_spool_entry(path)
 
-    @pytest.mark.parametrize(
-        "transport",
-        [
-            "pickle",
-            pytest.param(
-                "shm",
-                marks=pytest.mark.skipif(
-                    not shared_memory_available(), reason="no shared memory on host"
-                ),
-            ),
-        ],
-    )
-    def test_damaged_headers_are_republished_and_replayed_bitwise(self, transport):
+    @pytest.mark.parametrize("manifest", [None, {"format": 1}], ids=["deleted", "format-only"])
+    def test_damaged_headers_are_republished_and_replayed_bitwise(self, manifest):
         queries = RNG.normal(size=(4, 4))
-        with ProcessShardExecutor(num_workers=1, transport=transport) as executor:
+        with ProcessShardExecutor(num_workers=1) as executor:
             jobs, expected = two_shard_jobs(executor, queries)
             assert_batch_matches(executor.map_cached(jobs), expected)
             # Force the next batch to reload from the spool.
             assert executor._pool.broadcast(_evict_searcher_entries, "chaos") == 1
             path = executor._published[("chaos", 0)]
-            damage_spool_header(path)
+            damage_manifest(path, manifest)
             assert not verify_spool_entry(path)
             assert_batch_matches(executor.map_cached(jobs), expected)
             assert executor.supervisor.total_restarts == 0
             for entry in executor._published.values():
                 assert verify_spool_entry(entry)
 
-    @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
-    def test_lost_segment_demotes_to_pickle_and_replays_bitwise(self):
+    def test_lost_segment_replays_in_process_bitwise(self):
         queries = RNG.normal(size=(4, 4))
-        with ProcessShardExecutor(num_workers=WORKERS, transport="auto") as executor:
+        _evict_searcher_entries("chaos")  # this process holds no shards yet
+        with ProcessShardExecutor(num_workers=WORKERS) as executor:
             jobs, expected = two_shard_jobs(executor, queries)
-            assert_batch_matches(executor.map_cached(jobs), expected)
+            # The first batch gets a new segment that no worker has mapped,
+            # so unlinking its name makes every worker's attach fail.
             injector = FaultInjector().arm("corrupt_segment")
             executor.fault_injector = injector
-            assert_batch_matches(executor.map_cached(jobs), expected)
-            assert [f["fault"] for f in injector.fired] == ["corrupt_segment"]
-            assert executor._shm_breaker.tripped
-            assert executor.active_transport == "pickle"
-            assert executor.ring_in_flight == 0
-            # Transport demotion is not a pool restart.
-            assert executor.supervisor.total_restarts == 0
+            try:
+                assert_batch_matches(executor.map_cached(jobs), expected)
+                lost = injector.fired[0]["detail"]
+                assert lost is not None
+                # The replay ran in this process, on the parent's copies.
+                assert {("chaos", 0), ("chaos", 1)} <= set(worker_shard_cache_epochs())
+                assert executor.ring_in_flight == 0
+                # Losing a segment is not a pool restart.
+                assert executor.supervisor.total_restarts == 0
+                # The next batch rides shared memory again, on a new segment.
+                assert_batch_matches(executor.map_cached(jobs), expected)
+                assert executor.active_transport == "shm"
+                names = executor._ring.segment_names
+                assert len(names) == 1 and lost not in names
+                assert executor.ring_in_flight == 0
+            finally:
+                _evict_searcher_entries("chaos")
 
-    @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
-    def test_shm_breaker_reprobes_after_cooldown(self):
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="only forked workers inherit the parent's locks",
+    )
+    def test_workers_fork_while_another_thread_holds_the_tracker_lock(self):
+        # Every segment create, unlink and attach takes the resource
+        # tracker's lock.  A worker forked while another dispatching thread
+        # holds it inherits it held, and must still attach its segments.
+        import threading
+        from multiprocessing import resource_tracker
+
+        tracker_lock = resource_tracker._resource_tracker._lock
         queries = RNG.normal(size=(4, 4))
-        with ProcessShardExecutor(
-            num_workers=WORKERS, transport="auto", shm_cooldown_s=0.2
-        ) as executor:
+        with ProcessShardExecutor(num_workers=WORKERS) as executor:
             jobs, expected = two_shard_jobs(executor, queries)
-            assert_batch_matches(executor.map_cached(jobs), expected)
-            executor.fault_injector = FaultInjector().arm("corrupt_segment")
-            assert_batch_matches(executor.map_cached(jobs), expected)
-            assert executor.active_transport == "pickle"
-            time.sleep(0.25)
-            # Cooled down: the next batch probes shm, and its success
-            # closes the breaker.
-            assert executor.active_transport == "shm"
-            assert_batch_matches(executor.map_cached(jobs), expected)
-            assert not executor._shm_breaker.tripped
+            ring = executor._ring
+            ring.release(ring.acquire(1 << 16))  # dispatch reuses it: no tracker call
+            held, done = threading.Event(), threading.Event()
+
+            def hold():
+                with tracker_lock:
+                    held.set()
+                    done.wait(60.0)
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            assert held.wait(10.0)
+            try:
+                results = executor.map_cached(jobs, timeout=10.0)
+            finally:
+                done.set()
+                holder.join()
+            assert_batch_matches(results, expected)
+            assert executor.supervisor.total_restarts == 0
 
     def test_restart_budget_demotes_to_serial_then_reprobes(self):
         queries = RNG.normal(size=(4, 4))
         with ProcessShardExecutor(
             num_workers=WORKERS,
-            transport="pickle",
             max_restarts=1,
             serial_cooldown_s=1.5,
         ) as executor:
@@ -572,6 +569,7 @@ class TestChaosRecovery:
             # in-process serially — bitwise identical, pool left down.
             assert_batch_matches(executor.map_cached(slow_jobs), slow_expected)
             assert executor.supervisor.demoted
+            assert executor.active_transport == "serial"
             assert not executor._pool.is_live
             # Steady-state demoted batches stay serial (and correct).
             assert_batch_matches(executor.map_cached(fast_jobs), fast_expected)
@@ -581,11 +579,12 @@ class TestChaosRecovery:
             # the demotion.
             assert_batch_matches(executor.map_cached(fast_jobs), fast_expected)
             assert not executor.supervisor.demoted
+            assert executor.active_transport == "shm"
             assert executor._pool.is_live
 
     def test_deadline_exhausted_before_retry_fails_typed(self):
         queries = RNG.normal(size=(3, 4))
-        with ProcessShardExecutor(num_workers=WORKERS, transport="pickle") as executor:
+        with ProcessShardExecutor(num_workers=WORKERS) as executor:
             searcher_id = "sleepy-budget"
             paths = [
                 executor.publish_shard(
@@ -619,7 +618,7 @@ class TestSchedulerUnderFaults:
         reference = make_searcher("mcam-3bit", num_features=10, seed=8, shards=2)
         reference.fit(features, labels)
         expected = reference.kneighbors_batch(queries, k=3)
-        with ProcessShardExecutor(num_workers=WORKERS, transport="pickle") as executor:
+        with ProcessShardExecutor(num_workers=WORKERS) as executor:
             sharded = ShardedSearcher(
                 lambda: MCAMSearcher(bits=3, seed=8), num_shards=2, executor=executor
             )
@@ -655,7 +654,7 @@ class TestSchedulerUnderFaults:
 class TestEvictionRobustness:
     def test_evict_broadcast_survives_already_dead_workers(self):
         queries = RNG.normal(size=(3, 4))
-        with ProcessShardExecutor(num_workers=WORKERS, transport="pickle") as executor:
+        with ProcessShardExecutor(num_workers=WORKERS) as executor:
             jobs, expected = two_shard_jobs(executor, queries, searcher_id="doomed")
             assert_batch_matches(executor.map_cached(jobs), expected)
             assert executor._pool.kill_one_worker() is not None

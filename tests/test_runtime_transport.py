@@ -1,13 +1,14 @@
-"""Zero-copy shard transport: lifecycle, fallback and cache eviction.
+"""Zero-copy shard transport: lifecycle, concurrency and cache eviction.
 
 The transport's contract extends the runtime's: moving payloads through
 shared memory (or memory-mapped spool bundles) changes *how bytes travel*,
 never *what is computed* — and it must never leak segments.  These tests
 pin segment lifecycle (unlinked on ``close()``, on context-manager exit and
-via the ``weakref.finalize`` safety net), the transparent pickle fallback
-when shared memory is missing or fails at runtime, bundle-spool round
-trips, and the eviction message that keeps long-running shared pools from
-accumulating dead searchers' shards.
+via the ``weakref.finalize`` safety net), batches that stay correct when
+several are in flight from several threads, the in-process replay when a
+segment cannot be allocated, bundle-spool round trips, and the eviction
+message that keeps long-running shared pools from accumulating dead
+searchers' shards.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.runtime.transport import (
     remove_spool_entry,
     shared_memory_available,
     write_spool_bundle,
-    write_spool_pickle,
 )
 
 WORKERS = 2
@@ -67,19 +67,44 @@ def _probe_worker_cache(_=None):
 @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
 class TestSharedMemoryRing:
     def test_slots_are_reused_and_grow_on_demand(self):
-        with SharedMemoryRing(depth=2) as ring:
+        with SharedMemoryRing() as ring:
             first = ring.acquire(128)
             second = ring.acquire(128)
-            assert first.name != second.name
-            assert ring.acquire(64) is first  # round-robin reuse, no realloc
-            assert ring.acquire(64) is second
-            grown = ring.acquire(first.size + 1)  # slot replaced, old unlinked
-            assert grown.name != first.name
-            assert not _segment_exists(first.name)
+            assert first.name != second.name  # a held segment is never shared
+            assert ring.in_use == 2
+            assert ring.release(first) and ring.release(second)
+            assert ring.in_use == 0
+            reused = ring.acquire(64)  # an idle segment fits: no realloc
+            assert reused in (first, second)
+            idle = second if reused is first else first
+            # Nothing idle fits: the idle segment is unlinked, so the ring
+            # holds no more segments than batches in flight.
+            grown = ring.acquire(first.size + 1)
+            assert grown.name not in (first.name, second.name)
+            assert not _segment_exists(idle.name)
             assert len(ring.segment_names) == 2
+            assert ring.in_use == 2
+
+    def test_discarded_segments_are_unlinked_and_never_reused(self):
+        with SharedMemoryRing() as ring:
+            segment = ring.acquire(128)
+            ring.discard(segment)
+            assert not _segment_exists(segment.name)
+            assert ring.in_use == 0 and ring.segment_names == ()
+            assert not ring.release(segment)  # gone for good
+            assert ring.acquire(64) is not segment
+
+    def test_release_after_close_reports_the_segment_gone(self):
+        # A batch still in flight when its executor closes must learn that
+        # its segment was unlinked under it rather than reuse it.
+        ring = SharedMemoryRing()
+        segment = ring.acquire(128)
+        ring.close()
+        assert not ring.release(segment)
+        assert ring.in_use == 0
 
     def test_close_unlinks_every_segment_and_is_idempotent(self):
-        ring = SharedMemoryRing(depth=3)
+        ring = SharedMemoryRing()
         names = [ring.acquire(256).name for _ in range(3)]
         assert all(_segment_exists(name) for name in names)
         ring.close()
@@ -91,7 +116,7 @@ class TestSharedMemoryRing:
         ring.close()
 
     def test_finalize_safety_net_unlinks_on_gc(self):
-        ring = SharedMemoryRing(depth=1)
+        ring = SharedMemoryRing()
         name = ring.acquire(512).name
         finalizer = ring._finalizer
         assert finalizer.alive
@@ -102,7 +127,7 @@ class TestSharedMemoryRing:
     def test_batch_layout_round_trips_queries_and_results(self):
         queries = RNG.normal(size=(7, 5))
         layout = ShardBatchLayout(queries, shard_ks=(3, 1))
-        with SharedMemoryRing(depth=1) as ring:
+        with SharedMemoryRing() as ring:
             segment = ring.acquire(layout.total_bytes)
             layout.write_queries(segment)
             view = np.ndarray(queries.shape, dtype=queries.dtype, buffer=segment.buf)
@@ -142,21 +167,11 @@ class TestSpoolBundles:
         np.testing.assert_array_equal(expected_indices, indices)
         np.testing.assert_array_equal(expected_scores, scores)
 
-    def test_load_reads_the_pickle_fallback_format(self, tmp_path):
-        payload = {"answer": np.arange(5)}
-        path = write_spool_pickle(str(tmp_path / "shard.pkl"), payload)
-        loaded = load_spool_payload(path)
-        np.testing.assert_array_equal(loaded["answer"], np.arange(5))
-
-    def test_remove_spool_entry_handles_both_formats(self, tmp_path):
+    def test_remove_spool_entry_is_best_effort(self, tmp_path):
         bundle = write_spool_bundle(str(tmp_path / "bundle-e1"), np.arange(3))
-        plain = tmp_path / "shard.pkl"
-        plain.write_bytes(b"x")
         remove_spool_entry(bundle)
-        remove_spool_entry(str(plain))
         remove_spool_entry(str(tmp_path / "never-existed"))  # best effort
         assert not (tmp_path / "bundle-e1").exists()
-        assert not plain.exists()
 
 
 @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
@@ -221,9 +236,14 @@ class TestExecutorTransportLifecycle:
         assert all(not _segment_exists(name) for name in names)
 
 
-class TestTransportFallback:
-    def test_auto_transport_falls_back_when_shared_memory_is_missing(self, monkeypatch):
+class TestSharedMemoryRequirement:
+    def test_hosts_without_shared_memory_are_refused(self, monkeypatch):
         monkeypatch.setattr(transport_module, "_shared_memory", None)
+        with pytest.raises(ConfigurationError, match="executor='serial'"):
+            ProcessShardExecutor(num_workers=WORKERS)
+
+    @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
+    def test_segment_allocation_failure_replays_in_process(self, monkeypatch):
         features, labels, queries = _workload()
         reference = make_searcher("mcam-3bit", num_features=10, seed=8, shards=4)
         reference.fit(features, labels)
@@ -236,70 +256,43 @@ class TestTransportFallback:
             executor="processes",
             num_workers=WORKERS,
         ) as sharded:
-            assert sharded._executor.active_transport == "pickle"
             sharded.fit(features, labels)
-            result = sharded.kneighbors_batch(queries, k=3)
-            np.testing.assert_array_equal(expected.indices, result.indices)
-            np.testing.assert_array_equal(expected.scores, result.scores)
-            assert all(
-                path.endswith(".pkl") for path in sharded._published_paths.values()
+            supervisor = sharded._executor.supervisor
+            successes = []
+            record_success = supervisor.record_success
+            monkeypatch.setattr(
+                supervisor, "record_success", lambda: successes.append(record_success())
             )
-
-    def test_forced_shm_transport_refuses_hosts_without_it(self, monkeypatch):
-        monkeypatch.setattr(transport_module, "_shared_memory", None)
-        with pytest.raises(ConfigurationError, match="shared_memory"):
-            ProcessShardExecutor(num_workers=WORKERS, transport="shm")
-
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(ConfigurationError, match="transport"):
-            ProcessShardExecutor(num_workers=WORKERS, transport="rdma")
-
-    @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
-    def test_runtime_shared_memory_failure_downgrades_to_pickle(self, monkeypatch):
-        features, labels, queries = _workload()
-        with make_searcher(
-            "mcam-3bit",
-            num_features=10,
-            seed=8,
-            shards=4,
-            executor="processes",
-            num_workers=WORKERS,
-        ) as sharded:
-            sharded.fit(features, labels)
 
             def exhausted(self, nbytes):
                 raise OSError(28, "No space left on device")
 
-            monkeypatch.setattr(SharedMemoryRing, "acquire", exhausted)
-            result = sharded.kneighbors_batch(queries, k=3)  # falls back live
-            assert sharded._executor._shm_breaker.tripped
-            assert sharded._executor.active_transport == "pickle"
-            monkeypatch.undo()
-            reference = make_searcher("mcam-3bit", num_features=10, seed=8, shards=4)
-            reference.fit(features, labels)
-            expected = reference.kneighbors_batch(queries, k=3)
+            with monkeypatch.context() as patch:
+                patch.setattr(SharedMemoryRing, "acquire", exhausted)
+                result = sharded.kneighbors_batch(queries, k=3)  # ranked in process
             np.testing.assert_array_equal(expected.indices, result.indices)
             np.testing.assert_array_equal(expected.scores, result.scores)
-            # The downgrade sticks: the next publish epoch writes pickles.
-            sharded.fit(features + 0.5, labels)
-            sharded.kneighbors_batch(queries, k=3)
-            assert all(
-                path.endswith(".pkl") for path in sharded._published_paths.values()
-            )
+            # An in-process batch is no evidence that the pool works.
+            assert successes == []
+            assert sharded._executor.ring_in_flight == 0
+            # The next batch tries shared memory again.
+            result = sharded.kneighbors_batch(queries, k=3)
+            np.testing.assert_array_equal(expected.indices, result.indices)
+            np.testing.assert_array_equal(expected.scores, result.scores)
+            assert len(successes) == 1
+            assert sharded._executor._ring.segment_names
 
 
 class TestMapCachedContract:
-    def test_per_job_query_batches_route_through_the_pickle_path(self):
-        """The shm fast path assumes one shared query matrix per batch;
-        jobs carrying different arrays must be honored, not silently ranked
-        against job 0's queries."""
+    def test_per_job_query_batches_are_rejected(self):
+        """A batch writes one query matrix to shared memory for all shards;
+        jobs carrying different arrays must fail typed, not be silently
+        ranked against job 0's queries."""
         from repro.core import SoftwareSearcher
 
         features = RNG.normal(size=(12, 4))
         first = SoftwareSearcher("euclidean").fit(features[:6])
         second = SoftwareSearcher("euclidean").fit(features[6:])
-        queries_a = RNG.normal(size=(3, 4))
-        queries_b = RNG.normal(size=(3, 4))
         with ProcessShardExecutor(num_workers=1) as executor:
             paths = [
                 executor.publish_shard("per-job", 0, (first, np.arange(6)), epoch=1),
@@ -307,17 +300,15 @@ class TestMapCachedContract:
                     "per-job", 1, (second, np.arange(6, 12)), epoch=1
                 ),
             ]
+            queries_a = RNG.normal(size=(3, 4))
+            queries_b = RNG.normal(size=(3, 4))
             jobs = [
                 ("per-job", 0, 1, paths[0], np.random.default_rng(0), queries_a, 2),
                 ("per-job", 1, 1, paths[1], np.random.default_rng(0), queries_b, 2),
             ]
-            results = executor.map_cached(jobs)
-        expected_first = first._rank_batch(queries_a, rng=np.random.default_rng(0), k=2)
-        expected_second = second._rank_batch(queries_b, rng=np.random.default_rng(0), k=2)
-        np.testing.assert_array_equal(results[0][0], expected_first[0])
-        np.testing.assert_array_equal(results[0][1], expected_first[1])
-        np.testing.assert_array_equal(results[1][0], expected_second[0] + 6)
-        np.testing.assert_array_equal(results[1][1], expected_second[1])
+            with pytest.raises(ServingError, match="same query matrix"):
+                executor.map_cached(jobs)
+            assert executor.ring_in_flight == 0
 
 
 class TestBroadcastResilience:
@@ -371,8 +362,8 @@ class TestWorkerShardCacheEviction:
         from repro.core import SoftwareSearcher
 
         features = RNG.normal(size=(10, 4))
-        path = write_spool_pickle(
-            str(tmp_path / "shard.pkl"),
+        path = write_spool_bundle(
+            str(tmp_path / "shard-e1"),
             (SoftwareSearcher("euclidean").fit(features), np.arange(10, dtype=np.int64)),
         )
         job = (
@@ -419,7 +410,7 @@ class TestResidentShardBound:
         features = RNG.normal(size=(6, 3))
         payload = (SoftwareSearcher("euclidean").fit(features), np.arange(6, dtype=np.int64))
         paths = [
-            write_spool_pickle(str(tmp_path / f"shard{index}.pkl"), payload)
+            write_spool_bundle(str(tmp_path / f"shard{index}-e1"), payload)
             for index in range(4)
         ]
         try:
@@ -440,14 +431,15 @@ class TestAttachmentPruning:
     def test_attaching_a_new_name_prunes_unlinked_attachments(self):
         from repro.runtime.transport import _ATTACHED_SEGMENTS, attach_segment
 
-        ring = SharedMemoryRing(depth=1)
+        ring = SharedMemoryRing()
         try:
             first = ring.acquire(128)
             attach_segment(first.name)
             assert first.name in _ATTACHED_SEGMENTS
-            # Growing the slot unlinks the old segment in the owner; the
-            # next attachment of the replacement must drop the dead mapping
-            # instead of pinning its pages until LRU pressure.
+            ring.release(first)
+            # Replacing the too-small idle segment unlinks it in the owner;
+            # the next attachment of the replacement must drop the dead
+            # mapping instead of pinning its pages until LRU pressure.
             grown = ring.acquire(first.size + 1)
             attach_segment(grown.name)
             assert first.name not in _ATTACHED_SEGMENTS
@@ -459,7 +451,7 @@ class TestAttachmentPruning:
 
 
 class TestInFlightDispatch:
-    """submit_cached: several batches in flight, FIFO collects, depth cap."""
+    """submit_cached: several batches in flight, from several threads."""
 
     @staticmethod
     def _two_shard_jobs(executor, queries, k=2, searcher_id="in-flight", epoch=1):
@@ -488,82 +480,104 @@ class TestInFlightDispatch:
             expected.append((local_indices + 8 * index, scores))
         return jobs, expected
 
-    @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
-    def test_two_batches_ride_the_ring_concurrently_fifo(self):
-        queries_a = RNG.normal(size=(3, 4))
-        queries_b = RNG.normal(size=(5, 4))
-        with ProcessShardExecutor(num_workers=WORKERS, ring_depth=2) as executor:
-            assert executor.dispatch_depth == 2
-            jobs_a, expected_a = self._two_shard_jobs(executor, queries_a)
-            jobs_b, expected_b = self._two_shard_jobs(
-                executor, queries_b, searcher_id="in-flight-b"
-            )
-            # Both batches dispatched before either is collected: batch B's
-            # workers run while batch A's results are still in its ring slot.
-            collect_a = executor.submit_cached(jobs_a)
-            collect_b = executor.submit_cached(jobs_b)
-            results_a = collect_a()
-            results_b = collect_b()
-            # Depth 2 and only 2 dispatches: batch A's views are still
-            # valid after B's collect — the slot-reuse horizon the serving
-            # scheduler's max_in_flight cap relies on.
-            for (indices, scores), (want_indices, want_scores) in zip(
-                results_a, expected_a
-            ):
-                np.testing.assert_array_equal(indices, want_indices)
-                np.testing.assert_array_equal(scores, want_scores)
-            for (indices, scores), (want_indices, want_scores) in zip(
-                results_b, expected_b
-            ):
-                np.testing.assert_array_equal(indices, want_indices)
-                np.testing.assert_array_equal(scores, want_scores)
+    @staticmethod
+    def _assert_batch(results, expected):
+        for (indices, scores), (want_indices, want_scores) in zip(results, expected):
+            np.testing.assert_array_equal(indices, want_indices)
+            np.testing.assert_array_equal(scores, want_scores)
 
-    def test_pickle_transport_reports_unbounded_depth(self, monkeypatch):
-        monkeypatch.setattr(transport_module, "_shared_memory", None)
+    @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
+    def test_three_batches_ride_the_ring_concurrently_in_any_order(self):
+        with ProcessShardExecutor(num_workers=WORKERS) as executor:
+            batches = [
+                self._two_shard_jobs(
+                    executor, RNG.normal(size=(rows, 4)), searcher_id=f"in-flight-{rows}"
+                )
+                for rows in (3, 5, 4)
+            ]
+            # Every batch is dispatched before any is collected: each holds
+            # its own segment, so no batch overwrites another's results.
+            collects = [executor.submit_cached(jobs) for jobs, _ in batches]
+            assert executor.ring_in_flight == 3
+            for held, (collect, (_, expected)) in zip(
+                (2, 1, 0), reversed(list(zip(collects, batches)))
+            ):
+                self._assert_batch(collect(), expected)
+                assert executor.ring_in_flight == held
+
+    @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
+    def test_each_batch_is_collected_once(self):
+        # A second collect would read a segment another batch may now hold.
+        with ProcessShardExecutor(num_workers=WORKERS) as executor:
+            jobs, expected = self._two_shard_jobs(executor, RNG.normal(size=(3, 4)))
+            inner = executor._dispatch_cached(jobs)
+            self._assert_batch(inner(timeout=30.0), expected)
+            with pytest.raises(ServingError, match="once"):
+                inner(timeout=30.0)
+            assert executor.ring_in_flight == 0
+
+    def test_publishing_an_epoch_twice_is_a_no_op(self):
+        # Threads sharing a searcher may both publish its first epoch.
+        from repro.core import SoftwareSearcher
+
+        payload = (SoftwareSearcher("euclidean").fit(RNG.normal(size=(6, 4))), np.arange(6))
         with ProcessShardExecutor(num_workers=1) as executor:
-            assert executor.active_transport == "pickle"
-            assert executor.dispatch_depth is None
-            queries = RNG.normal(size=(3, 4))
-            jobs, expected = self._two_shard_jobs(executor, queries)
-            collect_a = executor.submit_cached(jobs)
-            collect_b = executor.submit_cached(jobs)
-            for collect in (collect_a, collect_b):
-                for (indices, scores), (want_indices, want_scores) in zip(
-                    collect(), expected
-                ):
-                    np.testing.assert_array_equal(indices, want_indices)
-                    np.testing.assert_array_equal(scores, want_scores)
-
-    def test_ring_depth_validated(self):
-        with pytest.raises(ConfigurationError, match="ring_depth"):
-            ProcessShardExecutor(num_workers=1, ring_depth=0)
+            path = executor.publish_shard("twice", 0, payload, epoch=3)
+            assert executor.publish_shard("twice", 0, payload, epoch=3) == path
+            _, index_map = load_spool_payload(path)
+            np.testing.assert_array_equal(index_map, np.arange(6))
 
     @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
-    def test_overcommitting_the_ring_fails_fast_instead_of_corrupting(self):
-        # Dispatching past ring_depth without collecting would hand batch
-        # N+depth the slot whose views batch N still holds — silent result
-        # corruption.  The executor refuses instead, and the counter that
-        # enforces it is observable for dispatchers sharing the channel.
-        queries = RNG.normal(size=(3, 4))
-        with ProcessShardExecutor(num_workers=WORKERS, ring_depth=2) as executor:
-            jobs, expected = self._two_shard_jobs(executor, queries)
-            assert executor.ring_in_flight == 0
-            collect_a = executor.submit_cached(jobs)
-            collect_b = executor.submit_cached(jobs)
-            assert executor.ring_in_flight == 2
-            with pytest.raises(ServingError, match="ring"):
-                executor.submit_cached(jobs)
-            collect_a()
-            assert executor.ring_in_flight == 1
-            # A freed slot re-admits dispatches.
-            collect_c = executor.submit_cached(jobs)
-            for collect in (collect_b, collect_c):
-                for (indices, scores), (want_indices, want_scores) in zip(
-                    collect(), expected
-                ):
-                    np.testing.assert_array_equal(indices, want_indices)
-                    np.testing.assert_array_equal(scores, want_scores)
-            assert executor.ring_in_flight == 0
+    def test_map_cached_results_survive_later_batches(self):
+        with ProcessShardExecutor(num_workers=WORKERS) as executor:
+            jobs, expected = self._two_shard_jobs(executor, RNG.normal(size=(3, 4)))
+            results = executor.map_cached(jobs)
+            # Two later batches of the same shape reuse the ring's segments;
+            # the first batch's results are the caller's own arrays.
+            for _ in range(2):
+                later = RNG.normal(size=(3, 4))
+                executor.map_cached([job[:5] + (later,) + job[6:] for job in jobs])
+            self._assert_batch(results, expected)
+
+    @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
+    def test_threads_sharing_one_executor_rank_bitwise(self):
+        import threading
+
+        features, labels, queries = _workload()
+        reference = make_searcher("mcam-3bit", num_features=10, seed=8, shards=4)
+        reference.fit(features, labels)
+        expected = reference.kneighbors_batch(queries, k=3)
+        errors = []
+        with self._sharded_searcher() as sharded:
+            sharded.fit(features, labels)
+
+            def hammer():
+                try:
+                    for _ in range(8):
+                        result = sharded.kneighbors_batch(queries, k=3)
+                        np.testing.assert_array_equal(expected.indices, result.indices)
+                        np.testing.assert_array_equal(expected.scores, result.scores)
+                except Exception as exc:  # surfaced to the main thread
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=hammer) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert errors == []
+            assert sharded._executor.ring_in_flight == 0
+
+    @staticmethod
+    def _sharded_searcher():
+        return make_searcher(
+            "mcam-3bit",
+            num_features=10,
+            seed=8,
+            shards=4,
+            executor="processes",
+            num_workers=WORKERS,
+        )
 
 
 class TestServingStackTeardown:

@@ -39,6 +39,7 @@ from repro.runtime import (
     verify_spool_entry,
 )
 from repro.runtime.process_pool import _evict_searcher_entries
+from repro.runtime.transport import load_pickle_spool_bytes
 from repro.storage import (
     JOURNAL_NAME,
     MANIFEST_NAME,
@@ -93,7 +94,12 @@ def assert_bitwise(got, want):
 
 
 def scribble(path):
-    """Flip bytes mid-file: size-preserving corruption the CRC must catch."""
+    """Flip bytes mid-file: size-preserving corruption the CRC must catch.
+
+    A spool bundle directory is scribbled in its pickle stream.
+    """
+    if os.path.isdir(path):
+        path = os.path.join(path, "payload.pkl")
     size = os.path.getsize(path)
     with open(path, "r+b") as handle:
         handle.seek(size // 2)
@@ -221,7 +227,10 @@ class TestSnapshotRestore:
         generation = searcher.snapshot()
         searcher.close()
         for index in range(searcher.num_shards):
-            assert verify_spool_entry(os.path.join(generation, f"shard-{index}.pkl"))
+            path = os.path.join(generation, f"shard-{index}.pkl")
+            with open(path, "rb") as handle:
+                engine, index_map = load_pickle_spool_bytes(handle.read(), path)
+            assert engine.num_entries == len(index_map)
 
     def test_journal_replay_recovers_acknowledged_appends(self, tmp_path):
         searcher = fitted_searcher(tmp_path)
@@ -387,23 +396,21 @@ class TestSnapshotRestore:
 # Warm restart through the executor (integration)
 # ----------------------------------------------------------------------
 class TestWarmRestart:
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_restore_into_worker_pool_serves_bitwise(self, tmp_path, transport):
-        if transport == "shm" and not shared_memory_available():
-            pytest.skip("no shared memory on host")
+    @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
+    def test_restore_into_worker_pool_serves_bitwise(self, tmp_path):
         searcher = fitted_searcher(tmp_path)
         searcher.snapshot()
         searcher.append(*append_row(1))
         want = searcher.kneighbors_batch(QUERIES, k=3)
         searcher.close()
-        # A different worker count and transport than the (serial) writer.
-        with ProcessShardExecutor(num_workers=2, transport=transport) as executor:
+        # A different worker count and executor than the (serial) writer.
+        with ProcessShardExecutor(num_workers=2) as executor:
             restored = make_sharded(executor=executor).restore(tmp_path)
             assert_bitwise(restored.kneighbors_batch(QUERIES, k=3), want)
             restored.close()
 
     def test_corrupt_spool_repairs_from_snapshot_when_payloads_are_gone(self, tmp_path):
-        with ProcessShardExecutor(num_workers=1, transport="pickle") as executor:
+        with ProcessShardExecutor(num_workers=1) as executor:
             searcher = fitted_searcher(tmp_path, executor=executor)
             want = searcher.kneighbors_batch(QUERIES, k=3)
             searcher.snapshot()
@@ -430,7 +437,7 @@ class TestWarmRestart:
         # breaks with no parent payload left, the disk rung must refuse
         # it and fail the batch typed — never silently republish and
         # serve pre-append results.
-        with ProcessShardExecutor(num_workers=1, transport="pickle") as executor:
+        with ProcessShardExecutor(num_workers=1) as executor:
             searcher = fitted_searcher(tmp_path, executor=executor)
             searcher.snapshot()
             searcher.append(*append_row(1))
@@ -637,7 +644,7 @@ class TestColdTenantPool:
         return want
 
     def test_serves_2n_tenants_on_n_capacity_bitwise(self, tmp_path):
-        with ProcessShardExecutor(num_workers=2, transport="pickle") as executor:
+        with ProcessShardExecutor(num_workers=2) as executor:
             with ColdTenantPool(executor, tmp_path, capacity=2) as pool:
                 want = self.admit_tenants(pool, executor, count=4)
                 assert len(pool.resident_tenants) == 2
@@ -652,7 +659,7 @@ class TestColdTenantPool:
                     assert_bitwise(pool.kneighbors_batch(tenant_id, QUERIES, k=2), expected)
 
     def test_lease_pins_against_eviction(self, tmp_path):
-        with ProcessShardExecutor(num_workers=1, transport="pickle") as executor:
+        with ProcessShardExecutor(num_workers=1) as executor:
             with ColdTenantPool(executor, tmp_path, capacity=1) as pool:
                 self.admit_tenants(pool, executor, count=1)
                 with pool.lease("tenant-0") as leased:
@@ -667,7 +674,7 @@ class TestColdTenantPool:
                 assert len(pool.resident_tenants) == 1
 
     def test_dispatch_traffic_refreshes_lru_recency(self, tmp_path):
-        with ProcessShardExecutor(num_workers=1, transport="pickle") as executor:
+        with ProcessShardExecutor(num_workers=1) as executor:
             with ColdTenantPool(executor, tmp_path, capacity=2) as pool:
                 self.admit_tenants(pool, executor, count=2)
                 assert executor.tenant_policy is pool
@@ -685,7 +692,7 @@ class TestColdTenantPool:
                 assert "tenant-1" not in pool.resident_tenants
 
     def test_concurrent_leases_race_eviction_safely(self, tmp_path):
-        with ProcessShardExecutor(num_workers=2, transport="pickle") as executor:
+        with ProcessShardExecutor(num_workers=2) as executor:
             with ColdTenantPool(executor, tmp_path, capacity=1) as pool:
                 want = self.admit_tenants(pool, executor, count=3)
                 errors = []
@@ -709,7 +716,7 @@ class TestColdTenantPool:
                 assert len(pool.resident_tenants) >= 1
 
     def test_admit_validation(self, tmp_path):
-        with ProcessShardExecutor(num_workers=1, transport="pickle") as executor:
+        with ProcessShardExecutor(num_workers=1) as executor:
             with ColdTenantPool(executor, tmp_path, capacity=1) as pool:
                 searcher = make_sharded(executor=executor)
                 searcher.fit(*base_data())
@@ -729,7 +736,7 @@ class TestColdTenantPool:
                 pool.kneighbors_batch("tenant-0", QUERIES)  # closed
 
     def test_close_skips_pinned_tenants_until_their_lease_returns(self, tmp_path):
-        with ProcessShardExecutor(num_workers=1, transport="pickle") as executor:
+        with ProcessShardExecutor(num_workers=1) as executor:
             pool = ColdTenantPool(executor, tmp_path, capacity=2)
             want = self.admit_tenants(pool, executor, count=2)
             with pool.lease("tenant-0") as leased:
@@ -750,7 +757,7 @@ class TestColdTenantPool:
             restored.close()
 
     def test_close_hibernates_everything_and_restores_on_reopen(self, tmp_path):
-        with ProcessShardExecutor(num_workers=1, transport="pickle") as executor:
+        with ProcessShardExecutor(num_workers=1) as executor:
             pool = ColdTenantPool(executor, tmp_path, capacity=2)
             want = self.admit_tenants(pool, executor, count=2)
             pool.close()
