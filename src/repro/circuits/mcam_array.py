@@ -22,11 +22,12 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import CapacityError, CircuitError, ConfigurationError
+from ..utils.growth import append_rows
 from ..utils.rng import SeedLike, ensure_rng
 from ..utils.validation import check_bits, check_int_in_range, check_state_matrix
 from ..devices.fefet import FeFETParameters, _drain_current_from_overdrive, clip_vth
@@ -299,6 +300,10 @@ class MCAMArray(FixedGeometryArray):
         # (cell * num_states) offsets into the flattened profile table used by
         # the fused gather kernel; geometry-fixed, built on first use.
         self._gather_offsets: Optional[np.ndarray] = None
+        # Growth buffers of append(), keyed "states", "profiles" and
+        # "by_cell": each holds the matching array above as its leading
+        # slice plus spare rows.  Never pickled.
+        self._spare: Dict[str, np.ndarray] = {}
 
     def __getstate__(self):
         """Pickle without the derived search caches.
@@ -317,14 +322,26 @@ class MCAMArray(FixedGeometryArray):
         mode the table is a plain relayout of the already-persisted
         programmed profiles; it is always dropped rather than doubling the
         payload to save a memcpy-speed transpose.
+
+        The spare capacity of :meth:`append` is never pickled: the stored
+        arrays are leading-slice views of their growth buffers and pickle
+        only their own rows, and a grown search cache is laid out
+        contiguously, exactly like a freshly built one.
         """
         state = self.__dict__.copy()
+        del state["_spare"]
         preserve = getattr(_PICKLE_SEARCH_CACHES, "active", False)
         if not preserve or self._profiles is not None:
             state["_by_cell_profiles"] = None
+        elif self._by_cell_profiles is not None:
+            state["_by_cell_profiles"] = np.ascontiguousarray(self._by_cell_profiles)
         if not preserve:
             state["_gather_offsets"] = None
         return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._spare = {}
 
     # ------------------------------------------------------------------
     # Storage
@@ -355,6 +372,7 @@ class MCAMArray(FixedGeometryArray):
         self._labels = []
         self._profiles = None
         self._by_cell_profiles = None
+        self._spare = {}
 
     def _check_entries_and_labels(self, entries, labels: Optional[Sequence[int]]):
         """Shared entry/label validation of the write and reprogram paths."""
@@ -405,28 +423,63 @@ class MCAMArray(FixedGeometryArray):
                 ml_voltage_v=self.ml_voltage_v,
                 rng=rng,
             )
-            if self._profiles is None:
-                if self.num_rows:
-                    # Entries written before the variation model was attached
-                    # fall back to nominal profiles.
-                    self._profiles = program_cell_profiles(
-                        self._stored_states,
-                        scheme=self.scheme,
-                        device=self.device,
-                        variation=None,
-                        ml_voltage_v=self.ml_voltage_v,
-                    )
-                else:
-                    self._profiles = new_profiles
-                    self._stored_states = np.vstack([self._stored_states, entries])
-                    self._labels.extend(labels)
-                    self._by_cell_profiles = None
-                    return
-            self._profiles = np.concatenate([self._profiles, new_profiles], axis=0)
+            self._profiles = np.concatenate([self._device_profiles(), new_profiles], axis=0)
 
         self._stored_states = np.vstack([self._stored_states, entries])
         self._labels.extend(labels)
         self._by_cell_profiles = None
+        self._spare = {}
+
+    def append(
+        self,
+        entries,
+        labels: Optional[Sequence[int]] = None,
+        rng: SeedLike = None,
+        row_offset: int = 0,
+    ) -> None:
+        """Program new rows after the stored ones, leaving every stored row untouched.
+
+        Bitwise equal to ``reprogram(vstack([stored_states, entries]),
+        stored labels + labels, rng, row_offset)`` — where every stored row
+        would diff as unchanged — without diffing the stored rows:
+
+        * **look-up-table mode** extends the by-cell search cache with the
+          new rows' profiles when that cache is built;
+        * **per-cell device mode** draws each new row from its row-keyed
+          stream ``(rng, row_offset + row)``, exactly like
+          :meth:`reprogram` (and extends a built search cache too).
+
+        The stored-state matrix, the device profiles and the search cache
+        grow into spare capacity of about one eighth of the rows, so a run
+        of small appends costs O(appended rows) each.  :meth:`write`,
+        :meth:`reprogram` and :meth:`clear` release that capacity, and it is
+        never pickled.
+        """
+        entries, labels = self._check_entries_and_labels(entries, labels)
+        total = self.num_rows + entries.shape[0]
+        if self.max_rows is not None and total > self.max_rows:
+            raise CapacityError(
+                f"appending {entries.shape[0]} entries exceeds the array geometry "
+                f"({self.max_rows} rows, {self.num_rows} already used)"
+            )
+        spare = self._spare
+        fresh: Optional[np.ndarray] = None
+        if self.variation is not None:
+            rows = np.arange(self.num_rows, total)
+            fresh = self._row_keyed_profiles(entries, rows, _reprogram_base_seed(rng), row_offset)
+            self._profiles, spare["profiles"] = append_rows(
+                self._device_profiles(), spare.get("profiles"), fresh
+            )
+        if self._by_cell_profiles is not None:
+            if fresh is None:
+                fresh = self.lut.row_profiles(entries)
+            self._by_cell_profiles, spare["by_cell"] = append_rows(
+                self._by_cell_profiles, spare.get("by_cell"), np.moveaxis(fresh, 0, -1), axis=-1
+            )
+        self._stored_states, spare["states"] = append_rows(
+            self._stored_states, spare.get("states"), entries
+        )
+        self._labels.extend(labels)
 
     def reprogram(
         self,
@@ -504,7 +557,40 @@ class MCAMArray(FixedGeometryArray):
             self._update_profile_cache(entries, unchanged, changed)
         self._stored_states = entries.copy()
         self._labels = labels
+        self._spare = {}
         return changed
+
+    def _device_profiles(self) -> np.ndarray:
+        """The programmed device profiles (per-cell device mode).
+
+        Rows written before the variation model was attached carry nominal
+        profiles.
+        """
+        if self._profiles is None:
+            self._profiles = program_cell_profiles(
+                self._stored_states,
+                scheme=self.scheme,
+                device=self.device,
+                variation=None,
+                ml_voltage_v=self.ml_voltage_v,
+            )
+        return self._profiles
+
+    def _row_keyed_profiles(
+        self, entries: np.ndarray, rows: np.ndarray, base_seed: int, row_offset: int
+    ) -> np.ndarray:
+        """Device profiles of ``entries`` programmed into local ``rows``.
+
+        Each row draws its DL then DL-bar threshold voltages from its own
+        ``(salt, base seed, row_offset + row)`` stream — the row-keyed
+        contract — and the device physics then runs once over all of them.
+        """
+        vth_dl, vth_dlbar = _nominal_vth(entries, self.scheme)
+        for i, row in enumerate(rows.tolist()):
+            generator = np.random.default_rng([_REPROGRAM_KEY_SALT, base_seed, row_offset + row])
+            vth_dl[i] = self.variation.sample_vth(vth_dl[i], generator)
+            vth_dlbar[i] = self.variation.sample_vth(vth_dlbar[i], generator)
+        return profiles_from_vth(vth_dl, vth_dlbar, self.scheme, self.device, self.ml_voltage_v)
 
     def _reprogram_device_profiles(
         self,
@@ -516,36 +602,18 @@ class MCAMArray(FixedGeometryArray):
     ) -> None:
         """Row-keyed device-mode profile update for :meth:`reprogram`.
 
-        Each changed row draws its DL then DL-bar threshold voltages from
-        its own ``(salt, base seed, global row)`` stream — the row-keyed
-        contract — and the device physics then runs once over every changed
-        row.
+        Unchanged rows keep their programmed profiles; each changed row is
+        drawn by :meth:`_row_keyed_profiles`.
         """
-        if self._profiles is None and self._stored_states.shape[0]:
-            # Rows written before the variation model was attached carry
-            # nominal profiles, exactly as a subsequent write() would assume.
-            self._profiles = program_cell_profiles(
-                self._stored_states,
-                scheme=self.scheme,
-                device=self.device,
-                variation=None,
-                ml_voltage_v=self.ml_voltage_v,
-            )
+        old = self._device_profiles()
         base_seed = _reprogram_base_seed(rng)
         new_profiles = np.empty((entries.shape[0], self.num_cells, self.num_states))
         keep = np.flatnonzero(unchanged)
         if keep.size:
-            new_profiles[keep] = self._profiles[keep]
+            new_profiles[keep] = old[keep]
         if changed.size:
-            vth_dl, vth_dlbar = _nominal_vth(entries[changed], self.scheme)
-            for i, row in enumerate(changed.tolist()):
-                generator = np.random.default_rng(
-                    [_REPROGRAM_KEY_SALT, base_seed, row_offset + row]
-                )
-                vth_dl[i] = self.variation.sample_vth(vth_dl[i], generator)
-                vth_dlbar[i] = self.variation.sample_vth(vth_dlbar[i], generator)
-            new_profiles[changed] = profiles_from_vth(
-                vth_dl, vth_dlbar, self.scheme, self.device, self.ml_voltage_v
+            new_profiles[changed] = self._row_keyed_profiles(
+                entries[changed], changed, base_seed, row_offset
             )
         self._profiles = new_profiles
 
@@ -557,7 +625,9 @@ class MCAMArray(FixedGeometryArray):
         if cache is None:
             return
         new_rows = entries.shape[0]
-        if new_rows != cache.shape[-1]:
+        if new_rows != cache.shape[-1] or not cache.flags.c_contiguous:
+            # A resized cache, or one grown by append() into its spare
+            # capacity, is rebuilt compact from the rows it keeps.
             resized = np.empty(cache.shape[:-1] + (new_rows,))
             keep = np.flatnonzero(unchanged)
             if keep.size:

@@ -10,7 +10,9 @@ The quantizer here is a uniform mid-rise quantizer over a calibration range:
 data that will be stored, and :meth:`UniformQuantizer.quantize` maps values
 into ``{0, ..., 2^bits - 1}``, clipping out-of-range queries to the nearest
 state — exactly what applying an out-of-range voltage to a data line would
-do physically.
+do physically.  :meth:`UniformQuantizer.covers` tells whether new stored
+rows leave that calibration exactly as it is, which lets a growing store
+program only its new rows.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ class UniformQuantizer:
     epsilon:
         Guard value used when a feature is constant in the calibration data
         (its range would otherwise be zero).
+
+    Besides the (possibly widened) ranges, :meth:`fit` keeps the raw data
+    minimum and maximum of every feature, which :meth:`covers` checks new
+    rows against.
     """
 
     bits: int = 3
@@ -50,6 +56,12 @@ class UniformQuantizer:
             raise QuantizationError(f"epsilon must be positive, got {self.epsilon}")
         self._low: Optional[np.ndarray] = None
         self._high: Optional[np.ndarray] = None
+        self._raw_low: Optional[np.ndarray] = None
+        self._raw_high: Optional[np.ndarray] = None
+
+    def __setstate__(self, state: dict) -> None:
+        # Quantizers pickled before the raw range was kept cover nothing.
+        self.__dict__.update({"_raw_low": None, "_raw_high": None, **state})
 
     # ------------------------------------------------------------------
     # Calibration
@@ -77,6 +89,8 @@ class UniformQuantizer:
         else:
             low = np.full(features.shape[1], features.min())
             high = np.full(features.shape[1], features.max())
+        self._raw_low = low.astype(np.float64)
+        self._raw_high = high.astype(np.float64)
         width = high - low
         degenerate = width < self.epsilon
         if np.any(degenerate):
@@ -87,6 +101,25 @@ class UniformQuantizer:
         self._low = low.astype(np.float64)
         self._high = high.astype(np.float64)
         return self
+
+    def covers(self, features: Any) -> bool:
+        """Whether refitting on the calibration data plus ``features`` keeps the ranges.
+
+        True only when every value of ``features`` lies inside the raw data
+        range :meth:`fit` saw.  Minimum and maximum are exact, so a refit on
+        the union then yields the same ranges bit for bit.  The widened band
+        of a constant feature does not count: ``[v - 0.5, v + 0.5]`` holds
+        values other than ``v`` whose refit would move the range.  An
+        unfitted quantizer, or one unpickled from before the raw range was
+        kept, answers False.
+        """
+        raw_low, raw_high = self._raw_low, self._raw_high
+        if raw_low is None or raw_high is None:
+            return False
+        features = check_feature_matrix(features, "features")
+        if features.shape[1] != raw_low.shape[0]:
+            return False
+        return bool(np.all(features >= raw_low) and np.all(features <= raw_high))
 
     def _require_fitted(self) -> Tuple[np.ndarray, np.ndarray]:
         """The fitted ``(low, high)`` arrays, or a typed error when unfitted."""

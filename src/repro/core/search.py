@@ -228,18 +228,43 @@ class NearestNeighborSearcher(abc.ABC):
             return None
         return hashlib.sha256(repr(token).encode("utf-8")).hexdigest()
 
+    def calibration_covers(self, features: Any) -> bool:
+        """Whether storing ``features`` too leaves the frozen calibration as it is.
+
+        True promises that recalibrating on the grown store would reproduce
+        the current calibration exactly, so the sharded append path may skip
+        that full-store pass and touch only the shards that receive rows.
+        The default answers False: the caller recalibrates on the full store
+        and compares :meth:`calibration_token` values instead.
+        """
+        return False
+
+    def extend_fit(self, features: Any, labels: Optional[Sequence[int]] = None) -> bool:
+        """Append rows to the fitted store in place, if the engine can.
+
+        An engine that accepts (returns True) must end up exactly as a
+        :meth:`fit` of the grown store would leave it, provided
+        :meth:`calibration_covers` holds for ``features``.  The default
+        declines (returns False), and the caller refits instead.
+        """
+        return False
+
+    @staticmethod
+    def _label_array(labels: Optional[Sequence[int]], num_entries: int) -> Optional[np.ndarray]:
+        """``labels`` as an array of ``num_entries`` items (None stays None)."""
+        if labels is None:
+            return None
+        label_array = np.asarray(labels)
+        if label_array.shape[0] != num_entries:
+            raise SearchError(f"got {label_array.shape[0]} labels for {num_entries} entries")
+        return label_array
+
     def fit(
         self, features: Any, labels: Optional[Sequence[int]] = None
     ) -> "NearestNeighborSearcher":
         """Store ``features`` (and optional ``labels``) as the search memory."""
         features = check_feature_matrix(features, "features")
-        label_array: Optional[np.ndarray] = None
-        if labels is not None:
-            label_array = np.asarray(labels)
-            if label_array.shape[0] != features.shape[0]:
-                raise SearchError(
-                    f"got {label_array.shape[0]} labels for {features.shape[0]} entries"
-                )
+        label_array = self._label_array(labels, features.shape[0])
         self._labels = label_array
         self._num_entries = features.shape[0]
         self._num_features = features.shape[1]
@@ -518,6 +543,38 @@ class MCAMSearcher(NearestNeighborSearcher):
             return None
         low, high = self.quantizer.ranges
         return (low.tobytes(), high.tobytes())
+
+    def calibration_covers(self, features: Any) -> bool:
+        return self.quantizer.covers(features)
+
+    def extend_fit(self, features: Any, labels: Optional[Sequence[int]] = None) -> bool:
+        """Quantize and program only the appended rows (:meth:`MCAMArray.append`).
+
+        Look-up-table mode and row-keyed device mode (``program_seed``)
+        program each row independently of the others, so with the
+        calibration covering ``features`` this equals refitting the grown
+        store.  Declines before the first fit, when the rows are labeled
+        unlike the store, and in device mode without ``program_seed``,
+        whose refit re-samples every row from the engine's stream.
+        """
+        array = self._array
+        if (
+            array is None
+            or (self._labels is None) != (labels is None)
+            or (self.variation is not None and self.program_seed is None)
+        ):
+            return False
+        features = check_feature_matrix(features, "features")
+        label_array = self._label_array(labels, features.shape[0])
+        array.append(
+            self.quantizer.quantize(features),
+            labels=None if label_array is None else list(label_array),
+            rng=self.program_seed,
+        )
+        if self._labels is not None and label_array is not None:
+            self._labels = np.concatenate([self._labels, label_array])
+        self._num_entries += features.shape[0]
+        return True
 
     def _fit(self, features: np.ndarray, labels: Optional[np.ndarray]) -> None:
         if not self._calibrated:

@@ -37,9 +37,12 @@ Two serving-oriented extensions ride on the executor seam:
   through ``submit_cached``; every other executor ranks self-contained
   shard jobs through ``map``, and
 * :meth:`ShardedSearcher.append` grows a fitted store live (with
-  ``appendable=True``): new rows route to the least-full shard, the touched
-  engines refit through the arrays' delta-reprogramming path, and the
-  served results stay bitwise identical to a from-scratch refit.
+  ``appendable=True``): new rows route to the least-full shard.  Rows inside
+  the frozen calibration program only themselves, into only the shards that
+  receive them — O(appended rows), like writing one row of a physical MCAM;
+  other rows recalibrate and refit through the arrays' delta-reprogramming
+  path.  Either way the served results stay bitwise identical to a
+  from-scratch refit.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ import numpy as np
 
 from ..circuits.tiles import partition_rows, split_rows_evenly
 from ..exceptions import SearchError
+from ..utils.growth import append_rows
 from ..utils.rng import SeedLike, ensure_rng, spawn_rngs
 from ..utils.validation import check_feature_matrix, check_int_in_range
 from .search import NearestNeighborSearcher, _stable_smallest_k
@@ -307,9 +311,11 @@ class ShardedSearcher(NearestNeighborSearcher):
         When True the searcher retains its fitted store so :meth:`append`
         can grow it live: new rows route to the least-full shard (opening a
         fresh fixed-geometry tile only when every existing one is full) and
-        each touched shard refits through the engines' delta-reprogramming
-        path.  Served results stay bitwise identical to a from-scratch refit
-        of the combined store for the deterministic engines.
+        program into it alone when they lie inside the frozen calibration;
+        otherwise each touched shard refits through the engines'
+        delta-reprogramming path.  Served results stay bitwise identical to
+        a from-scratch refit of the combined store for the deterministic
+        engines.
     """
 
     #: Monotonic source of searcher identities used to key worker-resident
@@ -385,6 +391,10 @@ class ShardedSearcher(NearestNeighborSearcher):
         #: Full fitted store, retained only for appendable searchers.
         self._store_features: Optional[np.ndarray] = None
         self._store_labels: Optional[np.ndarray] = None
+        #: Growth buffers of the retained store ("features", "labels"; see
+        #: :func:`~repro.utils.growth.append_rows`).  Fit, restore and
+        #: hibernate release them.
+        self._store_spare: Dict[str, np.ndarray] = {}
         #: Durability wiring (see :meth:`enable_durability`): the write-ahead
         #: append journal, the sequence number of the last acknowledged
         #: append, the default storage directory, and the in-flight
@@ -510,17 +520,19 @@ class ShardedSearcher(NearestNeighborSearcher):
         if self.appendable:
             self._store_features = features.copy()
             self._store_labels = None if labels is None else np.asarray(labels).copy()
+            self._store_spare = {}
 
     # ------------------------------------------------------------------
     # Live ingestion
     # ------------------------------------------------------------------
-    def _route_appended_rows(self, num_new: int, full_features: np.ndarray) -> List[int]:
+    def _route_appended_rows(self, num_new: int, full_features: np.ndarray) -> Dict[int, List[int]]:
         """Assign new global rows to the least-full shards, growing the geometry.
 
         Rows are routed one at a time to the smallest open shard (ties break
         toward the lower shard index); in fixed-geometry mode a fresh tile is
         opened — calibrated like its siblings — once every existing tile is
-        full.  Returns the indices of the shards that received rows.
+        full.  Returns the new global rows of every shard that received any,
+        keyed by shard index.
         """
         capacity = self.max_rows_per_array
         sizes = [index_map.shape[0] for index_map in self._index_maps]
@@ -553,23 +565,32 @@ class ShardedSearcher(NearestNeighborSearcher):
             self._index_maps[target] = np.concatenate(
                 [self._index_maps[target], np.asarray(new_globals, dtype=np.int64)]
             )
-        return list(routed)
+        return routed
 
     def append(self, features: Any, labels: Any = None) -> "ShardedSearcher":
         """Grow the fitted store in place (live ingestion).
 
-        New rows receive the next global indices, route to the least-full
-        shard and program through the engines' delta-reprogramming path;
-        shards that received no rows are refit only when the grown store
-        shifts the frozen calibration state (detected via
+        New rows receive the next global indices and route to the
+        least-full shard.  Rows that lie inside the frozen calibration
+        (:meth:`~repro.core.search.NearestNeighborSearcher.calibration_covers`)
+        leave it as it is: only the receiving shards change, and engines
+        that support it
+        (:meth:`~repro.core.search.NearestNeighborSearcher.extend_fit`, the
+        MCAM) quantize and program just the new rows, so such an append
+        costs O(appended rows).  Other rows recalibrate on the grown store;
+        every shard is then refit when that shifts the frozen calibration
+        state (detected via
         :meth:`~repro.core.search.NearestNeighborSearcher.calibration_token`),
-        in which case delta reprogramming still skips every row whose stored
+        with delta reprogramming still skipping every row whose stored
         representation did not change.  For the deterministic engines the
         results served afterwards are **bitwise identical** to a
-        from-scratch refit of the combined store.
+        from-scratch refit of the combined store either way.
 
         Appending to an empty (never fitted) searcher is exactly a
-        :meth:`fit`.  Requires ``appendable=True``.
+        :meth:`fit`, unless a journal is attached: the journal covers
+        appends, not fits, so the rows could not be recovered, and the call
+        raises :class:`~repro.exceptions.SearchError` instead (fit and
+        snapshot first).  Requires ``appendable=True``.
         """
         if not self.appendable:
             raise SearchError(
@@ -578,6 +599,11 @@ class ShardedSearcher(NearestNeighborSearcher):
                 "(e.g. make_searcher(..., appendable=True))"
             )
         if not self._shards:
+            if self._journal is not None:
+                raise SearchError(
+                    "cannot journal an append to a searcher with no fitted store: "
+                    "the journal covers appends, not fits; fit and snapshot first"
+                )
             return self.fit(features, labels)
         features = check_feature_matrix(features, "features")
         if features.shape[1] != self._num_features:
@@ -613,21 +639,58 @@ class ShardedSearcher(NearestNeighborSearcher):
     def _apply_append(
         self, features: np.ndarray, labels: Optional[np.ndarray]
     ) -> "ShardedSearcher":
-        """Route validated rows into the shards (also the journal replay path)."""
-        store_features = self._store_features
-        store_labels = self._store_labels
-        if store_features is None:
+        """Route validated rows into the shards (also the journal replay path).
+
+        The shards share one calibration, so the first shard answers
+        ``calibration_covers`` for all new rows at once.  Covered rows skip
+        the full-store recalibration, and each receiving shard is offered
+        just its new rows through ``extend_fit`` (refitting its slice when
+        the engine declines).  The retained store grows into spare capacity
+        instead of being copied.
+        """
+        if self._store_features is None:
             raise SearchError("appendable searcher lost its retained store")
-        full_features = np.concatenate([store_features, features], axis=0)
-        full_labels = (
-            None
-            if labels is None or store_labels is None
-            else np.concatenate([store_labels, labels], axis=0)
+        covered = self._shards[0].calibration_covers(features)
+        spare = self._store_spare
+        full_features, spare["features"] = append_rows(
+            self._store_features, spare.get("features"), features
         )
-        # Re-freeze data-dependent preprocessing on the grown store.  The
-        # token comparison below detects whether that moved the frozen state
-        # (e.g. a quantizer range extended by an out-of-range row): if it
-        # did, every shard's stored representation must be re-derived.
+        full_labels: Optional[np.ndarray] = None
+        if labels is not None and self._store_labels is not None:
+            full_labels, spare["labels"] = append_rows(
+                self._store_labels, spare.get("labels"), labels
+            )
+        recalibrated = not covered and self._recalibrate(full_features)
+        routed = self._route_appended_rows(features.shape[0], full_features)
+        self._store_features = full_features
+        self._store_labels = full_labels
+        self._labels = full_labels
+        self._num_entries = full_features.shape[0]
+        for index, shard in enumerate(self._shards):
+            fresh = routed.get(index)
+            if fresh is None and not recalibrated:
+                continue
+            # Covered rows never recalibrate, so here the shard received rows.
+            if not (
+                covered
+                and shard.extend_fit(
+                    full_features[fresh], None if full_labels is None else full_labels[fresh]
+                )
+            ):
+                rows = self._index_maps[index]
+                shard_labels = None if full_labels is None else full_labels[rows]
+                shard.fit(full_features[rows], shard_labels)
+            self._shard_epochs[index] = self._next_epoch()
+        return self
+
+    def _recalibrate(self, full_features: np.ndarray) -> bool:
+        """Re-freeze every shard's calibration on the grown store; True if it moved.
+
+        The token comparison detects whether the grown store moved the
+        frozen state (e.g. a quantizer range extended by an out-of-range
+        row): if it did, every shard's stored representation must be
+        re-derived.
+        """
         token_before = self._shards[0].calibration_token()
         calibrated: Optional[NearestNeighborSearcher] = None
         for shard in self._shards:
@@ -642,20 +705,7 @@ class ShardedSearcher(NearestNeighborSearcher):
         calibration_opaque = token_after is None and (
             type(self._shards[0])._calibrate is not NearestNeighborSearcher._calibrate
         )
-        recalibrated = token_after != token_before or calibration_opaque
-        received = self._route_appended_rows(features.shape[0], full_features)
-        self._store_features = full_features
-        self._store_labels = full_labels
-        self._labels = full_labels
-        self._num_entries = full_features.shape[0]
-        for index, shard in enumerate(self._shards):
-            if not recalibrated and index not in received:
-                continue
-            rows = self._index_maps[index]
-            shard_labels = None if full_labels is None else full_labels[rows]
-            shard.fit(full_features[rows], shard_labels)
-            self._shard_epochs[index] = self._next_epoch()
-        return self
+        return bool(token_after != token_before) or calibration_opaque
 
     # ------------------------------------------------------------------
     # Durability (see repro.storage)
@@ -772,6 +822,7 @@ class ShardedSearcher(NearestNeighborSearcher):
             if self.appendable:
                 self._store_features = state.features
                 self._store_labels = state.labels
+                self._store_spare = {}
             self._append_seq = int(manifest["applied_seq"])
             journal_path = os.path.join(directory, JOURNAL_NAME)
             journal = self._journal
@@ -816,6 +867,7 @@ class ShardedSearcher(NearestNeighborSearcher):
             self._shard_epochs = []
             self._store_features = None
             self._store_labels = None
+            self._store_spare = {}
             self._labels = None
         return path
 

@@ -12,10 +12,13 @@ matmul Hamming kernel.
 
 from __future__ import annotations
 
+import contextlib
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.circuits.mcam_array import MCAMArray
+from repro.circuits.mcam_array import MCAMArray, preserve_search_caches
 from repro.circuits.mcam_cell import ML_PRECHARGE_V, MCAMVoltageScheme
 from repro.circuits.tcam import DONT_CARE, TCAMArray
 from repro.circuits.tiles import CAMTileSet, TileGeometry
@@ -578,3 +581,106 @@ class TestSearcherRefits:
         b = fresh.kneighbors_batch(queries, k=3)
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.scores, b.scores)
+
+
+
+class TestArrayAppend:
+    """``MCAMArray.append`` programs only the new rows, bitwise like a reprogram."""
+
+    @pytest.mark.parametrize("bits", (2, 3))
+    @pytest.mark.parametrize("warm_cache", (False, True))
+    def test_lut_mode_append_matches_reprogram_of_the_grown_rows(self, bits, warm_cache):
+        states = RNG.integers(0, 2**bits, size=(13, 6))
+        queries = RNG.integers(0, 2**bits, size=(5, 6))
+        array = MCAMArray(num_cells=6, bits=bits)
+        array.reprogram(states[:5], labels=range(5))
+        for start in range(5, 13, 3):
+            if warm_cache:
+                array.row_conductances_batch(queries)  # builds the by-cell cache
+            stop = min(start + 3, 13)
+            array.append(states[start:stop], labels=range(start, stop))
+        if warm_cache:
+            assert not array._by_cell_profiles.flags.c_contiguous  # spare rows behind it
+        reference = MCAMArray(num_cells=6, bits=bits)
+        reference.reprogram(states, labels=range(13))
+        assert array.stored_states.tobytes() == reference.stored_states.tobytes()
+        assert array.labels == reference.labels
+        assert array.row_profiles().tobytes() == reference.row_profiles().tobytes()
+        # Every kernel reads a grown cache (a view into its growth buffer)
+        # exactly like a compact one: fused gather, dense loop and screen.
+        expected = reference.row_conductances_batch(queries)
+        np.testing.assert_array_equal(array.row_conductances_batch(queries), expected)
+        dense = array._dense_conductances(array._profiles_by_cell(), queries)
+        np.testing.assert_array_equal(dense, expected)
+        screened = zip(array.screened_top_k(queries, 3), reference.screened_top_k(queries, 3))
+        for got, want in screened:
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("row_offset", (0, 7))
+    def test_device_mode_append_draws_the_rows_a_reprogram_would(self, row_offset):
+        variation = GaussianVthVariationModel(sigma_v=0.08)
+        states = RNG.integers(0, 8, size=(11, 8))
+        queries = RNG.integers(0, 8, size=(3, 8))
+        array = MCAMArray(num_cells=8, bits=3, variation=variation)
+        array.reprogram(states[:6], rng=31, row_offset=row_offset)
+        array.row_conductances_batch(queries)  # builds the by-cell cache
+        array.append(states[6:9], rng=31, row_offset=row_offset)
+        array.append(states[9:], rng=31, row_offset=row_offset)
+        reference = MCAMArray(num_cells=8, bits=3, variation=variation)
+        reference.reprogram(states, rng=31, row_offset=row_offset)
+        assert array.row_profiles().tobytes() == reference.row_profiles().tobytes()
+        np.testing.assert_array_equal(
+            array.row_conductances_batch(queries), reference.row_conductances_batch(queries)
+        )
+
+    def test_append_respects_the_array_geometry(self):
+        array = MCAMArray(num_cells=4, bits=2, max_rows=5)
+        array.reprogram(RNG.integers(0, 4, size=(4, 4)))
+        with pytest.raises(CapacityError):
+            array.append(RNG.integers(0, 4, size=(2, 4)))
+        assert array.num_rows == 4
+        array.append(RNG.integers(0, 4, size=(1, 4)))
+        assert array.num_rows == 5
+
+    @pytest.mark.parametrize("variation", (None, GaussianVthVariationModel(sigma_v=0.08)))
+    def test_appended_array_pickles_like_a_fresh_one(self, variation):
+        states = RNG.integers(0, 8, size=(40, 8))
+        queries = RNG.integers(0, 8, size=(3, 8))
+        grown = MCAMArray(num_cells=8, bits=3, variation=variation)
+        grown.reprogram(states[:30], labels=range(30), rng=5)
+        grown.row_conductances_batch(queries)
+        for start in range(30, 40, 2):
+            grown.append(states[start : start + 2], labels=range(start, start + 2), rng=5)
+        assert grown._spare  # the appends left spare capacity behind
+        fresh = MCAMArray(num_cells=8, bits=3, variation=variation)
+        fresh.reprogram(states, labels=range(40), rng=5)
+        fresh.row_conductances_batch(queries)
+        for preserve in (False, True):
+            with preserve_search_caches() if preserve else contextlib.nullcontext():
+                grown_bytes, fresh_bytes = pickle.dumps(grown), pickle.dumps(fresh)
+            assert len(grown_bytes) == len(fresh_bytes)
+            restored = pickle.loads(grown_bytes)
+            assert restored._spare == {}
+            np.testing.assert_array_equal(
+                restored.row_conductances_batch(queries), fresh.row_conductances_batch(queries)
+            )
+
+    def test_reprogram_and_clear_release_the_spare_capacity(self):
+        states = RNG.integers(0, 4, size=(20, 5))
+        queries = RNG.integers(0, 4, size=(2, 5))
+        array = MCAMArray(num_cells=5, bits=2)
+        array.reprogram(states[:10])
+        array.row_conductances_batch(queries)
+        array.append(states[10:12])
+        assert set(array._spare) == {"states", "by_cell"}
+        array.reprogram(states[:12])  # no row changes, yet the cache is compacted
+        assert array._spare == {}
+        assert array._by_cell_profiles.base is None
+        fresh = MCAMArray(num_cells=5, bits=2)
+        fresh.write(states[:12])
+        np.testing.assert_array_equal(
+            array.row_conductances_batch(queries), fresh.row_conductances_batch(queries)
+        )
+        array.append(states[12:])
+        array.clear()
+        assert array._spare == {} and array.num_rows == 0

@@ -105,3 +105,44 @@ class TestDequantize:
     def test_fit_returns_self_for_chaining(self):
         quantizer = UniformQuantizer(bits=2)
         assert quantizer.fit(np.ones((2, 2))) is quantizer
+
+
+class TestCovers:
+    """``covers``: new stored rows that leave the calibration exactly as it is."""
+
+    @pytest.mark.parametrize("per_feature", (True, False))
+    def test_covers_appends_inside_the_raw_range_only(self, per_feature):
+        rng = np.random.default_rng(4)
+        stored = rng.normal(size=(50, 3))
+        quantizer = UniformQuantizer(bits=3, per_feature=per_feature).fit(stored)
+        low, high = stored.min(axis=0), stored.max(axis=0)
+        if not per_feature:
+            low, high = np.full(3, stored.min()), np.full(3, stored.max())
+        inside = np.clip(rng.normal(size=(20, 3)), low, high)
+        assert quantizer.covers(inside)
+        assert quantizer.covers(np.vstack([low, high]))
+        refit = UniformQuantizer(bits=3, per_feature=per_feature)
+        refit.fit(np.vstack([stored, inside]))
+        for mine, theirs in zip(quantizer.ranges, refit.ranges):
+            assert mine.tobytes() == theirs.tobytes()
+        for column in range(3):
+            below = inside[:1].copy()
+            below[0, column] = np.nextafter(low[column], -np.inf)
+            assert not quantizer.covers(below)
+
+    def test_constant_feature_band_does_not_cover_appends(self):
+        quantizer = UniformQuantizer(bits=2).fit(np.array([[1.0, 0.0], [1.0, 2.0]]))
+        assert quantizer.covers(np.array([[1.0, 1.5]]))
+        assert not quantizer.covers(np.array([[1.25, 1.5]]))  # inside [0.5, 1.5]
+
+    def test_unfitted_or_legacy_quantizer_covers_no_append(self):
+        quantizer = UniformQuantizer(bits=3)
+        assert not quantizer.covers(np.zeros((1, 2)))
+        quantizer.fit(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        assert not quantizer.covers(np.zeros((1, 3)))  # other width
+        legacy = UniformQuantizer.__new__(UniformQuantizer)
+        state = dict(quantizer.__dict__)
+        del state["_raw_low"], state["_raw_high"]
+        legacy.__setstate__(state)  # as unpickled from before the raw range
+        assert not legacy.covers(np.zeros((1, 2)))
+        np.testing.assert_array_equal(legacy.quantize(np.ones((1, 2))), [[7, 7]])

@@ -8,6 +8,7 @@ k-range edge case.
 """
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -20,13 +21,17 @@ from repro.circuits import (
     partition_rows,
     split_rows_evenly,
 )
+from repro.circuits.mcam_array import preserve_search_caches
 from repro.core import (
+    MCAMSearcher,
     ShardedSearcher,
     SoftwareSearcher,
+    UniformQuantizer,
     get_backend,
     make_searcher,
     merge_shard_topk,
 )
+from repro.devices.variation import GaussianVthVariationModel
 from repro.exceptions import CapacityError, ConfigurationError, ReproError, SearchError
 
 CAM_BACKENDS = ("mcam-3bit", "mcam-2bit", "tcam-lsh")
@@ -53,6 +58,11 @@ def tie_heavy_store():
     labels = rng.integers(0, 3, size=40)
     queries = rng.integers(0, 2, size=(12, NUM_FEATURES)).astype(float)
     return features, labels, queries
+
+
+def _clipped(rows, stored):
+    """``rows`` clipped into the per-feature range of ``stored``."""
+    return np.clip(rows, stored.min(axis=0), stored.max(axis=0))
 
 
 def _fit_pair(name, data, **shard_config):
@@ -456,17 +466,26 @@ class TestShardAppend:
     def test_untouched_shards_skip_refit_when_calibration_is_stable(self, store):
         # The software metrics have no data-dependent calibration, so an
         # append must bump only the program epoch of the shard that received
-        # the rows.
+        # the rows.  MCAM rows inside the quantizer's calibration leave it
+        # as it is too; a row outside it moves it, and every shard refits.
         features, labels, _ = store
-        searcher = self._make("euclidean", shards=3).fit(features[:9], labels[:9])
-        epochs = list(searcher._shard_epochs)
-        searcher.append(features[9:10], labels[9:10])
-        changed = [
-            index
-            for index, (before, after) in enumerate(zip(epochs, searcher._shard_epochs))
-            if before != after
-        ]
-        assert len(changed) == 1
+        inside = _clipped(features[9:11], features[:9])
+
+        def bumped(searcher, rows, row_labels):
+            epochs = list(searcher._shard_epochs)
+            searcher.append(rows, row_labels)
+            return [
+                index
+                for index, (before, after) in enumerate(zip(epochs, searcher._shard_epochs))
+                if before != after
+            ]
+
+        for name in ("euclidean", "mcam-3bit"):
+            searcher = self._make(name, shards=3).fit(features[:9], labels[:9])
+            assert len(bumped(searcher, inside[:1], labels[9:10])) == 1
+            assert len(bumped(searcher, inside[1:], labels[10:11])) == 1
+        outside = features[:9].max(axis=0, keepdims=True) + 1.0
+        assert bumped(searcher, outside, labels[11:12]) == [0, 1, 2]
 
     def test_refit_after_appends_restores_contiguous_partition(self, store):
         features, labels, queries = store
@@ -479,6 +498,126 @@ class TestShardAppend:
         _assert_batch_equal(
             base.kneighbors_batch(queries, k=3), searcher.kneighbors_batch(queries, k=3)
         )
+
+    @pytest.mark.parametrize("name", ("mcam-2bit", "mcam-3bit"))
+    @pytest.mark.parametrize("config", ({"shards": 3}, {"max_rows_per_array": 8}))
+    def test_clipped_append_bitwise_matches_from_scratch_refit(self, store, name, config):
+        # Rows clipped into the fitted range take the rows-only path: no
+        # recalibration, and only the new rows are quantized and programmed.
+        features, labels, queries = store
+        grown_rows = np.vstack([features[:30], _clipped(features[30:], features[:30])])
+        grown = self._make(name, **config).fit(features[:30], labels[:30])
+        for start in range(30, grown_rows.shape[0], 3):
+            assert grown.shard_searchers[0].calibration_covers(grown_rows[start : start + 3])
+            grown.kneighbors_batch(queries, k=2)  # the next append extends built caches
+            grown.append(grown_rows[start : start + 3], labels[start : start + 3])
+        refit = self._make(name, **config).fit(grown_rows, labels)
+        unsharded = make_searcher(name, num_features=NUM_FEATURES, seed=7).fit(grown_rows, labels)
+        for k in (1, 4, grown_rows.shape[0]):
+            expected = unsharded.kneighbors_batch(queries, k=k)
+            _assert_batch_equal(expected, grown.kneighbors_batch(queries, k=k))
+            _assert_batch_equal(expected, refit.kneighbors_batch(queries, k=k))
+
+    def test_device_mode_append_matches_the_full_store_path(self, store, monkeypatch):
+        # With program_seed every row draws from its own stream, so programming
+        # only the new rows equals today's recalibrate-and-refit path bitwise.
+        features, labels, queries = store
+        rows = _clipped(features[30:], features[:30])
+        config = dict(
+            shards=3,
+            variation=GaussianVthVariationModel(sigma_v=0.05),
+            program_seed=17,
+        )
+
+        def grow():
+            searcher = self._make("mcam-3bit", **config).fit(features[:30], labels[:30])
+            for start in range(0, rows.shape[0], 4):
+                searcher.kneighbors_batch(queries, k=2)
+                searcher.append(rows[start : start + 4], labels[30 + start : 34 + start])
+            return searcher
+
+        rows_only = grow()
+        with monkeypatch.context() as patch:
+            patch.setattr(MCAMSearcher, "calibration_covers", lambda self, features: False)
+            full_path = grow()
+        for a, b in zip(rows_only.shard_searchers, full_path.shard_searchers):
+            assert a.array.row_profiles().tobytes() == b.array.row_profiles().tobytes()
+        for k in (1, 4, features.shape[0]):
+            _assert_batch_equal(
+                full_path.kneighbors_batch(queries, k=k),
+                rows_only.kneighbors_batch(queries, k=k),
+            )
+
+    def test_in_range_append_quantizes_only_the_new_rows(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(64, NUM_FEATURES))
+        labels = rng.integers(0, 5, size=64)
+        rows = _clipped(rng.normal(size=(4, NUM_FEATURES)), features)
+        searcher = self._make("mcam-3bit", shards=4).fit(features, labels)
+        quantized, calls = [], {"reprogram": 0, "calibrate": 0}
+        real_quantize = UniformQuantizer.quantize
+
+        def quantize(self, values):
+            quantized.append(np.asarray(values).shape[0])
+            return real_quantize(self, values)
+
+        def count(name, real):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(UniformQuantizer, "quantize", quantize)
+        monkeypatch.setattr(MCAMArray, "reprogram", count("reprogram", MCAMArray.reprogram))
+        monkeypatch.setattr(MCAMSearcher, "calibrate", count("calibrate", MCAMSearcher.calibrate))
+        searcher.append(rows, labels[:4])
+        assert sorted(quantized) == [1, 1, 1, 1]
+        assert calls == {"reprogram": 0, "calibrate": 0}
+        assert searcher.shard_sizes == (17, 17, 17, 17)
+
+    def test_append_inside_a_constant_columns_band_refits(self, store):
+        # A constant feature v is calibrated as [v - 0.5, v + 0.5]; a new value
+        # inside that band but not v moves the full-store calibration, so it
+        # must not count as covered.
+        features, labels, queries = store
+        base = features[:30].copy()
+        base[:, 0] = 2.0
+        rows = _clipped(features[30:33], base)
+        rows[:, 0] = 2.25
+        searcher = self._make("mcam-3bit", shards=3).fit(base, labels[:30])
+        assert not searcher.shard_searchers[0].calibration_covers(rows)
+        epochs = list(searcher._shard_epochs)
+        searcher.append(rows, labels[30:33])
+        assert all(after > before for before, after in zip(epochs, searcher._shard_epochs))
+        grown_rows = np.vstack([base, rows])
+        refit = make_searcher("mcam-3bit", num_features=NUM_FEATURES, seed=7).fit(
+            grown_rows, labels[:33]
+        )
+        for k in (1, 4, 33):
+            _assert_batch_equal(
+                refit.kneighbors_batch(queries, k=k), searcher.kneighbors_batch(queries, k=k)
+            )
+
+    def test_appended_shard_pickles_like_one_fitted_from_scratch(self, store):
+        features, labels, queries = store
+        grown_rows = np.vstack([features[:30], _clipped(features[30:], features[:30])])
+        searcher = self._make("mcam-3bit", shards=3).fit(features[:30], labels[:30])
+        for start in range(30, grown_rows.shape[0], 2):
+            searcher.append(grown_rows[start : start + 2], labels[start : start + 2])
+        shard = searcher.shard_searchers[0]
+        rows = searcher._index_maps[0]
+        fresh = make_searcher("mcam-3bit", num_features=NUM_FEATURES, seed=7)
+        fresh.calibrate(grown_rows)
+        fresh.fit(grown_rows[rows], labels[rows])
+        for warm in (False, True):
+            if warm:
+                shard.kneighbors_batch(queries, k=1)
+                fresh.kneighbors_batch(queries, k=1)
+            with preserve_search_caches():
+                assert len(pickle.dumps(shard)) == len(pickle.dumps(fresh))
+            assert len(pickle.dumps(shard)) == len(pickle.dumps(fresh))
+        assert len(pickle.dumps(searcher._store_features)) == len(pickle.dumps(grown_rows))
 
 
 class TestMergeKernel:

@@ -68,6 +68,13 @@ def append_row(seq):
     return rng.normal(size=(1, FEATURES)), rng.integers(0, 5, 1)
 
 
+def in_range_row(seq):
+    """An append row clipped into the base store's range (the rows-only path)."""
+    features, labels = append_row(seq)
+    stored, _ = base_data()
+    return np.clip(features, stored.min(axis=0), stored.max(axis=0)), labels
+
+
 def make_sharded(shards=3, executor="serial", appendable=True, seed=7):
     return make_searcher(
         "mcam-3bit",
@@ -381,14 +388,52 @@ class TestSnapshotRestore:
 
     def test_hibernate_releases_state_and_restore_brings_it_back(self, tmp_path):
         searcher = fitted_searcher(tmp_path)
+        searcher.append(*in_range_row(1))  # leaves spare capacity behind
+        assert searcher._store_spare
         want = searcher.kneighbors_batch(QUERIES, k=3)
         searcher.hibernate()
         assert searcher.num_shards == 0
         assert searcher._store_features is None
+        assert searcher._store_spare == {}
         with pytest.raises(SearchError):
             searcher.kneighbors_batch(QUERIES, k=3)
         searcher.restore()
+        assert searcher._store_spare == {}
         assert_bitwise(searcher.kneighbors_batch(QUERIES, k=3), want)
+        searcher.close()
+
+    def test_restore_after_in_range_appends_answers_like_the_writer(self, tmp_path):
+        writer = fitted_searcher(tmp_path)
+        writer.snapshot()
+        for seq in range(1, 4):
+            writer.append(*in_range_row(seq))
+        writer.snapshot()
+        for seq in range(4, 9):
+            writer.append(*in_range_row(seq))  # replayed through the rows-only path
+        want = writer.kneighbors_batch(QUERIES, k=4)
+        restored = make_sharded().restore(tmp_path)
+        assert restored.num_entries == BASE_ROWS + 8
+        assert_bitwise(restored.kneighbors_batch(QUERIES, k=4), want)
+        # Both keep growing identically: an in-range and an out-of-range row.
+        for searcher in (writer, restored):
+            searcher.append(*in_range_row(9))
+            searcher.append(*append_row(10))
+        assert_bitwise(
+            restored.kneighbors_batch(QUERIES, k=4), writer.kneighbors_batch(QUERIES, k=4)
+        )
+        writer.close()
+        restored.close()
+
+    def test_journaled_append_to_an_unfitted_searcher_raises_before_any_change(self, tmp_path):
+        # The journal covers appends, not fits: a first append that fit the
+        # store would be acknowledged yet unrecoverable (no snapshot to
+        # replay it onto), so it is refused outright.
+        searcher = make_sharded(shards=2).enable_durability(tmp_path)
+        with pytest.raises(SearchError, match="fit and snapshot first"):
+            searcher.append(*base_data())
+        assert not searcher.is_fitted and searcher.num_shards == 0
+        assert searcher._append_seq == 0
+        assert read_journal(str(tmp_path / JOURNAL_NAME))[0] == []
         searcher.close()
 
 
