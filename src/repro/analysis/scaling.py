@@ -148,15 +148,15 @@ class ScalingStudy:
         the paper's single-array setup).  Sharded search is exact, so this
         axis probes the energy/geometry trade-off, not accuracy.
     executor:
-        Per-shard execution strategy for the sharded points (``"serial"``,
-        ``"threads"`` or ``"processes"``).
+        Per-shard execution strategy for the sharded points (``"serial"``
+        or ``"processes"``).
     trial_executor:
-        Dispatch strategy for the study's operating points (``"serial"``,
-        ``"threads"`` or ``"processes"``): each ``(word length, ways)``
-        evaluation is one self-contained trial with a pre-drawn seed, so
-        parallel dispatch reproduces the serial results exactly.
+        Dispatch strategy for the study's operating points (``"serial"`` or
+        ``"processes"``): each ``(word length, ways)`` evaluation is one
+        self-contained trial with a pre-drawn seed, so parallel dispatch
+        reproduces the serial results exactly.
     num_workers:
-        Worker bound for the pooled trial strategies.
+        Worker bound for the trial process pool.
     """
 
     def __init__(

@@ -117,13 +117,12 @@ class VariationSweep:
         Number of independently varied look-up tables averaged per sigma;
         each models a different physical array instance.
     executor:
-        Trial-dispatch strategy: ``"serial"`` (the reference path),
-        ``"threads"`` or ``"processes"``.  Every ``(task, sigma, LUT)``
-        trial carries its own pre-spawned RNG stream, so the parallel
-        strategies produce bitwise-identical sweep points at any worker
-        count.
+        Trial-dispatch strategy: ``"serial"`` (the reference path) or
+        ``"processes"``.  Every ``(task, sigma, LUT)`` trial carries its own
+        pre-spawned RNG stream, so process dispatch produces
+        bitwise-identical sweep points at any worker count.
     num_workers:
-        Worker bound for the pooled strategies; defaults to the CPU count.
+        Worker bound for the process pool; defaults to the CPU count.
     """
 
     def __init__(

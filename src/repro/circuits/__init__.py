@@ -16,8 +16,8 @@ paper evaluates:
 * :mod:`~repro.circuits.matchline` / :mod:`~repro.circuits.sense_amplifier`
   — the RC discharge model of Fig. 4(c) and the winner-take-all sensing,
 * :mod:`~repro.circuits.tcam` — the TCAM Hamming-distance baseline,
-* :mod:`~repro.circuits.tiles` — fixed-geometry tiling of stores larger than
-  one physical array,
+* :mod:`~repro.circuits.tiles` — the row bounds of fixed-geometry arrays
+  and the row partitions that split a store across several of them,
 * :mod:`~repro.circuits.acam` — the analog-CAM concept of Fig. 1(a),
 * :mod:`~repro.circuits.and_array` — the GLOBALFOUNDRIES AND-array 2-bit
   demonstration of Sec. IV-D.
@@ -55,14 +55,7 @@ from .sense_amplifier import (
     sensing_error_rate,
 )
 from .tcam import DONT_CARE, TCAMArray, TCAMSearchResult
-from .tiles import (
-    CAMTile,
-    CAMTileSet,
-    FixedGeometryArray,
-    TileGeometry,
-    partition_rows,
-    split_rows_evenly,
-)
+from .tiles import FixedGeometryArray, partition_rows, split_rows_evenly
 
 __all__ = [
     "ACAMArray",
@@ -97,10 +90,7 @@ __all__ = [
     "DONT_CARE",
     "TCAMArray",
     "TCAMSearchResult",
-    "CAMTile",
-    "CAMTileSet",
     "FixedGeometryArray",
-    "TileGeometry",
     "partition_rows",
     "split_rows_evenly",
 ]

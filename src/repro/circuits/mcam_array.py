@@ -239,8 +239,8 @@ class MCAMArray(FixedGeometryArray):
     max_rows:
         Explicit physical row count of the array; ``None`` means unbounded
         (simulation only).  A real array has fixed geometry — stores larger
-        than ``max_rows`` are served by tiling across several arrays (see
-        :mod:`repro.circuits.tiles`) or by the sharded search runtime.
+        than ``max_rows`` are split across several arrays by
+        :class:`~repro.core.sharding.ShardedSearcher`.
     lut:
         Conductance look-up table shared by all cells (look-up-table mode).
         Defaults to the nominal table for ``bits``.
@@ -435,18 +435,17 @@ class MCAMArray(FixedGeometryArray):
         entries,
         labels: Optional[Sequence[int]] = None,
         rng: SeedLike = None,
-        row_offset: int = 0,
     ) -> None:
         """Program new rows after the stored ones, leaving every stored row untouched.
 
         Bitwise equal to ``reprogram(vstack([stored_states, entries]),
-        stored labels + labels, rng, row_offset)`` — where every stored row
-        would diff as unchanged — without diffing the stored rows:
+        stored labels + labels, rng)`` — where every stored row would diff
+        as unchanged — without diffing the stored rows:
 
         * **look-up-table mode** extends the by-cell search cache with the
           new rows' profiles when that cache is built;
         * **per-cell device mode** draws each new row from its row-keyed
-          stream ``(rng, row_offset + row)``, exactly like
+          stream ``(rng, row)``, exactly like
           :meth:`reprogram` (and extends a built search cache too).
 
         The stored-state matrix, the device profiles and the search cache
@@ -466,7 +465,7 @@ class MCAMArray(FixedGeometryArray):
         fresh: Optional[np.ndarray] = None
         if self.variation is not None:
             rows = np.arange(self.num_rows, total)
-            fresh = self._row_keyed_profiles(entries, rows, _reprogram_base_seed(rng), row_offset)
+            fresh = self._row_keyed_profiles(entries, rows, _reprogram_base_seed(rng))
             self._profiles, spare["profiles"] = append_rows(
                 self._device_profiles(), spare.get("profiles"), fresh
             )
@@ -486,7 +485,6 @@ class MCAMArray(FixedGeometryArray):
         entries,
         labels: Optional[Sequence[int]] = None,
         rng: SeedLike = None,
-        row_offset: int = 0,
     ) -> np.ndarray:
         """Replace the array contents, re-programming only the changed rows.
 
@@ -505,7 +503,7 @@ class MCAMArray(FixedGeometryArray):
           device variation.
 
         Device-mode sampling is **row-keyed**: the variation draw for row
-        ``r`` depends only on ``(rng, row_offset + r)`` and the row's new
+        ``r`` depends only on ``(rng, r)`` and the row's new
         states — not on how many rows are re-programmed alongside it.  With a
         fixed integer ``rng`` seed a delta reprogram is therefore bitwise
         identical to a full reprogram of the same contents, which is what
@@ -524,10 +522,6 @@ class MCAMArray(FixedGeometryArray):
             integer for reproducible row-keyed programming; a Generator or
             ``None`` concretizes to a fresh base seed (still row-keyed, not
             reproducible across calls).  Ignored in look-up-table mode.
-        row_offset:
-            Global index of this array's first row, used only to key the
-            per-row sampling when the array is one tile of a larger store
-            (see :class:`~repro.circuits.tiles.CAMTileSet`).
 
         Returns
         -------
@@ -551,7 +545,7 @@ class MCAMArray(FixedGeometryArray):
         changed = np.flatnonzero(~unchanged)
 
         if self.variation is not None:
-            self._reprogram_device_profiles(entries, unchanged, changed, rng, row_offset)
+            self._reprogram_device_profiles(entries, unchanged, changed, rng)
             self._by_cell_profiles = None
         else:
             self._update_profile_cache(entries, unchanged, changed)
@@ -577,17 +571,17 @@ class MCAMArray(FixedGeometryArray):
         return self._profiles
 
     def _row_keyed_profiles(
-        self, entries: np.ndarray, rows: np.ndarray, base_seed: int, row_offset: int
+        self, entries: np.ndarray, rows: np.ndarray, base_seed: int
     ) -> np.ndarray:
-        """Device profiles of ``entries`` programmed into local ``rows``.
+        """Device profiles of ``entries`` programmed into ``rows``.
 
         Each row draws its DL then DL-bar threshold voltages from its own
-        ``(salt, base seed, row_offset + row)`` stream — the row-keyed
-        contract — and the device physics then runs once over all of them.
+        ``(salt, base seed, row)`` stream — the row-keyed contract — and the
+        device physics then runs once over all of them.
         """
         vth_dl, vth_dlbar = _nominal_vth(entries, self.scheme)
         for i, row in enumerate(rows.tolist()):
-            generator = np.random.default_rng([_REPROGRAM_KEY_SALT, base_seed, row_offset + row])
+            generator = np.random.default_rng([_REPROGRAM_KEY_SALT, base_seed, row])
             vth_dl[i] = self.variation.sample_vth(vth_dl[i], generator)
             vth_dlbar[i] = self.variation.sample_vth(vth_dlbar[i], generator)
         return profiles_from_vth(vth_dl, vth_dlbar, self.scheme, self.device, self.ml_voltage_v)
@@ -598,7 +592,6 @@ class MCAMArray(FixedGeometryArray):
         unchanged: np.ndarray,
         changed: np.ndarray,
         rng: SeedLike,
-        row_offset: int,
     ) -> None:
         """Row-keyed device-mode profile update for :meth:`reprogram`.
 
@@ -612,9 +605,7 @@ class MCAMArray(FixedGeometryArray):
         if keep.size:
             new_profiles[keep] = old[keep]
         if changed.size:
-            new_profiles[changed] = self._row_keyed_profiles(
-                entries[changed], changed, base_seed, row_offset
-            )
+            new_profiles[changed] = self._row_keyed_profiles(entries[changed], changed, base_seed)
         self._profiles = new_profiles
 
     def _update_profile_cache(

@@ -73,8 +73,8 @@ class TCAMArray(FixedGeometryArray):
         Word width in bits (e.g. the LSH signature length).
     max_rows:
         Explicit physical row count; ``None`` means unbounded (simulation
-        only).  Larger stores tile across arrays, see
-        :mod:`repro.circuits.tiles`.
+        only).  Larger stores are split across arrays by
+        :class:`~repro.core.sharding.ShardedSearcher`.
     device:
         FeFET parameters; the match/mismatch conductances are taken from the
         1-bit MCAM cell built from the same device, keeping the TCAM and MCAM
@@ -184,13 +184,7 @@ class TCAMArray(FixedGeometryArray):
         self._hamming_base = None
         self._hamming_weights = None
 
-    def reprogram(
-        self,
-        rows,
-        labels: Optional[Sequence[int]] = None,
-        rng: SeedLike = None,
-        row_offset: int = 0,
-    ) -> np.ndarray:
+    def reprogram(self, rows, labels: Optional[Sequence[int]] = None) -> np.ndarray:
         """Replace the stored rows, re-programming only the changed ones.
 
         The TCAM counterpart of
@@ -199,13 +193,7 @@ class TCAMArray(FixedGeometryArray):
         keep their programmed state and their slices of the cached search
         kernel, so an episodic refit that swaps ``m`` of ``n`` rows costs
         ``O(m)`` cache work.  Returns the indices of the changed rows.
-
-        ``rng`` and ``row_offset`` are accepted for interface uniformity with
-        the MCAM's row-keyed device-mode path (so
-        :class:`~repro.circuits.tiles.CAMTileSet` can forward them to mixed
-        tile types) and are ignored: TCAM programming is deterministic.
         """
-        del rng, row_offset  # deterministic programming needs neither
         rows, labels = self._check_rows_and_labels(rows, labels)
         if self.max_rows is not None and rows.shape[0] > self.max_rows:
             raise CapacityError(

@@ -20,13 +20,7 @@ from .distance import (
 )
 from .knn import KNNClassifier
 from .quantization import UniformQuantizer
-from .sharding import (
-    SerialShardExecutor,
-    ShardedSearcher,
-    ThreadedShardExecutor,
-    merge_shard_topk,
-    register_shard_executor,
-)
+from .sharding import SerialShardExecutor, ShardedSearcher, merge_shard_topk
 from .search import (
     BatchQueryResult,
     MCAMSearcher,
@@ -50,9 +44,7 @@ __all__ = [
     "UniformQuantizer",
     "SerialShardExecutor",
     "ShardedSearcher",
-    "ThreadedShardExecutor",
     "merge_shard_topk",
-    "register_shard_executor",
     "BatchQueryResult",
     "MCAMSearcher",
     "NearestNeighborSearcher",

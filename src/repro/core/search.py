@@ -532,7 +532,7 @@ class MCAMSearcher(NearestNeighborSearcher):
             and source.bits == self.bits
         ):
             # The quantizer is read-only during search, so sharing the fitted
-            # instance across shard threads is safe.
+            # instance across shards is safe.
             self.quantizer = source.quantizer
             self._calibrated = True
             return True
@@ -695,7 +695,7 @@ class TCAMLSHSearcher(NearestNeighborSearcher):
             and source.num_bits == self.num_bits
         ):
             # The encoder is read-only during search, so sharing the fitted
-            # instance across shard threads is safe.
+            # instance across shards is safe.
             self.encoder = source.encoder
             self._calibrated = True
             return True
@@ -971,18 +971,19 @@ def make_searcher(
 
     Sharded multi-array execution is requested either through the compound
     name ``"sharded(<backend>)"`` or by passing ``shards=`` (a fixed shard
-    count) or ``max_rows_per_array=`` (fixed-geometry tiles, the shard count
-    following from the store size).  ``executor`` picks the per-shard
-    execution strategy (``"serial"``, ``"threads"`` or ``"processes"``) and
-    ``num_workers`` bounds the worker pool.  Sharded results are bitwise
-    identical to the unsharded backend for the deterministic (ideal-sensing)
-    engines.
+    count) or ``max_rows_per_array=`` (fixed-geometry arrays, the shard
+    count following from the store size).  ``executor`` picks the per-shard
+    execution strategy (``"serial"`` or ``"processes"``, or an executor
+    instance shared with other searchers) and ``num_workers`` bounds the
+    worker pool.  Sharded results are bitwise identical to the unsharded
+    backend for the deterministic (ideal-sensing) engines.
 
     ``appendable=True`` builds a sharded searcher that retains its fitted
     store so :meth:`~repro.core.sharding.ShardedSearcher.append` can grow it
-    live: new rows route to the least-full shard, tiles grow through the
-    delta-reprogramming path, and the served results stay bitwise identical
-    to a from-scratch refit of the combined store.
+    live: new rows route to the least-full shard, in-range rows program
+    only themselves and other rows refit through the delta-reprogramming
+    path, and the served results stay bitwise identical to a from-scratch
+    refit of the combined store.
     """
     factory = get_backend(name)
     if (shards is not None or max_rows_per_array is not None) and not getattr(

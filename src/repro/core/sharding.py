@@ -12,21 +12,17 @@ tie-breaking the unsharded engines use.  For the deterministic (ideal
 sensing) engines the merged results are **bitwise identical** to the wrapped
 backend searching one unbounded array.
 
-Per-shard ranking is dispatched through a pluggable executor strategy:
+Per-shard ranking runs on one of two executor strategies:
 
-* ``"serial"`` — shards are ranked one after another in the calling thread,
-* ``"threads"`` — shards are ranked concurrently in a thread pool.  The
-  heavy per-shard work is NumPy ufunc/BLAS kernels that release the GIL, so
-  threads scale on multi-core hosts without any pickling cost,
+* ``"serial"`` — shards are ranked one after another in the calling thread
+  (the reference path),
 * ``"processes"`` — shards are ranked in a persistent worker-process pool
-  (:class:`~repro.runtime.process_pool.ProcessShardExecutor`), sidestepping
-  the GIL entirely; the query/result payloads travel through a zero-copy
-  shared-memory ring.
+  (:class:`~repro.runtime.process_pool.ProcessShardExecutor`); the
+  query/result payloads travel through a zero-copy shared-memory ring.
 
-Additional strategies (e.g. an async gateway) can be plugged in through
-:func:`register_shard_executor`.  Shard jobs are self-contained module-level
-callables, so any executor — in-thread, pooled or cross-process — produces
-bitwise-identical results.
+Any other executor plugs in as an instance passed to :class:`ShardedSearcher`.
+Shard jobs are self-contained module-level callables, so every executor
+produces bitwise-identical results.
 
 Two serving-oriented extensions ride on the executor seam:
 
@@ -51,7 +47,6 @@ import itertools
 import os
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -93,113 +88,35 @@ class SerialShardExecutor:
         return False
 
 
-class ThreadedShardExecutor:
-    """Run per-shard jobs concurrently in a lazily created thread pool.
-
-    Per-shard ranking is dominated by NumPy kernels that release the GIL
-    (elementwise ufuncs, reductions, BLAS), so a thread pool parallelizes
-    shards across cores without serializing the query batch.
-
-    Parameters
-    ----------
-    num_workers:
-        Thread count; defaults to the host CPU count.
-    """
-
-    name = "threads"
-
-    #: Worker-thread name prefix; subclasses (e.g. the trial runner) override.
-    _thread_name_prefix = "repro-shard"
-
-    def __init__(self, num_workers: Optional[int] = None) -> None:
-        if num_workers is not None:
-            num_workers = check_int_in_range(num_workers, "num_workers", minimum=1)
-        self.num_workers = num_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._finalizer: Optional[weakref.finalize] = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            workers = self.num_workers if self.num_workers is not None else os.cpu_count() or 1
-            pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix=self._thread_name_prefix
-            )
-            self._pool = pool
-            # Safety net: shut the pool down at garbage collection or
-            # interpreter exit when a caller forgets close().
-            self._finalizer = weakref.finalize(self, pool.shutdown, wait=True)
-        return self._pool
-
-    def map(self, fn: Callable[..., Any], jobs: Iterable) -> list:
-        """Apply ``fn`` to every job concurrently, preserving job order."""
-        job_list = list(jobs)
-        if len(job_list) <= 1:
-            return [fn(job) for job in job_list]
-        return list(self._ensure_pool().map(fn, job_list))
-
-    def close(self) -> None:
-        """Shut the thread pool down (idempotent; re-created on next use)."""
-        finalizer, self._finalizer = self._finalizer, None
-        self._pool = None
-        if finalizer is not None:
-            finalizer()
-
-    def __enter__(self) -> "ThreadedShardExecutor":
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
-        self.close()
-        return False
-
-
-#: Registry of executor strategies by name.
-SHARD_EXECUTORS: Dict[str, Callable[..., object]] = {
-    "serial": SerialShardExecutor,
-    "threads": ThreadedShardExecutor,
-}
-
-
-def register_shard_executor(name: str, factory: Callable[..., object]) -> None:
-    """Register an executor strategy under ``name``.
-
-    ``factory`` is called as ``factory(num_workers=...)`` and must return an
-    object with ``map(fn, jobs)`` (order-preserving) and ``close()``.  For
-    cross-process executors, ``fn`` and every job are guaranteed picklable.
-    """
-    key = name.lower()
-    if key in SHARD_EXECUTORS:
-        raise SearchError(f"shard executor {name!r} is already registered")
-    SHARD_EXECUTORS[key] = factory
+#: The shard executor strategies :func:`resolve_shard_executor` knows.
+_SHARD_EXECUTOR_NAMES = ("processes", "serial")
 
 
 def resolve_shard_executor(name: str) -> Callable[..., object]:
-    """Look up an executor factory, loading the runtime extras on demand.
+    """The executor class behind a strategy name, ``"serial"`` or ``"processes"``.
 
-    The ``"processes"`` executor lives in :mod:`repro.runtime`, which
-    registers itself on import; resolving through this helper makes the name
-    available without callers having to import the runtime package first.
+    ``"processes"`` lives in :mod:`repro.runtime`, which is imported only
+    when that name is asked for.  Any other executor plugs in as an
+    instance (see :class:`ShardedSearcher`), not by name.
     """
     try:
         key = name.lower()
     except AttributeError:
         raise SearchError(f"executor must be a string, got {type(name).__name__}") from None
-    if key not in SHARD_EXECUTORS:
-        from .. import runtime  # noqa: F401  — registers the process executor
+    if key == "serial":
+        return SerialShardExecutor
+    if key == "processes":
+        from ..runtime.process_pool import ProcessShardExecutor
 
-    try:
-        return SHARD_EXECUTORS[key]
-    except KeyError:
-        raise SearchError(
-            f"unknown shard executor {name!r}; available: "
-            f"{', '.join(sorted(SHARD_EXECUTORS))}"
-        ) from None
+        return ProcessShardExecutor
+    raise SearchError(
+        f"unknown shard executor {name!r}; available: {', '.join(_SHARD_EXECUTOR_NAMES)}"
+    )
 
 
 def available_shard_executors() -> Tuple[str, ...]:
-    """Names of all shard executor strategies, including runtime extras."""
-    from .. import runtime  # noqa: F401  — registers the process executor
-
-    return tuple(sorted(SHARD_EXECUTORS))
+    """Names of the shard executor strategies, sorted."""
+    return _SHARD_EXECUTOR_NAMES
 
 
 def _rank_shard_job(job: Any) -> Tuple[np.ndarray, np.ndarray]:
@@ -295,14 +212,15 @@ class ShardedSearcher(NearestNeighborSearcher):
         (``ceil(num_entries / max_rows_per_array)``).  Mutually exclusive
         with ``num_shards``.
     executor:
-        Per-shard execution strategy: ``"serial"``, ``"threads"`` or
-        ``"processes"`` (or any name added via
-        :func:`register_shard_executor`).  Alternatively an already
-        constructed executor *instance* (anything exposing ``map`` and
-        ``close``), which the searcher then **shares** rather than owns:
-        several searchers can serve from one long-running worker pool, and
-        :meth:`close` evicts this searcher's worker-cached shards without
-        shutting the shared pool down.
+        Per-shard execution strategy: ``"serial"`` or ``"processes"``.
+        Alternatively an already constructed executor *instance*, which the
+        searcher then **shares** rather than owns: several searchers can
+        serve from one long-running worker pool, and :meth:`close` evicts
+        this searcher's worker-cached shards without shutting the shared
+        pool down.  An instance needs ``map(fn, jobs)`` (order-preserving)
+        and ``close()``; the searcher also uses ``publish_shard``,
+        ``submit_cached`` (whose collect takes ``timeout``), ``evict``,
+        ``attach_restore_source`` and ``note_append_seq`` when present.
     num_workers:
         Worker bound for pooled executors; defaults to the host CPU count.
         Applies only when ``executor`` is given by name — a shared instance
@@ -370,7 +288,7 @@ class ShardedSearcher(NearestNeighborSearcher):
                 getattr(executor, "close", None)
             ):
                 raise SearchError(
-                    "executor must be a registered strategy name or an object "
+                    "executor must be 'serial', 'processes' or an object "
                     "with map(fn, jobs) and close()"
                 )
             self.executor_name = str(getattr(executor, "name", type(executor).__name__))
@@ -928,12 +846,7 @@ class ShardedSearcher(NearestNeighborSearcher):
         """
         attach = getattr(self._executor, "attach_restore_source", None)
         if attach is not None:
-            try:
-                attach(self._searcher_id, directory, applied_seq=applied_seq)
-            except TypeError:
-                # Third-party executors may predate the applied_seq
-                # parameter; staleness then goes untracked on their rung.
-                attach(self._searcher_id, directory)
+            attach(self._searcher_id, directory, applied_seq=applied_seq)
 
     def _note_append_seq(self) -> None:
         """Tell the executor how far past any snapshot this searcher is.
@@ -1036,13 +949,7 @@ class ShardedSearcher(NearestNeighborSearcher):
             pending = submit(self._cached_shard_jobs(shard_rngs, queries, k))
 
             def collect(timeout: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
-                try:
-                    results = pending(timeout=timeout)
-                except TypeError:
-                    # Third-party executors may expose a zero-argument
-                    # collect; deadlines then bound only admission.
-                    results = pending()
-                return self._merge_shard_results(results, k)
+                return self._merge_shard_results(pending(timeout=timeout), k)
 
             return collect
         jobs = [

@@ -13,7 +13,7 @@ Scopes follow the layering the repo established in PRs 1–8:
   discipline and pump purity (RPL009) and lock ordering (RPL010) apply;
 * **pool boundary** (everywhere, including tests and benchmarks):
   nothing unpicklable crosses ``submit_all``/``map_cached``/
-  ``submit_cached``/``broadcast``/``register_shard_executor`` (RPL008);
+  ``submit_cached``/``broadcast`` (RPL008);
 * **persistence scope** (``repro.utils.io``, ``repro.storage``,
   ``repro.runtime.transport``): files land via tmp-write +
   ``os.replace``, never an in-place write-mode open (RPL011);
@@ -398,25 +398,19 @@ class PoolBoundaryPicklableRule(Rule):
 
     Lambdas and functions defined inside another function cannot be
     pickled, so passing one into the pool seam
-    (``submit_all``/``map_cached``/``submit_cached``/``broadcast``/
-    ``register_shard_executor``) fails only at dispatch time, deep inside
-    a worker traceback.  Flag it at the call site instead.
+    (``submit_all``/``map_cached``/``submit_cached``/``broadcast``) fails
+    only at dispatch time, deep inside a worker traceback.  Flag it at the
+    call site instead.
     """
 
     code = "RPL008"
     name = "unpicklable-at-pool-boundary"
     description = (
         "lambdas/nested functions must not be passed into submit_all/"
-        "map_cached/submit_cached/broadcast/register_shard_executor"
+        "map_cached/submit_cached/broadcast"
     )
 
-    _BOUNDARY = {
-        "submit_all",
-        "map_cached",
-        "submit_cached",
-        "broadcast",
-        "register_shard_executor",
-    }
+    _BOUNDARY = {"submit_all", "map_cached", "submit_cached", "broadcast"}
 
     @staticmethod
     def _nested_function_names(tree: ast.Module) -> Set[str]:

@@ -42,9 +42,9 @@ def run(
     the sharded multi-array execution layer; sharded search is exact, so the
     figure is unchanged — the knobs exist to exercise realistic geometries.
     ``episode_executor`` dispatches every ``method x episode-chunk`` pair
-    through the parallel experiment runtime (``"threads"`` or
-    ``"processes"``); the method factories are picklable, so the figure's
-    episode loops fan out across worker processes unchanged.
+    through the parallel experiment runtime (``"processes"``); the method
+    factories are picklable, so the figure's episode loops fan out across
+    worker processes unchanged.
     """
     generator = ensure_rng(seed)
     num_episodes = 25 if quick else 200

@@ -27,9 +27,9 @@ def run(
     the 80 mV sigma observed in the device study.
 
     ``executor`` dispatches the sweep's Monte-Carlo trials through the
-    parallel experiment runtime (``"serial"``, ``"threads"`` or
-    ``"processes"``); every trial carries a pre-spawned RNG stream, so the
-    figure is bitwise identical at any worker count.
+    parallel experiment runtime (``"serial"`` or ``"processes"``); every
+    trial carries a pre-spawned RNG stream, so the figure is bitwise
+    identical at any worker count.
     """
     generator = ensure_rng(seed)
     space = SyntheticEmbeddingSpace(seed=generator.integers(2**31 - 1))

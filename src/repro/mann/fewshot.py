@@ -26,7 +26,7 @@ from ..utils.validation import check_int_in_range
 from ..core.search import make_searcher
 from ..datasets.omniglot import SyntheticEmbeddingSpace
 from ..runtime import default_worker_count, require_picklable, resolve_trial_runner
-from ..runtime.trials import ParallelTrialRunner, SerialTrialRunner, chunk_units
+from ..runtime.trials import CHUNKS_PER_WORKER, SerialTrialRunner, chunk_units
 from .episodes import Episode, EpisodeSampler
 from .memory import MANNMemory, SearcherFactory
 
@@ -82,20 +82,20 @@ class FewShotEvaluator:
         Query embeddings per class in each episode.
     executor:
         Episode-dispatch strategy: ``"serial"`` (one searcher allocation,
-        episodes in order — the reference path), ``"threads"`` or
-        ``"processes"`` (episodes chunked across a persistent worker pool,
-        one searcher allocation per chunk).  Episodes and their RNG streams
-        are sampled up front in the serial order, so parallel dispatch
+        episodes in order — the reference path) or ``"processes"``
+        (episodes chunked across a persistent worker-process pool, one
+        searcher allocation per chunk).  Episodes and their RNG streams are
+        sampled up front in the serial order, so parallel dispatch
         evaluates *identical* episodes; accuracies match the serial path for
         engines whose per-episode results do not depend on programming
         history — the LUT-mode MCAM, the seeded TCAM+LSH engine, the
         software baselines, and device-mode MCAMs using row-keyed
-        ``program_seed`` programming.  Process dispatch additionally needs a
+        ``program_seed`` programming.  Process dispatch also needs a
         picklable ``searcher_factory`` (e.g. a :func:`functools.partial`
         around ``make_searcher``, which :func:`default_method_factories`
         returns).
     num_workers:
-        Worker bound for the pooled strategies; defaults to the CPU count.
+        Worker bound for the process pool; defaults to the CPU count.
     """
 
     def __init__(
@@ -142,13 +142,10 @@ class FewShotEvaluator:
         return list(self.sampler.episodes(self.num_episodes, rng=generator))
 
     def _episode_jobs(self, factory: SearcherFactory, episodes, episode_rngs, runner):
-        """Chunked ``(factory, episodes, rngs)`` jobs for pooled dispatch."""
-        if isinstance(runner, ParallelTrialRunner):
-            # Only process dispatch ships jobs across an interpreter
-            # boundary; thread dispatch runs closures and lambdas fine.
-            require_picklable(factory, "searcher_factory")
+        """Chunked ``(factory, episodes, rngs)`` jobs for process dispatch."""
+        require_picklable(factory, "searcher_factory")
         workers = runner.num_workers or default_worker_count()
-        num_chunks = workers * 2
+        num_chunks = workers * CHUNKS_PER_WORKER
         episode_chunks = chunk_units(list(episodes), num_chunks)
         rng_chunks = chunk_units(list(episode_rngs), num_chunks)
         return [
@@ -165,8 +162,8 @@ class FewShotEvaluator:
 
         One searcher is allocated up front and delta-reprogrammed per episode
         (the CAM workload: rewrite the support rows, then stream the
-        episode's whole query block through one batched search); pooled
-        executors keep one searcher per worker chunk instead.  Episode
+        episode's whole query block through one batched search); process
+        dispatch keeps one searcher per worker chunk instead.  Episode
         sampling and classification use independent streams (as
         :meth:`compare` always has), so engines that draw randomness during
         search — stochastic sensing, sharded execution — cannot perturb
@@ -203,11 +200,10 @@ class FewShotEvaluator:
         episode, which is the comparison the paper makes: the only moving
         part is the distance function / search hardware.  Each method keeps
         one searcher allocation for the whole run (serial) or per worker
-        chunk (pooled executors, which dispatch every ``method x chunk``
-        pair independently; stochastic-sensing engines then consume
-        per-method copies of the episode streams instead of the serial
-        path's shared stream — the deterministic paper methods are
-        unaffected).
+        chunk (process dispatch, which runs every ``method x chunk`` pair
+        independently; stochastic-sensing engines then consume per-method
+        copies of the episode streams instead of the serial path's shared
+        stream — the deterministic paper methods are unaffected).
         """
         if not factories:
             raise ConfigurationError("factories must contain at least one method")
@@ -240,10 +236,10 @@ class FewShotEvaluator:
             spans = []
             for name, factory in factories.items():
                 # Every method gets its own *copies* of the episode
-                # streams: process dispatch copies implicitly by
-                # pickling, but thread dispatch would otherwise share
-                # (and concurrently mutate) the Generator objects across
-                # method jobs.
+                # streams.  One pickled trial chunk can carry several
+                # methods' jobs, and pickling shares the Generator objects
+                # those jobs hold, so without copies the methods would
+                # advance one another's streams inside the worker.
                 method_rngs = deepcopy(episode_rngs)
                 method_jobs = self._episode_jobs(factory, episodes, method_rngs, runner)
                 spans.append((name, len(method_jobs)))
@@ -285,7 +281,7 @@ def _run_episode_chunk(job) -> List[float]:
         ]
     finally:
         # Deterministically release searcher resources (e.g. a sharded
-        # thread pool) instead of waiting for garbage collection.
+        # worker pool) instead of waiting for garbage collection.
         memory.clear()
 
 

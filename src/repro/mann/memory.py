@@ -55,7 +55,8 @@ class MANNMemory:
         Optional sharded-execution configuration: when either ``shards`` or
         ``max_rows_per_array`` is given the memory's searcher becomes a
         :class:`~repro.core.sharding.ShardedSearcher` partitioning the
-        support set across fixed-capacity arrays.
+        support set across fixed-capacity arrays, ranked on the
+        ``"serial"`` or ``"processes"`` shard executor.
     """
 
     def __init__(
@@ -132,7 +133,7 @@ class MANNMemory:
         return self
 
     def _release_searcher(self) -> None:
-        """Free executor resources (e.g. a shard thread pool) before dropping."""
+        """Free executor resources (e.g. a shard worker pool) before dropping."""
         close = getattr(self._searcher, "close", None)
         if close is not None:
             close()

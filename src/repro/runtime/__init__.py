@@ -3,9 +3,9 @@
 The execution layer behind the statistical sweeps:
 
 * :mod:`repro.runtime.process_pool` — a persistent worker-process pool and
-  the ``"processes"`` shard-executor strategy (registered on import), with
-  a worker-resident shard cache so programmed arrays ship to each worker
-  once per program epoch instead of once per query batch,
+  the ``"processes"`` shard-executor strategy, with a worker-resident
+  shard cache so programmed arrays ship to each worker once per program
+  epoch instead of once per query batch,
 * :mod:`repro.runtime.transport` — the zero-copy transport layer under the
   shard executor: a shared-memory ring for query/result batches, safe for
   concurrent dispatching threads, and memory-mapped ``.npy`` spool
@@ -44,7 +44,6 @@ from .transport import (
 from .trials import (
     ParallelTrialRunner,
     SerialTrialRunner,
-    ThreadTrialRunner,
     TRIAL_RUNNERS,
     chunk_units,
     require_picklable,
@@ -66,7 +65,6 @@ __all__ = [
     "write_spool_pickle",
     "ParallelTrialRunner",
     "SerialTrialRunner",
-    "ThreadTrialRunner",
     "TRIAL_RUNNERS",
     "chunk_units",
     "require_picklable",

@@ -11,9 +11,9 @@ parallelize — worker *processes* can.
 calls, so one experiment pays the worker start-up cost once rather than per
 dispatch.  Two consumers build on it:
 
-* :class:`ProcessShardExecutor` — the ``"processes"`` strategy on the
-  :func:`~repro.core.sharding.register_shard_executor` seam, ranking the
-  shards of one query batch in worker processes,
+* :class:`ProcessShardExecutor` — the ``"processes"`` shard executor of
+  :class:`~repro.core.sharding.ShardedSearcher`, ranking the shards of one
+  query batch in worker processes,
 * :class:`~repro.runtime.trials.ParallelTrialRunner` — the Monte-Carlo
   trial/episode dispatcher used by the Fig. 7/8 sweeps.
 
@@ -91,7 +91,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.sharding import register_shard_executor
 from ..exceptions import (
     ConfigurationError,
     ServingError,
@@ -528,9 +527,9 @@ class ProcessShardExecutor:
     shards are published to a spool once per program epoch and cached
     worker-resident (see the module docstring), so steady-state query
     batches ship only query payloads, through shared memory; jobs and
-    results stay bitwise identical to the ``"serial"`` and ``"threads"``
-    strategies at any worker count because per-shard RNG streams are
-    spawned before dispatch and the ranked payloads are self-contained.
+    results stay bitwise identical to the ``"serial"`` strategy at any
+    worker count because per-shard RNG streams are spawned before
+    dispatch and the ranked payloads are self-contained.
     That self-containment is also what makes recovery safe: a crashed or
     hung batch can be replayed on a healed pool, or in process, and produce
     the same bytes.
@@ -1140,6 +1139,3 @@ class ProcessShardExecutor:
     def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
         self.close()
         return False
-
-
-register_shard_executor("processes", ProcessShardExecutor)

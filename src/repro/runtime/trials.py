@@ -8,8 +8,6 @@ on:
 
 * :class:`SerialTrialRunner` — in-process, in-order execution (the
   reference path),
-* :class:`ThreadTrialRunner` — a thread pool, useful when trials release
-  the GIL,
 * :class:`ParallelTrialRunner` — a persistent worker-process pool for the
   interpreter-bound Monte-Carlo workloads.
 
@@ -32,10 +30,15 @@ import pickle
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..circuits.tiles import split_rows_evenly
-from ..core.sharding import SerialShardExecutor, ThreadedShardExecutor
+from ..core.sharding import SerialShardExecutor
 from ..exceptions import ConfigurationError
 from ..utils.validation import check_int_in_range
 from .process_pool import PersistentProcessPool
+
+#: Dispatch granularity of process-parallel trials: the units are split into
+#: this many chunks per worker, balancing scheduling slack against the
+#: per-chunk pickling cost.
+CHUNKS_PER_WORKER = 2
 
 
 def chunk_units(units: Sequence[Any], num_chunks: int) -> Tuple[Sequence[Any], ...]:
@@ -59,51 +62,39 @@ class SerialTrialRunner(SerialShardExecutor):
     """Run every trial in the calling thread, in order (the reference path).
 
     The executor interface (order-preserving ``map`` + ``close``) is shared
-    with the shard layer, so the in-process strategies are the shard
-    executors themselves.
+    with the shard layer, so the in-process strategy is the serial shard
+    executor itself.
     """
-
-
-class ThreadTrialRunner(ThreadedShardExecutor):
-    """Run trials concurrently in a lazily created, persistent thread pool."""
-
-    _thread_name_prefix = "repro-trial"
 
 
 class ParallelTrialRunner:
     """Dispatch Monte-Carlo trials to a persistent worker-process pool.
 
-    Trials are grouped into contiguous, ordered chunks (amortizing the
-    pickle round-trip over several trials) and each chunk runs as one job in
-    a worker process.  Because units are self-contained and chunking
-    preserves order, results are **bitwise identical to the serial runner at
-    any worker count** — parallelism changes wall-clock time, nothing else.
+    Trials are grouped into contiguous, ordered chunks,
+    :data:`CHUNKS_PER_WORKER` per worker (amortizing the pickle round-trip
+    over several trials), and each chunk runs as one job in a worker
+    process.  Because units are self-contained and chunking preserves
+    order, results are **bitwise identical to the serial runner at any
+    worker count** — parallelism changes wall-clock time, nothing else.
 
     Parameters
     ----------
     num_workers:
         Worker-process count; defaults to the host CPU count.
-    chunks_per_worker:
-        Dispatch granularity: the unit list is split into
-        ``num_workers * chunks_per_worker`` chunks, balancing scheduling
-        slack against per-chunk shipping cost.
     """
 
     name = "processes"
 
-    def __init__(self, num_workers: Optional[int] = None, chunks_per_worker: int = 2) -> None:
+    def __init__(self, num_workers: Optional[int] = None) -> None:
         self._pool = PersistentProcessPool(num_workers=num_workers)
         self.num_workers = self._pool.num_workers
-        self.chunks_per_worker = check_int_in_range(
-            chunks_per_worker, "chunks_per_worker", minimum=1
-        )
 
     def map(self, fn: Callable, units: Iterable) -> List:
         """Apply ``fn`` to every unit in worker processes, preserving order."""
         unit_list = list(units)
         if len(unit_list) <= 1:
             return [fn(unit) for unit in unit_list]
-        chunks = chunk_units(unit_list, self._pool.effective_workers * self.chunks_per_worker)
+        chunks = chunk_units(unit_list, self._pool.effective_workers * CHUNKS_PER_WORKER)
         jobs = [(fn, chunk) for chunk in chunks]
         results: List = []
         for chunk_result in self._pool.map(_run_trial_chunk, jobs):
@@ -126,7 +117,6 @@ class ParallelTrialRunner:
 #: names, so experiment knobs read the same at both layers).
 TRIAL_RUNNERS: Dict[str, Callable[..., object]] = {
     "serial": SerialTrialRunner,
-    "threads": ThreadTrialRunner,
     "processes": ParallelTrialRunner,
 }
 
@@ -134,8 +124,8 @@ TRIAL_RUNNERS: Dict[str, Callable[..., object]] = {
 def resolve_trial_runner(executor: str = "serial", num_workers: Optional[int] = None) -> Any:
     """Build a trial runner from an executor name.
 
-    ``executor`` is ``"serial"``, ``"threads"`` or ``"processes"``;
-    ``num_workers`` bounds the pooled strategies.
+    ``executor`` is ``"serial"`` or ``"processes"``; ``num_workers``
+    bounds the process pool.
     """
     try:
         factory = TRIAL_RUNNERS[executor.lower()]

@@ -675,12 +675,7 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
                 # fails typed — the pump never blocks past the deadline on
                 # a hung worker.
                 remaining = max(0.0, min(deadlines) - time.monotonic())
-                try:
-                    indices, scores = collect(timeout=remaining)
-                except TypeError:
-                    # Third-party collects may be zero-argument; deadlines
-                    # then bound only queueing, not the dispatch itself.
-                    indices, scores = collect()
+                indices, scores = collect(timeout=remaining)
             else:
                 indices, scores = collect()
         except Exception as exc:  # a worker died, the spool was reaped, ...

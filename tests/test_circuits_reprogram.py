@@ -1,7 +1,7 @@
 """Delta reprogramming, device-mode programming and the batched search kernels.
 
-Covers the incremental write path on :class:`MCAMArray`,
-:class:`TCAMArray` and :class:`CAMTileSet` — changed-row detection,
+Covers the incremental write path on :class:`MCAMArray` and
+:class:`TCAMArray` — changed-row detection,
 delta-equals-full equality under fixed seeds, cache consistency across
 grow/shrink refits — the batched device-mode programming path against a
 frozen copy of the per-row loop it replaced, and the kernel rewrites behind
@@ -21,7 +21,6 @@ import pytest
 from repro.circuits.mcam_array import MCAMArray, preserve_search_caches
 from repro.circuits.mcam_cell import ML_PRECHARGE_V, MCAMVoltageScheme
 from repro.circuits.tcam import DONT_CARE, TCAMArray
-from repro.circuits.tiles import CAMTileSet, TileGeometry
 from repro.core.search import MCAMSearcher, TCAMLSHSearcher
 from repro.devices.fefet import FeFETParameters, _drain_current_from_overdrive, clip_vth
 from repro.devices.variation import DomainSwitchingVariationModel, GaussianVthVariationModel
@@ -56,8 +55,8 @@ def _frozen_cell_profiles(states, scheme, device, variation, generator):
     return np.asarray(current) / ml_voltage_v
 
 
-def _frozen_row_keyed_profiles(entries, variation, base_seed, row_offset, bits):
-    """The original per-row reprogram loop: one keyed stream per global row."""
+def _frozen_row_keyed_profiles(entries, variation, base_seed, bits):
+    """The original per-row reprogram loop: one keyed stream per row."""
     scheme, device = MCAMVoltageScheme(bits=bits), FeFETParameters()
     return np.stack(
         [
@@ -66,7 +65,7 @@ def _frozen_row_keyed_profiles(entries, variation, base_seed, row_offset, bits):
                 scheme,
                 device,
                 variation,
-                np.random.default_rng([0x52455052, base_seed, row_offset + row]),
+                np.random.default_rng([0x52455052, base_seed, row]),
             )
             for row in range(entries.shape[0])
         ]
@@ -96,11 +95,10 @@ class TestBatchedProgrammingMatchesFrozenReference:
         rng = np.random.default_rng([bits, cells, sorted(FROZEN_VARIATIONS).index(variation)])
         states = rng.integers(0, 2**bits, size=(self.ROWS, cells))
         seed = int(rng.integers(2**31 - 1))
-        row_offset = int(rng.integers(0, 10**6))
-        return FROZEN_VARIATIONS[variation], states, seed, row_offset
+        return FROZEN_VARIATIONS[variation], states, seed
 
     def test_write(self, variation, bits, cells):
-        model, states, seed, _ = self._case(variation, bits, cells)
+        model, states, seed = self._case(variation, bits, cells)
         array = MCAMArray(num_cells=cells, bits=bits, variation=model)
         array.write(states, rng=seed)
         reference = _frozen_cell_profiles(
@@ -113,35 +111,30 @@ class TestBatchedProgrammingMatchesFrozenReference:
         assert array.row_profiles().tobytes() == reference.tobytes()
 
     def test_full_reprogram(self, variation, bits, cells):
-        model, states, seed, row_offset = self._case(variation, bits, cells)
+        model, states, seed = self._case(variation, bits, cells)
         array = MCAMArray(num_cells=cells, bits=bits, variation=model)
-        array.reprogram(states, rng=seed, row_offset=row_offset)
-        reference = _frozen_row_keyed_profiles(states, model, seed, row_offset, bits)
+        array.reprogram(states, rng=seed)
+        reference = _frozen_row_keyed_profiles(states, model, seed, bits)
         assert array.row_profiles().tobytes() == reference.tobytes()
 
     def test_delta_reprogram(self, variation, bits, cells):
-        model, states, seed, row_offset = self._case(variation, bits, cells)
+        model, states, seed = self._case(variation, bits, cells)
         array = MCAMArray(num_cells=cells, bits=bits, variation=model)
-        array.reprogram(states, rng=seed, row_offset=row_offset)
+        array.reprogram(states, rng=seed)
         mutated = states.copy()
         mutated[::3] = (mutated[::3] + 1) % 2**bits
-        changed = array.reprogram(mutated, rng=seed, row_offset=row_offset)
+        changed = array.reprogram(mutated, rng=seed)
         np.testing.assert_array_equal(changed, np.arange(0, self.ROWS, 3))
-        reference = _frozen_row_keyed_profiles(mutated, model, seed, row_offset, bits)
+        reference = _frozen_row_keyed_profiles(mutated, model, seed, bits)
         assert array.row_profiles().tobytes() == reference.tobytes()
 
-    def test_tile_set_append(self, variation, bits, cells):
-        model, states, seed, _ = self._case(variation, bits, cells)
-        geometry = TileGeometry(max_rows=5, num_cells=cells)
-        tiles = CAMTileSet(
-            geometry,
-            lambda: MCAMArray(num_cells=cells, bits=bits, variation=model, max_rows=5),
-        )
-        tiles.reprogram(states[:7], rng=seed)
-        tiles.append(states[7:], rng=seed)
-        reference = _frozen_row_keyed_profiles(states, model, seed, 0, bits)
-        programmed = np.concatenate([tile.array.row_profiles() for tile in tiles.tiles])
-        assert programmed.tobytes() == reference.tobytes()
+    def test_append(self, variation, bits, cells):
+        model, states, seed = self._case(variation, bits, cells)
+        array = MCAMArray(num_cells=cells, bits=bits, variation=model)
+        array.reprogram(states[:7], rng=seed)
+        array.append(states[7:], rng=seed)
+        reference = _frozen_row_keyed_profiles(states, model, seed, bits)
+        assert array.row_profiles().tobytes() == reference.tobytes()
 
 
 def test_frozen_reference_wide_spread_exercises_the_clip():
@@ -307,15 +300,6 @@ class TestMCAMReprogram:
         np.testing.assert_array_equal(before[keep], after[keep])
         assert not np.array_equal(before[3], after[3])
 
-    def test_row_keyed_draws_depend_on_row_offset(self):
-        variation = GaussianVthVariationModel(sigma_v=0.08)
-        states = RNG.integers(0, 8, size=(4, 8))
-        a = MCAMArray(num_cells=8, bits=3, variation=variation)
-        b = MCAMArray(num_cells=8, bits=3, variation=variation)
-        a.reprogram(states, rng=9, row_offset=0)
-        b.reprogram(states, rng=9, row_offset=4)
-        assert not np.array_equal(a.row_profiles(), b.row_profiles())
-
     def test_geometry_violations_rejected(self):
         array = MCAMArray(num_cells=6, bits=2, max_rows=4)
         with pytest.raises(CapacityError):
@@ -388,135 +372,6 @@ class TestTCAMReprogram:
             tcam.reprogram([[0, 1, 2, 1]])
         with pytest.raises(CapacityError):
             tcam.reprogram(RNG.integers(0, 2, size=(4, 4)))
-
-
-class TestTileSetReprogram:
-    @staticmethod
-    def _tile_set():
-        geometry = TileGeometry(max_rows=8, num_cells=10)
-        return CAMTileSet(geometry, lambda: MCAMArray(num_cells=10, bits=2, max_rows=8))
-
-    def test_matches_fresh_programming_across_tiles(self):
-        tiles = self._tile_set()
-        first = RNG.integers(0, 4, size=(20, 10))
-        tiles.write(first, labels=list(range(20)))
-        second = first.copy()
-        second[[0, 9, 19]] = RNG.integers(0, 4, size=(3, 10))
-        changed = tiles.reprogram(second, labels=list(range(20)))
-        np.testing.assert_array_equal(changed, [0, 9, 19])
-
-        fresh = self._tile_set()
-        fresh.write(second, labels=list(range(20)))
-        queries = RNG.integers(0, 4, size=(5, 10))
-        np.testing.assert_array_equal(
-            tiles.row_conductances_batch(queries), fresh.row_conductances_batch(queries)
-        )
-        assert tiles.labels == fresh.labels
-
-    def test_shrink_releases_tiles_and_grow_reopens(self):
-        tiles = self._tile_set()
-        store = RNG.integers(0, 4, size=(20, 10))
-        tiles.write(store)
-        assert tiles.num_tiles == 3
-        tiles.reprogram(store[:7])
-        assert (tiles.num_tiles, tiles.num_rows) == (1, 7)
-        tiles.reprogram(store)
-        assert (tiles.num_tiles, tiles.num_rows) == (3, 20)
-        fresh = self._tile_set()
-        fresh.write(store)
-        queries = RNG.integers(0, 4, size=(4, 10))
-        np.testing.assert_array_equal(
-            tiles.row_conductances_batch(queries), fresh.row_conductances_batch(queries)
-        )
-
-    def test_device_mode_row_keys_are_global(self):
-        variation = GaussianVthVariationModel(sigma_v=0.05)
-        geometry = TileGeometry(max_rows=4, num_cells=6)
-
-        def factory():
-            return MCAMArray(num_cells=6, bits=2, variation=variation, max_rows=4)
-
-        store = RNG.integers(0, 4, size=(10, 6))
-        delta = CAMTileSet(geometry, factory)
-        delta.reprogram(store, rng=77)
-        mutated = store.copy()
-        mutated[[1, 6]] = RNG.integers(0, 4, size=(2, 6))
-        delta.reprogram(mutated, rng=77)
-
-        full = CAMTileSet(geometry, factory)
-        full.reprogram(mutated, rng=77)
-        for tile_a, tile_b in zip(delta.tiles, full.tiles):
-            np.testing.assert_array_equal(
-                tile_a.array.row_profiles(), tile_b.array.row_profiles()
-            )
-
-    def test_reprogram_forwards_rng_to_tcam_tiles(self):
-        # Regression: forwarding rng/row_offset to deterministic TCAM tiles
-        # used to raise TypeError; the parameters are now accepted (and
-        # ignored) for tile-set uniformity.
-        geometry = TileGeometry(max_rows=4, num_cells=6)
-        tiles = CAMTileSet(geometry, lambda: TCAMArray(num_cells=6, max_rows=4))
-        bits = RNG.integers(0, 2, size=(10, 6))
-        tiles.reprogram(bits, rng=7)
-        fresh = CAMTileSet(geometry, lambda: TCAMArray(num_cells=6, max_rows=4))
-        fresh.write(bits)
-        queries = RNG.integers(0, 2, size=(3, 6))
-        np.testing.assert_array_equal(
-            tiles.row_conductances_batch(queries), fresh.row_conductances_batch(queries)
-        )
-
-
-class TestTileSetAppend:
-    """Live append: grow the store through the delta path, keyed globally."""
-
-    def test_lut_mode_append_matches_one_shot_write(self):
-        geometry = TileGeometry(max_rows=8, num_cells=10)
-        factory = lambda: MCAMArray(num_cells=10, bits=2, max_rows=8)  # noqa: E731
-        store = RNG.integers(0, 4, size=(20, 10))
-        extra = RNG.integers(0, 4, size=(7, 10))
-
-        tiles = CAMTileSet(geometry, factory)
-        tiles.write(store, labels=list(range(20)))
-        appended = tiles.append(extra, labels=list(range(20, 27)))
-        np.testing.assert_array_equal(appended, np.arange(20, 27))
-        assert (tiles.num_tiles, tiles.num_rows) == (4, 27)
-
-        fresh = CAMTileSet(geometry, factory)
-        fresh.write(np.vstack([store, extra]), labels=list(range(27)))
-        queries = RNG.integers(0, 4, size=(5, 10))
-        np.testing.assert_array_equal(
-            tiles.row_conductances_batch(queries), fresh.row_conductances_batch(queries)
-        )
-        assert tiles.labels == fresh.labels
-
-    def test_device_mode_append_matches_from_scratch_reprogram(self):
-        variation = GaussianVthVariationModel(sigma_v=0.05)
-        geometry = TileGeometry(max_rows=4, num_cells=6)
-
-        def factory():
-            return MCAMArray(num_cells=6, bits=2, variation=variation, max_rows=4)
-
-        store = RNG.integers(0, 4, size=(10, 6))
-        extra = RNG.integers(0, 4, size=(5, 6))
-
-        grown = CAMTileSet(geometry, factory)
-        grown.reprogram(store, rng=77)
-        grown.append(extra, rng=77)
-
-        full = CAMTileSet(geometry, factory)
-        full.reprogram(np.vstack([store, extra]), rng=77)
-        assert grown.num_tiles == full.num_tiles
-        for tile_a, tile_b in zip(grown.tiles, full.tiles):
-            np.testing.assert_array_equal(
-                tile_a.array.row_profiles(), tile_b.array.row_profiles()
-            )
-
-    def test_append_into_empty_tile_set_opens_tiles(self):
-        geometry = TileGeometry(max_rows=4, num_cells=6)
-        tiles = CAMTileSet(geometry, lambda: MCAMArray(num_cells=6, bits=2, max_rows=4))
-        appended = tiles.append(RNG.integers(0, 4, size=(6, 6)))
-        np.testing.assert_array_equal(appended, np.arange(6))
-        assert (tiles.num_tiles, tiles.num_rows) == (2, 6)
 
 
 class TestSearcherRefits:
@@ -616,18 +471,17 @@ class TestArrayAppend:
         for got, want in screened:
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("row_offset", (0, 7))
-    def test_device_mode_append_draws_the_rows_a_reprogram_would(self, row_offset):
+    def test_device_mode_append_draws_the_rows_a_reprogram_would(self):
         variation = GaussianVthVariationModel(sigma_v=0.08)
         states = RNG.integers(0, 8, size=(11, 8))
         queries = RNG.integers(0, 8, size=(3, 8))
         array = MCAMArray(num_cells=8, bits=3, variation=variation)
-        array.reprogram(states[:6], rng=31, row_offset=row_offset)
+        array.reprogram(states[:6], rng=31)
         array.row_conductances_batch(queries)  # builds the by-cell cache
-        array.append(states[6:9], rng=31, row_offset=row_offset)
-        array.append(states[9:], rng=31, row_offset=row_offset)
+        array.append(states[6:9], rng=31)
+        array.append(states[9:], rng=31)
         reference = MCAMArray(num_cells=8, bits=3, variation=variation)
-        reference.reprogram(states, rng=31, row_offset=row_offset)
+        reference.reprogram(states, rng=31)
         assert array.row_profiles().tobytes() == reference.row_profiles().tobytes()
         np.testing.assert_array_equal(
             array.row_conductances_batch(queries), reference.row_conductances_batch(queries)

@@ -3,8 +3,8 @@
 The acceptance bar of the sharding layer is *bitwise* parity: partitioning a
 store across fixed-capacity CAM tiles and merging per-shard top-k must
 return exactly the neighbors, scores and labels of the unsharded backend,
-for every shard count, both executor strategies, tie-heavy data and every
-k-range edge case.
+for every shard count, tie-heavy data and every k-range edge case (the
+``"processes"`` executor's parity lives in ``tests/test_runtime.py``).
 """
 
 import os
@@ -13,14 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.circuits import (
-    CAMTileSet,
-    MCAMArray,
-    TCAMArray,
-    TileGeometry,
-    partition_rows,
-    split_rows_evenly,
-)
+from repro.circuits import MCAMArray, TCAMArray, partition_rows, split_rows_evenly
 from repro.circuits.mcam_array import preserve_search_caches
 from repro.core import (
     MCAMSearcher,
@@ -83,7 +76,7 @@ def _assert_batch_equal(expected, actual):
 class TestShardParity:
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     @pytest.mark.parametrize("shards", (1, 2, 7))
-    @pytest.mark.parametrize("executor", ("serial", "threads"))
+    @pytest.mark.parametrize("executor", ("serial",))
     def test_bitwise_parity_with_unsharded_backend(self, store, name, shards, executor):
         base, sharded = _fit_pair(name, store, shards=shards, executor=executor)
         queries = store[2]
@@ -154,9 +147,12 @@ class TestShardParity:
 
     @pytest.mark.parametrize("name", CAM_BACKENDS)
     def test_predict_batch_parity(self, store, name):
-        base, sharded = _fit_pair(name, store, shards=5, executor="threads")
+        base, sharded = _fit_pair(name, store, shards=5, executor="processes", num_workers=2)
         queries = store[2]
-        np.testing.assert_array_equal(base.predict_batch(queries), sharded.predict_batch(queries))
+        with sharded:
+            np.testing.assert_array_equal(
+                base.predict_batch(queries), sharded.predict_batch(queries)
+            )
 
 
 class TestShardEdgeCases:
@@ -229,6 +225,10 @@ class TestShardConfiguration:
     def test_unknown_executor_rejected(self):
         with pytest.raises(SearchError):
             ShardedSearcher(lambda: SoftwareSearcher(), num_shards=2, executor="mpi")
+
+    def test_deleted_threads_strategy_names_the_available_ones(self):
+        with pytest.raises(SearchError, match="available: processes, serial"):
+            make_searcher("mcam-3bit", num_features=NUM_FEATURES, shards=2, executor="threads")
 
     def test_non_callable_factory_rejected(self):
         with pytest.raises(SearchError):
@@ -659,44 +659,6 @@ class TestCircuitTiles:
         )
         assert split_rows_evenly(3, 5) == ((0, 1), (1, 2), (2, 3))
         assert split_rows_evenly(0, 3) == ()
-
-    def test_tile_geometry_counts_tiles(self):
-        geometry = TileGeometry(max_rows=16, num_cells=8)
-        assert geometry.tiles_for(0) == 0
-        assert geometry.tiles_for(16) == 1
-        assert geometry.tiles_for(17) == 2
-        with pytest.raises(ConfigurationError):
-            TileGeometry(max_rows=0, num_cells=8)
-
-    def test_tile_set_matches_one_unbounded_array(self):
-        rng = np.random.default_rng(3)
-        states = rng.integers(0, 8, size=(40, 6))
-        labels = list(rng.integers(0, 4, size=40))
-        queries = rng.integers(0, 8, size=(5, 6))
-
-        reference = MCAMArray(num_cells=6, bits=3)
-        reference.write(states, labels=labels)
-
-        geometry = TileGeometry(max_rows=16, num_cells=6)
-        tiles = CAMTileSet(geometry, lambda: MCAMArray(num_cells=6, bits=3, max_rows=16))
-        tiles.write(states, labels=labels)
-
-        assert tiles.num_tiles == 3
-        assert tiles.num_rows == 40
-        assert tiles.labels == labels
-        np.testing.assert_array_equal(
-            reference.row_conductances_batch(queries), tiles.row_conductances_batch(queries)
-        )
-
-    def test_tile_set_incremental_writes_fill_last_tile_first(self):
-        geometry = TileGeometry(max_rows=4, num_cells=3)
-        tiles = CAMTileSet(geometry, lambda: MCAMArray(num_cells=3, bits=2, max_rows=4))
-        tiles.write(np.ones((3, 3), dtype=np.int64))
-        assert tiles.num_tiles == 1
-        tiles.write(np.ones((2, 3), dtype=np.int64))
-        assert tiles.num_tiles == 2
-        assert [tile.num_rows for tile in tiles.tiles] == [4, 1]
-        assert tiles.tiles[1].row_offset == 4
 
     def test_array_geometry_still_enforced(self):
         array = MCAMArray(num_cells=3, bits=2, max_rows=2)

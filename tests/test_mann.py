@@ -240,8 +240,11 @@ class TestSearcherReuse:
         queries, _ = small_space.sample([0, 1, 2, 3], 4, rng=10)
         plain = MANNMemory(searcher_factory=lambda: MCAMSearcher(bits=3))
         sharded = MANNMemory(
-            searcher_factory=lambda: MCAMSearcher(bits=3), shards=3, executor="threads"
+            searcher_factory=lambda: MCAMSearcher(bits=3), shards=3, executor="processes"
         )
         plain.write(embeddings, labels)
         sharded.write(embeddings, labels)
-        assert np.array_equal(plain.classify(queries), sharded.classify(queries))
+        try:
+            assert np.array_equal(plain.classify(queries), sharded.classify(queries))
+        finally:
+            sharded.clear()

@@ -3,9 +3,8 @@
 The runtime's contract is strict: executors and trial runners change *where*
 work executes, never *what* it computes.  These tests pin that down —
 bitwise parity of the ``"processes"`` shard executor against ``"serial"``
-and ``"threads"`` on both CAM backends, worker-count-independent Fig. 8
-sweep points, and episode-parallel few-shot evaluation matching the serial
-reference.
+on both CAM backends, worker-count-independent Fig. 8 sweep points, and
+episode-parallel few-shot evaluation matching the serial reference.
 """
 
 from __future__ import annotations
@@ -19,16 +18,21 @@ import pytest
 
 from repro.analysis.scaling import ScalingStudy
 from repro.analysis.variation_study import VariationSweep
-from repro.core import SoftwareSearcher, make_searcher
-from repro.core.sharding import available_shard_executors
+from repro.circuits.matchline import MatchLineModel
+from repro.circuits.sense_amplifier import TimeDomainSenseAmplifier
+from repro.core import MCAMSearcher, ShardedSearcher, SoftwareSearcher, make_searcher
+from repro.core.sharding import (
+    SerialShardExecutor,
+    available_shard_executors,
+    resolve_shard_executor,
+)
 from repro.datasets.omniglot import SyntheticEmbeddingSpace
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SearchError
 from repro.mann.fewshot import FewShotEvaluator, default_method_factories
 from repro.runtime import (
     ParallelTrialRunner,
     PersistentProcessPool,
     SerialTrialRunner,
-    ThreadTrialRunner,
     chunk_units,
     require_picklable,
     resolve_trial_runner,
@@ -46,6 +50,24 @@ WORKERS = 2
 
 def _square(x):
     return x * x
+
+
+class _TypeErrorSearcher(SoftwareSearcher):
+    """Fits like the Euclidean engine, but every ranking raises TypeError."""
+
+    def __init__(self):
+        super().__init__("euclidean")
+
+    def _rank_batch(self, queries, rng, k):
+        raise TypeError("engine bug in _rank_batch")
+
+
+def _noisy_mcam(seed):
+    """A 3-bit MCAM whose time-domain sensing draws timing noise per query."""
+    amplifier = TimeDomainSenseAmplifier(
+        MatchLineModel(num_cells=64), timing_noise_sigma_s=2e-10
+    )
+    return MCAMSearcher(bits=3, sense_amplifier=amplifier, seed=seed)
 
 
 def _openblas_thread_counts(_job=None):
@@ -109,14 +131,14 @@ class TestPersistentProcessPool:
 
 class TestProcessShardExecutor:
     @pytest.mark.parametrize("name", ("mcam-3bit", "tcam-lsh"))
-    def test_bitwise_parity_with_serial_and_threads(self, name):
+    def test_bitwise_parity_with_serial(self, name):
         rng = np.random.default_rng(31)
         features = rng.normal(size=(160, 12))
         labels = rng.integers(0, 5, size=160)
         queries = rng.normal(size=(9, 12))
 
         results = {}
-        for executor in ("serial", "threads", "processes"):
+        for executor in ("serial", "processes"):
             searcher = make_searcher(
                 name,
                 num_features=12,
@@ -130,17 +152,29 @@ class TestProcessShardExecutor:
                 results[executor] = searcher.kneighbors_batch(queries, k=4)
             finally:
                 searcher.close()
-        for executor in ("threads", "processes"):
-            np.testing.assert_array_equal(
-                results["serial"].indices, results[executor].indices
-            )
-            np.testing.assert_array_equal(
-                results["serial"].scores, results[executor].scores
-            )
-            assert results["serial"].labels == results[executor].labels
+        np.testing.assert_array_equal(results["serial"].indices, results["processes"].indices)
+        np.testing.assert_array_equal(results["serial"].scores, results["processes"].scores)
+        assert results["serial"].labels == results["processes"].labels
 
     def test_processes_listed_as_available(self):
-        assert "processes" in available_shard_executors()
+        assert available_shard_executors() == ("processes", "serial")
+        assert resolve_shard_executor("processes") is ProcessShardExecutor
+        assert resolve_shard_executor("Serial") is SerialShardExecutor
+        with pytest.raises(SearchError, match="available: processes, serial"):
+            resolve_shard_executor("threads")
+
+    @pytest.mark.parametrize("executor", ("serial", "processes"))
+    def test_engine_type_error_reaches_the_caller(self, executor):
+        # Regression: a TypeError out of the workers was retried as a
+        # collect without its timeout, which failed instead as a second
+        # collect of the same batch and hid the engine's error.
+        features = np.random.default_rng(4).normal(size=(20, 4))
+        with ShardedSearcher(
+            _TypeErrorSearcher, num_shards=2, executor=executor, num_workers=WORKERS
+        ) as sharded:
+            sharded.fit(features)
+            with pytest.raises(TypeError, match="engine bug"):
+                sharded.kneighbors_batch(features[:3], k=2)
 
 
 class TestWorkerShardCache:
@@ -288,7 +322,6 @@ class TestTrialRunners:
         "runner_factory",
         (
             SerialTrialRunner,
-            partial(ThreadTrialRunner, num_workers=WORKERS),
             partial(ParallelTrialRunner, num_workers=WORKERS),
         ),
     )
@@ -307,12 +340,12 @@ class TestTrialRunners:
             assert len(chunks) == min(num_chunks, len(units))
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_trial_runner("mpi")
+        for name in ("mpi", "threads"):
+            with pytest.raises(ConfigurationError, match="available: processes, serial"):
+                resolve_trial_runner(name)
 
     def test_resolve_by_name(self):
         assert isinstance(resolve_trial_runner("serial"), SerialTrialRunner)
-        assert isinstance(resolve_trial_runner("threads"), ThreadTrialRunner)
         assert isinstance(resolve_trial_runner("processes"), ParallelTrialRunner)
 
     def test_require_picklable_flags_lambdas(self):
@@ -337,7 +370,6 @@ class TestPoolLifecycle:
         (
             PersistentProcessPool,
             SerialTrialRunner,
-            partial(ThreadTrialRunner, num_workers=WORKERS),
             partial(ParallelTrialRunner, num_workers=WORKERS),
         ),
     )
@@ -351,7 +383,6 @@ class TestPoolLifecycle:
         "factory",
         (
             SerialTrialRunner,
-            partial(ThreadTrialRunner, num_workers=WORKERS),
             partial(ParallelTrialRunner, num_workers=WORKERS),
         ),
     )
@@ -371,7 +402,7 @@ class TestPoolLifecycle:
         space = SyntheticEmbeddingSpace(seed=9)
         factory = partial(make_searcher, "mcam-3bit", space.embedding_dim, seed=3)
         with FewShotEvaluator(
-            space, n_way=5, k_shot=1, num_episodes=4, executor="threads", num_workers=WORKERS
+            space, n_way=5, k_shot=1, num_episodes=4, executor="processes", num_workers=WORKERS
         ) as evaluator:
             result = evaluator.evaluate(factory, rng=17)
         assert 0.0 <= result.statistics.mean <= 1.0
@@ -382,7 +413,7 @@ class TestPoolLifecycle:
             sigmas_v=(0.0,),
             num_episodes=2,
             luts_per_sigma=1,
-            executor="threads",
+            executor="processes",
             num_workers=WORKERS,
         ) as sweep:
             assert len(sweep.run(rng=5).points) == 1
@@ -391,7 +422,7 @@ class TestPoolLifecycle:
         rng = np.random.default_rng(2)
         features = rng.normal(size=(24, 6))
         with make_searcher(
-            "euclidean", num_features=6, shards=3, executor="threads"
+            "euclidean", num_features=6, shards=3, executor="processes", num_workers=WORKERS
         ) as searcher:
             searcher.fit(features)
             assert searcher.kneighbors_batch(features[:2], k=1).indices.shape == (2, 1)
@@ -420,9 +451,6 @@ class TestVariationSweepDeterminism:
         for num_workers in (1, 2, 3):
             assert self._sweep("processes", num_workers) == reference
 
-    def test_threads_bitwise_identical_to_serial(self):
-        assert self._sweep("threads", WORKERS) == self._sweep("serial")
-
     def test_unknown_executor_rejected_eagerly(self):
         with pytest.raises(ConfigurationError):
             VariationSweep(SyntheticEmbeddingSpace(seed=6), executor="mpi")
@@ -435,18 +463,18 @@ class TestEpisodeParallelFewShot:
         serial = FewShotEvaluator(space, n_way=5, k_shot=1, num_episodes=8).evaluate(
             factory, rng=17
         )
-        for executor in ("threads", "processes"):
-            parallel = FewShotEvaluator(
-                space,
-                n_way=5,
-                k_shot=1,
-                num_episodes=8,
-                executor=executor,
-                num_workers=WORKERS,
-            ).evaluate(factory, rng=17)
-            assert parallel.statistics.mean == serial.statistics.mean
-            assert parallel.statistics.minimum == serial.statistics.minimum
-            assert parallel.statistics.maximum == serial.statistics.maximum
+        with FewShotEvaluator(
+            space,
+            n_way=5,
+            k_shot=1,
+            num_episodes=8,
+            executor="processes",
+            num_workers=WORKERS,
+        ) as evaluator:
+            parallel = evaluator.evaluate(factory, rng=17)
+        assert parallel.statistics.mean == serial.statistics.mean
+        assert parallel.statistics.minimum == serial.statistics.minimum
+        assert parallel.statistics.maximum == serial.statistics.maximum
 
     def test_parallel_compare_matches_serial(self):
         space = SyntheticEmbeddingSpace(seed=9)
@@ -478,46 +506,20 @@ class TestEpisodeParallelFewShot:
         with pytest.raises(ConfigurationError, match="picklable"):
             evaluator.evaluate(lambda: None, rng=0)
 
-    def test_thread_executor_accepts_lambda_factories(self):
-        # Threads never cross an interpreter boundary, so closures that the
-        # serial path accepts must keep working.
+    def test_compare_gives_every_method_its_own_episode_streams(self):
+        # One worker receives one pickled chunk carrying several methods'
+        # jobs; pickling shares the Generator objects those jobs hold, so
+        # each method must still draw from its own copies of the streams.
         space = SyntheticEmbeddingSpace(seed=9)
-        factory = lambda: make_searcher("mcam-3bit", space.embedding_dim, seed=3)  # noqa: E731
-        serial = FewShotEvaluator(space, n_way=5, k_shot=1, num_episodes=6).evaluate(
-            factory, rng=11
-        )
-        threaded = FewShotEvaluator(
-            space, n_way=5, k_shot=1, num_episodes=6, executor="threads", num_workers=WORKERS
-        ).evaluate(factory, rng=11)
-        assert threaded.statistics.mean == serial.statistics.mean
-
-    def test_threaded_compare_is_deterministic_for_stochastic_engines(self):
-        # Per-method stream copies: concurrent method jobs must not share
-        # (and race on) the same Generator objects.
-        from repro.circuits.matchline import MatchLineModel
-        from repro.circuits.sense_amplifier import TimeDomainSenseAmplifier
-        from repro.core.search import MCAMSearcher
-
-        def noisy_factory(seed):
-            def build():
-                amplifier = TimeDomainSenseAmplifier(
-                    MatchLineModel(num_cells=64), timing_noise_sigma_s=2e-10
-                )
-                return MCAMSearcher(bits=3, sense_amplifier=amplifier, seed=seed)
-
-            return build
-
-        space = SyntheticEmbeddingSpace(seed=9)
-        factories = {"a": noisy_factory(1), "b": noisy_factory(2)}
-
-        def run_once():
-            evaluator = FewShotEvaluator(
-                space, n_way=5, k_shot=1, num_episodes=6, executor="threads", num_workers=WORKERS
-            )
-            results = evaluator.compare(factories, rng=7)
-            return {name: results[name].statistics.mean for name in factories}
-
-        assert run_once() == run_once()
+        factories = {name: partial(_noisy_mcam, seed) for seed, name in enumerate("abc", 1)}
+        with FewShotEvaluator(
+            space, n_way=5, k_shot=1, num_episodes=6, executor="processes", num_workers=1
+        ) as evaluator:
+            together = evaluator.compare(factories, rng=7)
+        solo = FewShotEvaluator(space, n_way=5, k_shot=1, num_episodes=6)
+        for name, factory in factories.items():
+            alone = solo.evaluate(factory, rng=7)
+            assert together[name].statistics.mean == alone.statistics.mean
 
 
 class TestScalingStudyDeterminism:

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import SoftwareSearcher, make_searcher
+from repro.core import ShardedSearcher, SoftwareSearcher, make_searcher
 from repro.exceptions import (
     ConfigurationError,
     ReproError,
@@ -70,7 +70,7 @@ class _GatedSearcher(SoftwareSearcher):
         self.dispatched.append(int(queries.shape[0]))
         result = self.kneighbors_arrays(queries, k=k, rng=rng)
 
-        def collect():
+        def collect(timeout=None):
             assert self.release.wait(timeout=WAIT_S), "test never released the gate"
             return result
 
@@ -399,6 +399,16 @@ class _ExplodingSearcher(SoftwareSearcher):
         raise RuntimeError("backend is down")
 
 
+class _TypeErrorSearcher(SoftwareSearcher):
+    """Fits like the Euclidean engine, but every ranking raises TypeError."""
+
+    def __init__(self):
+        super().__init__("euclidean")
+
+    def _rank_batch(self, queries, rng, k):
+        raise TypeError("engine bug in _rank_batch")
+
+
 class TestDeadlinesAndFailureAccounting:
     def test_request_timeout_validation(self):
         with pytest.raises(ConfigurationError, match="request_timeout_s"):
@@ -424,9 +434,8 @@ class TestDeadlinesAndFailureAccounting:
             second = scheduler.submit(_queries(1, seed=9)[0], k=2)
             time.sleep(0.25)  # the queued request's deadline passes
             searcher.release.set()
-            # The dispatched request resolves (deadlines bound queueing;
-            # this third-party collect takes no timeout argument, which
-            # exercises the zero-arg fallback).
+            # The dispatched request resolves (this collect ignores its
+            # timeout); the queued one expired.
             assert first.result(timeout=WAIT_S).indices.shape == (2,)
             with pytest.raises(ServingTimeoutError, match="while queued"):
                 second.result(timeout=WAIT_S)
@@ -439,6 +448,21 @@ class TestDeadlinesAndFailureAccounting:
             lane = scheduler.lane_stats()["default"]
             assert lane["failures"] == 1
             assert lane["timeouts"] == 1
+
+    def test_engine_type_error_fails_the_request_with_that_error(self):
+        # Regression: the pump retried a collect that raised TypeError
+        # without its timeout, so the request failed instead as a second
+        # collect of the same sharded batch.
+        features = _queries(20, seed=5)
+        with ShardedSearcher(
+            _TypeErrorSearcher, num_shards=2, executor="processes", num_workers=2
+        ) as sharded:
+            sharded.fit(features)
+            with MicroBatchScheduler(sharded, request_timeout_s=30) as scheduler:
+                future = scheduler.submit(features[0], k=1)
+                with pytest.raises(TypeError, match="engine bug"):
+                    future.result(timeout=WAIT_S)
+            assert sharded._executor.ring_in_flight == 0
 
     def test_dispatch_failures_count_per_lane_but_not_as_timeouts(self):
         searcher = _ExplodingSearcher("euclidean")
