@@ -487,6 +487,22 @@ class TestArrayAppend:
             array.row_conductances_batch(queries), reference.row_conductances_batch(queries)
         )
 
+    @pytest.mark.parametrize("variation", (None, GaussianVthVariationModel(sigma_v=0.08)))
+    def test_appends_into_an_empty_array_program_like_a_reprogram(self, variation):
+        states = RNG.integers(0, 4, size=(6, 5))
+        queries = RNG.integers(0, 4, size=(3, 5))
+        array = MCAMArray(num_cells=5, bits=2, variation=variation, max_rows=8)
+        array.append(states[:4], labels=range(4), rng=31)
+        array.append(states[4:], labels=range(4, 6), rng=31)
+        assert (array.num_rows, array.remaining_rows) == (6, 2)
+        reference = MCAMArray(num_cells=5, bits=2, variation=variation, max_rows=8)
+        reference.reprogram(states, labels=range(6), rng=31)
+        assert array.labels == reference.labels
+        assert array.row_profiles().tobytes() == reference.row_profiles().tobytes()
+        np.testing.assert_array_equal(
+            array.row_conductances_batch(queries), reference.row_conductances_batch(queries)
+        )
+
     def test_append_respects_the_array_geometry(self):
         array = MCAMArray(num_cells=4, bits=2, max_rows=5)
         array.reprogram(RNG.integers(0, 4, size=(4, 4)))

@@ -3,8 +3,10 @@
 The acceptance bar of the sharding layer is *bitwise* parity: partitioning a
 store across fixed-capacity CAM tiles and merging per-shard top-k must
 return exactly the neighbors, scores and labels of the unsharded backend,
-for every shard count, tie-heavy data and every k-range edge case (the
-``"processes"`` executor's parity lives in ``tests/test_runtime.py``).
+for every shard count, tie-heavy data and every k-range edge case, on the
+``"serial"`` reference executor and on the ``"processes"`` executor the
+benchmark serves (its worker caches and transport are tested in
+``tests/test_runtime.py``).
 """
 
 import os
@@ -76,14 +78,15 @@ def _assert_batch_equal(expected, actual):
 class TestShardParity:
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     @pytest.mark.parametrize("shards", (1, 2, 7))
-    @pytest.mark.parametrize("executor", ("serial",))
+    @pytest.mark.parametrize("executor", ("serial", "processes"))
     def test_bitwise_parity_with_unsharded_backend(self, store, name, shards, executor):
-        base, sharded = _fit_pair(name, store, shards=shards, executor=executor)
+        base, sharded = _fit_pair(name, store, shards=shards, executor=executor, num_workers=2)
         queries = store[2]
-        for k in (1, 3, base.num_entries):
-            _assert_batch_equal(
-                base.kneighbors_batch(queries, k=k), sharded.kneighbors_batch(queries, k=k)
-            )
+        with sharded:
+            for k in (1, 3, base.num_entries):
+                _assert_batch_equal(
+                    base.kneighbors_batch(queries, k=k), sharded.kneighbors_batch(queries, k=k)
+                )
 
     @pytest.mark.parametrize("name", CAM_BACKENDS + ("euclidean", "manhattan"))
     @pytest.mark.parametrize("shards", (2, 7))
@@ -146,6 +149,18 @@ class TestShardParity:
         assert expected.labels == actual.labels
 
     @pytest.mark.parametrize("name", CAM_BACKENDS)
+    def test_single_query_kneighbors_parity_on_processes(self, store, name):
+        # A single query travels to the workers as a batch of one.
+        base, sharded = _fit_pair(name, store, shards=3, executor="processes", num_workers=2)
+        query = store[2][0]
+        with sharded:
+            actual = sharded.kneighbors(query, k=4)
+        expected = base.kneighbors(query, k=4)
+        np.testing.assert_array_equal(expected.indices, actual.indices)
+        assert expected.scores.tobytes() == actual.scores.tobytes()
+        assert expected.labels == actual.labels
+
+    @pytest.mark.parametrize("name", CAM_BACKENDS)
     def test_predict_batch_parity(self, store, name):
         base, sharded = _fit_pair(name, store, shards=5, executor="processes", num_workers=2)
         queries = store[2]
@@ -187,6 +202,30 @@ class TestShardEdgeCases:
         _assert_batch_equal(
             base.kneighbors_batch(store[2], k=20), sharded.kneighbors_batch(store[2], k=20)
         )
+
+    def test_singleton_and_short_shards_on_processes(self, store):
+        # Workers rank one-row shards and shards shorter than k; the merge of
+        # their short top-k lists is still exactly the unsharded top-k.
+        features, labels, queries = store
+        base, sharded = _fit_pair(
+            "mcam-3bit",
+            (features[:5], labels[:5], queries),
+            shards=9,
+            executor="processes",
+            num_workers=2,
+        )
+        assert sharded.shard_sizes == (1, 1, 1, 1, 1)
+        with sharded:
+            for k in (1, 5):
+                _assert_batch_equal(
+                    base.kneighbors_batch(queries, k=k), sharded.kneighbors_batch(queries, k=k)
+                )
+        base, sharded = _fit_pair("tcam-lsh", store, shards=7, executor="processes", num_workers=2)
+        assert max(sharded.shard_sizes) < 20
+        with sharded:
+            _assert_batch_equal(
+                base.kneighbors_batch(queries, k=20), sharded.kneighbors_batch(queries, k=20)
+            )
 
     def test_k_beyond_store_rejected_like_unsharded(self, store):
         features, labels, queries = store
@@ -282,6 +321,77 @@ class TestShardConfiguration:
             reference.kneighbors_batch(queries, k=5).indices,
             sharded.kneighbors_batch(queries, k=5).indices,
         )
+
+
+class TestShardRefit:
+    """A refit reprograms the arrays it keeps, bitwise like a fresh fit."""
+
+    @pytest.mark.parametrize("name", CAM_BACKENDS)
+    def test_refit_matches_fresh_programming_across_arrays(self, store, name):
+        features, labels, queries = store
+        first = features[:20]
+        second = first.copy()
+        second[[0, 9, 19]] = features[30:33]  # one changed row in each of the three arrays
+        searcher = make_searcher(name, num_features=NUM_FEATURES, seed=7, max_rows_per_array=8)
+        searcher.fit(first, labels[:20])
+        engines = searcher.shard_searchers
+        searcher.kneighbors_batch(queries, k=2)  # the refit must not serve stale caches
+        searcher.fit(second, labels[:20])
+        assert searcher.shard_searchers == engines
+        base, fresh = _fit_pair(name, (second, labels[:20], queries), max_rows_per_array=8)
+        for k in (1, 4, 20):
+            expected = base.kneighbors_batch(queries, k=k)
+            _assert_batch_equal(expected, fresh.kneighbors_batch(queries, k=k))
+            _assert_batch_equal(expected, searcher.kneighbors_batch(queries, k=k))
+
+    @pytest.mark.parametrize("name", CAM_BACKENDS)
+    def test_shrink_releases_arrays_and_grow_reopens(self, store, name):
+        features, labels, queries = store
+        searcher = make_searcher(name, num_features=NUM_FEATURES, seed=7, max_rows_per_array=8)
+        searcher.fit(features[:20], labels[:20])
+        assert searcher.shard_sizes == (8, 8, 4)
+        searcher.fit(features[:7], labels[:7])
+        assert searcher.shard_sizes == (7,)
+        with pytest.raises(ReproError):
+            searcher.kneighbors_batch(queries, k=8)
+        searcher.fit(features[:20], labels[:20])
+        assert searcher.shard_sizes == (8, 8, 4)
+        base = make_searcher(name, num_features=NUM_FEATURES, seed=7).fit(
+            features[:20], labels[:20]
+        )
+        for k in (1, 4, 20):
+            _assert_batch_equal(
+                base.kneighbors_batch(queries, k=k), searcher.kneighbors_batch(queries, k=k)
+            )
+
+    @pytest.mark.parametrize("config", ({"shards": 3}, {"max_rows_per_array": 4}))
+    def test_device_mode_refit_matches_fresh_programming(self, store, config):
+        # With program_seed every row draws its device variation from its own
+        # keyed stream, so reprogramming the kept arrays in place equals
+        # programming the mutated store from scratch.
+        features, labels, queries = store
+        rows = features[:10]
+        mutated = rows.copy()
+        mutated[[1, 6]] = _clipped(features[20:22], rows)
+        config = dict(config, variation=GaussianVthVariationModel(sigma_v=0.05), program_seed=17)
+
+        def fit(data):
+            return make_searcher("mcam-3bit", num_features=NUM_FEATURES, seed=7, **config).fit(
+                data, labels[:10]
+            )
+
+        searcher = fit(rows)
+        engines = searcher.shard_searchers
+        searcher.kneighbors_batch(queries, k=2)
+        searcher.fit(mutated, labels[:10])
+        assert searcher.shard_searchers == engines
+        fresh = fit(mutated)
+        for a, b in zip(searcher.shard_searchers, fresh.shard_searchers):
+            assert a.array.row_profiles().tobytes() == b.array.row_profiles().tobytes()
+        for k in (1, 4, 10):
+            _assert_batch_equal(
+                fresh.kneighbors_batch(queries, k=k), searcher.kneighbors_batch(queries, k=k)
+            )
 
 
 class TestShardAppend:
@@ -659,6 +769,16 @@ class TestCircuitTiles:
         )
         assert split_rows_evenly(3, 5) == ((0, 1), (1, 2), (2, 3))
         assert split_rows_evenly(0, 3) == ()
+
+    def test_partitions_reject_invalid_counts(self):
+        for bad in (0, -1, 2.5, True):
+            with pytest.raises(ConfigurationError):
+                partition_rows(10, bad)
+            with pytest.raises(ConfigurationError):
+                split_rows_evenly(10, bad)
+        for partition in (partition_rows, split_rows_evenly):
+            with pytest.raises(ConfigurationError):
+                partition(-1, 4)
 
     def test_array_geometry_still_enforced(self):
         array = MCAMArray(num_cells=3, bits=2, max_rows=2)
