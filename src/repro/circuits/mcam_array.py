@@ -100,6 +100,42 @@ def _reprogram_base_seed(rng: SeedLike) -> int:
     return int(ensure_rng(rng).integers(2**63 - 1))
 
 
+class _RowKeyedOffsets:
+    """Every row's V_th offsets under one base seed, each drawn once.
+
+    Row ``r``'s (DL, DL-bar) offsets are ``table[r]`` once ``drawn[r]``;
+    a row is drawn on first use from its own ``(salt, base seed, row)``
+    stream, so a row's offsets do not depend on which rows are drawn
+    alongside it or before it.  The table grows with about one eighth of
+    its rows spare, like :func:`~repro.utils.growth.append_rows`.
+    """
+
+    def __init__(self, base_seed: int, num_cells: int) -> None:
+        self.base_seed = base_seed
+        self.table = np.empty((0, 2, num_cells))
+        self.drawn = np.zeros(0, dtype=bool)
+
+    def of_rows(self, rows: np.ndarray, vth_offsets) -> np.ndarray:
+        """Offsets of ``rows``, shape ``(len(rows), 2, num_cells)``.
+
+        ``vth_offsets(shape, generator)`` draws a missing row: the model's
+        :meth:`~repro.devices.variation.GaussianVthVariationModel.vth_offsets`,
+        DL's cells first, then DL-bar's.
+        """
+        needed = int(rows.max()) + 1 if rows.size else 0
+        if needed > self.drawn.size:
+            table = np.empty((needed + needed // 8,) + self.table.shape[1:])
+            table[: self.drawn.size] = self.table
+            drawn = np.zeros(table.shape[0], dtype=bool)
+            drawn[: self.drawn.size] = self.drawn
+            self.table, self.drawn = table, drawn
+        for row in rows[~self.drawn[rows]].tolist():
+            generator = np.random.default_rng([_REPROGRAM_KEY_SALT, self.base_seed, row])
+            self.table[row] = vth_offsets(self.table.shape[1:], generator)
+            self.drawn[row] = True
+        return self.table[rows]
+
+
 def program_cell_profiles(
     stored_states: np.ndarray,
     scheme: MCAMVoltageScheme,
@@ -304,6 +340,10 @@ class MCAMArray(FixedGeometryArray):
         # "by_cell": each holds the matching array above as its leading
         # slice plus spare rows.  Never pickled.
         self._spare: Dict[str, np.ndarray] = {}
+        # Row-keyed V_th offsets of the last base seed (device mode with a
+        # state-independent variation model).  Never pickled; clear()
+        # releases it.
+        self._row_offsets: Optional[_RowKeyedOffsets] = None
 
     def __getstate__(self):
         """Pickle without the derived search caches.
@@ -326,10 +366,13 @@ class MCAMArray(FixedGeometryArray):
         The spare capacity of :meth:`append` is never pickled: the stored
         arrays are leading-slice views of their growth buffers and pickle
         only their own rows, and a grown search cache is laid out
-        contiguously, exactly like a freshly built one.
+        contiguously, exactly like a freshly built one.  Nor are the
+        memoized row-keyed V_th offsets of :meth:`reprogram`: the receiver
+        draws a row again, bitwise identically, when it first programs it.
         """
         state = self.__dict__.copy()
         del state["_spare"]
+        del state["_row_offsets"]
         preserve = getattr(_PICKLE_SEARCH_CACHES, "active", False)
         if not preserve or self._profiles is not None:
             state["_by_cell_profiles"] = None
@@ -342,6 +385,7 @@ class MCAMArray(FixedGeometryArray):
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self._spare = {}
+        self._row_offsets = None
 
     # ------------------------------------------------------------------
     # Storage
@@ -373,6 +417,7 @@ class MCAMArray(FixedGeometryArray):
         self._profiles = None
         self._by_cell_profiles = None
         self._spare = {}
+        self._row_offsets = None
 
     def _check_entries_and_labels(self, entries, labels: Optional[Sequence[int]]):
         """Shared entry/label validation of the write and reprogram paths."""
@@ -446,7 +491,10 @@ class MCAMArray(FixedGeometryArray):
           new rows' profiles when that cache is built;
         * **per-cell device mode** draws each new row from its row-keyed
           stream ``(rng, row)``, exactly like
-          :meth:`reprogram` (and extends a built search cache too).
+          :meth:`reprogram` (and extends a built search cache too); under
+          a state-independent variation model, rows already drawn under
+          the same integer seed — before a shrinking reprogram, say — reuse
+          their memoized V_th offsets.
 
         The stored-state matrix, the device profiles and the search cache
         grow into spare capacity of about one eighth of the rows, so a run
@@ -507,7 +555,14 @@ class MCAMArray(FixedGeometryArray):
         states — not on how many rows are re-programmed alongside it.  With a
         fixed integer ``rng`` seed a delta reprogram is therefore bitwise
         identical to a full reprogram of the same contents, which is what
-        makes incremental refits safe to use in reproducible sweeps.
+        makes incremental refits safe to use in reproducible sweeps.  Under
+        a state-independent variation model (one with ``vth_offsets``, such
+        as :class:`~repro.devices.variation.GaussianVthVariationModel`) a
+        row's V_th offsets are drawn once per base seed and memoized, so a
+        refit under a fixed seed constructs no generator for rows it has
+        programmed before and pays only one vectorized add and one
+        :func:`profiles_from_vth` pass; a different base seed replaces the
+        memo, :meth:`clear` releases it and pickles never carry it.
 
         Parameters
         ----------
@@ -577,13 +632,25 @@ class MCAMArray(FixedGeometryArray):
 
         Each row draws its DL then DL-bar threshold voltages from its own
         ``(salt, base seed, row)`` stream — the row-keyed contract — and the
-        device physics then runs once over all of them.
+        device physics then runs once over all of them.  A model with
+        ``vth_offsets`` draws no state-dependent term, so each row's offsets
+        are drawn once per base seed (:class:`_RowKeyedOffsets`) and added
+        to the nominal voltages in one pass; any other model is sampled row
+        by row.
         """
         vth_dl, vth_dlbar = _nominal_vth(entries, self.scheme)
-        for i, row in enumerate(rows.tolist()):
-            generator = np.random.default_rng([_REPROGRAM_KEY_SALT, base_seed, row])
-            vth_dl[i] = self.variation.sample_vth(vth_dl[i], generator)
-            vth_dlbar[i] = self.variation.sample_vth(vth_dlbar[i], generator)
+        vth_offsets = getattr(self.variation, "vth_offsets", None)
+        if vth_offsets is None:
+            for i, row in enumerate(rows.tolist()):
+                generator = np.random.default_rng([_REPROGRAM_KEY_SALT, base_seed, row])
+                vth_dl[i] = self.variation.sample_vth(vth_dl[i], generator)
+                vth_dlbar[i] = self.variation.sample_vth(vth_dlbar[i], generator)
+        else:
+            if self._row_offsets is None or self._row_offsets.base_seed != base_seed:
+                self._row_offsets = _RowKeyedOffsets(base_seed, self.num_cells)
+            offsets = self._row_offsets.of_rows(rows, vth_offsets)
+            vth_dl += offsets[:, 0]
+            vth_dlbar += offsets[:, 1]
         return profiles_from_vth(vth_dl, vth_dlbar, self.scheme, self.device, self.ml_voltage_v)
 
     def _reprogram_device_profiles(

@@ -46,7 +46,18 @@ PAPER_MAX_SIGMA_V = 0.080
 
 
 class VariationModel(Protocol):
-    """Protocol for threshold-voltage variation models."""
+    """Protocol for threshold-voltage variation models.
+
+    A model whose draw does not depend on the stored state may also provide
+    ``vth_offsets(shape, rng)``: the zero-mean perturbations that
+    ``sample_vth`` adds to a nominal array of ``shape``, drawn from ``rng``
+    exactly as ``sample_vth`` draws them (see
+    :meth:`GaussianVthVariationModel.vth_offsets`).  Row-keyed device
+    programming (:meth:`repro.circuits.mcam_array.MCAMArray.reprogram`)
+    then draws each row's offsets once per base seed and reuses them; a
+    model without it (:class:`DomainSwitchingVariationModel`, whose
+    binomial draw depends on the state) is sampled row by row every time.
+    """
 
     def sigma_for_vth(self, nominal_vth_v: float) -> float:
         """Standard deviation of V_th around ``nominal_vth_v``."""
@@ -76,15 +87,22 @@ class GaussianVthVariationModel:
         """Sigma is independent of the programmed state."""
         return self.sigma_v
 
+    def vth_offsets(self, shape, rng: SeedLike = None) -> np.ndarray:
+        """Zero-mean Gaussian V_th perturbations of ``shape`` (zeros at sigma 0).
+
+        The state-independent half of :meth:`sample_vth`: the sample of a
+        nominal array is that array plus ``vth_offsets(nominal.shape, rng)``
+        drawn from the same generator.
+        """
+        generator = ensure_rng(rng)
+        if self.sigma_v == 0.0:
+            return np.zeros(shape)
+        return generator.normal(0.0, self.sigma_v, size=shape)
+
     def sample_vth(self, nominal_vth_v, rng: SeedLike = None):
         """Add zero-mean Gaussian noise with ``sigma_v`` to the nominal V_th."""
-        generator = ensure_rng(rng)
         nominal = np.asarray(nominal_vth_v, dtype=np.float64)
-        if self.sigma_v == 0.0:
-            noise = np.zeros_like(nominal)
-        else:
-            noise = generator.normal(0.0, self.sigma_v, size=nominal.shape)
-        sample = nominal + noise
+        sample = nominal + self.vth_offsets(nominal.shape, rng)
         if np.ndim(nominal_vth_v) == 0:
             return float(sample)
         return sample

@@ -179,45 +179,62 @@ def _chunked_broadcast_matrix(rows, queries, reduce_fn) -> np.ndarray:
     """Apply an elementwise-difference reduction per query chunk.
 
     ``reduce_fn(diff)`` reduces a ``(chunk, num_rows, num_features)``
-    difference tensor over its last axis.  Chunking the query axis bounds the
-    temporary at ``_BROADCAST_CHUNK_ELEMENTS`` doubles without changing any
-    per-query result.
+    difference tensor over its last axis.  The tensor is scratch: every
+    chunk is subtracted into one buffer allocated once per call, and the
+    reducer may overwrite it (square or take absolute values in place)
+    instead of allocating temporaries of its size.  Chunking the query axis
+    bounds that buffer at ``_BROADCAST_CHUNK_ELEMENTS`` doubles without
+    changing any per-query result.
     """
     num_queries = queries.shape[0]
     out = np.empty((num_queries, rows.shape[0]))
     if num_queries == 0:
         return out
     per_query = max(1, rows.shape[0] * rows.shape[1])
-    chunk = max(1, _BROADCAST_CHUNK_ELEMENTS // per_query)
+    chunk = min(num_queries, max(1, _BROADCAST_CHUNK_ELEMENTS // per_query))
+    buffer = np.empty((chunk,) + rows.shape)
     for start in range(0, num_queries, chunk):
         stop = min(start + chunk, num_queries)
-        diff = queries[start:stop, np.newaxis, :] - rows[np.newaxis, :, :]
+        diff = np.subtract(
+            queries[start:stop, np.newaxis, :], rows[np.newaxis, :, :], out=buffer[: stop - start]
+        )
         out[start:stop] = reduce_fn(diff)
     return out
+
+
+# In-place reducers of a scratch difference tensor.  Each computes the same
+# products and reduces them over the same contiguous axis as its broadcast
+# expression -- np.linalg.norm(d, axis=2) (``conj()`` of a real array is the
+# array itself), np.sum(np.abs(d), axis=2) and np.max(np.abs(d), axis=2) --
+# so the results are bitwise equal, without a second tensor-sized temporary.
+def _l2_in_place(d: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=2))
+
+
+def _l1_in_place(d: np.ndarray) -> np.ndarray:
+    return np.add.reduce(np.abs(d, out=d), axis=2)
+
+
+def _linf_in_place(d: np.ndarray) -> np.ndarray:
+    return np.maximum.reduce(np.abs(d, out=d), axis=2)
 
 
 def euclidean_distance_matrix(rows, queries) -> np.ndarray:
     """L2 distance of every query to every row, shape ``(num_queries, num_rows)``."""
     rows, queries = _check_rows_queries(rows, queries)
-    return _chunked_broadcast_matrix(
-        rows, queries, lambda diff: np.linalg.norm(diff, axis=2)
-    )
+    return _chunked_broadcast_matrix(rows, queries, _l2_in_place)
 
 
 def manhattan_distance_matrix(rows, queries) -> np.ndarray:
     """L1 distance of every query to every row, shape ``(num_queries, num_rows)``."""
     rows, queries = _check_rows_queries(rows, queries)
-    return _chunked_broadcast_matrix(
-        rows, queries, lambda diff: np.sum(np.abs(diff), axis=2)
-    )
+    return _chunked_broadcast_matrix(rows, queries, _l1_in_place)
 
 
 def linf_distance_matrix(rows, queries) -> np.ndarray:
     """L-infinity distance of every query to every row, shape ``(num_queries, num_rows)``."""
     rows, queries = _check_rows_queries(rows, queries)
-    return _chunked_broadcast_matrix(
-        rows, queries, lambda diff: np.max(np.abs(diff), axis=2)
-    )
+    return _chunked_broadcast_matrix(rows, queries, _linf_in_place)
 
 
 def cosine_distance_matrix(rows, queries) -> np.ndarray:

@@ -13,14 +13,13 @@ MCAMs — exactly the comparison of Fig. 7.
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional
 
 
 from ..exceptions import ConfigurationError
-from ..utils.rng import SeedLike, ensure_rng, spawn_rngs
+from ..utils.rng import SeedLike, ensure_rng
 from ..utils.stats import SummaryStatistics, accuracy, summarize
 from ..utils.validation import check_int_in_range
 from ..core.search import make_searcher
@@ -84,9 +83,11 @@ class FewShotEvaluator:
         Episode-dispatch strategy: ``"serial"`` (one searcher allocation,
         episodes in order — the reference path) or ``"processes"``
         (episodes chunked across a persistent worker-process pool, one
-        searcher allocation per chunk).  Episodes and their RNG streams are
-        sampled up front in the serial order, so parallel dispatch
-        evaluates *identical* episodes; accuracies match the serial path for
+        searcher allocation per chunk).  Episodes and one classification
+        seed per episode are drawn up front in the serial order, and every
+        (method, episode) pair builds its own generator from its episode's
+        seed, so both runners evaluate *identical* episodes with identical
+        streams for every method; accuracies match the serial path for
         engines whose per-episode results do not depend on programming
         history — the LUT-mode MCAM, the seeded TCAM+LSH engine, the
         software baselines, and device-mode MCAMs using row-keyed
@@ -137,19 +138,27 @@ class FewShotEvaluator:
         self.close()
         return False
 
+    def _episode_seeds(self, generator) -> List[int]:
+        """One classification seed per episode, drawn before the episodes.
+
+        The draw :func:`~repro.utils.rng.spawn_rngs` makes from a generator,
+        so the same seed samples the same episodes and streams as before.
+        """
+        return generator.integers(0, 2**32 - 1, size=self.num_episodes).tolist()
+
     def _sampled_episodes(self, generator) -> List[Episode]:
         """Draw the run's episodes up front, in the canonical serial order."""
         return list(self.sampler.episodes(self.num_episodes, rng=generator))
 
-    def _episode_jobs(self, factory: SearcherFactory, episodes, episode_rngs, runner):
-        """Chunked ``(factory, episodes, rngs)`` jobs for process dispatch."""
+    def _episode_jobs(self, factory: SearcherFactory, episodes, episode_seeds, runner):
+        """Chunked ``(factory, episodes, seeds)`` jobs for process dispatch."""
         require_picklable(factory, "searcher_factory")
         workers = runner.num_workers or default_worker_count()
         num_chunks = workers * CHUNKS_PER_WORKER
         episode_chunks = chunk_units(list(episodes), num_chunks)
-        rng_chunks = chunk_units(list(episode_rngs), num_chunks)
+        seed_chunks = chunk_units(list(episode_seeds), num_chunks)
         return [
-            (factory, chunk, rngs) for chunk, rngs in zip(episode_chunks, rng_chunks)
+            (factory, chunk, seeds) for chunk, seeds in zip(episode_chunks, seed_chunks)
         ]
 
     def evaluate(
@@ -170,15 +179,15 @@ class FewShotEvaluator:
         which episodes are evaluated.
         """
         generator = ensure_rng(rng)
-        episode_rngs = spawn_rngs(generator, self.num_episodes)
+        episode_seeds = self._episode_seeds(generator)
         episodes = self._sampled_episodes(generator)
         runner = self._runner
         if isinstance(runner, SerialTrialRunner):
             episode_accuracies = _run_episode_chunk(
-                (searcher_factory, episodes, episode_rngs)
+                (searcher_factory, episodes, episode_seeds)
             )
         else:
-            jobs = self._episode_jobs(searcher_factory, episodes, episode_rngs, runner)
+            jobs = self._episode_jobs(searcher_factory, episodes, episode_seeds, runner)
             episode_accuracies = []
             for chunk_accuracies in runner.map(_run_episode_chunk, jobs):
                 episode_accuracies.extend(chunk_accuracies)
@@ -201,16 +210,18 @@ class FewShotEvaluator:
         part is the distance function / search hardware.  Each method keeps
         one searcher allocation for the whole run (serial) or per worker
         chunk (process dispatch, which runs every ``method x chunk`` pair
-        independently; stochastic-sensing engines then consume per-method
-        copies of the episode streams instead of the serial path's shared
-        stream — the deterministic paper methods are unaffected).
+        independently).  Both runners give every method the same
+        classification streams — the ones :meth:`evaluate` gives it alone —
+        so a stochastic-sensing method's accuracy does not depend on which
+        other methods are compared with it, or on the runner.
         """
         if not factories:
             raise ConfigurationError("factories must contain at least one method")
         generator = ensure_rng(rng)
-        # One independent stream per episode for the stochastic engines so
-        # adding/removing a method does not change the other methods' results.
-        episode_rngs = spawn_rngs(generator, self.num_episodes)
+        # Every (method, episode) pair builds its own generator from the
+        # episode's seed, so no method advances another method's stream and
+        # adding or removing a method leaves the others' results alone.
+        episode_seeds = self._episode_seeds(generator)
         episodes = self._sampled_episodes(generator)
         runner = self._runner
         per_method_accuracies: Dict[str, list] = {}
@@ -221,11 +232,11 @@ class FewShotEvaluator:
                 for name, factory in factories.items()
             }
             try:
-                for episode, episode_rng in zip(episodes, episode_rngs):
+                for episode, episode_seed in zip(episodes, episode_seeds):
                     for name, factory in factories.items():
                         per_method_accuracies[name].append(
                             run_episode(
-                                episode, factory, rng=episode_rng, memory=memories[name]
+                                episode, factory, rng=episode_seed, memory=memories[name]
                             )
                         )
             finally:
@@ -235,13 +246,7 @@ class FewShotEvaluator:
             jobs = []
             spans = []
             for name, factory in factories.items():
-                # Every method gets its own *copies* of the episode
-                # streams.  One pickled trial chunk can carry several
-                # methods' jobs, and pickling shares the Generator objects
-                # those jobs hold, so without copies the methods would
-                # advance one another's streams inside the worker.
-                method_rngs = deepcopy(episode_rngs)
-                method_jobs = self._episode_jobs(factory, episodes, method_rngs, runner)
+                method_jobs = self._episode_jobs(factory, episodes, episode_seeds, runner)
                 spans.append((name, len(method_jobs)))
                 jobs.extend(method_jobs)
             results = runner.map(_run_episode_chunk, jobs)
@@ -267,17 +272,18 @@ def _run_episode_chunk(job) -> List[float]:
     """Run one ordered chunk of episodes on one searcher allocation.
 
     Module-level so pooled executors can ship it to worker processes; the
-    job carries ``(searcher_factory, episodes, episode_rngs)``.  One
+    job carries ``(searcher_factory, episodes, episode_seeds)``, and each
+    episode classifies with a generator built from its seed.  One
     :class:`MANNMemory` with ``reuse_searcher=True`` serves the whole chunk,
     so every refit inside a worker rides the arrays' delta-reprogramming
     path.
     """
-    factory, episodes, episode_rngs = job
+    factory, episodes, episode_seeds = job
     memory = MANNMemory(searcher_factory=factory, reuse_searcher=True)
     try:
         return [
-            run_episode(episode, factory, rng=episode_rng, memory=memory)
-            for episode, episode_rng in zip(episodes, episode_rngs)
+            run_episode(episode, factory, rng=episode_seed, memory=memory)
+            for episode, episode_seed in zip(episodes, episode_seeds)
         ]
     finally:
         # Deterministically release searcher resources (e.g. a sharded

@@ -18,6 +18,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.circuits import mcam_array
 from repro.circuits.mcam_array import MCAMArray, preserve_search_caches
 from repro.circuits.mcam_cell import ML_PRECHARGE_V, MCAMVoltageScheme
 from repro.circuits.tcam import DONT_CARE, TCAMArray
@@ -144,6 +145,97 @@ def test_frozen_reference_wide_spread_exercises_the_clip():
     nominal = MCAMVoltageScheme(bits=3).level_grid_v[np.arange(1, 9).repeat(8)]
     raw = FROZEN_VARIATIONS["gauss300mV"].sample_vth(nominal, generator)
     assert np.any(clip_vth(raw, device) != raw)
+
+
+@pytest.mark.parametrize("sigma_v", (0.0, 0.05, 0.3))
+def test_gaussian_sample_vth_is_nominal_plus_one_normal_draw(sigma_v):
+    # _frozen_cell_profiles samples through the library's sample_vth, so pin
+    # that draw here: a change to it must not move the reference with it.
+    model = GaussianVthVariationModel(sigma_v=sigma_v)
+    nominal = MCAMVoltageScheme(bits=3).level_grid_v[RNG.integers(1, 9, size=(3, 7))]
+    for seed in (0, 41):
+        got = model.sample_vth(nominal, np.random.default_rng(seed))
+        want = nominal + np.random.default_rng(seed).normal(0.0, sigma_v, nominal.shape)
+        assert got.tobytes() == want.tobytes()
+        scalar = model.sample_vth(0.8, np.random.default_rng(seed))
+        assert type(scalar) is float
+        assert scalar == 0.8 + np.random.default_rng(seed).normal(0.0, sigma_v)
+
+
+@pytest.mark.parametrize("sigma_v", (0.0, 0.05, 0.3))
+@pytest.mark.parametrize("cells", (1, 7, 64))
+def test_vth_offsets_are_a_rows_two_per_side_draws(sigma_v, cells):
+    # Row-keyed programming draws a row's (DL, DL-bar) offsets in one call;
+    # they must be the two consecutive per-side draws of the reference loop.
+    model = GaussianVthVariationModel(sigma_v=sigma_v)
+    generator = np.random.default_rng([0x52455052, 3, cells])
+    want = np.stack([generator.normal(0.0, sigma_v, cells) for _ in range(2)])
+    got = model.vth_offsets((2, cells), np.random.default_rng([0x52455052, 3, cells]))
+    assert got.shape == (2, cells)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestRowKeyedOffsetMemo:
+    """Row-keyed V_th offsets are drawn once per (base seed, row), then reused."""
+
+    VARIATION = GaussianVthVariationModel(sigma_v=0.05)
+
+    @staticmethod
+    def _generator_calls(monkeypatch):
+        """Record every ``np.random.default_rng`` call of the array module."""
+        calls = []
+        construct = np.random.default_rng
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return construct(*args, **kwargs)
+
+        monkeypatch.setattr(mcam_array.np.random, "default_rng", spy)
+        return calls
+
+    def test_a_second_full_reprogram_draws_no_row_again(self, monkeypatch):
+        states = RNG.integers(0, 8, size=(12, 16))
+        replaced = (states + 1) % 8  # every row changes
+        array = MCAMArray(num_cells=16, bits=3, variation=self.VARIATION)
+        array.reprogram(states, rng=11)
+        calls = self._generator_calls(monkeypatch)
+        changed = array.reprogram(replaced, rng=11)
+        assert changed.size == 12 and calls == []
+        reference = _frozen_row_keyed_profiles(replaced, self.VARIATION, 11, 3)
+        assert array.row_profiles().tobytes() == reference.tobytes()
+
+    def test_an_append_after_a_shrink_reuses_the_rows_it_dropped(self, monkeypatch):
+        states = RNG.integers(0, 8, size=(12, 16))
+        regrown = np.vstack([states[:9], (states[9:] + 3) % 8])
+        array = MCAMArray(num_cells=16, bits=3, variation=self.VARIATION)
+        array.reprogram(states, rng=11)
+        array.reprogram(states[:9], rng=11)
+        calls = self._generator_calls(monkeypatch)
+        array.append(regrown[9:], rng=11)
+        assert calls == []  # rows 9-11 are still in the memo
+        reference = _frozen_row_keyed_profiles(regrown, self.VARIATION, 11, 3)
+        assert array.row_profiles().tobytes() == reference.tobytes()
+
+    def test_a_new_base_seed_replaces_the_memo(self):
+        states = RNG.integers(0, 4, size=(12, 7))
+        replaced = (states + 1) % 4
+        array = MCAMArray(num_cells=7, bits=2, variation=self.VARIATION)
+        array.reprogram(states, rng=11)
+        array.reprogram(replaced, rng=12)
+        reference = _frozen_row_keyed_profiles(replaced, self.VARIATION, 12, 2)
+        assert array.row_profiles().tobytes() == reference.tobytes()
+        assert array._row_offsets.base_seed == 12
+
+    def test_state_dependent_models_are_not_memoized(self, monkeypatch):
+        # Domain switching draws a binomial of the stored state: every
+        # programming samples its rows again, from their keyed streams.
+        model = FROZEN_VARIATIONS["domains"]
+        states = RNG.integers(0, 8, size=(6, 5))
+        array = MCAMArray(num_cells=5, bits=3, variation=model)
+        array.reprogram(states, rng=11)
+        calls = self._generator_calls(monkeypatch)
+        array.reprogram((states + 1) % 8, rng=11)
+        assert len(calls) == 6 and array._row_offsets is None
 
 
 def _loop_conductances(array: MCAMArray, queries: np.ndarray) -> np.ndarray:
@@ -522,18 +614,35 @@ class TestArrayAppend:
         for start in range(30, 40, 2):
             grown.append(states[start : start + 2], labels=range(start, start + 2), rng=5)
         assert grown._spare  # the appends left spare capacity behind
+        # Device mode memoized every row's V_th offsets; LUT mode draws none.
+        assert (grown._row_offsets is None) == (variation is None)
         fresh = MCAMArray(num_cells=8, bits=3, variation=variation)
         fresh.reprogram(states, labels=range(40), rng=5)
         fresh.row_conductances_batch(queries)
         for preserve in (False, True):
             with preserve_search_caches() if preserve else contextlib.nullcontext():
                 grown_bytes, fresh_bytes = pickle.dumps(grown), pickle.dumps(fresh)
+                # The memo never reaches a pickle: without it the array
+                # pickles to the same size.
+                memo, grown._row_offsets = grown._row_offsets, None
+                assert len(pickle.dumps(grown)) == len(grown_bytes)
+                grown._row_offsets = memo
             assert len(grown_bytes) == len(fresh_bytes)
             restored = pickle.loads(grown_bytes)
             assert restored._spare == {}
+            assert restored._row_offsets is None
             np.testing.assert_array_equal(
                 restored.row_conductances_batch(queries), fresh.row_conductances_batch(queries)
             )
+        # Without the memo the restored array draws a refit's rows again,
+        # bitwise like the array that kept it.
+        mutated = states.copy()
+        mutated[::4] = (mutated[::4] + 1) % 8
+        restored.reprogram(mutated, labels=range(40), rng=5)
+        grown.reprogram(mutated, labels=range(40), rng=5)
+        assert restored.row_profiles().tobytes() == grown.row_profiles().tobytes()
+        grown.clear()
+        assert grown._row_offsets is None
 
     def test_reprogram_and_clear_release_the_spare_capacity(self):
         states = RNG.integers(0, 4, size=(20, 5))

@@ -19,6 +19,7 @@ from repro.distance import (
     minkowski_distance,
     squared_euclidean_distance,
 )
+from repro.distance import metrics
 from repro.exceptions import ConfigurationError
 
 
@@ -124,3 +125,49 @@ class TestBatchMetrics:
     def test_registry_unknown(self):
         with pytest.raises(ConfigurationError):
             get_batch_metric("dtw")
+
+
+#: Each elementwise distance matrix and the broadcast expression it must equal
+#: bitwise: the matrices reduce a scratch difference buffer in place.
+BROADCAST_REFERENCES = {
+    "euclidean": (metrics.euclidean_distance_matrix, lambda d: np.linalg.norm(d, axis=2)),
+    "manhattan": (metrics.manhattan_distance_matrix, lambda d: np.sum(np.abs(d), axis=2)),
+    "linf": (metrics.linf_distance_matrix, lambda d: np.max(np.abs(d), axis=2)),
+}
+
+
+def _broadcast_reference(metric, rows, queries):
+    rows = np.asarray(rows, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    return BROADCAST_REFERENCES[metric][1](queries[:, np.newaxis, :] - rows[np.newaxis, :, :])
+
+
+@pytest.mark.parametrize("metric", sorted(BROADCAST_REFERENCES))
+class TestDistanceMatrixParity:
+    """The in-place matrix reducers are bitwise their broadcast expressions."""
+
+    @pytest.mark.parametrize("num_queries, num_rows", [(1, 1), (25, 5), (100, 100)])
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    def test_matches_the_broadcast_expression(self, metric, num_queries, num_rows, dtype):
+        # float32 is what SoftwareSearcher passes (its store is FP32).
+        rng = np.random.default_rng([num_queries, num_rows])
+        rows = rng.normal(size=(num_rows, 64)).astype(dtype)
+        queries = rng.normal(size=(num_queries, 64)).astype(dtype)
+        got = BROADCAST_REFERENCES[metric][0](rows, queries)
+        assert got.shape == (num_queries, num_rows)
+        assert got.tobytes() == _broadcast_reference(metric, rows, queries).tobytes()
+
+    def test_empty_query_batch(self, metric):
+        rows = np.ones((5, 64), dtype=np.float32)
+        got = BROADCAST_REFERENCES[metric][0](rows, np.empty((0, 64), dtype=np.float32))
+        assert got.shape == (0, 5) and got.dtype == np.float64
+
+    def test_query_chunks_reuse_one_buffer_bitwise(self, metric, monkeypatch):
+        # Chunks of 3 queries against 7 rows: 14 chunks, the last one short,
+        # so later chunks overwrite what earlier reducers left in the buffer.
+        monkeypatch.setattr(metrics, "_BROADCAST_CHUNK_ELEMENTS", 3 * 7 * 64)
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(7, 64)).astype(np.float32)
+        queries = rng.normal(size=(40, 64)).astype(np.float32)
+        got = BROADCAST_REFERENCES[metric][0](rows, queries)
+        assert got.tobytes() == _broadcast_reference(metric, rows, queries).tobytes()

@@ -521,6 +521,19 @@ class TestEpisodeParallelFewShot:
             alone = solo.evaluate(factory, rng=7)
             assert together[name].statistics.mean == alone.statistics.mean
 
+    @pytest.mark.parametrize("space_seed", (9, 3))
+    def test_serial_compare_gives_every_method_its_own_episode_streams(self, space_seed):
+        # The serial runner interleaves the methods episode by episode; a
+        # method drawing timing noise must not advance the next method's
+        # stream, so each reads what it reads alone (and under "processes").
+        space = SyntheticEmbeddingSpace(seed=space_seed)
+        factories = {name: partial(_noisy_mcam, seed) for seed, name in enumerate("abc", 1)}
+        evaluator = FewShotEvaluator(space, n_way=5, k_shot=1, num_episodes=6)
+        together = evaluator.compare(factories, rng=7)
+        for name, factory in factories.items():
+            alone = evaluator.evaluate(factory, rng=7)
+            assert together[name].statistics.mean == alone.statistics.mean
+
 
 class TestScalingStudyDeterminism:
     def test_trial_executor_matches_serial(self):
