@@ -159,7 +159,8 @@ def program_cell_profiles(
     ml_voltage_v:
         Drain bias during search.
     rng:
-        Randomness source for the variation sampling.
+        Randomness source for the variation sampling; a nominal pass
+        (``variation=None``) builds no generator.
 
     Returns
     -------
@@ -168,10 +169,10 @@ def program_cell_profiles(
         ``profiles[..., i]`` is the conductance of the corresponding cell
         when searched with input state ``i``.
     """
-    generator = ensure_rng(rng)
     states = np.asarray(stored_states, dtype=np.int64)
     vth_dl, vth_dlbar = _nominal_vth(states.reshape(-1), scheme)
     if variation is not None:
+        generator = ensure_rng(rng)
         vth_dl = variation.sample_vth(vth_dl, generator)
         vth_dlbar = variation.sample_vth(vth_dlbar, generator)
     profiles = profiles_from_vth(vth_dl, vth_dlbar, scheme, device, ml_voltage_v)
@@ -329,39 +330,48 @@ class MCAMArray(FixedGeometryArray):
         self._stored_states = np.zeros((0, self.num_cells), dtype=np.int64)
         self._labels: List[Optional[int]] = []
         self._profiles: Optional[np.ndarray] = None  # per-cell device mode only
-        # Programmed-array cache: per-cell conductance profiles in
-        # (num_cells, num_states, num_rows) layout, built lazily after each
-        # write and reused across queries.
+        # Programmed-array caches (_BY_CELL_TABLES): per-cell conductance
+        # profiles in (num_cells, num_states, num_rows) layout, in float64
+        # for the full-matrix kernels and in float32 for the screen's
+        # estimates, each built lazily after a write and reused across
+        # queries.
         self._by_cell_profiles: Optional[np.ndarray] = None
+        self._by_cell_estimates: Optional[np.ndarray] = None
         # (cell * num_states) offsets into the flattened profile table used by
         # the fused gather kernel; geometry-fixed, built on first use.
         self._gather_offsets: Optional[np.ndarray] = None
-        # Growth buffers of append(), keyed "states", "profiles" and
-        # "by_cell": each holds the matching array above as its leading
-        # slice plus spare rows.  Never pickled.
+        # Growth buffers of append(), keyed "states", "profiles" and the
+        # by-cell tables' attribute names: each holds the matching array
+        # above as its leading slice plus spare rows.  Never pickled.
         self._spare: Dict[str, np.ndarray] = {}
         # Row-keyed V_th offsets of the last base seed (device mode with a
         # state-independent variation model).  Never pickled; clear()
         # releases it.
         self._row_offsets: Optional[_RowKeyedOffsets] = None
 
+    #: The by-cell search tables, ``(attribute, dtype)``: the full-matrix
+    #: kernels read the float64 one, :meth:`screened_top_k` estimates from
+    #: the float32 one.  Each is built on first use only, and every write
+    #: path maintains each built table with the same code.
+    _BY_CELL_TABLES = (("_by_cell_profiles", np.float64), ("_by_cell_estimates", np.float32))
+
     def __getstate__(self):
         """Pickle without the derived search caches.
 
-        ``_by_cell_profiles`` and ``_gather_offsets`` are pure functions of
-        the programmed state and dominate the pickle payload (the by-cell
+        The by-cell tables and ``_gather_offsets`` are pure functions of
+        the programmed state and dominate the pickle payload (a by-cell
         table is ``num_states`` times the stored-state matrix); dropping them
         makes shipping a programmed array across a process boundary — the
         worker-resident shard cache of :mod:`repro.runtime` — cost the stored
         states, not the query cache.  The receiver rebuilds them lazily and
         bitwise identically on first search.  Inside a
-        :func:`preserve_search_caches` block the by-cell table is kept when
-        it is *expensive* to rebuild — look-up-table mode, where it takes a
-        full gather over the stored states — so snapshots taken from a
-        serving process restore warm instead of lean.  In per-cell device
-        mode the table is a plain relayout of the already-persisted
-        programmed profiles; it is always dropped rather than doubling the
-        payload to save a memcpy-speed transpose.
+        :func:`preserve_search_caches` block every built by-cell table is
+        kept when it is *expensive* to rebuild — look-up-table mode, where
+        it takes a full gather over the stored states — so snapshots taken
+        from a serving process restore warm instead of lean.  In per-cell
+        device mode the tables are a relayout of the already-persisted
+        programmed profiles; they are always dropped rather than doubling
+        the payload to save a memcpy-speed transpose.
 
         The spare capacity of :meth:`append` is never pickled: the stored
         arrays are leading-slice views of their growth buffers and pickle
@@ -374,16 +384,18 @@ class MCAMArray(FixedGeometryArray):
         del state["_spare"]
         del state["_row_offsets"]
         preserve = getattr(_PICKLE_SEARCH_CACHES, "active", False)
-        if not preserve or self._profiles is not None:
-            state["_by_cell_profiles"] = None
-        elif self._by_cell_profiles is not None:
-            state["_by_cell_profiles"] = np.ascontiguousarray(self._by_cell_profiles)
+        for name, _ in self._BY_CELL_TABLES:
+            if not preserve or self._profiles is not None:
+                state[name] = None
+            elif state[name] is not None:
+                state[name] = np.ascontiguousarray(state[name])
         if not preserve:
             state["_gather_offsets"] = None
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
+        self.__dict__.setdefault("_by_cell_estimates", None)  # older snapshots
         self._spare = {}
         self._row_offsets = None
 
@@ -415,8 +427,7 @@ class MCAMArray(FixedGeometryArray):
         self._stored_states = np.zeros((0, self.num_cells), dtype=np.int64)
         self._labels = []
         self._profiles = None
-        self._by_cell_profiles = None
-        self._spare = {}
+        self._drop_search_tables()
         self._row_offsets = None
 
     def _check_entries_and_labels(self, entries, labels: Optional[Sequence[int]]):
@@ -472,8 +483,7 @@ class MCAMArray(FixedGeometryArray):
 
         self._stored_states = np.vstack([self._stored_states, entries])
         self._labels.extend(labels)
-        self._by_cell_profiles = None
-        self._spare = {}
+        self._drop_search_tables()
 
     def append(
         self,
@@ -487,16 +497,16 @@ class MCAMArray(FixedGeometryArray):
         stored labels + labels, rng)`` — where every stored row would diff
         as unchanged — without diffing the stored rows:
 
-        * **look-up-table mode** extends the by-cell search cache with the
-          new rows' profiles when that cache is built;
+        * **look-up-table mode** extends every built by-cell search table
+          with the new rows' profiles;
         * **per-cell device mode** draws each new row from its row-keyed
           stream ``(rng, row)``, exactly like
-          :meth:`reprogram` (and extends a built search cache too); under
+          :meth:`reprogram` (and extends the built search tables too); under
           a state-independent variation model, rows already drawn under
           the same integer seed — before a shrinking reprogram, say — reuse
           their memoized V_th offsets.
 
-        The stored-state matrix, the device profiles and the search cache
+        The stored-state matrix, the device profiles and the search tables
         grow into spare capacity of about one eighth of the rows, so a run
         of small appends costs O(appended rows) each.  :meth:`write`,
         :meth:`reprogram` and :meth:`clear` release that capacity, and it is
@@ -517,12 +527,16 @@ class MCAMArray(FixedGeometryArray):
             self._profiles, spare["profiles"] = append_rows(
                 self._device_profiles(), spare.get("profiles"), fresh
             )
-        if self._by_cell_profiles is not None:
+        for name, dtype in self._BY_CELL_TABLES:
+            table = getattr(self, name)
+            if table is None:
+                continue
             if fresh is None:
                 fresh = self.lut.row_profiles(entries)
-            self._by_cell_profiles, spare["by_cell"] = append_rows(
-                self._by_cell_profiles, spare.get("by_cell"), np.moveaxis(fresh, 0, -1), axis=-1
+            grown, spare[name] = append_rows(
+                table, spare.get(name), np.moveaxis(fresh, 0, -1).astype(dtype), axis=-1
             )
+            setattr(self, name, grown)
         self._stored_states, spare["states"] = append_rows(
             self._stored_states, spare.get("states"), entries
         )
@@ -543,8 +557,8 @@ class MCAMArray(FixedGeometryArray):
         state did not change.  ``reprogram`` diffs ``entries`` against the
         currently stored states and touches only the rows that differ:
 
-        * **look-up-table mode**: unchanged rows keep their slice of the
-          cached search profiles, so a refit that changes ``m`` of ``n`` rows
+        * **look-up-table mode**: unchanged rows keep their slice of every
+          built search table, so a refit that changes ``m`` of ``n`` rows
           costs ``O(m)`` profile work instead of ``O(n)``;
         * **per-cell device mode**: unchanged rows keep their physically
           programmed conductance profiles, and only changed rows sample fresh
@@ -601,13 +615,19 @@ class MCAMArray(FixedGeometryArray):
 
         if self.variation is not None:
             self._reprogram_device_profiles(entries, unchanged, changed, rng)
-            self._by_cell_profiles = None
+            self._drop_search_tables()
         else:
-            self._update_profile_cache(entries, unchanged, changed)
+            self._update_search_tables(entries, unchanged, changed)
+            self._spare = {}
         self._stored_states = entries.copy()
         self._labels = labels
-        self._spare = {}
         return changed
+
+    def _drop_search_tables(self) -> None:
+        """Forget every by-cell search table and all spare capacity."""
+        for name, _ in self._BY_CELL_TABLES:
+            setattr(self, name, None)
+        self._spare = {}
 
     def _device_profiles(self) -> np.ndarray:
         """The programmed device profiles (per-cell device mode).
@@ -675,26 +695,28 @@ class MCAMArray(FixedGeometryArray):
             new_profiles[changed] = self._row_keyed_profiles(entries[changed], changed, base_seed)
         self._profiles = new_profiles
 
-    def _update_profile_cache(
+    def _update_search_tables(
         self, entries: np.ndarray, unchanged: np.ndarray, changed: np.ndarray
     ) -> None:
-        """Delta-update the cached by-cell search profiles (LUT mode)."""
-        cache = self._by_cell_profiles
-        if cache is None:
-            return
+        """Delta-update every built by-cell search table (LUT mode)."""
         new_rows = entries.shape[0]
-        if new_rows != cache.shape[-1] or not cache.flags.c_contiguous:
-            # A resized cache, or one grown by append() into its spare
-            # capacity, is rebuilt compact from the rows it keeps.
-            resized = np.empty(cache.shape[:-1] + (new_rows,))
-            keep = np.flatnonzero(unchanged)
-            if keep.size:
-                resized[..., keep] = cache[..., keep]
-            cache = resized
-            self._by_cell_profiles = cache
-        if changed.size:
-            fresh = self.lut.row_profiles(entries[changed])
-            cache[..., changed] = np.moveaxis(fresh, 0, -1)
+        keep = np.flatnonzero(unchanged)
+        fresh: Optional[np.ndarray] = None
+        for name, _ in self._BY_CELL_TABLES:
+            table = getattr(self, name)
+            if table is None:
+                continue
+            if new_rows != table.shape[-1] or not table.flags.c_contiguous:
+                # A resized table, or one grown by append() into its spare
+                # capacity, is rebuilt compact from the rows it keeps.
+                resized = np.empty(table.shape[:-1] + (new_rows,), dtype=table.dtype)
+                resized[..., keep] = table[..., keep]
+                table = resized
+                setattr(self, name, table)
+            if changed.size:
+                if fresh is None:
+                    fresh = np.moveaxis(self.lut.row_profiles(entries[changed]), 0, -1)
+                table[..., changed] = fresh
 
     # ------------------------------------------------------------------
     # Search
@@ -715,22 +737,34 @@ class MCAMArray(FixedGeometryArray):
         return np.moveaxis(self._profiles_by_cell(), -1, 0).copy()
 
     def _profiles_by_cell(self) -> np.ndarray:
-        """Programmed profiles as ``(num_cells, num_states, num_rows)``.
+        """Programmed profiles as ``(num_cells, num_states, num_rows)``, float64.
 
         This layout makes a batched search one fused gather over the cached
         table (small workloads) or ``num_cells`` cheap
         ``(num_queries, num_rows)`` gathers (large ones).  Built once per
-        programming — from the physical profiles in device mode, from the LUT
-        otherwise — and reused across every subsequent query.
+        programming and reused across every subsequent query.
         """
-        if self._by_cell_profiles is None:
-            source = (
-                self._profiles
-                if self._profiles is not None
-                else self.lut.row_profiles(self._stored_states)
-            )
-            self._by_cell_profiles = np.ascontiguousarray(np.moveaxis(source, 0, -1))
-        return self._by_cell_profiles
+        return self._by_cell_table("_by_cell_profiles")
+
+    def _by_cell_table(self, name: str) -> np.ndarray:
+        """The by-cell search table ``name`` of :attr:`_BY_CELL_TABLES`, built on first use.
+
+        Device mode converts the physical profiles; look-up-table mode
+        gathers the LUT, cast to the table's dtype, by the stored states.
+        Either way every value is the float64 profile rounded once to the
+        dtype, which is what the write paths store too.
+        """
+        table = getattr(self, name)
+        if table is None:
+            dtype = dict(self._BY_CELL_TABLES)[name]
+            if self._profiles is not None:
+                source = np.moveaxis(self._profiles, 0, -1)
+            else:
+                lut = self.lut.table_s.astype(dtype)
+                source = lut[:, self._stored_states.T].transpose(1, 0, 2)
+            table = np.ascontiguousarray(source, dtype=dtype)
+            setattr(self, name, table)
+        return table
 
     def row_conductances(self, query) -> np.ndarray:
         """Total ML conductance of every stored row for ``query``."""
@@ -765,8 +799,8 @@ class MCAMArray(FixedGeometryArray):
 
         The rule's third band serves ideal-sensing top-``k`` only, which
         needs the smallest sums rather than this matrix: inside
-        :meth:`in_screen_band`, :meth:`screened_top_k` ranks through a BLAS
-        estimate and re-sums only the surviving rows, in this same order.
+        :meth:`in_screen_band`, :meth:`screened_top_k` ranks through float32
+        estimates and re-sums only the surviving rows, in this same order.
         """
         queries = self._check_query_batch(queries)
         by_cell = self._profiles_by_cell()
@@ -812,39 +846,49 @@ class MCAMArray(FixedGeometryArray):
 
     #: Screened top-k band, ideal sensing only (see :meth:`in_screen_band`).
     #: Measured with 64 cells, 3 bits, on a 2-core Xeon with one BLAS thread.
-    _SCREEN_MIN_QUERIES = 24
     _SCREEN_MIN_ROWS = 1024
     _SCREEN_ROWS_PER_K = 64
+    #: Batch size from which the screen's estimates take one float32 BLAS
+    #: product instead of a summed gather.  Against 1024, 4096 and 16384
+    #: rows the gather led below 8 queries; from 8 up the product led at
+    #: 4096 and 16384 rows, and at 1024 rows from 12 up, the gather's lead
+    #: at 8 and 10 being under 0.05 ms (README, kernel section).
+    _SCREEN_PRODUCT_MIN_QUERIES = 8
 
-    def in_screen_band(self, num_queries: int, k: int) -> bool:
-        """Whether an ideal-sensing top-``k`` of this batch takes the screen.
+    def in_screen_band(self, k: int) -> bool:
+        """Whether an ideal-sensing top-``k`` against this array takes the screen.
 
         The third band of the static kernel rule: :meth:`screened_top_k`
-        for at least :attr:`_SCREEN_MIN_QUERIES` queries against at least
-        :attr:`_SCREEN_MIN_ROWS` rows with ``k`` at most one
-        :attr:`_SCREEN_ROWS_PER_K`-th of the rows.  Smaller batches leave
-        the BLAS product too little to amortize, a larger ``k`` lets too
-        many rows survive the screen, and the row floor keeps small stores
-        (the Fig. 7 episodes among them) on the full-matrix kernels.  The
-        README's kernel section holds the measurements.
+        against at least :attr:`_SCREEN_MIN_ROWS` rows with ``k`` at most
+        one :attr:`_SCREEN_ROWS_PER_K`-th of the rows, for any batch size.
+        A larger ``k`` lets too many rows survive the screen, and the row
+        floor keeps small stores (the Fig. 7 episodes among them) on the
+        full-matrix kernels.  The README's kernel section holds the
+        measurements.
         """
         return (
-            num_queries >= self._SCREEN_MIN_QUERIES
-            and self.num_rows >= self._SCREEN_MIN_ROWS
+            self.num_rows >= self._SCREEN_MIN_ROWS
             and k * self._SCREEN_ROWS_PER_K <= self.num_rows
         )
 
     def screened_top_k(self, queries, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact top-``k`` rows by conductance, through a BLAS screen.
+        """Exact top-``k`` rows by conductance, screened by float32 estimates.
 
-        One ``onehot(queries) @ by_cell`` product estimates every row's
-        conductance.  Summing ``num_cells`` non-negative terms in any order
-        stays within ``gamma_(num_cells - 1)`` times the exact sum, so every
-        row among the ``k`` smallest cell-order sums has an estimate of at
-        most ``E_k * (1 + 4 * num_cells * eps)``, where ``E_k`` is the
-        query's ``k``-th smallest estimate.  Only the rows under that bound
-        are re-summed in cell order and ranked by ``(conductance, row)``, so
-        the result is bitwise the first ``k`` columns of a stable argsort of
+        Every row's conductance is estimated in float32 from the float32
+        by-cell table: a summed gather for fewer than
+        :attr:`_SCREEN_PRODUCT_MIN_QUERIES` queries, one
+        ``onehot(queries) @ table`` BLAS product from there up.  Rounding
+        ``num_cells`` non-negative terms to float32 and summing them in any
+        order stays within ``gamma_cells`` (unit roundoff ``eps32 / 2``) of
+        the exact sum, relatively; underflow, or a BLAS that flushes
+        subnormals to zero, adds at most ``(2 * num_cells - 1) * tiny32``,
+        absolutely.  So every row among the ``k`` smallest cell-order sums
+        has an estimate of at most ``(E_k + mu) * (1 + 4 * num_cells *
+        eps32) + mu``, with ``mu = 2 * num_cells * tiny32`` and ``E_k`` the
+        query's ``k``-th smallest estimate; the bound is computed in
+        float64.  Only the rows under it are re-summed in float64, in cell
+        order, and ranked by ``(conductance, row)``, so the result is
+        bitwise the first ``k`` columns of a stable argsort of
         :meth:`row_conductances_batch`, ties and near-ties included.
 
         Returns
@@ -854,12 +898,20 @@ class MCAMArray(FixedGeometryArray):
         """
         queries = self._check_query_batch(queries)
         k = check_int_in_range(k, "k", minimum=1, maximum=self.num_rows)
-        cells, states = self.num_cells, self.num_states
-        onehot = np.zeros((queries.shape[0], cells * states))
-        np.put_along_axis(onehot, queries + self._ensure_gather_offsets().T, 1.0, axis=1)
-        estimates = onehot @ self._profiles_by_cell().reshape(cells * states, self.num_rows)
-        kth = np.partition(estimates, k - 1, axis=1)[:, k - 1]
-        bound = kth * (1.0 + 4 * cells * np.finfo(np.float64).eps)
+        cells = self.num_cells
+        table = self._by_cell_table("_by_cell_estimates")
+        table = table.reshape(cells * self.num_states, self.num_rows)
+        lines = queries + self._ensure_gather_offsets().T
+        if queries.shape[0] < self._SCREEN_PRODUCT_MIN_QUERIES:
+            estimates = np.add.reduce(np.take(table, lines, axis=0), axis=1)
+        else:
+            onehot = np.zeros((queries.shape[0], table.shape[0]), dtype=np.float32)
+            np.put_along_axis(onehot, lines, 1.0, axis=1)
+            estimates = onehot @ table
+        single = np.finfo(np.float32)
+        mu = 2 * cells * float(single.tiny)
+        kth = np.partition(estimates, k - 1, axis=1)[:, k - 1].astype(np.float64)
+        bound = (kth + mu) * (1.0 + 4 * cells * float(single.eps)) + mu
         hits = np.flatnonzero(estimates <= bound[:, np.newaxis])
         hit_q, hit_r = np.divmod(hits, self.num_rows)
         exact = sum_cells_in_order(self._cell_conductances(queries[hit_q], hit_r))

@@ -621,10 +621,11 @@ class MCAMSearcher(NearestNeighborSearcher):
         """Top-``k`` rows by match-line conductance, as the sense amplifier sees them.
 
         Ideal sensing ranks by ``(conductance, row)``.  Inside the array's
-        screen band (:meth:`MCAMArray.in_screen_band`: large batches against
-        large stores at small ``k``) :meth:`MCAMArray.screened_top_k`
-        returns that ranking, bitwise, without summing every row in cell
-        order; elsewhere every row is summed
+        screen band (:meth:`MCAMArray.in_screen_band`: large stores at small
+        ``k``, any batch size) :meth:`MCAMArray.screened_top_k` returns that
+        ranking, bitwise, from float32 estimates and a cell-order re-sum of
+        the few rows they leave, without summing every row in float64;
+        elsewhere every row is summed
         (:meth:`MCAMArray.row_conductances_batch`) and the ``k`` smallest
         are selected without a full sort.  A non-ideal sense amplifier
         always senses the full conductance matrix, since its noise draws
@@ -633,7 +634,7 @@ class MCAMSearcher(NearestNeighborSearcher):
         array = self._require_array()
         query_states = self.quantizer.quantize(queries)
         ideal = type(array.sense_amplifier) is IdealWinnerTakeAll
-        if ideal and array.in_screen_band(query_states.shape[0], k):
+        if ideal and array.in_screen_band(k):
             return array.screened_top_k(query_states, k)
         conductances = array.row_conductances_batch(query_states)
         if ideal:

@@ -48,10 +48,13 @@ not as ready-made batches.  :class:`MicroBatchScheduler` closes that gap:
 * **Dispatch** — coalesced batches go through the searcher's
   ``submit_serving`` seam.  On the sharded ``"processes"`` executor that
   path keeps up to ``max_in_flight`` batches **in flight** on the
-  shared-memory ring: worker processes rank batch *N+1* while the pump
-  demultiplexes batch *N*.  The pump collects in dispatch order across
-  all lanes; each batch holds its own ring segment, so that order is the
-  scheduler's choice, not a safety requirement.
+  shared-memory ring.  Two threads share the work: the pump gathers and
+  dispatches, and never waits on a collect, while the collector thread
+  collects and demultiplexes the oldest in-flight batch.  Worker
+  processes therefore rank batch *N+1* while batch *N* is collected and
+  its clients resubmit.  The collector takes batches in dispatch order
+  across all lanes; each batch holds its own ring segment, so that order
+  is the scheduler's choice, not a safety requirement.
 * **Demultiplexing** — per-query top-k rows are sliced out of the batch
   result and delivered to each awaiting future as a
   :class:`~repro.core.search.QueryResult`.  Coalescing is a transport
@@ -65,11 +68,11 @@ not as ready-made batches.  :class:`MicroBatchScheduler` closes that gap:
   ring buffer of recent request latencies, so operators observe the same
   p50/p95/p99 the load generators report.
 
-Lifecycle follows the PR 4 idioms: ``with`` support, an idempotent
+Lifecycle: ``with`` support, an idempotent
 :meth:`~MicroBatchScheduler.close` that **drains** — pending and in-flight
 queries are served, not dropped — and a :func:`weakref.finalize` safety net
-(the pump thread references only the internal engine, so an abandoned
-scheduler is collectable and its finalizer drains the pump).
+(the pump and collector threads reference only the internal engine, so an
+abandoned scheduler is collectable and its finalizer drains both).
 
 The scheduler does not own its searchers: close the searchers (and their
 executor) after the scheduler, the usual nesting of ``with`` blocks.  Other
@@ -370,12 +373,13 @@ class _Lane:
 
 
 class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finalizer
-    """The scheduler's internals: lanes, pump loop, dispatch, demux.
+    """The scheduler's internals: lanes, pump and collector loops, dispatch, demux.
 
-    Split from the :class:`MicroBatchScheduler` facade so the pump thread
-    references only this object — dropping the last reference to the facade
-    therefore leaves it collectable, and its finalizer calls :meth:`close`
-    here, which drains the queues and stops the pump.
+    Split from the :class:`MicroBatchScheduler` facade so the pump and
+    collector threads reference only this object — dropping the last
+    reference to the facade therefore leaves it collectable, and its
+    finalizer calls :meth:`close` here, which drains the queues and the
+    in-flight batches and stops both threads.
     """
 
     def __init__(
@@ -401,8 +405,13 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
         self._default_lane: Optional[str] = None
         self._cursor = 0
         self._fresh_visit = True
+        #: Dispatched batches, oldest first: ``(collect, lane, requests)``.
+        #: A batch stays here until the collector has delivered its results.
         self._inflight: "deque[tuple]" = deque()
-        self._thread: Optional[threading.Thread] = None
+        self._pump: Optional[threading.Thread] = None
+        self._collector: Optional[threading.Thread] = None
+        #: Set once the pump has dispatched its last batch (under the lock).
+        self._pump_done = False
         self._closing = False
 
     # ------------------------------------------------------------------
@@ -503,33 +512,62 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
             lane.note_arrival(now)
             lane.pending.append(request)
             lane.enqueued += 1
-            self._ensure_pump()
+            self._ensure_threads()
             self._cond.notify_all()
         self.stats.bump(enqueued=1)
         return future
 
     # ------------------------------------------------------------------
-    # Pump
+    # Pump and collector
     # ------------------------------------------------------------------
-    def _ensure_pump(self) -> None:
+    def _ensure_threads(self) -> None:
         # Called under the condition lock.
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._run, name="repro-serving-pump", daemon=True
+        if self._pump is None or not self._pump.is_alive():
+            self._pump_done = False
+            self._pump = threading.Thread(
+                target=self._pump_loop, name="repro-serving-pump", daemon=True
             )
-            self._thread.start()
+            self._pump.start()
+        if self._collector is None or not self._collector.is_alive():
+            self._collector = threading.Thread(
+                target=self._collect_loop, name="repro-serving-collect", daemon=True
+            )
+            self._collector.start()
 
-    def _run(self) -> None:
+    def _pump_loop(self) -> None:
+        """Gather and dispatch until closed and drained; never collects."""
+        try:
+            while True:
+                batch = self._next_batch()
+                if batch is None:
+                    break
+                lane, requests = batch
+                if requests:
+                    self._dispatch(lane, requests)
+        finally:
+            with self._cond:
+                self._pump_done = True
+                self._cond.notify_all()
+
+    def _collect_loop(self) -> None:
+        """Collect and deliver the oldest in-flight batch, until closed and drained.
+
+        It exits only once the scheduler is closing and the pump has
+        dispatched its last batch; intake has stopped by then, so no new
+        pump can start and find the collector gone.
+        """
         while True:
-            batch = self._next_batch()
-            if batch is None:
-                break
-            lane, requests = batch
-            if requests:
-                self._dispatch(lane, requests)
-            self._collect_ready()
-        while self._inflight:
-            self._collect_oldest()
+            with self._cond:
+                while not self._inflight:
+                    if self._closing and self._pump_done:
+                        return
+                    self._cond.wait()
+                collect, lane, requests = self._inflight[0]
+            self._collect(collect, lane, requests)
+            with self._cond:
+                # The batch frees its in-flight slot only once delivered.
+                self._inflight.popleft()
+                self._cond.notify_all()
 
     def _pick_lane(self, ready: List[_Lane]) -> _Lane:
         """Deficit round robin over the ready lanes (caller holds the lock).
@@ -570,13 +608,19 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
             lane.deficit = 0.0
 
     def _next_batch(self) -> Optional[Tuple[_Lane, List[_Request]]]:
-        """Gather the next micro-batch (None once closed and drained)."""
+        """Gather the next micro-batch (None once closed and drained).
+
+        Waits until a lane can flush and an in-flight slot is free.
+        """
         with self._cond:
             while True:
                 active = [lane for lane in self._rotation if lane.pending]
                 if not active:
                     if self._closing:
                         return None
+                    self._cond.wait()
+                    continue
+                if len(self._inflight) >= self.max_in_flight:
                     self._cond.wait()
                     continue
                 if self._closing:
@@ -645,57 +689,49 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
         except Exception as exc:  # deliver, never kill the pump
             self._deliver_failure(requests, exc, lane)
             return
-        self._inflight.append((collect, lane, requests))
+        with self._cond:
+            self._inflight.append((collect, lane, requests))
+            self._cond.notify_all()
 
-    def _collect_ready(self) -> None:
-        """Demultiplex finished batches without stalling the pipeline.
+    def _collect(self, collect: Any, lane: _Lane, requests: List[_Request]) -> None:
+        """Collect one dispatched batch and deliver every rider's result.
 
-        Collects while the in-flight window is full (a slot must free up
-        before the next dispatch) and whenever no queries are pending (so
-        results never sit undelivered while the pump would otherwise sleep).
+        Any failure — of the collect (a worker died, the spool was reaped)
+        or of the demultiplexing (``labels_for``, say) — fails the riders
+        not yet delivered, and the collector goes on with the next batch.
         """
-        while self._inflight:
-            with self._cond:
-                backlog = (
-                    any(lane.pending for lane in self._rotation) or self._closing
-                )
-            if backlog and len(self._inflight) < self.max_in_flight:
-                return
-            self._collect_oldest()
-
-    def _collect_oldest(self) -> None:
-        collect, lane, requests = self._inflight.popleft()
         deadlines = [
             request.deadline for request in requests if request.deadline is not None
         ]
+        delivered = 0
         try:
             if deadlines:
                 # The batch inherits its tightest rider's remaining budget;
                 # the supervised executor heals and retries inside it, then
-                # fails typed — the pump never blocks past the deadline on
-                # a hung worker.
+                # fails typed — the collector never blocks past the deadline
+                # on a hung worker.
                 remaining = max(0.0, min(deadlines) - time.monotonic())
                 indices, scores = collect(timeout=remaining)
             else:
                 indices, scores = collect()
-        except Exception as exc:  # a worker died, the spool was reaped, ...
-            self._deliver_failure(requests, exc, lane)
-            return
-        searcher = lane.searcher
-        now = time.monotonic()
-        for position, request in enumerate(requests):
-            row_indices, row_scores = slice_topk(
-                indices[position], scores[position], request.k
-            )
-            result = QueryResult(
-                indices=row_indices,
-                scores=row_scores,
-                labels=searcher.labels_for(row_indices),
-            )
-            if not request.future.cancelled():
+            searcher = lane.searcher
+            now = time.monotonic()
+            for position, request in enumerate(requests):
+                row_indices, row_scores = slice_topk(
+                    indices[position], scores[position], request.k
+                )
+                result = QueryResult(
+                    indices=row_indices,
+                    scores=row_scores,
+                    labels=searcher.labels_for(row_indices),
+                )
                 request.future.set_result(result)
-            self.stats.record_latency((now - request.arrival) * 1e3)
-        self.stats.bump(completed=len(requests))
+                delivered += 1
+                self.stats.record_latency((now - request.arrival) * 1e3)
+        except Exception as exc:  # delivered as the riders' failure
+            self._deliver_failure(requests, exc, lane)
+        finally:
+            self.stats.bump(completed=delivered)
 
     def _deliver_failure(
         self,
@@ -703,30 +739,39 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
         exc: BaseException,
         lane: Optional[_Lane] = None,
     ) -> None:
-        for request in requests:
-            if not request.future.cancelled():
-                request.future.set_exception(exc)
+        """Fail every request whose future is not done yet with ``exc``."""
+        failed = [request for request in requests if not request.future.done()]
+        for request in failed:
+            request.future.set_exception(exc)
         timed_out = isinstance(exc, ServingTimeoutError)
         self.stats.bump(
-            failed=len(requests),
-            timeouts=len(requests) if timed_out else 0,
+            failed=len(failed),
+            timeouts=len(failed) if timed_out else 0,
         )
         if lane is not None:
             with self._cond:
-                lane.failures += len(requests)
+                lane.failures += len(failed)
                 if timed_out:
-                    lane.timeouts += len(requests)
+                    lane.timeouts += len(failed)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop intake, drain pending and in-flight queries, stop the pump."""
+        """Stop intake, drain pending and in-flight queries, stop both threads.
+
+        The pump drains the queues, then the collector drains the in-flight
+        batches.  Called on one of those threads (a future's callback runs
+        on the collector), it returns without waiting: they finish the
+        drain on their own.
+        """
         with self._cond:
             self._closing = True
             self._cond.notify_all()
-            thread = self._thread
-        if thread is not None:
+            threads = [thread for thread in (self._pump, self._collector) if thread]
+        if threading.current_thread() in threads:
+            return
+        for thread in threads:
             thread.join()
 
     def __enter__(self) -> "_SchedulerEngine":
@@ -801,8 +846,11 @@ class MicroBatchScheduler:
         override it per lane.
     max_in_flight:
         Dispatched batches that may be outstanding at once, across all
-        lanes.  Depth > 1 overlaps worker-side compute of one batch with
-        demultiplexing and dispatch of the next.
+        lanes; a batch counts from its dispatch until its results are
+        delivered.  The pump dispatches while a slot is free and the
+        collector thread frees one per delivered batch, so depth > 1 keeps
+        the workers ranking one batch while the previous one is collected,
+        demultiplexed and resubmitted to.
     min_delay_us:
         Floor of the adaptive window, which each lane moves inside
         ``[min_delay_us, max_delay_us]`` from its observed arrival rate and
@@ -871,8 +919,8 @@ class MicroBatchScheduler:
             ),
         )
         self._engine.add_lane(lane, searcher, weight=weight, max_queue=max_queue)
-        # Safety net: an abandoned scheduler drains and stops its pump at
-        # garbage collection (the pump references the engine, not us).
+        # Safety net: an abandoned scheduler drains and stops its threads at
+        # garbage collection (they reference the engine, not us).
         self._finalizer = weakref.finalize(self, self._engine.close)
 
     # ------------------------------------------------------------------
@@ -1041,7 +1089,7 @@ class MicroBatchScheduler:
         Intake stops immediately (submissions raise
         :class:`~repro.exceptions.ServingError`); queries already admitted
         — pending or in flight, on every lane — are dispatched,
-        demultiplexed and delivered before the pump exits.
+        demultiplexed and delivered before the pump and collector exit.
         """
         self._finalizer()
 

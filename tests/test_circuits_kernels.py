@@ -9,8 +9,10 @@ Vth variation — and pin that a directly called kernel runs only itself,
 while the public path runs exactly one kernel, chosen by the size of this
 call alone: at the bound, one row past it and at the shapes the README's
 rule table lists.  The rule's third band, the screened top-k, is pinned
-at the README's shapes, and never runs behind a non-ideal sense amplifier.
-The TCAM has a single Hamming kernel, the exact affine matmul.
+at the README's shapes, and never runs behind a non-ideal sense amplifier;
+its float32 estimates keep the true top-k through underflow, and it builds
+no float64 table.  The TCAM has a single Hamming kernel, the exact affine
+matmul.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuits import MatchLineModel, MCAMArray, TCAMArray
+from repro.circuits import ConductanceLUT, MatchLineModel, MCAMArray, TCAMArray
 from repro.circuits.autotune import clear_kernel_table
 from repro.circuits.sense_amplifier import TimeDomainSenseAmplifier
 from repro.core import MCAMSearcher
@@ -242,7 +244,8 @@ class TestStaticKernelRule:
 
     #: The README's screen table, plus the 5-way episode and the k bound at
     #: 1024 rows: (rows, queries, k) -> what ranks an ideal top-k, the
-    #: screen or the full-matrix kernel of the size rule.
+    #: screen or the full-matrix kernel of the size rule.  The screen takes
+    #: any batch size, on both sides of its estimate kernels' crossover.
     @pytest.mark.parametrize(
         ("rows", "num_queries", "k", "ranking"),
         (
@@ -250,11 +253,16 @@ class TestStaticKernelRule:
             (100, 100, 1, "dense"),
             (100, 100, 32, "dense"),
             (512, 32, 1, "dense"),
+            (1024, 1, 1, "screen"),
             (1024, 24, 1, "screen"),
             (1024, 32, 16, "screen"),
             (1024, 32, 32, "dense"),
             (2048, 32, 32, "screen"),
-            (4096, 16, 32, "dense"),
+            (4096, 1, 32, "screen"),
+            (4096, 4, 5, "screen"),
+            (4096, 7, 32, "screen"),
+            (4096, 8, 32, "screen"),
+            (4096, 16, 32, "screen"),
             (4096, 24, 32, "screen"),
             (4096, 32, 1, "screen"),
             (4096, 32, 5, "screen"),
@@ -283,9 +291,53 @@ class TestStaticKernelRule:
             MatchLineModel(num_cells=WORD_LENGTH), timing_noise_sigma_s=1e-12
         )
         searcher = _fitted_searcher(4096, sense_amplifier=amplifier)
-        assert searcher.array.in_screen_band(32, 5)
+        assert searcher.array.in_screen_band(5)
         queries = RNG.normal(size=(32, WORD_LENGTH))
         ran = _spy_on_ranking(monkeypatch)
         indices, _ = searcher.kneighbors_arrays(queries, k=5, rng=1)
         assert ran == ["dense"]
         assert indices.shape == (32, 5)
+
+
+class TestFloat32Screen:
+    """The screen's float32 estimates: their margin, and the tables they need."""
+
+    @pytest.mark.parametrize("copies", (1, MCAMArray._SCREEN_PRODUCT_MIN_QUERIES))
+    def test_underflowing_estimates_keep_the_nearest_row(self, copies):
+        """Regression: a relative-only float32 margin dropped the nearest row.
+
+        Input 0's conductances are float32 subnormals, which round to 8, 7,
+        7 and 100 units of ``2**-149``.  Rows (0, 1) and (2, 2) then
+        estimate 15 and 14 units, although their exact sums order them
+        2.0753e-44 < 2.0991e-44; only the absolute term of the margin keeps
+        row 0.  One copy of the query runs the summed gather, eight the
+        BLAS product.
+        """
+        table = np.full((4, 4), 1e-6)
+        table[0] = np.array([7.51, 7.3, 7.49, 100.0]) * 2.0**-149
+        assert (table[0].astype(np.float32) / np.float32(2.0**-149)).tolist() == [8, 7, 7, 100]
+        array = MCAMArray(num_cells=2, bits=2, lut=ConductanceLUT(table_s=table, bits=2))
+        array.write(np.array([[0, 1], [2, 2], [3, 3]]))
+        queries = np.zeros((copies, 2), dtype=np.int64)
+        conductances = array.row_conductances_batch(queries)
+        assert conductances[0, 0] < conductances[0, 1]
+        indices, scores = array.screened_top_k(queries, 1)
+        assert indices.tolist() == [[0]] * copies
+        assert scores.tobytes() == conductances[:, :1].tobytes()
+
+    def test_empty_batch_returns_no_rows(self):
+        searcher = _fitted_searcher(1024)
+        assert searcher.array.in_screen_band(5)
+        empty = np.empty((0, WORD_LENGTH), dtype=np.int64)
+        for indices, scores in (
+            searcher.array.screened_top_k(empty, 5),
+            searcher.kneighbors_arrays(empty.astype(float), k=5),
+        ):
+            assert indices.shape == scores.shape == (0, 5)
+
+    def test_in_band_top_k_builds_no_float64_table(self):
+        searcher = _fitted_searcher(4096)
+        for num_queries in (1, 32):
+            searcher.kneighbors_arrays(RNG.normal(size=(num_queries, WORD_LENGTH)), k=32)
+        assert searcher.array._by_cell_profiles is None
+        assert searcher.array._by_cell_estimates.dtype == np.float32

@@ -193,6 +193,15 @@ class TestRowKeyedOffsetMemo:
         monkeypatch.setattr(mcam_array.np.random, "default_rng", spy)
         return calls
 
+    def test_a_first_reprogram_builds_only_the_row_keyed_generators(self, monkeypatch):
+        # The empty array's nominal profiles draw nothing, so they build no
+        # generator: 12 rows construct their 12 seeded streams and no more.
+        states = RNG.integers(0, 8, size=(12, 16))
+        array = MCAMArray(num_cells=16, bits=3, variation=self.VARIATION)
+        calls = self._generator_calls(monkeypatch)
+        array.reprogram(states, rng=11)
+        assert len(calls) == 12 and all(calls)
+
     def test_a_second_full_reprogram_draws_no_row_again(self, monkeypatch):
         states = RNG.integers(0, 8, size=(12, 16))
         replaced = (states + 1) % 8  # every row changes
@@ -649,12 +658,14 @@ class TestArrayAppend:
         queries = RNG.integers(0, 4, size=(2, 5))
         array = MCAMArray(num_cells=5, bits=2)
         array.reprogram(states[:10])
-        array.row_conductances_batch(queries)
+        array.row_conductances_batch(queries)  # builds the float64 table
+        array.screened_top_k(queries, 2)  # builds the float32 table
         array.append(states[10:12])
-        assert set(array._spare) == {"states", "by_cell"}
-        array.reprogram(states[:12])  # no row changes, yet the cache is compacted
+        assert set(array._spare) == {"states", "_by_cell_profiles", "_by_cell_estimates"}
+        array.reprogram(states[:12])  # no row changes, yet the tables are compacted
         assert array._spare == {}
         assert array._by_cell_profiles.base is None
+        assert array._by_cell_estimates.base is None
         fresh = MCAMArray(num_cells=5, bits=2)
         fresh.write(states[:12])
         np.testing.assert_array_equal(
@@ -663,3 +674,86 @@ class TestArrayAppend:
         array.append(states[12:])
         array.clear()
         assert array._spare == {} and array.num_rows == 0
+
+
+def _fresh_estimates_table(array: MCAMArray, **config) -> np.ndarray:
+    """The float32 by-cell table of a fresh array holding ``array``'s rows."""
+    fresh = MCAMArray(num_cells=array.num_cells, bits=array.bits, **config)
+    fresh.reprogram(array.stored_states, rng=5)
+    return fresh._by_cell_table("_by_cell_estimates")
+
+
+class TestFloat32SearchTable:
+    """The screen's float32 by-cell table is maintained like the float64 one."""
+
+    @pytest.mark.parametrize("variation", (None, GaussianVthVariationModel(sigma_v=0.08)))
+    def test_append_grows_the_table_into_spare_capacity(self, variation):
+        states = RNG.integers(0, 8, size=(40, 8))
+        queries = RNG.integers(0, 8, size=(3, 8))
+        array = MCAMArray(num_cells=8, bits=3, variation=variation)
+        array.reprogram(states[:30], rng=5)
+        array.screened_top_k(queries, 3)  # builds the float32 table only
+        assert array._by_cell_profiles is None
+        array.append(states[30:32], rng=5)  # room for 36 rows
+        buffer = array._spare["_by_cell_estimates"]
+        for row in range(32, 36):
+            array.append(states[row : row + 1], rng=5)
+            # Written behind the stored rows: no rebuild, no copy.
+            assert array._by_cell_estimates.base is buffer
+        array.append(states[36:], rng=5)  # outgrows the buffer
+        assert array._by_cell_estimates.base is array._spare["_by_cell_estimates"]
+        assert array._by_cell_profiles is None
+        fresh = _fresh_estimates_table(array, variation=variation)
+        assert np.ascontiguousarray(array._by_cell_estimates).tobytes() == fresh.tobytes()
+
+    def test_lut_delta_reprogram_updates_the_table_in_place(self):
+        states = RNG.integers(0, 8, size=(30, 8))
+        queries = RNG.integers(0, 8, size=(3, 8))
+        array = MCAMArray(num_cells=8, bits=3)
+        array.reprogram(states)
+        array.screened_top_k(queries, 3)
+        table = array._by_cell_estimates
+        mutated = states.copy()
+        mutated[::7] = (mutated[::7] + 1) % 8
+        array.reprogram(mutated)
+        assert array._by_cell_estimates is table  # only the changed rows rewritten
+        assert table.tobytes() == _fresh_estimates_table(array).tobytes()
+        array.reprogram(mutated[:20])  # a shrink compacts the table
+        assert array._by_cell_estimates.tobytes() == _fresh_estimates_table(array).tobytes()
+
+    def test_write_and_clear_drop_the_table(self):
+        states = RNG.integers(0, 8, size=(12, 8))
+        queries = RNG.integers(0, 8, size=(2, 8))
+        array = MCAMArray(num_cells=8, bits=3)
+        array.write(states[:6])
+        array.screened_top_k(queries, 2)
+        array.write(states[6:])
+        assert array._by_cell_estimates is None
+        array.screened_top_k(queries, 2)
+        array.clear()
+        assert array._by_cell_estimates is None
+
+    @pytest.mark.parametrize("variation", (None, GaussianVthVariationModel(sigma_v=0.08)))
+    def test_pickles_do_not_carry_the_table(self, variation):
+        array = MCAMArray(num_cells=8, bits=3, variation=variation)
+        array.reprogram(RNG.integers(0, 8, size=(30, 8)), rng=5)
+        lean = len(pickle.dumps(array))
+        array.screened_top_k(RNG.integers(0, 8, size=(2, 8)), 2)
+        assert len(pickle.dumps(array)) == lean
+        assert pickle.loads(pickle.dumps(array))._by_cell_estimates is None
+        # A snapshot of a serving process restores warm: under
+        # preserve_search_caches, LUT mode keeps every built table.
+        with preserve_search_caches():
+            restored = pickle.loads(pickle.dumps(array))
+        if variation is None:
+            assert restored._by_cell_estimates.tobytes() == array._by_cell_estimates.tobytes()
+        else:
+            assert restored._by_cell_estimates is None
+        # Snapshots written before the table existed restore without it.
+        state = array.__getstate__()
+        del state["_by_cell_estimates"]
+        older = MCAMArray.__new__(MCAMArray)
+        older.__setstate__(state)
+        queries = RNG.integers(0, 8, size=(2, 8))
+        for got, want in zip(older.screened_top_k(queries, 2), array.screened_top_k(queries, 2)):
+            np.testing.assert_array_equal(got, want)

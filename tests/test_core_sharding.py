@@ -109,7 +109,7 @@ class TestShardParity:
         queries = np.tile(queries, (2, 1))
         tiled = (np.tile(features, (52, 1)), np.tile(labels, 52), queries)
         base, sharded = _fit_pair(name, tiled, shards=shards)
-        assert base.array.in_screen_band(len(queries), 32)
+        assert base.array.in_screen_band(32)
         conductances = base.array.row_conductances_batch(base.quantizer.quantize(queries))
         for k in (1, 5, 32):
             expected = base.kneighbors_batch(queries, k=k)

@@ -131,14 +131,16 @@ class TestScreenedTopKProperties:
     )
     @settings(max_examples=120, deadline=None)
     def test_screen_equals_stable_argsort_bitwise(self, bits, sigma_v, cells, data):
-        """The BLAS screen returns the stable ranking of the exact sums.
+        """The float32 screen returns the stable ranking of the exact sums.
 
         Stores repeat a few base rows (exact ties) and permute the cells of
         some copies.  Against a constant query a permuted copy sums the same
         cell conductances in another order: a near-tie of a few ulps, which
-        the BLAS estimate may order either way — what the screen's margin
-        exists for.  ``sigma_v`` picks LUT mode (``None``) or device mode,
-        nominal (``0.0``, the same ties) or varied.
+        the float32 estimates may order either way — what the screen's
+        margin exists for.  ``sigma_v`` picks LUT mode (``None``) or device
+        mode, nominal (``0.0``, the same ties) or varied.  Batches of 1 to
+        24 queries run both estimate kernels, the summed gather and the BLAS
+        product.
         """
         states = 2**bits
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
@@ -150,10 +152,12 @@ class TestScreenedTopKProperties:
         variation = None if sigma_v is None else GaussianVthVariationModel(sigma_v=sigma_v)
         array = MCAMArray(num_cells=cells, bits=bits, variation=variation)
         array.write(stored, rng=seed)
+        constant = rng.permutation(states)[: data.draw(st.integers(1, states), label="constant")]
+        extra = data.draw(st.integers(0, 2 * MCAMArray._SCREEN_PRODUCT_MIN_QUERIES), label="extra")
         queries = np.vstack(
             [
-                np.repeat(np.arange(states)[:, np.newaxis], cells, axis=1),
-                rng.integers(0, states, size=(data.draw(st.integers(0, 4)), cells)),
+                np.repeat(constant[:, np.newaxis], cells, axis=1),
+                rng.integers(0, states, size=(extra, cells)),
             ]
         )
         k = data.draw(st.integers(1, len(stored)), label="k")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import sys
 import threading
 import time
 
@@ -230,12 +231,31 @@ class TestLifecycle:
         searcher = _fitted_searcher()
         scheduler = MicroBatchScheduler(searcher)
         scheduler.submit(_queries(1)[0]).result(timeout=WAIT_S)
-        pump = scheduler._engine._thread
-        assert pump is not None and pump.is_alive()
+        threads = (scheduler._engine._pump, scheduler._engine._collector)
+        assert all(thread is not None and thread.is_alive() for thread in threads)
         del scheduler  # never closed: the weakref.finalize net must drain
         gc.collect()
-        pump.join(timeout=WAIT_S)
-        assert not pump.is_alive()
+        for thread in threads:
+            thread.join(timeout=WAIT_S)
+            assert not thread.is_alive()
+
+    def test_close_from_a_done_callback_returns_and_the_threads_drain(self):
+        # Callbacks run on the collector: close() there must not join its
+        # own thread, nor the pump waiting for the slot it would free.
+        searcher = _HoldFirstCollectSearcher()
+        searcher.fit(_queries(32, seed=5), np.arange(32))
+        queries = _queries(4)
+        scheduler = MicroBatchScheduler(searcher, max_batch=1, max_delay_us=0, max_in_flight=1)
+        first = scheduler.submit(queries[0])
+        assert searcher.entered.wait(timeout=WAIT_S)
+        rest = [scheduler.submit(query) for query in queries[1:]]
+        first.add_done_callback(lambda _: scheduler.close())
+        searcher.release.set()
+        for future in [first] + rest:
+            assert future.result(timeout=WAIT_S).indices.shape == (1,)
+        for thread in (scheduler._engine._pump, scheduler._engine._collector):
+            thread.join(timeout=WAIT_S)
+            assert not thread.is_alive()
 
     def test_searcher_remains_usable_after_scheduler_close(self):
         searcher = _fitted_searcher()
@@ -409,6 +429,61 @@ class _TypeErrorSearcher(SoftwareSearcher):
         raise TypeError("engine bug in _rank_batch")
 
 
+class _LabelsFailOnceSearcher(SoftwareSearcher):
+    """Ranks like the Euclidean engine; its second ``labels_for`` call raises."""
+
+    def __init__(self):
+        super().__init__("euclidean")
+        self.label_calls = 0
+
+    def labels_for(self, indices):
+        self.label_calls += 1
+        if self.label_calls == 2:
+            raise SearchError("label store unavailable")
+        return super().labels_for(indices)
+
+
+class _HoldFirstCollectSearcher(SoftwareSearcher):
+    """The first batch's collect blocks until released; later ones return.
+
+    Counts dispatches and the most batches outstanding at once (dispatched,
+    collect not yet returned).  With ``hold=False`` no collect blocks.
+    """
+
+    def __init__(self, hold=True):
+        super().__init__("euclidean")
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        if not hold:
+            self.release.set()
+        self.dispatched = 0
+        self.peak_outstanding = 0
+        self._outstanding = 0
+        self._lock = threading.Lock()
+
+    def submit_serving(self, queries, k=1, rng=None):
+        result = self.kneighbors_arrays(queries, k=k, rng=rng)
+        with self._lock:
+            first = self.dispatched == 0
+            self.dispatched += 1
+            self._outstanding += 1
+            self.peak_outstanding = max(self.peak_outstanding, self._outstanding)
+
+        def collect(timeout=None):
+            if first:
+                self.entered.set()
+                assert self.release.wait(timeout=WAIT_S), "test never released the gate"
+            with self._lock:
+                self._outstanding -= 1
+            return result
+
+        return collect
+
+
+def _serving_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("repro-serving-")}
+
+
 class TestDeadlinesAndFailureAccounting:
     def test_request_timeout_validation(self):
         with pytest.raises(ConfigurationError, match="request_timeout_s"):
@@ -495,6 +570,104 @@ class TestDeadlinesAndFailureAccounting:
         with MicroBatchScheduler(searcher, max_batch=4, max_delay_us=0) as scheduler:
             assert scheduler.submit(_queries(1)[0], k=2).result(timeout=WAIT_S)
         assert searcher.budgets == [None]
+
+    def test_a_demultiplexing_failure_fails_the_rest_of_the_batch(self):
+        # Regression: labels_for raising while a batch was demultiplexed
+        # killed the pump and stranded the batch's undelivered futures.
+        searcher = _LabelsFailOnceSearcher()
+        searcher.fit(_queries(32, seed=5), np.arange(32))
+        queries = _queries(3)
+        expected = searcher.kneighbors_batch(queries, k=2)
+        before = _serving_threads()
+        scheduler = MicroBatchScheduler(searcher, max_batch=2, max_delay_us=10e6)
+        first, second = scheduler.submit_many(queries[:2], k=2)  # one full batch
+        # The first rider was delivered before labels_for failed on the second.
+        np.testing.assert_array_equal(first.result(timeout=WAIT_S).indices, expected[0].indices)
+        with pytest.raises(SearchError, match="label store"):
+            second.result(timeout=WAIT_S)
+        snapshot = scheduler.stats.snapshot()
+        assert (snapshot["completed"], snapshot["failed"]) == (1, 1)
+        assert scheduler.lane_stats()["default"]["failures"] == 1
+        # The collector lived on: the next request is served.
+        third = scheduler.submit(queries[2], k=2)
+        scheduler.close()
+        np.testing.assert_array_equal(third.result(timeout=0).indices, expected[2].indices)
+        assert _serving_threads() <= before
+
+
+class TestPipelining:
+    """The pump never waits on a collect; ``max_in_flight`` bounds the batches."""
+
+    def test_second_batch_dispatches_while_the_first_is_collected(self):
+        searcher = _HoldFirstCollectSearcher()
+        searcher.fit(_queries(32, seed=5), np.arange(32))
+        queries = _queries(2)
+        with MicroBatchScheduler(
+            searcher, max_batch=1, max_delay_us=0, max_in_flight=2
+        ) as scheduler:
+            first = scheduler.submit(queries[0])
+            assert searcher.entered.wait(timeout=WAIT_S)
+            second = scheduler.submit(queries[1])
+            # The first batch's collect is held, yet its free in-flight slot
+            # takes the second batch at once.
+            assert _wait_until(lambda: searcher.dispatched == 2, timeout=1.0)
+            assert not first.done()
+            searcher.release.set()
+            for future in (first, second):
+                assert future.result(timeout=WAIT_S).indices.shape == (1,)
+        assert searcher.peak_outstanding == 2
+
+    def test_one_slot_never_holds_two_batches(self):
+        searcher = _HoldFirstCollectSearcher()
+        searcher.fit(_queries(32, seed=5), np.arange(32))
+        queries = _queries(4)
+        with MicroBatchScheduler(
+            searcher, max_batch=1, max_delay_us=0, max_in_flight=1
+        ) as scheduler:
+            futures = [scheduler.submit(queries[0])]
+            assert searcher.entered.wait(timeout=WAIT_S)
+            futures += [scheduler.submit(query) for query in queries[1:]]
+            assert not _wait_until(lambda: searcher.dispatched > 1, timeout=0.2)
+            searcher.release.set()
+            for future in futures:
+                assert future.result(timeout=WAIT_S).indices.shape == (1,)
+        assert searcher.dispatched == 4
+        assert searcher.peak_outstanding == 1
+
+    def test_concurrent_clients_under_a_short_switch_interval(self):
+        # Pump and collector share the in-flight queue: 8 closed-loop
+        # clients on 2 slots, with thread switches forced every few
+        # bytecodes, must neither lose a delivery nor overfill the slots.
+        searcher = _HoldFirstCollectSearcher(hold=False)
+        searcher.fit(_queries(64, seed=5), np.arange(64))
+        queries = _queries(240)
+        expected = searcher.kneighbors_batch(queries, k=3)
+        results = [None] * len(queries)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MicroBatchScheduler(
+                searcher, max_batch=4, max_delay_us=200, max_in_flight=2
+            ) as scheduler:
+
+                def client(offset):
+                    for i in range(offset, len(queries), 8):
+                        results[i] = scheduler.submit(queries[i], k=3).result(timeout=WAIT_S)
+
+                threads = [threading.Thread(target=client, args=(c,)) for c in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=WAIT_S)
+                    assert not thread.is_alive()
+                stats = scheduler.stats.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats["completed"] == len(queries) and stats["failed"] == 0
+        assert searcher.peak_outstanding <= 2
+        assert not scheduler._engine._inflight
+        for index, result in enumerate(results):
+            np.testing.assert_array_equal(result.indices, expected[index].indices)
 
 
 class TestCrossKCoalescing:
