@@ -750,19 +750,23 @@ class MCAMArray(FixedGeometryArray):
         """The by-cell search table ``name`` of :attr:`_BY_CELL_TABLES`, built on first use.
 
         Device mode converts the physical profiles; look-up-table mode
-        gathers the LUT, cast to the table's dtype, by the stored states.
-        Either way every value is the float64 profile rounded once to the
-        dtype, which is what the write paths store too.
+        gathers the LUT, cast to the table's dtype, by the stored states,
+        one input state's ``(cells, rows)`` slice at a time, so the build
+        holds one slice beside the table rather than a transposed copy of
+        it.  Either way every value is the float64 profile rounded once to
+        the dtype, which is what the write paths store too.
         """
         table = getattr(self, name)
         if table is None:
             dtype = dict(self._BY_CELL_TABLES)[name]
             if self._profiles is not None:
-                source = np.moveaxis(self._profiles, 0, -1)
+                table = np.ascontiguousarray(np.moveaxis(self._profiles, 0, -1), dtype=dtype)
             else:
                 lut = self.lut.table_s.astype(dtype)
-                source = lut[:, self._stored_states.T].transpose(1, 0, 2)
-            table = np.ascontiguousarray(source, dtype=dtype)
+                states = self._stored_states.T
+                table = np.empty((self.num_cells, lut.shape[0], self.num_rows), dtype=dtype)
+                for state, row in enumerate(lut):
+                    table[:, state, :] = row[states]
             setattr(self, name, table)
         return table
 

@@ -82,7 +82,10 @@ class UniformQuantizer:
         Returns ``self`` so calls can be chained
         (``UniformQuantizer(bits=3).fit(train)``).
         """
-        features = check_feature_matrix(features, "features")
+        return self._fit_checked(check_feature_matrix(features, "features"))
+
+    def _fit_checked(self, features: np.ndarray) -> "UniformQuantizer":
+        """:meth:`fit` on a matrix :func:`check_feature_matrix` already accepted."""
         if self.per_feature:
             low = features.min(axis=0)
             high = features.max(axis=0)
@@ -136,8 +139,12 @@ class UniformQuantizer:
         Values outside the calibration range are clipped to the extreme
         states.
         """
+        self._require_fitted()
+        return self._quantize_checked(check_feature_matrix(features, "features"))
+
+    def _quantize_checked(self, features: np.ndarray) -> np.ndarray:
+        """:meth:`quantize` of a matrix :func:`check_feature_matrix` already accepted."""
         low, high = self._require_fitted()
-        features = check_feature_matrix(features, "features")
         if features.shape[1] != low.shape[0]:
             raise QuantizationError(
                 f"features have {features.shape[1]} dimensions but the quantizer "

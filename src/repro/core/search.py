@@ -263,7 +263,17 @@ class NearestNeighborSearcher(abc.ABC):
         self, features: Any, labels: Optional[Sequence[int]] = None
     ) -> "NearestNeighborSearcher":
         """Store ``features`` (and optional ``labels``) as the search memory."""
-        features = check_feature_matrix(features, "features")
+        return self._fit_checked(check_feature_matrix(features, "features"), labels)
+
+    def _fit_checked(
+        self, features: np.ndarray, labels: Optional[Sequence[int]] = None
+    ) -> "NearestNeighborSearcher":
+        """:meth:`fit` on a matrix :func:`check_feature_matrix` already accepted.
+
+        The internal entry for callers that validated the matrix themselves
+        (the MANN memory, the sharded searcher's shards), so one batch costs
+        one ``isfinite`` pass.
+        """
         label_array = self._label_array(labels, features.shape[0])
         self._labels = label_array
         self._num_entries = features.shape[0]
@@ -377,13 +387,22 @@ class NearestNeighborSearcher(abc.ABC):
         array state, and the labels are one take over the winning indices
         (no per-query label tuples are built).
         """
+        return self._predict_batch(queries, rng, finite_checked=False)
+
+    def _predict_batch(self, queries: Any, rng: SeedLike, finite_checked: bool) -> np.ndarray:
+        """:meth:`predict_batch`, skipping the ``isfinite`` pass if the caller made it.
+
+        ``finite_checked`` is for callers that already rejected non-finite
+        queries with their own error (the MANN memory); the shape checks
+        run either way.
+        """
         self._require_fitted()
         if self._labels is None:
             raise SearchError("cannot predict labels: the searcher was fitted without labels")
-        queries = self._check_query_batch(queries)
+        queries = self._check_query_batch(queries, finite_checked=finite_checked)
         if queries.shape[0] == 0:
             return self._labels[:0].copy()
-        indices, _ = self.kneighbors_arrays(queries, k=1, rng=rng)
+        indices, _ = self._rank_batch(queries, rng=ensure_rng(rng), k=1)
         predictions: np.ndarray = self._labels[indices[:, 0]]
         return predictions
 
@@ -391,7 +410,7 @@ class NearestNeighborSearcher(abc.ABC):
         if not self.is_fitted:
             raise SearchError("searcher must be fitted before searching")
 
-    def _check_query_batch(self, queries: Any) -> np.ndarray:
+    def _check_query_batch(self, queries: Any, finite_checked: bool = False) -> np.ndarray:
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim == 1:
             queries = queries.reshape(1, -1)
@@ -401,7 +420,7 @@ class NearestNeighborSearcher(abc.ABC):
             raise SearchError(
                 f"queries have {queries.shape[1]} features, expected {self._num_features}"
             )
-        if queries.size and not np.all(np.isfinite(queries)):
+        if not finite_checked and queries.size and not np.all(np.isfinite(queries)):
             raise SearchError("queries must contain only finite values")
         return queries
 
@@ -522,7 +541,7 @@ class MCAMSearcher(NearestNeighborSearcher):
     def _calibrate(self, features: np.ndarray) -> None:
         # Calibrating on the full store (rather than this engine's slice of
         # it) is what makes shards quantize identically to one big array.
-        self.quantizer.fit(features)
+        self.quantizer._fit_checked(features)
         self._calibrated = True
 
     def adopt_calibration(self, source: "NearestNeighborSearcher") -> bool:
@@ -567,7 +586,7 @@ class MCAMSearcher(NearestNeighborSearcher):
         features = check_feature_matrix(features, "features")
         label_array = self._label_array(labels, features.shape[0])
         array.append(
-            self.quantizer.quantize(features),
+            self.quantizer._quantize_checked(features),
             labels=None if label_array is None else list(label_array),
             rng=self.program_seed,
         )
@@ -578,8 +597,8 @@ class MCAMSearcher(NearestNeighborSearcher):
 
     def _fit(self, features: np.ndarray, labels: Optional[np.ndarray]) -> None:
         if not self._calibrated:
-            self.quantizer.fit(features)
-        states = self.quantizer.quantize(features)
+            self.quantizer._fit_checked(features)
+        states = self.quantizer._quantize_checked(features)
         array = self._array
         if array is None or array.num_cells != features.shape[1]:
             reuse = False
@@ -632,7 +651,7 @@ class MCAMSearcher(NearestNeighborSearcher):
         cover every row.
         """
         array = self._require_array()
-        query_states = self.quantizer.quantize(queries)
+        query_states = self.quantizer._quantize_checked(queries)
         ideal = type(array.sense_amplifier) is IdealWinnerTakeAll
         if ideal and array.in_screen_band(k):
             return array.screened_top_k(query_states, k)
@@ -686,7 +705,7 @@ class TCAMLSHSearcher(NearestNeighborSearcher):
     def _calibrate(self, features: np.ndarray) -> None:
         # Fitting the encoder on the full store freezes its centering mean,
         # so every shard produces the same signatures as one unsharded TCAM.
-        self.encoder.fit(features)
+        self.encoder._fit_checked(features)
         self._calibrated = True
 
     def adopt_calibration(self, source: "NearestNeighborSearcher") -> bool:
@@ -709,8 +728,8 @@ class TCAMLSHSearcher(NearestNeighborSearcher):
 
     def _fit(self, features: np.ndarray, labels: Optional[np.ndarray]) -> None:
         if not self._calibrated:
-            self.encoder.fit(features)
-        signatures = self.encoder.encode(features)
+            self.encoder._fit_checked(features)
+        signatures = self.encoder._encode_checked(features)
         label_list = None if labels is None else list(labels)
         if self._tcam is not None and self._tcam.num_cells == self.num_bits:
             # Refit: delta-reprogram the programmed TCAM; unchanged signature
@@ -729,7 +748,7 @@ class TCAMLSHSearcher(NearestNeighborSearcher):
         self, queries: np.ndarray, rng: np.random.Generator, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         tcam = self._require_tcam()
-        signatures = self.encoder.encode(queries)
+        signatures = self.encoder._encode_checked(queries)
         distances = tcam.hamming_distances_batch(signatures)
         amplifier = tcam.sense_amplifier
         if type(amplifier) is IdealWinnerTakeAll:

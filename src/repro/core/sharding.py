@@ -430,10 +430,10 @@ class ShardedSearcher(NearestNeighborSearcher):
             # unsharded engine bitwise; the first shard pays the full-store
             # pass and its siblings adopt the frozen state.
             if calibrated is None or not shard.adopt_calibration(calibrated):
-                shard.calibrate(features)
+                shard._calibrate(features)
                 calibrated = shard
             shard_labels = None if labels is None else labels[start:stop]
-            shard.fit(features[start:stop], shard_labels)
+            shard._fit_checked(features[start:stop], shard_labels)
             self._shard_epochs[index] = self._next_epoch()
         if self.appendable:
             self._store_features = features.copy()
@@ -597,7 +597,7 @@ class ShardedSearcher(NearestNeighborSearcher):
             ):
                 rows = self._index_maps[index]
                 shard_labels = None if full_labels is None else full_labels[rows]
-                shard.fit(full_features[rows], shard_labels)
+                shard._fit_checked(full_features[rows], shard_labels)
             self._shard_epochs[index] = self._next_epoch()
         return self
 
@@ -613,7 +613,7 @@ class ShardedSearcher(NearestNeighborSearcher):
         calibrated: Optional[NearestNeighborSearcher] = None
         for shard in self._shards:
             if calibrated is None or not shard.adopt_calibration(calibrated):
-                shard.calibrate(full_features)
+                shard._calibrate(full_features)
                 calibrated = shard
         token_after = self._shards[0].calibration_token()
         # An engine that implements data-dependent calibration but reports no

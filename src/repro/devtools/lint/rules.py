@@ -12,14 +12,17 @@ Scopes follow the layering the repo established in PRs 1–8:
   domain: exception typing (RPL006), swallow hygiene (RPL007), timeout
   discipline and pump purity (RPL009) and lock ordering (RPL010) apply;
 * **pool boundary** (everywhere, including tests and benchmarks):
-  nothing unpicklable crosses ``submit_all``/``map_cached``/
+  nothing unpicklable crosses ``submit_all``/``submit_to``/``map_cached``/
   ``submit_cached``/``broadcast`` (RPL008);
 * **persistence scope** (``repro.utils.io``, ``repro.storage``,
   ``repro.runtime.transport``): files land via tmp-write +
   ``os.replace``, never an in-place write-mode open (RPL011);
 * **no unframed spool read** (all of ``src/repro``): only the two
   modules that check a CRC before unpickling may call ``pickle.load``
-  or ``pickle.loads`` (RPL012).
+  or ``pickle.loads`` (RPL012);
+* **one process-pool factory** (everywhere): worker processes are
+  constructed only in ``repro/runtime/process_pool.py``, whose workers
+  all start through its initializer (RPL013).
 """
 
 from __future__ import annotations
@@ -397,8 +400,8 @@ class PoolBoundaryPicklableRule(Rule):
     """RPL008: nothing unpicklable crosses the process-pool boundary.
 
     Lambdas and functions defined inside another function cannot be
-    pickled, so passing one into the pool seam
-    (``submit_all``/``map_cached``/``submit_cached``/``broadcast``) fails
+    pickled, so passing one into the pool seam (``submit_all``/
+    ``submit_to``/``map_cached``/``submit_cached``/``broadcast``) fails
     only at dispatch time, deep inside a worker traceback.  Flag it at the
     call site instead.
     """
@@ -407,10 +410,10 @@ class PoolBoundaryPicklableRule(Rule):
     name = "unpicklable-at-pool-boundary"
     description = (
         "lambdas/nested functions must not be passed into submit_all/"
-        "map_cached/submit_cached/broadcast"
+        "submit_to/map_cached/submit_cached/broadcast"
     )
 
-    _BOUNDARY = {"submit_all", "map_cached", "submit_cached", "broadcast"}
+    _BOUNDARY = {"submit_all", "submit_to", "map_cached", "submit_cached", "broadcast"}
 
     @staticmethod
     def _nested_function_names(tree: ast.Module) -> Set[str]:
@@ -510,6 +513,7 @@ LOCK_ORDER: Tuple[Tuple[str, str], ...] = (
     ("process_pool.py", "_lock"),  # executor publish/evict/transport state
     ("transport.py", "_lock"),  # ring/segment bookkeeping
     ("scheduler.py", "_lock"),  # ServingStats counters — always a leaf
+    ("process_pool.py", "_route_lock"),  # executor shard routing — always a leaf
 )
 
 
@@ -694,6 +698,86 @@ class UnframedPickleLoadRule(Rule):
                 )
 
 
+class ProcessPoolOutsideRuntimeRule(Rule):
+    """RPL013: worker processes are constructed only by the runtime's pool.
+
+    :mod:`repro.runtime.process_pool` starts every worker through one
+    initializer, which gives the worker a fresh resource-tracker lock (a
+    fork can copy it held) and pins numpy's BLAS to one thread (a BLAS
+    thread pool per worker oversubscribes the cores).  A pool built
+    anywhere else skips both, so ``ProcessPoolExecutor``,
+    ``multiprocessing.Pool`` and ``multiprocessing.Process`` — spelled
+    through the module, a ``get_context()`` context or a name imported
+    from :mod:`multiprocessing` — are flagged outside that module.
+    """
+
+    code = "RPL013"
+    name = "process-pool-outside-runtime"
+    description = (
+        "ProcessPoolExecutor, multiprocessing.Pool and multiprocessing.Process "
+        "are constructed only in repro/runtime/process_pool.py"
+    )
+
+    _POOL_MODULE = "src/repro/runtime/process_pool.py"
+    _FACTORIES = {"Pool", "Process"}
+    #: Constructors a ``from <package>... import`` can bind, by package.
+    _IMPORTABLE = {"multiprocessing": _FACTORIES, "concurrent": {"ProcessPoolExecutor"}}
+
+    @classmethod
+    def _multiprocessing_names(cls, tree: ast.Module) -> Tuple[Set[str], Set[str]]:
+        """Local names bound to the module (or a context), and to its factories."""
+        modules: Set[str] = set()
+        factories: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name == "multiprocessing":
+                        modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                wanted = cls._IMPORTABLE.get(node.module.split(".")[0], set())
+                factories.update(
+                    alias.asname or alias.name for alias in node.names if alias.name in wanted
+                )
+            elif (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and _call_name(node.value).rsplit(".", 1)[-1] == "get_context"
+            ):
+                modules.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        return modules, factories
+
+    @staticmethod
+    def _is_multiprocessing(owner: ast.AST, modules: Set[str]) -> bool:
+        """Whether ``owner`` is the multiprocessing module (or a submodule or context)."""
+        if isinstance(owner, ast.Call):
+            return _call_name(owner).rsplit(".", 1)[-1] == "get_context"
+        return _dotted_name(owner).split(".")[0] in modules
+
+    def check(self, tree: ast.Module, source: str, path: str) -> Iterator[Finding]:
+        if path.endswith(self._POOL_MODULE):
+            return
+        modules, factories = self._multiprocessing_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            flagged = False
+            if isinstance(func, ast.Name):
+                flagged = func.id == "ProcessPoolExecutor" or func.id in factories
+            elif isinstance(func, ast.Attribute):
+                flagged = func.attr == "ProcessPoolExecutor"
+                if func.attr in self._FACTORIES:
+                    flagged = self._is_multiprocessing(func.value, modules)
+            if flagged:
+                yield self.finding(
+                    path,
+                    node,
+                    "worker processes are started only by "
+                    "repro.runtime.process_pool, through its initializer; use "
+                    "PersistentProcessPool",
+                )
+
+
 #: Every rule, in code order; the framework instantiates these.
 RULES: Tuple[Type[Rule], ...] = (
     UnseededRandomRule,
@@ -708,4 +792,5 @@ RULES: Tuple[Type[Rule], ...] = (
     LockOrderRule,
     NonAtomicPersistRule,
     UnframedPickleLoadRule,
+    ProcessPoolOutsideRuntimeRule,
 )

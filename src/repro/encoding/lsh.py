@@ -64,7 +64,10 @@ class RandomHyperplaneLSH:
         serving many few-shot episodes — keeps the hash family stable and
         only refreshes the data-dependent centering mean).
         """
-        features = check_feature_matrix(features, "features")
+        return self._fit_checked(check_feature_matrix(features, "features"))
+
+    def _fit_checked(self, features: np.ndarray) -> "RandomHyperplaneLSH":
+        """:meth:`fit` on a matrix :func:`check_feature_matrix` already accepted."""
         num_features = features.shape[1]
         if self._hyperplanes is None or self._hyperplanes.shape[0] != num_features:
             self._hyperplanes = self._rng.normal(0.0, 1.0, size=(num_features, self.num_bits))
@@ -87,7 +90,10 @@ class RandomHyperplaneLSH:
         """Binary signatures (0/1 matrix of shape ``(n, num_bits)``)."""
         if not self.is_fitted:
             raise ConfigurationError("LSH encoder must be fitted before encoding")
-        features = check_feature_matrix(features, "features")
+        return self._encode_checked(check_feature_matrix(features, "features"))
+
+    def _encode_checked(self, features: np.ndarray) -> np.ndarray:
+        """:meth:`encode` of a matrix :func:`check_feature_matrix` already accepted."""
         if features.shape[1] != self._hyperplanes.shape[0]:
             raise ConfigurationError(
                 f"features have {features.shape[1]} dimensions but the encoder "

@@ -121,14 +121,19 @@ class MANNMemory:
             )
         if self.readout == "prototype":
             classes = np.unique(labels)
-            prototypes = np.stack(
-                [embeddings[labels == c].mean(axis=0) for c in classes]
+            # A mean of finite rows can still overflow, so the derived
+            # prototypes are checked like any input.
+            embeddings = check_feature_matrix(
+                np.stack([embeddings[labels == c].mean(axis=0) for c in classes]),
+                "support_embeddings",
             )
-            embeddings, labels = prototypes, classes
+            labels = classes
         if self._searcher is None or not self.reuse_searcher:
             self._release_searcher()
             self._searcher = self.searcher_factory()
-        self._searcher.fit(embeddings, labels)
+        # Checked above: the searcher and its quantizer or encoder do not
+        # scan the episode's rows for non-finite values again.
+        self._searcher._fit_checked(embeddings, labels)
         self._num_entries = embeddings.shape[0]
         return self
 
@@ -148,7 +153,7 @@ class MANNMemory:
         if self._searcher is None:
             raise SearchError("memory must be written before it can be queried")
         queries = check_feature_matrix(query_embeddings, "query_embeddings")
-        return self._searcher.predict_batch(queries, rng=ensure_rng(rng))
+        return self._searcher._predict_batch(queries, ensure_rng(rng), finite_checked=True)
 
     def clear(self) -> None:
         """Forget the stored support set."""

@@ -6,10 +6,13 @@ large share of their time in interpreter-bound code (episode bookkeeping,
 RNG management, per-trial model construction), which threads cannot
 parallelize — worker *processes* can.
 
-:class:`PersistentProcessPool` wraps a lazily started
-:class:`concurrent.futures.ProcessPoolExecutor` that stays warm across map
-calls, so one experiment pays the worker start-up cost once rather than per
-dispatch.  Two consumers build on it:
+:class:`PersistentProcessPool` runs its workers as one-process
+:class:`concurrent.futures.ProcessPoolExecutor` instances, each with its own
+submission queue, started lazily and kept warm across calls, so one
+experiment pays the worker start-up cost once rather than per dispatch.  A
+job can go to any worker (:meth:`~PersistentProcessPool.map`,
+:meth:`~PersistentProcessPool.submit_all`) or to a chosen one
+(:meth:`~PersistentProcessPool.submit_to`).  Two consumers build on it:
 
 * :class:`ProcessShardExecutor` — the ``"processes"`` shard executor of
   :class:`~repro.core.sharding.ShardedSearcher`, ranking the shards of one
@@ -35,10 +38,18 @@ the sharded searcher takes this path whenever its executor has
 spool only when the key misses — i.e. on first contact or after a
 reprogram/append bumped the shard's epoch.  Steady-state query batches ship
 only query payloads.  A worker can never serve stale state: every job
-carries the current epoch, and an epoch mismatch forces a reload.  Closing
+carries the current epoch, and an epoch mismatch forces a reload.
+
+**Shard affinity.**  The spooled states are memory-mapped, so all workers
+share one physical copy of them, but the search tables a worker builds from
+them (the MCAM's by-cell conductance tables) are private to that worker.
+Every shard therefore has a home worker: with ``W`` workers and ``S``
+shards, shard ``s`` runs on worker ``(offset + s) mod W`` when ``W <= S``
+(see :meth:`ProcessShardExecutor._home_workers` for ``W > S``), and a batch
+sends each worker it uses one job, the group of its shards' jobs.  Closing
 a :class:`~repro.core.sharding.ShardedSearcher` sends an eviction message
-(:meth:`ProcessShardExecutor.evict`) so long-running shared pools do not
-accumulate shards of dead searchers.
+to every live worker (:meth:`ProcessShardExecutor.evict`), so long-running
+shared pools do not accumulate shards of dead searchers.
 
 **Zero-copy transport.**  Every multi-shard batch moves through POSIX
 shared memory: queries are written once into a segment of the executor's
@@ -84,7 +95,7 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from concurrent.futures import BrokenExecutor, CancelledError, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from multiprocessing import resource_tracker
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -104,9 +115,9 @@ from . import transport as _transport
 from .supervision import PoolSupervisor
 
 
-#: Bound on each best-effort broadcast delivery wait: generous next to any
-#: real hygiene job, but finite, so ``close()`` paths cannot hang on a
-#: wedged worker.
+#: Bound on each broadcast delivery wait: generous next to any real
+#: hygiene job, but finite, so ``close()`` paths cannot hang on a wedged
+#: worker.
 _BROADCAST_TIMEOUT_S = 30.0
 
 
@@ -196,8 +207,43 @@ def _await_futures(futures: List, timeout: Optional[float] = None, what: str = "
     return results
 
 
+def _start_workers(workers: List[ProcessPoolExecutor]) -> None:
+    """Start every one-process executor's worker, then every executor's threads.
+
+    An executor starts its worker inside its first ``submit``, just before
+    its own manager thread, so executors started one at a time would fork
+    each later worker beside the earlier executors' threads.  All workers
+    are forked first, as one W-process executor forks its W workers; an
+    interpreter without the fork hook forks each on its submit.  Then every
+    executor gets one job: its manager thread, which the first submit
+    starts, is what sends the worker its shutdown sentinel, and a worker
+    whose executor never received a job would outlive ``shutdown()`` and
+    block interpreter exit.
+    """
+    for worker in workers:
+        fork = getattr(worker, "_adjust_process_count", None)
+        if fork is not None:
+            fork()
+    for worker in workers:
+        worker.submit(_probe_echo, None)
+
+
+def _shutdown_workers(workers: List[ProcessPoolExecutor]) -> None:
+    """Shut every worker down and wait for it (the pool's finalizer)."""
+    for worker in workers:
+        worker.shutdown(wait=True)
+
+
 class PersistentProcessPool:
-    """A process pool that starts lazily and stays warm across map calls.
+    """Worker processes with one submission queue each, started lazily, kept warm.
+
+    Every worker is a one-process :class:`~concurrent.futures.ProcessPoolExecutor`,
+    so a caller can send a job to a chosen worker (:meth:`submit_to`): that
+    is how :class:`ProcessShardExecutor` keeps each shard's search table in
+    one home worker.  :meth:`map` and :meth:`submit_all` spread jobs over
+    all workers round robin, and :meth:`broadcast` runs a message once in
+    every live worker.  A dead worker breaks only its own executor; the
+    supervisor then terminates and respawns the whole pool.
 
     Supports ``with`` blocks; :meth:`close` is idempotent and a finalizer
     shuts the workers down at garbage collection or interpreter exit if the
@@ -218,10 +264,12 @@ class PersistentProcessPool:
         if num_workers is not None:
             num_workers = check_int_in_range(num_workers, "num_workers", minimum=1)
         self.num_workers = num_workers
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._workers: Optional[List[ProcessPoolExecutor]] = None
         self._finalizer: Optional[weakref.finalize] = None
-        #: Guards starting, submitting to and tearing down the pool, so a
-        #: thread never submits to a pool another thread's heal just shut
+        #: The worker :meth:`submit_all` hands its next job to.
+        self._next_worker = 0
+        #: Guards starting, submitting to and tearing down the workers, so a
+        #: thread never submits to a worker another thread's heal just shut
         #: down, and two threads never start two pools.
         self._lock = threading.RLock()
 
@@ -233,26 +281,34 @@ class PersistentProcessPool:
     @property
     def is_live(self) -> bool:
         """Whether worker processes are currently running."""
-        return self._pool is not None
+        return self._workers is not None
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _ensure_workers(self) -> List[ProcessPoolExecutor]:
         with self._lock:
-            if self._pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=self.effective_workers, initializer=_init_worker
-                )
-                self._pool = pool
+            if self._workers is None:
+                workers = [
+                    ProcessPoolExecutor(max_workers=1, initializer=_init_worker)
+                    for _ in range(self.effective_workers)
+                ]
+                _start_workers(workers)
+                self._workers = workers
                 # Safety net: shut the workers down when the pool object is
                 # garbage collected or the interpreter exits, even if the
                 # owner forgot close(); close() triggers the same finalizer.
-                self._finalizer = weakref.finalize(self, pool.shutdown, wait=True)
-            return self._pool
+                self._finalizer = weakref.finalize(self, _shutdown_workers, workers)
+            return self._workers
+
+    def _worker_processes(self) -> List[Any]:
+        """The live worker processes, over every worker's executor."""
+        return [
+            process
+            for worker in self._workers or ()
+            for process in (getattr(worker, "_processes", None) or {}).values()
+        ]
 
     def worker_pids(self) -> List[int]:
-        """PIDs of the live worker processes (empty when not running)."""
-        if self._pool is None:
-            return []
-        return sorted(getattr(self._pool, "_processes", {}).keys())
+        """PIDs of the live worker processes, sorted (empty when not running)."""
+        return sorted(process.pid for process in self._worker_processes())
 
     def kill_one_worker(self) -> Optional[int]:
         """SIGKILL one live worker (lowest PID); returns the PID or None.
@@ -272,79 +328,90 @@ class PersistentProcessPool:
         return pid
 
     def probe(self, timeout: float = 5.0) -> bool:
-        """Whether a trivial round-trip through the pool completes in time.
+        """Whether a trivial round trip through every worker completes in time.
 
-        Starts the pool if needed; False means the pool is broken or every
-        worker is wedged — the caller should heal before dispatching.
+        Starts the pool if needed; False means a worker is dead or wedged —
+        the caller should heal before dispatching.
         """
         try:
-            future = self._ensure_pool().submit(_probe_echo, 42)
-            return bool(future.result(timeout) == 42)
+            futures = [
+                self.submit_to(worker, _probe_echo, worker)
+                for worker in range(self.effective_workers)
+            ]
+            replies = _await_futures(futures, timeout, what="probe")
         except Exception:
             return False
+        return replies == list(range(len(futures)))
 
-    def map(
-        self,
-        fn: Callable,
-        jobs: Iterable,
-        chunksize: int = 1,
-        timeout: Optional[float] = None,
-    ) -> List:
+    def submit_to(self, worker: int, fn: Callable, job: Any) -> Future:
+        """Submit ``fn(job)`` to worker ``worker``'s own queue; returns the future.
+
+        Worker ``w`` (``0 <= w < effective_workers``) is one process for as
+        long as the pool lives, so state a job leaves behind there (a
+        shard's search table) serves the next job sent to ``w``.  ``fn``
+        and ``job`` must be picklable.
+        """
+        with self._lock:
+            workers = self._ensure_workers()
+            if not 0 <= worker < len(workers):
+                raise ConfigurationError(f"worker must lie in [0, {len(workers)}), got {worker!r}")
+            return workers[worker].submit(fn, job)
+
+    def map(self, fn: Callable, jobs: Iterable, timeout: Optional[float] = None) -> List:
         """Apply ``fn`` to every job in worker processes, preserving order.
 
         ``fn`` and every job must be picklable.  Zero or one job short-cuts
         to an in-process call — the results are identical either way because
-        jobs are self-contained.  With a ``timeout`` (seconds, covering the
-        whole map) a hung worker raises
-        :class:`~repro.exceptions.ServingTimeoutError` and a crashed one
-        :class:`~repro.exceptions.WorkerCrashError` instead of deadlocking
-        the caller; the timed path submits futures individually, so
-        ``chunksize`` applies only to the untimed path.
+        jobs are self-contained.  Jobs are spread over the workers like
+        :meth:`submit_all`.  With a ``timeout`` (seconds, covering the whole
+        map) a hung worker raises
+        :class:`~repro.exceptions.ServingTimeoutError`; a crashed one raises
+        :class:`~repro.exceptions.WorkerCrashError` either way.
         """
         job_list = list(jobs)
         if len(job_list) <= 1:
             return [fn(job) for job in job_list]
-        pool = self._ensure_pool()
-        if timeout is None:
-            return list(pool.map(fn, job_list, chunksize=max(1, chunksize)))
-        futures = [pool.submit(fn, job) for job in job_list]
+        futures = self.submit_all(fn, job_list)
         return _await_futures(futures, timeout, what=f"map of {len(job_list)} jobs")
 
     def submit_all(self, fn: Callable, jobs: Iterable) -> List:
         """Submit ``fn(job)`` for every job, returning the futures in order.
 
-        The non-blocking counterpart of :meth:`map`: the caller collects the
-        futures when it needs the results, which is what lets a dispatcher
-        keep several batches in flight on the workers at once.  ``fn`` and
-        every job must be picklable.  Collect with :func:`_await_futures`
-        (or ``future.result(timeout)``) when a hung worker must become a
-        typed error instead of a deadlock.
+        The non-blocking counterpart of :meth:`map`: jobs go to the workers
+        round robin, and the caller collects the futures when it needs the
+        results, which is what lets a dispatcher keep several batches in
+        flight on the workers at once.  ``fn`` and every job must be
+        picklable.  Collect with :func:`_await_futures` (or
+        ``future.result(timeout)``) when a hung worker must become a typed
+        error instead of a deadlock.
         """
         with self._lock:
-            pool = self._ensure_pool()
-            return [pool.submit(fn, job) for job in jobs]
+            workers = self._ensure_workers()
+            futures = []
+            for job in jobs:
+                futures.append(workers[self._next_worker].submit(fn, job))
+                self._next_worker = (self._next_worker + 1) % len(workers)
+            return futures
 
     def broadcast(self, fn: Callable, arg: Any) -> int:
-        """Best-effort: submit ``fn(arg)`` once per worker slot, then wait.
+        """Run ``fn(arg)`` once in every live worker, then wait.
 
         Intended for idempotent housekeeping messages (cache eviction).
-        Coverage is *not* guaranteed — a fast worker may pick up several of
-        the submitted jobs while a busy one sees none — and neither is
-        delivery: a broken pool (e.g. an OOM-killed worker) is swallowed,
-        never raised, because correctness must not depend on the message
-        being observed (stale cache entries are inert; eviction is memory
-        hygiene) and broadcasts run on cleanup paths like ``close()``.
-        Returns the number of deliveries that completed (0 when the pool is
-        not running: dead workers have no caches to clean).
+        Each worker receives the message through its own queue, so every
+        live worker runs it exactly once, after the jobs already sent to
+        it.  A worker whose executor is broken or shut down is skipped (its
+        caches died with it), and failures are swallowed, never raised,
+        because broadcasts run on cleanup paths like ``close()``.  Returns
+        the number of workers that ran the message (0 when the pool is not
+        running).
         """
-        if self._pool is None:
-            return 0
-        try:
-            futures = [
-                self._pool.submit(fn, arg) for _ in range(self.effective_workers)
-            ]
-        except Exception:  # pool already shut down or broken
-            return 0
+        futures = []
+        with self._lock:
+            for worker in self._workers or ():
+                try:
+                    futures.append(worker.submit(fn, arg))
+                except Exception:  # this worker died or was shut down
+                    continue
         delivered = 0
         for future in futures:
             try:
@@ -352,12 +419,12 @@ class PersistentProcessPool:
                 # broadcasts run on; an undelivered hygiene message is fine.
                 future.result(_BROADCAST_TIMEOUT_S)
                 delivered += 1
-            except Exception:  # a worker died; hygiene stays best-effort
+            except Exception:  # the worker died; its caches went with it
                 continue
         return delivered
 
     def terminate(self) -> None:
-        """Hard-stop the workers now (idempotent; the pool restarts lazily).
+        """Hard-stop every worker now (idempotent; the pool restarts lazily).
 
         The heal-path counterpart of :meth:`close`: ``close()`` waits for
         workers to finish, which deadlocks on a hung worker — this SIGTERMs
@@ -366,15 +433,14 @@ class PersistentProcessPool:
         supervisor retries their batches on the respawned pool.
         """
         with self._lock:
-            pool, self._pool = self._pool, None
+            processes = self._worker_processes()
+            workers, self._workers = self._workers, None
             finalizer, self._finalizer = self._finalizer, None
             if finalizer is not None:
                 finalizer.detach()
-            if pool is None:
-                return
-            processes = list(getattr(pool, "_processes", {}).values())
-            with contextlib.suppress(Exception):  # pool already broken mid-shutdown
-                pool.shutdown(wait=False, cancel_futures=True)
+            for worker in workers or ():
+                with contextlib.suppress(Exception):  # broken mid-shutdown
+                    worker.shutdown(wait=False, cancel_futures=True)
         for process in processes:
             try:
                 if process.is_alive():
@@ -394,7 +460,7 @@ class PersistentProcessPool:
         """Shut the workers down (idempotent; the pool restarts on next use)."""
         with self._lock:
             finalizer, self._finalizer = self._finalizer, None
-            self._pool = None
+            self._workers = None
         if finalizer is not None:
             finalizer()
 
@@ -413,19 +479,19 @@ class PersistentProcessPool:
 #: ``(searcher_id, shard_index) -> (program_epoch, shard_engine, index_map)``.
 #: A worker serves a cached shard only when the job's epoch matches the
 #: cached epoch, so reprogramming (which bumps the epoch) can never be
-#: answered from stale state.  The store is LRU-bounded: eviction messages
-#: from :meth:`ShardedSearcher.close` are best-effort (a busy worker can
-#: miss a broadcast), so the bound is what *deterministically* keeps a
-#: long-running pool from accumulating dead searchers' shards — a missed
-#: eviction ages out as soon as live searchers touch enough other shards.
+#: answered from stale state.  A worker holds only the shards routed to it
+#: (see :meth:`ProcessShardExecutor._home_workers`), and the eviction
+#: message of :meth:`ShardedSearcher.close` reaches every live worker
+#: (:meth:`PersistentProcessPool.broadcast`).
 _WORKER_SHARD_CACHE: "OrderedDict[Tuple[str, int], Tuple[int, Any, np.ndarray]]" = (
     OrderedDict()
 )
 
-#: Resident-shard bound per worker process: generous next to realistic
-#: shards-per-searcher counts (a worker rarely serves more than a few
-#: searchers x a few shards each), tight enough that a leaked entry cannot
-#: outlive 64 distinct live-shard touches.
+#: Resident-shard bound per worker process, least recently used out first:
+#: generous next to realistic shards-per-searcher counts (a worker rarely
+#: serves more than a few searchers x a few shards each).  Closed searchers
+#: are evicted exactly; the bound is what frees the shards of a searcher
+#: dropped without ``close()``, after 64 other live-shard touches.
 _MAX_RESIDENT_SHARDS = 64
 
 
@@ -518,6 +584,18 @@ def _rank_cached_shard_job_shm(job: Any) -> int:
     out_indices[...] = index_map[indices.astype(np.int64, copy=False)]
     out_scores[...] = scores
     return int(shard_index)
+
+
+def _rank_cached_shard_group_shm(jobs: Any) -> int:
+    """Rank one worker's share of a batch: each job in order, in shared memory.
+
+    A batch sends every worker it uses one group, the jobs of the shards
+    routed there, each run by :func:`_rank_cached_shard_job_shm` into its
+    own result offsets.  Returns the number of jobs ranked.
+    """
+    for job in jobs:
+        _rank_cached_shard_job_shm(job)
+    return len(jobs)
 
 
 class ProcessShardExecutor:
@@ -640,6 +718,13 @@ class ProcessShardExecutor:
         #: (or two searchers' ``close()`` calls racing each other) over the
         #: published-path table and the spool directory.
         self._lock = threading.Lock()
+        #: Routing state per searcher, ``[offset, batches dispatched]``
+        #: (see :meth:`_home_workers`), and the offset the next new
+        #: searcher gets.  Guarded by its own leaf lock, so a dispatch never
+        #: waits on a spool write under ``_lock``.
+        self._routes: Dict[str, List[int]] = {}
+        self._next_route_offset = 0
+        self._route_lock = threading.Lock()
 
     @property
     def ring_in_flight(self) -> int:
@@ -925,17 +1010,45 @@ class ProcessShardExecutor:
 
         return collect
 
+    def _home_workers(self, jobs: list) -> List[int]:
+        """The worker each job of one multi-shard batch runs on.
+
+        With ``W`` workers and a searcher of ``S`` shards, ``W <= S`` puts
+        shard ``s`` on worker ``(offset + s) mod W`` for every batch, so
+        each worker builds and keeps the search tables of its own shards
+        only.  With ``W > S`` the searcher's consecutive batches take turns
+        over ``W // S`` disjoint sets of ``S`` workers, so two batches in
+        flight still use every worker, and a shard is resident in
+        ``W // S`` of them.  Each searcher gets the next ``offset`` on its
+        first batch, so searchers sharing an executor do not all put their
+        shard 0 on worker 0.
+        """
+        workers = self._pool.effective_workers
+        searcher_id = jobs[0][0]
+        with self._route_lock:
+            route = self._routes.get(searcher_id)
+            if route is None:
+                route = self._routes[searcher_id] = [self._next_route_offset, 0]
+                self._next_route_offset += 1
+            offset, batch = route
+            route[1] = batch + 1
+        shards = len(jobs)
+        base = offset + (batch % max(1, workers // shards)) * shards
+        return [(base + job[1]) % workers for job in jobs]
+
     def _dispatch_cached(self, jobs: list) -> Optional[Callable[..., list]]:
         """Submit one multi-job batch through shared memory.
 
-        Returns a raw ``collect(timeout)``, or ``None`` when no segment can
-        be allocated (an exhausted ``/dev/shm``), in which case the caller
-        ranks the batch in process.  The collect copies every shard's
-        results out of the segment and then returns the segment to the
-        ring; a failed batch's segment is unlinked instead, because one of
-        its workers may still write into it.  Pool failures become typed
-        errors (see :func:`_await_futures`), but the collect does not
-        itself retry — recovery lives one layer up.
+        Each worker the batch is routed to (:meth:`_home_workers`) gets one
+        job, the group of its shards' jobs.  Returns a raw
+        ``collect(timeout)``, or ``None`` when no segment can be allocated
+        (an exhausted ``/dev/shm``), in which case the caller ranks the
+        batch in process.  The collect copies every shard's results out of
+        the segment and then returns the segment to the ring; a failed
+        batch's segment is unlinked instead, because one of its workers may
+        still write into it.  Pool failures become typed errors (see
+        :func:`_await_futures`), but the collect does not itself retry —
+        recovery lives one layer up.
         """
         layout = _transport.ShardBatchLayout(jobs[0][5], [job[6] for job in jobs])
         ring = self._ring
@@ -943,34 +1056,31 @@ class ProcessShardExecutor:
             segment = ring.acquire(layout.total_bytes)
         except OSError:
             return None
-        shm_jobs = [
-            (
-                searcher_id,
-                shard_index,
-                epoch,
-                path,
-                shard_rng,
-                segment.name,
-                layout.queries.shape,
-                layout.queries.dtype.str,
-                layout.index_offsets[position],
-                layout.score_offsets[position],
-                shard_k,
+        groups: Dict[int, list] = {}
+        for position, (worker, job) in enumerate(zip(self._home_workers(jobs), jobs)):
+            searcher_id, shard_index, epoch, path, shard_rng, _queries, shard_k = job
+            groups.setdefault(worker, []).append(
+                (
+                    searcher_id,
+                    shard_index,
+                    epoch,
+                    path,
+                    shard_rng,
+                    segment.name,
+                    layout.queries.shape,
+                    layout.queries.dtype.str,
+                    layout.index_offsets[position],
+                    layout.score_offsets[position],
+                    shard_k,
+                )
             )
-            for position, (
-                searcher_id,
-                shard_index,
-                epoch,
-                path,
-                shard_rng,
-                _queries,
-                shard_k,
-            ) in enumerate(jobs)
-        ]
         try:
             layout.write_queries(segment)
             self._fire_fault("segment", segment=segment)
-            futures = self._pool.submit_all(_rank_cached_shard_job_shm, shm_jobs)
+            futures = [
+                self._pool.submit_to(worker, _rank_cached_shard_group_shm, group)
+                for worker, group in groups.items()
+            ]
         except BaseException:
             ring.discard(segment)
             raise
@@ -1084,15 +1194,18 @@ class ProcessShardExecutor:
         """Drop cached shards of one (closed) searcher from worker caches.
 
         The calling process's entries — populated whenever a batch ranked
-        in process — are dropped synchronously; with
-        ``broadcast=True`` an eviction message is additionally submitted
-        once per worker slot of the live pool (best effort, see
-        :meth:`PersistentProcessPool.broadcast`).  Correctness never
-        depends on eviction — epoch-keyed lookups already ignore stale
-        entries — it keeps long-running shared pools from accumulating
-        dead searchers' shards.
+        in process — are dropped synchronously; with ``broadcast=True`` an
+        eviction message additionally runs once in every live worker of
+        the pool, after the batches already sent to it (see
+        :meth:`PersistentProcessPool.broadcast`), so no worker keeps the
+        searcher's shards.  Correctness never depends on eviction —
+        epoch-keyed lookups already ignore stale entries — it keeps
+        long-running shared pools from accumulating dead searchers'
+        shards.  The searcher's routing is forgotten too.
         """
         _evict_searcher_entries(searcher_id)
+        with self._route_lock:
+            self._routes.pop(searcher_id, None)
         with self._lock:
             # Snapshot-and-pop under the lock: a scheduler and a searcher
             # closing the same serving stack from different threads may both
@@ -1122,6 +1235,8 @@ class ProcessShardExecutor:
         either order.
         """
         self._pool.close()
+        with self._route_lock:
+            self._routes.clear()
         with self._lock:
             self._published.clear()
             self._payloads.clear()

@@ -341,3 +341,21 @@ class TestFloat32Screen:
             searcher.kneighbors_arrays(RNG.normal(size=(num_queries, WORD_LENGTH)), k=32)
         assert searcher.array._by_cell_profiles is None
         assert searcher.array._by_cell_estimates.dtype == np.float32
+
+
+class TestByCellTableBuild:
+    """Look-up-table mode builds its search tables one input state at a time."""
+
+    @pytest.mark.parametrize("rows", (1, 5, 100, 4096))
+    @pytest.mark.parametrize("bits", (2, 3))
+    def test_tables_equal_the_transposed_gather(self, bits, rows):
+        array = _programmed_mcam(rows, bits=bits)
+        for name, dtype in MCAMArray._BY_CELL_TABLES:
+            lut = array.lut.table_s.astype(dtype)
+            expected = np.ascontiguousarray(
+                lut[:, array._stored_states.T].transpose(1, 0, 2), dtype=dtype
+            )
+            table = array._by_cell_table(name)
+            assert table.dtype == dtype and table.flags.c_contiguous
+            assert table.shape == expected.shape == (WORD_LENGTH, 2**bits, rows)
+            assert table.tobytes() == expected.tobytes()

@@ -665,7 +665,9 @@ class TestShardAppend:
         rows = _clipped(rng.normal(size=(4, NUM_FEATURES)), features)
         searcher = self._make("mcam-3bit", shards=4).fit(features, labels)
         quantized, calls = [], {"reprogram": 0, "calibrate": 0}
-        real_quantize = UniformQuantizer.quantize
+        # The checked internals: every quantization and calibration, public
+        # or internal, goes through them.
+        real_quantize = UniformQuantizer._quantize_checked
 
         def quantize(self, values):
             quantized.append(np.asarray(values).shape[0])
@@ -678,9 +680,9 @@ class TestShardAppend:
 
             return spy
 
-        monkeypatch.setattr(UniformQuantizer, "quantize", quantize)
+        monkeypatch.setattr(UniformQuantizer, "_quantize_checked", quantize)
         monkeypatch.setattr(MCAMArray, "reprogram", count("reprogram", MCAMArray.reprogram))
-        monkeypatch.setattr(MCAMSearcher, "calibrate", count("calibrate", MCAMSearcher.calibrate))
+        monkeypatch.setattr(MCAMSearcher, "_calibrate", count("calibrate", MCAMSearcher._calibrate))
         searcher.append(rows, labels[:4])
         assert sorted(quantized) == [1, 1, 1, 1]
         assert calls == {"reprogram": 0, "calibrate": 0}

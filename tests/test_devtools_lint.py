@@ -208,6 +208,24 @@ class TestRuleViolations:
         )
         assert "RPL008" not in codes_of(lint_source(module_level, ANYWHERE_PATH))
 
+    def test_rpl008_covers_submit_to(self):
+        lam = "def f(pool):\n    return pool.submit_to(0, lambda job: job, 1)\n"
+        assert "RPL008" in codes_of(lint_source(lam, ANYWHERE_PATH))
+        nested = (
+            "def f(pool):\n"
+            "    def helper(job):\n"
+            "        return job\n"
+            "    return pool.submit_to(1, helper, None)\n"
+        )
+        assert "RPL008" in codes_of(lint_source(nested, ANYWHERE_PATH))
+        module_level = (
+            "def helper(job):\n"
+            "    return job\n"
+            "def f(pool):\n"
+            "    return pool.submit_to(1, helper, None)\n"
+        )
+        assert "RPL008" not in codes_of(lint_source(module_level, ANYWHERE_PATH))
+
     def test_rpl009_flags_untimed_future_result(self):
         bad = "def f(future):\n    return future.result()\n"
         assert "RPL009" in codes_of(lint_source(bad, SERVING_PATH))
@@ -292,6 +310,53 @@ class TestRuleViolations:
         bad = "from pickle import dumps, loads\n"
         assert "RPL012" in codes_of(lint_source(bad, PACKAGE_PATH))
         assert "RPL012" not in codes_of(lint_source("from pickle import dumps\n", PACKAGE_PATH))
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import concurrent.futures\n"
+            "pool = concurrent.futures.ProcessPoolExecutor(max_workers=2)\n",
+            "from concurrent.futures import ProcessPoolExecutor as Pool\npool = Pool()\n",
+            "import multiprocessing\npool = multiprocessing.Pool(2)\n",
+            "import multiprocessing as mp\nworker = mp.Process(target=print)\n",
+            "from multiprocessing import Process\nworker = Process(target=print)\n",
+            "from multiprocessing.pool import Pool\npool = Pool(2)\n",
+            "import multiprocessing\npool = multiprocessing.pool.Pool(2)\n",
+            "import multiprocessing\n"
+            "worker = multiprocessing.get_context('spawn').Process(target=print)\n",
+            "import multiprocessing\n"
+            "ctx = multiprocessing.get_context('fork')\n"
+            "pool = ctx.Pool(2)\n",
+        ],
+        ids=[
+            "executor",
+            "executor-alias",
+            "mp-pool",
+            "mp-alias-process",
+            "imported-process",
+            "pool-module",
+            "pool-module-attribute",
+            "context-call",
+            "context-name",
+        ],
+    )
+    def test_rpl013_flags_worker_processes_outside_the_runtime_pool(self, source):
+        assert "RPL013" in codes_of(lint_source(source, ANYWHERE_PATH))
+        assert "RPL013" in codes_of(lint_source(source, PACKAGE_PATH))
+        pool_module = "src/repro/runtime/process_pool.py"
+        assert "RPL013" not in codes_of(lint_source(source, pool_module))
+
+    def test_rpl013_leaves_threads_and_shared_memory_alone(self):
+        source = (
+            "import multiprocessing\n"
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "from multiprocessing import shared_memory\n"
+            "threads = ThreadPoolExecutor(max_workers=2)\n"
+            "segment = shared_memory.SharedMemory(create=True, size=8)\n"
+            "children = multiprocessing.active_children()\n"
+            "pool = PersistentProcessPool(num_workers=2)\n"
+        )
+        assert "RPL013" not in codes_of(lint_source(source, ANYWHERE_PATH))
 
     def test_lock_order_table_is_well_formed(self):
         assert len(LOCK_ORDER) >= 2

@@ -248,3 +248,92 @@ class TestSearcherReuse:
             assert np.array_equal(plain.classify(queries), sharded.classify(queries))
         finally:
             sharded.clear()
+
+
+def _spy_on_isfinite(monkeypatch):
+    """Record the shape of every array handed to ``np.isfinite``."""
+    shapes = []
+    real_isfinite = np.isfinite
+
+    def isfinite(values, *args, **kwargs):
+        shapes.append(np.shape(values))
+        return real_isfinite(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", isfinite)
+    return shapes
+
+
+class TestValidateOnce:
+    """An episode's arrays are scanned for non-finite values once, at the memory."""
+
+    ENGINES = ("mcam-3bit", "tcam-lsh", "cosine")
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_one_isfinite_pass_per_write_and_per_classify(self, small_space, monkeypatch, name):
+        from repro.core import make_searcher
+
+        dim = small_space.embedding_dim
+        memory = MANNMemory(
+            searcher_factory=lambda: make_searcher(name, dim, seed=3), reuse_searcher=True
+        )
+        memory.write(*small_space.sample([0, 1, 2], 2, rng=1))  # builds the engine
+        support, labels = small_space.sample([0, 1, 2], 2, rng=3)
+        queries, _ = small_space.sample([0, 1, 2], 3, rng=4)
+        shapes = _spy_on_isfinite(monkeypatch)
+        memory.write(support, labels)
+        assert shapes == [support.shape]
+        shapes.clear()
+        memory.classify(queries, rng=0)
+        assert shapes == [queries.shape]
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_public_entry_points_still_reject_non_finite_input(self, name):
+        from repro.core import make_searcher
+
+        rng = np.random.default_rng(8)
+        features = rng.normal(size=(6, 8))
+        labels = np.arange(6) % 3
+        bad = features.copy()
+        bad[2, 3] = np.nan
+        searcher = make_searcher(name, 8, seed=3)
+        with pytest.raises(ConfigurationError, match="^features must contain only finite values"):
+            searcher.fit(bad, labels)
+        searcher.fit(features, labels)
+        for entry in (searcher.kneighbors_batch, searcher.predict_batch):
+            with pytest.raises(SearchError, match="^queries must contain only finite values"):
+                entry(bad)
+        memory = MANNMemory(searcher_factory=lambda: make_searcher(name, 8, seed=3))
+        with pytest.raises(
+            ConfigurationError, match="^support_embeddings must contain only finite values"
+        ):
+            memory.write(bad, labels)
+        memory.write(features, labels)
+        with pytest.raises(
+            ConfigurationError, match="^query_embeddings must contain only finite values"
+        ):
+            memory.classify(bad)
+
+    def test_quantizer_and_encoder_still_reject_non_finite_input(self):
+        from repro.core.quantization import UniformQuantizer
+        from repro.encoding.lsh import RandomHyperplaneLSH
+
+        features = np.random.default_rng(9).normal(size=(5, 4))
+        bad = features.copy()
+        bad[0, 0] = np.inf
+        for transform, apply in (
+            (UniformQuantizer(bits=3), "quantize"),
+            (RandomHyperplaneLSH(num_bits=8, seed=0), "encode"),
+        ):
+            with pytest.raises(ConfigurationError, match="^features must contain only finite"):
+                transform.fit(bad)
+            transform.fit(features)
+            with pytest.raises(ConfigurationError, match="^features must contain only finite"):
+                getattr(transform, apply)(bad)
+
+    def test_overflowing_prototypes_are_rejected(self):
+        memory = MANNMemory(readout="prototype")
+        with np.errstate(over="ignore"):
+            with pytest.raises(
+                ConfigurationError, match="^support_embeddings must contain only finite values"
+            ):
+                memory.write(np.full((2, 3), 1e308), [0, 0])

@@ -70,6 +70,15 @@ def _noisy_mcam(seed):
     return MCAMSearcher(bits=3, sense_amplifier=amplifier, seed=seed)
 
 
+def _worker_pid(_unit=None):
+    return os.getpid()
+
+
+def _weighted_draw(seed):
+    """A float that any change in summation order or stream would move."""
+    return float(np.random.default_rng(seed).normal(size=16) @ np.linspace(0.1, 1.6, 16))
+
+
 def _openblas_thread_counts(_job=None):
     """``scipy_openblas_get_num_threads64_`` of every OpenBLAS mapped here."""
     with open("/proc/self/maps") as maps:
@@ -94,11 +103,11 @@ class TestPersistentProcessPool:
         pool = PersistentProcessPool(num_workers=WORKERS)
         try:
             assert pool.map(_square, [1, 2]) == [1, 4]
-            first = pool._pool
+            first = pool._workers
             assert pool.map(_square, [3, 4]) == [9, 16]
-            assert pool._pool is first  # warm pool reused
+            assert pool._workers is first  # warm pool reused
             pool.close()
-            assert pool._pool is None
+            assert pool._workers is None
             assert pool.map(_square, [5, 6]) == [25, 36]  # restarted lazily
         finally:
             pool.close()
@@ -107,7 +116,7 @@ class TestPersistentProcessPool:
         pool = PersistentProcessPool(num_workers=WORKERS)
         try:
             assert pool.map(_square, [7]) == [49]
-            assert pool._pool is None  # short-cut never started workers
+            assert pool._workers is None  # short-cut never started workers
         finally:
             pool.close()
 
@@ -332,6 +341,15 @@ class TestTrialRunners:
         finally:
             runner.close()
 
+    def test_parallel_map_runs_on_every_worker_and_matches_serial(self):
+        units = list(range(12))  # 3 workers x CHUNKS_PER_WORKER = 6 chunks
+        serial = SerialTrialRunner().map(_weighted_draw, units)
+        with ParallelTrialRunner(num_workers=3) as runner:
+            assert runner.map(_weighted_draw, units) == serial
+            pids = runner.map(_worker_pid, units)
+            assert set(pids) == set(runner._pool.worker_pids())
+            assert len(set(pids)) == 3
+
     def test_chunking_preserves_order_and_content(self):
         units = list(range(13))
         for num_chunks in (1, 2, 5, 13, 50):
@@ -360,8 +378,8 @@ class TestPoolLifecycle:
     def test_pool_context_manager_closes_on_exit(self):
         with PersistentProcessPool(num_workers=WORKERS) as pool:
             assert pool.map(_square, [2, 3]) == [4, 9]
-            assert pool._pool is not None
-        assert pool._pool is None
+            assert pool._workers is not None
+        assert pool._workers is None
         assert pool.map(_square, [4, 5]) == [16, 25]  # restarts lazily
         pool.close()
 
@@ -389,6 +407,19 @@ class TestPoolLifecycle:
     def test_trial_runners_support_with_blocks(self, factory):
         with factory() as runner:
             assert runner.map(_square, [3, 4]) == [9, 16]
+
+    def test_close_stops_workers_that_never_ran_a_job(self):
+        # Each worker is its own executor, whose manager thread sends the
+        # worker its shutdown sentinel; a worker left without one would
+        # outlive close() and block interpreter exit.
+        pool = PersistentProcessPool(num_workers=3)
+        assert pool.submit_to(0, _square, 3).result(timeout=60) == 9
+        processes = pool._worker_processes()
+        assert len(processes) == 3
+        pool.close()
+        for process in processes:
+            process.join(timeout=10)
+            assert not process.is_alive()
 
     def test_forgotten_pool_is_finalized_at_gc(self):
         pool = PersistentProcessPool(num_workers=WORKERS)

@@ -79,6 +79,11 @@ def _exit_job(_):
     os._exit(13)  # simulate an abrupt worker death (OOM-kill shaped)
 
 
+def _resident_shards(searcher_id):
+    """Shards of ``searcher_id`` resident in the calling (worker) process."""
+    return sorted(key[1] for key in worker_shard_cache_epochs() if key[0] == searcher_id)
+
+
 class _SleepyShard:
     """A shard whose ranking hangs — the hung-worker chaos payload."""
 
@@ -428,6 +433,24 @@ class TestChaosRecovery:
             assert_batch_matches(executor.map_cached(jobs), expected)
             assert executor.supervisor.total_restarts == 1
             assert executor.ring_in_flight == 0
+
+    def test_worker_kill_mid_batch_heals_to_one_home_worker_per_shard(self):
+        queries = RNG.normal(size=(5, 4))
+        searcher_id = "chaos-affinity"
+        _evict_searcher_entries(searcher_id)  # forked workers inherit this cache
+        with ProcessShardExecutor(num_workers=WORKERS) as executor:
+            jobs, expected = two_shard_jobs(executor, queries, searcher_id=searcher_id, delay_s=0.2)
+            assert_batch_matches(executor.map_cached(jobs), expected)
+            executor.fault_injector = FaultInjector().arm("kill_worker")
+            assert_batch_matches(executor.map_cached(jobs), expected)
+            assert executor.supervisor.total_restarts == 1
+            assert executor.ring_in_flight == 0
+            # The respawned workers loaded only their own shard again.
+            resident = [
+                executor._pool.submit_to(worker, _resident_shards, searcher_id).result(timeout=60)
+                for worker in range(WORKERS)
+            ]
+            assert resident == [[0], [1]]
 
     def test_hung_worker_fails_typed_within_deadline_and_heals_behind(self):
         queries = RNG.normal(size=(3, 4))

@@ -64,6 +64,33 @@ def _probe_worker_cache(_=None):
     return worker_shard_cache_epochs()
 
 
+#: Messages the calling process received through :func:`_record_message`.
+_MESSAGES = []
+
+
+def _record_message(message):
+    _MESSAGES.append(message)
+    return len(_MESSAGES)
+
+
+def _received_messages(_=None):
+    return list(_MESSAGES)
+
+
+def _resident_shards(searcher_id):
+    """Shards of ``searcher_id`` resident in the calling (worker) process."""
+    return sorted(key[1] for key in worker_shard_cache_epochs() if key[0] == searcher_id)
+
+
+def _resident_by_worker(executor, searcher_id):
+    """Per worker, the shards of ``searcher_id`` it holds (probed through submit_to)."""
+    pool = executor._pool
+    return [
+        pool.submit_to(worker, _resident_shards, searcher_id).result(timeout=60)
+        for worker in range(pool.effective_workers)
+    ]
+
+
 @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
 class TestSharedMemoryRing:
     def test_slots_are_reused_and_grow_on_demand(self):
@@ -311,7 +338,63 @@ class TestMapCachedContract:
             assert executor.ring_in_flight == 0
 
 
+class TestShardAffinity:
+    """Each shard is ranked by, and resident in, its home worker only."""
+
+    @staticmethod
+    def _serve(executor, num_shards, batches):
+        features, labels, queries = _workload(rows=160)
+        reference = make_searcher("mcam-3bit", num_features=10, seed=8, shards=num_shards)
+        reference.fit(features, labels)
+        expected = reference.kneighbors_batch(queries, k=3)
+        searcher = ShardedSearcher(
+            lambda: MCAMSearcher(bits=3, seed=8), num_shards=num_shards, executor=executor
+        )
+        searcher.fit(features, labels)
+        for _ in range(batches):
+            result = searcher.kneighbors_batch(queries, k=3)
+            np.testing.assert_array_equal(expected.indices, result.indices)
+            np.testing.assert_array_equal(expected.scores, result.scores)
+        return searcher
+
+    def test_fewer_workers_than_shards_keep_each_shard_in_one_worker(self):
+        with ProcessShardExecutor(num_workers=2) as executor:
+            searcher = self._serve(executor, num_shards=4, batches=3)
+            # Shard s lives on worker s mod 2, and nowhere else.
+            assert _resident_by_worker(executor, searcher._searcher_id) == [[0, 2], [1, 3]]
+            assert executor.ring_in_flight == 0
+
+    def test_more_workers_than_shards_alternate_over_disjoint_worker_sets(self):
+        with ProcessShardExecutor(num_workers=4) as executor:
+            searcher = self._serve(executor, num_shards=2, batches=2)
+            # Consecutive batches ran on workers {0, 1} and {2, 3}: every
+            # worker ranked, and each shard is resident in two of them.
+            assert _resident_by_worker(executor, searcher._searcher_id) == [[0], [1], [0], [1]]
+
+    def test_searchers_sharing_an_executor_start_on_different_workers(self):
+        with ProcessShardExecutor(num_workers=2) as executor:
+            first = self._serve(executor, num_shards=2, batches=1)
+            second = self._serve(executor, num_shards=2, batches=1)
+            assert _resident_by_worker(executor, first._searcher_id) == [[0], [1]]
+            assert _resident_by_worker(executor, second._searcher_id) == [[1], [0]]
+
+
 class TestBroadcastResilience:
+    def test_broadcast_runs_once_in_every_worker(self):
+        from repro.runtime import PersistentProcessPool
+
+        with PersistentProcessPool(num_workers=3) as pool:
+            assert pool.broadcast(_record_message, "never") == 0  # no workers yet
+            pool.map(_received_messages, range(6))  # start every worker
+            assert pool.broadcast(_record_message, "evict") == 3
+            received = [
+                pool.submit_to(worker, _received_messages, None).result(timeout=60)
+                for worker in range(3)
+            ]
+            assert received == [["evict"]] * 3
+            with pytest.raises(ConfigurationError, match="worker must lie"):
+                pool.submit_to(3, _received_messages, None)
+
     def test_broadcast_swallows_a_shut_down_pool(self):
         """Eviction runs on cleanup paths: a broken/shut-down pool must
         yield 0 deliveries, never an exception out of close()."""
@@ -320,7 +403,8 @@ class TestBroadcastResilience:
         pool = PersistentProcessPool(num_workers=1)
         try:
             pool.map(_probe_worker_cache, [None, None])  # start workers
-            pool._pool.shutdown(wait=True)  # break it behind the wrapper
+            for worker in pool._workers:
+                worker.shutdown(wait=True)  # break it behind the wrapper
             assert pool.broadcast(_probe_worker_cache, None) == 0
         finally:
             pool.close()
@@ -344,19 +428,46 @@ class TestWorkerShardCacheEviction:
             second.kneighbors_batch(queries, k=3)
             # One worker => every job (and the eviction broadcast) lands on
             # the same process, so the probe is deterministic.
-            pool = executor._pool._ensure_pool()
-            resident = {key[0] for key in pool.submit(_probe_worker_cache).result()}
+            pool = executor._pool
+            workers = pool._workers
+            resident = {key[0] for key in pool.submit_to(0, _probe_worker_cache, None).result()}
             assert {first._searcher_id, second._searcher_id} <= resident
 
             first.close()  # shared executor: evict, do NOT shut the pool down
-            resident = {key[0] for key in pool.submit(_probe_worker_cache).result()}
+            resident = {key[0] for key in pool.submit_to(0, _probe_worker_cache, None).result()}
             assert first._searcher_id not in resident
             assert second._searcher_id in resident
             # The surviving searcher still serves, and the pool never cycled.
             np.testing.assert_array_equal(
                 expected.indices, second.kneighbors_batch(queries, k=3).indices
             )
-            assert executor._pool._ensure_pool() is pool
+            assert pool._workers is workers
+
+    def test_close_evicts_this_searchers_shards_from_every_worker(self):
+        features, labels, queries = _workload()
+        with ProcessShardExecutor(num_workers=2) as executor:
+            first = ShardedSearcher(
+                lambda: MCAMSearcher(bits=3, seed=1), num_shards=2, executor=executor
+            )
+            second = ShardedSearcher(
+                lambda: MCAMSearcher(bits=3, seed=1), num_shards=2, executor=executor
+            )
+            first.fit(features, labels)
+            second.fit(features, labels)
+            expected = first.kneighbors_batch(queries, k=3)
+            second.kneighbors_batch(queries, k=3)
+            assert _resident_by_worker(executor, first._searcher_id) == [[0], [1]]
+            assert _resident_by_worker(executor, second._searcher_id) == [[1], [0]]
+            workers = executor._pool._workers
+
+            first.close()  # shared executor: evict, do NOT shut the pool down
+            assert _resident_by_worker(executor, first._searcher_id) == [[], []]
+            assert _resident_by_worker(executor, second._searcher_id) == [[1], [0]]
+            assert executor._pool.broadcast(_probe_worker_cache, None) == 2
+            np.testing.assert_array_equal(
+                expected.indices, second.kneighbors_batch(queries, k=3).indices
+            )
+            assert executor._pool._workers is workers
 
     def test_evict_purges_the_calling_process_cache(self, tmp_path):
         from repro.core import SoftwareSearcher
