@@ -395,7 +395,6 @@ class MCAMArray(FixedGeometryArray):
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self.__dict__.setdefault("_by_cell_estimates", None)  # older snapshots
         self._spare = {}
         self._row_offsets = None
 

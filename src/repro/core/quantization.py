@@ -23,7 +23,7 @@ from typing import Any, Optional, Tuple
 import numpy as np
 
 from ..exceptions import QuantizationError
-from ..utils.validation import check_bits, check_feature_matrix
+from ..utils.validation import as_2d_array, check_bits, check_feature_matrix
 
 
 @dataclass
@@ -58,10 +58,6 @@ class UniformQuantizer:
         self._high: Optional[np.ndarray] = None
         self._raw_low: Optional[np.ndarray] = None
         self._raw_high: Optional[np.ndarray] = None
-
-    def __setstate__(self, state: dict) -> None:
-        # Quantizers pickled before the raw range was kept cover nothing.
-        self.__dict__.update({"_raw_low": None, "_raw_high": None, **state})
 
     # ------------------------------------------------------------------
     # Calibration
@@ -113,13 +109,14 @@ class UniformQuantizer:
         the union then yields the same ranges bit for bit.  The widened band
         of a constant feature does not count: ``[v - 0.5, v + 0.5]`` holds
         values other than ``v`` whose refit would move the range.  An
-        unfitted quantizer, or one unpickled from before the raw range was
-        kept, answers False.
+        unfitted quantizer answers False.  ``features`` is not scanned for
+        non-finite values: a NaN or an infinity fails the range test, so a
+        row holding one is simply not covered.
         """
         raw_low, raw_high = self._raw_low, self._raw_high
         if raw_low is None or raw_high is None:
             return False
-        features = check_feature_matrix(features, "features")
+        features = as_2d_array(features, "features")
         if features.shape[1] != raw_low.shape[0]:
             return False
         return bool(np.all(features >= raw_low) and np.all(features <= raw_high))

@@ -239,13 +239,15 @@ class NearestNeighborSearcher(abc.ABC):
         """
         return False
 
-    def extend_fit(self, features: Any, labels: Optional[Sequence[int]] = None) -> bool:
-        """Append rows to the fitted store in place, if the engine can.
+    def _extend_fit(self, features: np.ndarray, labels: Optional[Sequence[int]] = None) -> bool:
+        """Append checked rows to the fitted store in place, if the engine can.
 
-        An engine that accepts (returns True) must end up exactly as a
-        :meth:`fit` of the grown store would leave it, provided
-        :meth:`calibration_covers` holds for ``features``.  The default
-        declines (returns False), and the caller refits instead.
+        The sharded append path's hook: ``features`` already passed
+        :func:`check_feature_matrix`.  An engine that accepts (returns
+        True) must end up exactly as a :meth:`fit` of the grown store would
+        leave it, provided :meth:`calibration_covers` holds for
+        ``features``.  The default declines (returns False), and the caller
+        refits instead.
         """
         return False
 
@@ -566,7 +568,7 @@ class MCAMSearcher(NearestNeighborSearcher):
     def calibration_covers(self, features: Any) -> bool:
         return self.quantizer.covers(features)
 
-    def extend_fit(self, features: Any, labels: Optional[Sequence[int]] = None) -> bool:
+    def _extend_fit(self, features: np.ndarray, labels: Optional[Sequence[int]] = None) -> bool:
         """Quantize and program only the appended rows (:meth:`MCAMArray.append`).
 
         Look-up-table mode and row-keyed device mode (``program_seed``)
@@ -583,7 +585,6 @@ class MCAMSearcher(NearestNeighborSearcher):
             or (self.variation is not None and self.program_seed is None)
         ):
             return False
-        features = check_feature_matrix(features, "features")
         label_array = self._label_array(labels, features.shape[0])
         array.append(
             self.quantizer._quantize_checked(features),

@@ -315,13 +315,10 @@ class ShardedSearcher(NearestNeighborSearcher):
         self._store_spare: Dict[str, np.ndarray] = {}
         #: Durability wiring (see :meth:`enable_durability`): the write-ahead
         #: append journal, the sequence number of the last acknowledged
-        #: append, the default storage directory, and the in-flight
-        #: background journal checkpoint.
+        #: append, and the default storage directory.
         self._journal: Optional[Any] = None
         self._append_seq = 0
         self._storage_dir: Optional[str] = None
-        self._checkpoint_thread: Optional[threading.Thread] = None
-        self._checkpoint_error: Optional[BaseException] = None
         #: Serializes state mutation (fit/append/restore/hibernate) against
         #: snapshot capture: an append lands either wholly before a snapshot
         #: — covered by its ``applied_seq`` and truncated from the journal —
@@ -370,9 +367,6 @@ class ShardedSearcher(NearestNeighborSearcher):
             evict(self._searcher_id, broadcast=not self._owns_executor)
         if self._owns_executor:
             self._executor.close()
-        thread, self._checkpoint_thread = self._checkpoint_thread, None
-        if thread is not None:
-            thread.join()
         if self._journal is not None:
             self._journal.close()
 
@@ -493,7 +487,7 @@ class ShardedSearcher(NearestNeighborSearcher):
         (:meth:`~repro.core.search.NearestNeighborSearcher.calibration_covers`)
         leave it as it is: only the receiving shards change, and engines
         that support it
-        (:meth:`~repro.core.search.NearestNeighborSearcher.extend_fit`, the
+        (:meth:`~repro.core.search.NearestNeighborSearcher._extend_fit`, the
         MCAM) quantize and program just the new rows, so such an append
         costs O(appended rows).  Other rows recalibrate on the grown store;
         every shard is then refit when that shifts the frozen calibration
@@ -562,7 +556,7 @@ class ShardedSearcher(NearestNeighborSearcher):
         The shards share one calibration, so the first shard answers
         ``calibration_covers`` for all new rows at once.  Covered rows skip
         the full-store recalibration, and each receiving shard is offered
-        just its new rows through ``extend_fit`` (refitting its slice when
+        just its new rows through ``_extend_fit`` (refitting its slice when
         the engine declines).  The retained store grows into spare capacity
         instead of being copied.
         """
@@ -591,7 +585,7 @@ class ShardedSearcher(NearestNeighborSearcher):
             # Covered rows never recalibrate, so here the shard received rows.
             if not (
                 covered
-                and shard.extend_fit(
+                and shard._extend_fit(
                     full_features[fresh], None if full_labels is None else full_labels[fresh]
                 )
             ):
@@ -628,7 +622,7 @@ class ShardedSearcher(NearestNeighborSearcher):
     # ------------------------------------------------------------------
     # Durability (see repro.storage)
     # ------------------------------------------------------------------
-    def enable_durability(self, directory: Any, fsync: bool = True) -> "ShardedSearcher":
+    def enable_durability(self, directory: Any) -> "ShardedSearcher":
         """Attach a write-ahead append journal and default snapshot directory.
 
         Once enabled, every acknowledged :meth:`append` is recorded
@@ -636,8 +630,7 @@ class ShardedSearcher(NearestNeighborSearcher):
         *before* any row routes to a shard, and :meth:`snapshot` /
         :meth:`restore` default to ``directory``.  Call :meth:`snapshot`
         after the initial :meth:`fit` to establish the recovery base; the
-        journal covers appends, not fits.  ``fsync=False`` trades the
-        zero-acknowledged-loss guarantee for append latency.
+        journal covers appends, not fits.
         """
         from ..storage.journal import AppendJournal
         from ..storage.snapshot import JOURNAL_NAME
@@ -647,7 +640,7 @@ class ShardedSearcher(NearestNeighborSearcher):
         self._storage_dir = directory
         if self._journal is not None:
             self._journal.close()
-        journal = AppendJournal(os.path.join(directory, JOURNAL_NAME), fsync=fsync)
+        journal = AppendJournal(os.path.join(directory, JOURNAL_NAME))
         journal.fault_injector = self.storage_fault_injector
         self._journal = journal
         # Safety net: release the journal's file handle at garbage
@@ -672,12 +665,14 @@ class ShardedSearcher(NearestNeighborSearcher):
         serialize against the capture — each lands either wholly before it
         (covered by the recorded ``applied_seq``) or wholly after it
         (replayed from the journal on restore), so the generation is one
-        consistent cut of ``(applied_seq, shard states)``.  When the
-        snapshot lands in the durability directory, the journal is
-        checkpointed in the background — records the snapshot now covers
-        are truncated away — and the executor (if it supports warm
-        restart) is pointed at the snapshot as this searcher's restore
-        source.
+        consistent cut of ``(applied_seq, shard states)``.  The executor
+        (if it supports warm restart) is first pointed at the committed
+        generation as this searcher's restore source.  When the snapshot
+        lands in the durability directory, the journal is then
+        checkpointed — records the snapshot covers are truncated away.  A
+        failed checkpoint raises from here; the generation stays committed
+        and registered, and the journal keeps the records it covers, which
+        a restore skips.
         """
         from ..storage.snapshot import write_snapshot
 
@@ -691,9 +686,9 @@ class ShardedSearcher(NearestNeighborSearcher):
                 applied_seq=applied_seq,
                 fault_injector=self.storage_fault_injector,
             )
-        if self._journal is not None and directory == self._storage_dir:
-            self._checkpoint_journal(applied_seq)
         self._attach_restore_source(directory, applied_seq)
+        if self._journal is not None and directory == self._storage_dir:
+            self._journal.checkpoint(applied_seq)
         return path
 
     def restore(self, directory: Optional[Any] = None) -> "ShardedSearcher":
@@ -712,11 +707,6 @@ class ShardedSearcher(NearestNeighborSearcher):
         from ..storage.snapshot import JOURNAL_NAME, load_snapshot
 
         directory = self._require_storage_dir(directory)
-        # A background checkpoint still rewriting journal.wal must finish
-        # before the replay reads (and possibly repair-truncates) that file.
-        thread, self._checkpoint_thread = self._checkpoint_thread, None
-        if thread is not None:
-            thread.join()
         state = load_snapshot(directory)
         manifest = state.manifest
         if self.appendable and state.features is None:
@@ -797,45 +787,6 @@ class ShardedSearcher(NearestNeighborSearcher):
                 evict(self._searcher_id, broadcast=True)
         self._published_epochs.clear()
         self._published_paths.clear()
-
-    @property
-    def checkpoint_error(self) -> Optional[BaseException]:
-        """Failure of the last background journal checkpoint (None: healthy).
-
-        A recorded failure is raised out of the next :meth:`snapshot` call
-        instead of vanishing with its daemon thread.
-        """
-        return self._checkpoint_error
-
-    def _checkpoint_journal(self, applied_seq: int) -> None:
-        """Truncate journaled appends the snapshot covers, off-thread.
-
-        The previous checkpoint (if any) is joined first; a failure it
-        recorded — e.g. :class:`~repro.exceptions.SnapshotIntegrityError`
-        from a corrupt frame — re-raises here rather than disappearing to
-        the daemon thread's stderr.
-        """
-        journal = self._journal
-        if journal is None:
-            return
-        prior, self._checkpoint_thread = self._checkpoint_thread, None
-        if prior is not None:
-            prior.join()
-        error, self._checkpoint_error = self._checkpoint_error, None
-        if error is not None:
-            raise error
-
-        def run() -> None:
-            try:
-                journal.checkpoint(applied_seq)
-            except BaseException as exc:  # surfaced on the next snapshot
-                self._checkpoint_error = exc
-
-        thread = threading.Thread(
-            target=run, name="repro-journal-checkpoint", daemon=True
-        )
-        self._checkpoint_thread = thread
-        thread.start()
 
     def _attach_restore_source(self, directory: str, applied_seq: int) -> None:
         """Register ``directory`` as this searcher's disk restore source.

@@ -27,7 +27,6 @@ from ..exceptions import ConfigurationError, SearchError
 from ..utils.rng import SeedLike, ensure_rng
 from ..utils.validation import check_choice, check_feature_matrix
 from ..core.search import NearestNeighborSearcher, SoftwareSearcher
-from ..core.sharding import ShardedSearcher
 
 #: Factory signature: called with no arguments, returns a fresh searcher.
 SearcherFactory = Callable[[], NearestNeighborSearcher]
@@ -42,7 +41,9 @@ class MANNMemory:
         Zero-argument callable returning a fresh
         :class:`~repro.core.search.NearestNeighborSearcher`; called every
         time the memory is (re)written.  Defaults to the FP32 cosine
-        software searcher.
+        software searcher.  A sharded factory, such as
+        ``partial(make_searcher, "mcam-3bit", dim, shards=3,
+        executor="processes")``, spreads the support set across arrays.
     readout:
         ``"nearest"`` (store every support embedding) or ``"prototype"``
         (store per-class mean embeddings).
@@ -51,12 +52,6 @@ class MANNMemory:
         the same searcher instead of building a fresh one — the episodic
         workload of the few-shot harness, where one physical CAM is simply
         reprogrammed per episode.
-    shards / max_rows_per_array / executor:
-        Optional sharded-execution configuration: when either ``shards`` or
-        ``max_rows_per_array`` is given the memory's searcher becomes a
-        :class:`~repro.core.sharding.ShardedSearcher` partitioning the
-        support set across fixed-capacity arrays, ranked on the
-        ``"serial"`` or ``"processes"`` shard executor.
     """
 
     def __init__(
@@ -64,25 +59,9 @@ class MANNMemory:
         searcher_factory: Optional[SearcherFactory] = None,
         readout: str = "nearest",
         reuse_searcher: bool = False,
-        shards: Optional[int] = None,
-        max_rows_per_array: Optional[int] = None,
-        executor: str = "serial",
     ) -> None:
         if searcher_factory is None:
             searcher_factory = lambda: SoftwareSearcher(metric="cosine")  # noqa: E731
-        if shards is not None or max_rows_per_array is not None:
-            base_factory = searcher_factory
-            searcher_factory = lambda: ShardedSearcher(  # noqa: E731
-                base_factory,
-                num_shards=shards,
-                max_rows_per_array=max_rows_per_array,
-                executor=executor,
-            )
-        elif executor != "serial":
-            raise ConfigurationError(
-                "executor applies only to sharded memories; pass shards= or "
-                "max_rows_per_array= as well"
-            )
         self.searcher_factory = searcher_factory
         self.readout = check_choice(readout, "readout", ("nearest", "prototype"))
         self.reuse_searcher = bool(reuse_searcher)

@@ -39,7 +39,6 @@ from .transport import (
     shared_memory_available,
     verify_spool_entry,
     write_spool_bundle,
-    write_spool_pickle,
 )
 from .trials import (
     ParallelTrialRunner,
@@ -62,7 +61,6 @@ __all__ = [
     "verify_spool_entry",
     "worker_shard_cache_epochs",
     "write_spool_bundle",
-    "write_spool_pickle",
     "ParallelTrialRunner",
     "SerialTrialRunner",
     "TRIAL_RUNNERS",

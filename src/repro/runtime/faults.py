@@ -242,10 +242,9 @@ class FaultInjector:
 
     @staticmethod
     def _scribble_midstream(path: str) -> Optional[str]:
-        """Overwrite four bytes mid-file, leaving integrity headers intact.
+        """Overwrite four bytes mid-file, keeping the file's size.
 
-        Scribbling the payload region guarantees the CRC can no longer
-        match, so the fault exercises the checksum, not the header check.
+        Every size check still passes, so the fault exercises the CRC.
         """
         try:
             size = os.path.getsize(path)

@@ -45,7 +45,8 @@ share one physical copy of them, but the search tables a worker builds from
 them (the MCAM's by-cell conductance tables) are private to that worker.
 Every shard therefore has a home worker: with ``W`` workers and ``S``
 shards, shard ``s`` runs on worker ``(offset + s) mod W`` when ``W <= S``
-(see :meth:`ProcessShardExecutor._home_workers` for ``W > S``), and a batch
+(when ``W > S``, consecutive batches rotate over all ``W`` workers; see
+:meth:`ProcessShardExecutor._home_workers`), and a batch
 sends each worker it uses one job, the group of its shards' jobs.  Closing
 a :class:`~repro.core.sharding.ShardedSearcher` sends an eviction message
 to every live worker (:meth:`ProcessShardExecutor.evict`), so long-running
@@ -623,11 +624,10 @@ class ProcessShardExecutor:
         whatever remains of its overall deadline.  ``None`` (the default)
         disables the detector; a ``timeout`` passed to
         :meth:`submit_cached` (or its collect) still bounds the batch.
-    max_restarts / restart_window_s / serial_cooldown_s:
-        Restart budget of the :class:`~.supervision.PoolSupervisor`:
-        ``max_restarts`` heals inside ``restart_window_s`` demote the
-        executor to in-process serial execution, re-probing the pool after
-        ``serial_cooldown_s``.
+
+    The restart budget is the :class:`~.supervision.PoolSupervisor`'s
+    (:attr:`supervisor`): too many heals inside its window demote the
+    executor to in-process serial execution until its cool-down passes.
 
     The pool itself persists across searches — the worker start-up cost is
     paid once per searcher, not per query batch.  Every method is
@@ -645,9 +645,6 @@ class ProcessShardExecutor:
         self,
         num_workers: Optional[int] = None,
         dispatch_timeout_s: Optional[float] = None,
-        max_restarts: int = 5,
-        restart_window_s: float = 30.0,
-        serial_cooldown_s: float = 5.0,
     ) -> None:
         if not _transport.shared_memory_available():
             raise ConfigurationError(
@@ -674,12 +671,7 @@ class ProcessShardExecutor:
             if heal is not None:
                 heal()
 
-        self._supervisor = PoolSupervisor(
-            _heal_weak,
-            max_restarts=max_restarts,
-            restart_window_s=restart_window_s,
-            cooldown_s=serial_cooldown_s,
-        )
+        self._supervisor = PoolSupervisor(_heal_weak)
         #: Chaos-test hook: a :class:`~.faults.FaultInjector` or ``None``.
         self.fault_injector: Any = None
         #: Cold-tenancy hook: a :class:`~repro.storage.tenancy.ColdTenantPool`
@@ -1016,12 +1008,12 @@ class ProcessShardExecutor:
         With ``W`` workers and a searcher of ``S`` shards, ``W <= S`` puts
         shard ``s`` on worker ``(offset + s) mod W`` for every batch, so
         each worker builds and keeps the search tables of its own shards
-        only.  With ``W > S`` the searcher's consecutive batches take turns
-        over ``W // S`` disjoint sets of ``S`` workers, so two batches in
-        flight still use every worker, and a shard is resident in
-        ``W // S`` of them.  Each searcher gets the next ``offset`` on its
-        first batch, so searchers sharing an executor do not all put their
-        shard 0 on worker 0.
+        only.  With ``W > S`` the searcher's batch ``b`` starts at worker
+        ``(offset + b * S) mod W``, so consecutive batches rotate over all
+        ``W`` workers (every worker ranks even when ``S`` does not divide
+        ``W``), and a shard is resident in ``W / gcd(W, S)`` of them.  Each
+        searcher gets the next ``offset`` on its first batch, so searchers
+        sharing an executor do not all put their shard 0 on worker 0.
         """
         workers = self._pool.effective_workers
         searcher_id = jobs[0][0]
@@ -1033,7 +1025,7 @@ class ProcessShardExecutor:
             offset, batch = route
             route[1] = batch + 1
         shards = len(jobs)
-        base = offset + (batch % max(1, workers // shards)) * shards
+        base = offset + batch * shards if workers > shards else offset
         return [(base + job[1]) % workers for job in jobs]
 
     def _dispatch_cached(self, jobs: list) -> Optional[Callable[..., list]]:

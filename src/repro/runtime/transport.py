@@ -29,11 +29,11 @@ on the steady-state path:
   deserialized clones — and a worker that never touches a shard never
   faults its pages in at all.
 
-:func:`write_spool_pickle` / :func:`load_pickle_spool_bytes` are the
-single-file, checksum-framed format that durable snapshots use
-(:mod:`repro.storage.snapshot`).  Every unpickle in this module follows a
-CRC check, so a scribbled byte surfaces as
-:class:`~repro.exceptions.SpoolIntegrityError`, never as garbage.
+:func:`load_checked_pickle` unpickles the files of durable snapshots
+(:mod:`repro.storage.snapshot`), whose manifest records each file's CRC-32.
+Every unpickle in this module follows a CRC check, so a scribbled byte
+surfaces as :class:`~repro.exceptions.SpoolIntegrityError`, never as
+garbage.
 
 Lifecycle: segments are unlinked on ``close()``, on context-manager exit of
 the owning executor, and by a :func:`weakref.finalize` safety net when the
@@ -310,11 +310,6 @@ _BUNDLE_MANIFEST = "manifest.json"
 #: Every field a bundle manifest must carry, with its JSON type.
 _MANIFEST_FIELDS = {"format": int, "payload_crc32": int, "payload_bytes": int, "buffer_bytes": list}
 
-#: Header of checksummed pickle-spool files: magic, 4-byte little-endian
-#: CRC-32 of the pickle stream, 8-byte little-endian stream length.
-_PICKLE_MAGIC = b"RSPL\x01"
-_PICKLE_HEADER_BYTES = len(_PICKLE_MAGIC) + 4 + 8
-
 
 def write_spool_bundle(path: str, payload: Any) -> str:
     """Publish ``payload`` as a memory-mappable bundle directory at ``path``.
@@ -351,37 +346,6 @@ def write_spool_bundle(path: str, payload: Any) -> str:
     with open(os.path.join(staging, _BUNDLE_MANIFEST), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh)
     os.rename(staging, path)
-    return path
-
-
-def write_spool_pickle(path: str, payload: Any, fsync: bool = False) -> str:
-    """Write ``payload`` as a checksummed pickle-spool file at ``path``.
-
-    The single-file format of durable snapshots: the stream is prefixed
-    with a magic/CRC-32/length header and atomically replaced into place,
-    so readers either see a verifiable complete file or the previous one.
-    ``fsync=True`` flushes the file and its directory entry before
-    returning.  :func:`load_pickle_spool_bytes` reads it back.
-    """
-    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    header = (
-        _PICKLE_MAGIC
-        + (zlib.crc32(data) & 0xFFFFFFFF).to_bytes(4, "little")
-        + len(data).to_bytes(8, "little")
-    )
-    tmp_path = f"{path}.tmp"
-    with open(tmp_path, "wb") as fh:
-        fh.write(header + data)
-        if fsync:
-            fh.flush()
-            os.fsync(fh.fileno())
-    os.replace(tmp_path, path)
-    if fsync:
-        dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
     return path
 
 
@@ -435,29 +399,20 @@ def _read_verified_bundle(path: str) -> Tuple[bytes, int]:
     return data, len(manifest["buffer_bytes"])
 
 
-def load_pickle_spool_bytes(data: bytes, source: str, checksummed: bool = True) -> Any:
-    """Unpickle an in-memory pickle-spool image, validating its framing.
+def load_checked_pickle(data: bytes, crc32: int, source: str) -> Any:
+    """Unpickle ``data`` once its CRC-32 matches ``crc32``.
 
-    The reader of :func:`write_spool_pickle` files for callers that already
-    hold the whole file — the snapshot loader checksums each file against
-    its manifest CRC first, then passes ``checksummed=False`` so the
-    frame's own CRC (over the same bytes) is not recomputed.  Bad framing
-    raises :class:`~repro.exceptions.SpoolIntegrityError`.
+    The reader of snapshot files, whose manifest records each file's size
+    and CRC-32.  A mismatch or an unreadable stream raises
+    :class:`~repro.exceptions.SpoolIntegrityError`; nothing is unpickled
+    before the checksum passes.
     """
-    if not data.startswith(_PICKLE_MAGIC):
-        raise SpoolIntegrityError(f"spool image at {source} has no integrity header")
-    head = data[:_PICKLE_HEADER_BYTES]
-    payload = memoryview(data)[_PICKLE_HEADER_BYTES:]
-    crc = int.from_bytes(head[len(_PICKLE_MAGIC) : len(_PICKLE_MAGIC) + 4], "little")
-    length = int.from_bytes(head[len(_PICKLE_MAGIC) + 4 :], "little")
-    if len(payload) != length:
-        raise SpoolIntegrityError(f"spool image truncated at {source}")
-    if checksummed and (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-        raise SpoolIntegrityError(f"spool image corrupt at {source} (checksum mismatch)")
+    if (zlib.crc32(data) & 0xFFFFFFFF) != crc32:
+        raise SpoolIntegrityError(f"{source} is corrupt (checksum mismatch)")
     try:
-        return pickle.loads(payload)
+        return pickle.loads(data)
     except (pickle.UnpicklingError, EOFError, ValueError) as exc:
-        raise SpoolIntegrityError(f"spool image unreadable at {source}: {exc}") from exc
+        raise SpoolIntegrityError(f"{source} is unreadable: {exc}") from exc
 
 
 def load_spool_payload(path: str) -> Any:
@@ -513,11 +468,10 @@ __all__ = [
     "SharedMemoryRing",
     "ShardBatchLayout",
     "attach_segment",
-    "load_pickle_spool_bytes",
+    "load_checked_pickle",
     "load_spool_payload",
     "remove_spool_entry",
     "shared_memory_available",
     "verify_spool_entry",
     "write_spool_bundle",
-    "write_spool_pickle",
 ]

@@ -389,7 +389,6 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
         max_queue: int,
         max_in_flight: int,
         min_delay_s: float,
-        latency_window: int,
         request_timeout_s: Optional[float] = None,
     ) -> None:
         self.max_batch = max_batch
@@ -398,7 +397,7 @@ class _SchedulerEngine:  # reprolint: disable=RPL004 -- facade holds the finaliz
         self.max_in_flight = max_in_flight
         self.min_delay_s = min_delay_s
         self.request_timeout_s = request_timeout_s
-        self.stats = ServingStats(latency_window=latency_window)
+        self.stats = ServingStats()
         self._cond = threading.Condition()
         self._lanes: Dict[str, _Lane] = {}
         self._rotation: List[_Lane] = []
@@ -860,8 +859,6 @@ class MicroBatchScheduler:
     lane / weight:
         Name and fair-share weight of the default lane backed by
         ``searcher``.
-    latency_window:
-        Ring-buffer size of the :class:`ServingStats` latency percentiles.
     request_timeout_s:
         Per-request deadline in seconds (``None``: no deadline).  A
         request that expires while queued is failed with
@@ -893,7 +890,6 @@ class MicroBatchScheduler:
         min_delay_us: float = 50.0,
         lane: str = "default",
         weight: float = 1.0,
-        latency_window: int = 2048,
         request_timeout_s: Optional[float] = None,
     ) -> None:
         max_batch = check_int_in_range(max_batch, "max_batch", minimum=1)
@@ -913,7 +909,6 @@ class MicroBatchScheduler:
             max_queue=max_queue,
             max_in_flight=max_in_flight,
             min_delay_s=float(min_delay_us) * 1e-6,
-            latency_window=latency_window,
             request_timeout_s=(
                 None if request_timeout_s is None else float(request_timeout_s)
             ),

@@ -7,8 +7,7 @@ sees the call return, the rows survive ``kill -9``.  Recovery replays
 records newer than the last snapshot's ``applied_seq`` in order, which
 makes a restored searcher bitwise identical to one that never crashed.
 
-Frame layout mirrors the PR 8 spool header so one CRC idiom covers the
-whole storage tier::
+Each record carries its own length and CRC-32::
 
     b"RJNL\\x01" | crc32(payload) LE u32 | len(payload) LE u64 | payload
 
@@ -37,6 +36,7 @@ from typing import Any, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..exceptions import ConfigurationError, SnapshotIntegrityError
+from ..utils.io import fsync_directory
 
 __all__ = ["AppendJournal", "JournalRecord", "read_journal"]
 
@@ -116,19 +116,13 @@ def read_journal(path: str, repair: bool = False) -> Tuple[List[JournalRecord], 
 class AppendJournal:
     """Append-only, fsync'd record log with atomic checkpoint truncation.
 
-    Parameters
-    ----------
-    path:
-        Journal file location; created lazily on the first :meth:`record`.
-    fsync:
-        Flush each record to stable storage before acknowledging.  On by
-        default — turning it off trades the zero-acknowledged-loss
-        guarantee for write latency and only belongs in benchmarks.
+    ``path`` is the journal file, created lazily on the first
+    :meth:`record`.  Every record reaches stable storage before
+    :meth:`record` returns.
     """
 
-    def __init__(self, path: str, fsync: bool = True) -> None:
+    def __init__(self, path: str) -> None:
         self._path = os.fspath(path)
-        self._fsync = fsync
         self._lock = threading.Lock()
         self._handle: Optional[io.BufferedWriter] = None
         self._closed = False
@@ -155,8 +149,7 @@ class AppendJournal:
             handle = self._open_handle()
             handle.write(frame)
             handle.flush()
-            if self._fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         injector = self.fault_injector
         if injector is not None:
             injector.fire("journal", None, path=self._path)
@@ -197,15 +190,9 @@ class AppendJournal:
                 for record in keep:
                     fh.write(_frame(record))
                 fh.flush()
-                if self._fsync:
-                    os.fsync(fh.fileno())
+                os.fsync(fh.fileno())
             os.replace(tmp_path, self._path)
-            if self._fsync:
-                dir_fd = os.open(os.path.dirname(os.path.abspath(self._path)), os.O_RDONLY)
-                try:
-                    os.fsync(dir_fd)
-                finally:
-                    os.close(dir_fd)
+            fsync_directory(os.path.dirname(os.path.abspath(self._path)))
             return len(keep)
 
     def close(self) -> None:

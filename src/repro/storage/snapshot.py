@@ -13,22 +13,24 @@ Layout under the snapshot directory::
     manifest.json       <- atomic (tmp + os.replace + fsync), written LAST
     journal.wal         <- the append journal (see :mod:`.journal`)
     snap-<id>/          <- one immutable snapshot generation
-        shard-<i>.pkl   <- spool-pickle format (RSPL magic + CRC header)
+        shard-<i>.pkl   <- one pickled ``(engine, index_map)`` per shard
         store.pkl       <- retained features/labels payload
 
-Each data file uses the spool-pickle format
-(:func:`~repro.runtime.transport.write_spool_pickle`), whose own CRC frame
-:func:`~repro.runtime.transport.load_pickle_spool_bytes` checks on top of
-the manifest's CRC — one CRC idiom across the tier.
-The generation directory is staged under a ``.tmp`` name and renamed into
-place before the manifest flips to it, so a crash at any point leaves
-either the previous complete snapshot or none; readers trust only what
-the manifest references and every referenced byte is checksummed.
+The manifest is the only integrity record: each data file is a bare
+pickle whose size and CRC-32 the writer takes from the bytes in memory,
+and :func:`~repro.runtime.transport.load_checked_pickle` checks that CRC
+before it unpickles.  A generation is written into a ``.tmp`` staging
+directory (one write and one fsync per file, one fsync of the directory)
+and renamed into place before the manifest flips to it, so a crash at any
+point leaves either the previous complete snapshot or none; readers trust
+only what the manifest references.  A manifest of another format than
+this module writes is refused before any file is read.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import shutil
 import zlib
 from dataclasses import dataclass
@@ -38,8 +40,8 @@ import numpy as np
 
 from ..circuits.mcam_array import preserve_search_caches
 from ..exceptions import SnapshotIntegrityError, SpoolIntegrityError
-from ..runtime.transport import load_pickle_spool_bytes, write_spool_pickle
-from ..utils.io import load_json, save_json
+from ..runtime.transport import load_checked_pickle
+from ..utils.io import fsync_directory, load_json, save_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.search import NearestNeighborSearcher
@@ -56,7 +58,7 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.wal"
-_SNAPSHOT_FORMAT = 1
+_SNAPSHOT_FORMAT = 2
 _STORE_FILE = "store.pkl"
 
 
@@ -70,22 +72,14 @@ class SnapshotState:
     labels: Optional[np.ndarray]
 
 
-def _file_crc32(path: str) -> int:
-    crc = 0
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(1 << 20)
-            if not chunk:
-                return crc & 0xFFFFFFFF
-            crc = zlib.crc32(chunk, crc)
-
-
-def _fsync_dir(path: str) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+def _write_staged(staging: str, filename: str, payload: Any) -> Dict[str, Any]:
+    """Pickle ``payload`` into ``staging``; its manifest entry (size, CRC-32)."""
+    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    with open(os.path.join(staging, filename), "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    return {"file": filename, "bytes": len(data), "crc32": zlib.crc32(data) & 0xFFFFFFFF}
 
 
 def _next_snapshot_id(directory: str) -> int:
@@ -137,33 +131,18 @@ def write_snapshot(
     # cheaper than the first query rebuilding them.
     with preserve_search_caches():
         for index, (engine, index_map, epoch) in enumerate(shard_states):
-            filename = f"shard-{index}.pkl"
-            shard_path = os.path.join(staging, filename)
-            write_spool_pickle(shard_path, (engine, index_map), fsync=True)
-            shard_entries.append(
-                {
-                    "file": filename,
-                    "bytes": os.path.getsize(shard_path),
-                    "crc32": _file_crc32(shard_path),
-                    "epoch": int(epoch),
-                    "entries": int(engine.num_entries),
-                }
-            )
-    store_path = os.path.join(staging, _STORE_FILE)
-    write_spool_pickle(
-        store_path,
+            entry = _write_staged(staging, f"shard-{index}.pkl", (engine, index_map))
+            entry.update(epoch=int(epoch), entries=int(engine.num_entries))
+            shard_entries.append(entry)
+    store_entry = _write_staged(
+        staging,
+        _STORE_FILE,
         {"features": searcher._store_features, "labels": searcher._labels},
-        fsync=True,
     )
-    store_entry = {
-        "file": _STORE_FILE,
-        "bytes": os.path.getsize(store_path),
-        "crc32": _file_crc32(store_path),
-    }
-
+    fsync_directory(staging)
     final_dir = os.path.join(directory, generation)
     os.rename(staging, final_dir)
-    _fsync_dir(directory)
+    fsync_directory(directory)
 
     manifest = {
         "format": _SNAPSHOT_FORMAT,
@@ -201,39 +180,40 @@ def _load_manifest(directory: str) -> Dict[str, Any]:
         manifest = load_json(manifest_path)
     except (OSError, ValueError) as exc:
         raise SnapshotIntegrityError(f"snapshot manifest unreadable at {manifest_path}") from exc
-    if not isinstance(manifest, dict) or manifest.get("format") != _SNAPSHOT_FORMAT:
+    if not isinstance(manifest, dict):
         raise SnapshotIntegrityError(f"snapshot manifest malformed at {manifest_path}")
+    if manifest.get("format") != _SNAPSHOT_FORMAT:
+        raise SnapshotIntegrityError(
+            f"snapshot manifest at {manifest_path} has format {manifest.get('format')!r}; "
+            f"this version reads format {_SNAPSHOT_FORMAT} only"
+        )
     return manifest
 
 
 def _verified_payload(snap_dir: str, entry: Dict[str, Any]) -> Any:
-    """Load one manifest-referenced file, enforcing its size and CRC.
-
-    Single-pass: the file is read once, checksummed whole against the
-    manifest, then unpickled straight from the buffer — the frame's own
-    CRC covers the same bytes and is skipped (restore latency is the
-    warm-restart budget; every byte is still verified exactly once).
-    """
+    """Load one manifest-referenced file, enforcing its size and CRC-32."""
     path = os.path.join(snap_dir, entry["file"])
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise SnapshotIntegrityError(f"snapshot file missing at {path}") from exc
-    if len(data) != entry["bytes"] or (zlib.crc32(data) & 0xFFFFFFFF) != entry["crc32"]:
-        raise SnapshotIntegrityError(f"snapshot file corrupt at {path} (checksum mismatch)")
+    if len(data) != entry["bytes"]:
+        raise SnapshotIntegrityError(
+            f"snapshot file at {path} has {len(data)} bytes, expected {entry['bytes']}"
+        )
     try:
-        return load_pickle_spool_bytes(data, path, checksummed=False)
+        return load_checked_pickle(data, entry["crc32"], f"snapshot file {path}")
     except SpoolIntegrityError as exc:
-        raise SnapshotIntegrityError(f"snapshot file corrupt at {path}: {exc}") from exc
+        raise SnapshotIntegrityError(str(exc)) from exc
 
 
 def load_snapshot(directory: str) -> SnapshotState:
     """Load and fully verify the snapshot referenced by the manifest.
 
-    Every file is checked against its manifest size and CRC-32 and then
-    against the spool header it carries; any mismatch — including a
-    missing manifest or a calibration fingerprint that moved — raises
+    Every file is checked against its manifest size and CRC-32 before it
+    is unpickled; any mismatch — including a missing manifest, a manifest
+    of another format or a calibration fingerprint that moved — raises
     :class:`~repro.exceptions.SnapshotIntegrityError`.  Partial state is
     never returned.
     """

@@ -43,19 +43,13 @@ def to_jsonable(value: Any) -> Any:
     return _to_jsonable(value)
 
 
-def _fsync_directory(directory: Path) -> None:
-    """fsync a directory so a just-renamed entry survives power loss."""
+def fsync_directory(directory: PathLike) -> None:
+    """fsync a directory so a just-created or renamed entry survives power loss."""
     fd = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def _replace_into_place(tmp_path: Path, path: Path, fsync: bool) -> None:
-    os.replace(tmp_path, path)
-    if fsync:
-        _fsync_directory(path.parent)
 
 
 def save_json(data: Any, path: PathLike, indent: int = 2, fsync: bool = False) -> Path:
@@ -76,7 +70,9 @@ def save_json(data: Any, path: PathLike, indent: int = 2, fsync: bool = False) -
         if fsync:
             handle.flush()
             os.fsync(handle.fileno())
-    _replace_into_place(tmp_path, path, fsync)
+    os.replace(tmp_path, path)
+    if fsync:
+        fsync_directory(path.parent)
     return path
 
 
@@ -87,7 +83,7 @@ def load_json(path: PathLike) -> Any:
         return json.load(handle)
 
 
-def save_csv(records: Sequence[Mapping[str, Any]], path: PathLike, fsync: bool = False) -> Path:
+def save_csv(records: Sequence[Mapping[str, Any]], path: PathLike) -> Path:
     """Write a list of dict records to a CSV file, atomically.
 
     The union of all record keys (in first-seen order) becomes the header.
@@ -110,10 +106,7 @@ def save_csv(records: Sequence[Mapping[str, Any]], path: PathLike, fsync: bool =
         writer.writeheader()
         for record in records:
             writer.writerow({column: record.get(column, "") for column in columns})
-        if fsync:
-            handle.flush()
-            os.fsync(handle.fileno())
-    _replace_into_place(tmp_path, path, fsync)
+    os.replace(tmp_path, path)
     return path
 
 

@@ -749,11 +749,3 @@ class TestFloat32SearchTable:
             assert restored._by_cell_estimates.tobytes() == array._by_cell_estimates.tobytes()
         else:
             assert restored._by_cell_estimates is None
-        # Snapshots written before the table existed restore without it.
-        state = array.__getstate__()
-        del state["_by_cell_estimates"]
-        older = MCAMArray.__new__(MCAMArray)
-        older.__setstate__(state)
-        queries = RNG.integers(0, 8, size=(2, 8))
-        for got, want in zip(older.screened_top_k(queries, 2), array.screened_top_k(queries, 2)):
-            np.testing.assert_array_equal(got, want)

@@ -135,14 +135,18 @@ class TestCovers:
         assert quantizer.covers(np.array([[1.0, 1.5]]))
         assert not quantizer.covers(np.array([[1.25, 1.5]]))  # inside [0.5, 1.5]
 
-    def test_unfitted_or_legacy_quantizer_covers_no_append(self):
+    def test_unfitted_quantizer_covers_no_append(self):
         quantizer = UniformQuantizer(bits=3)
         assert not quantizer.covers(np.zeros((1, 2)))
         quantizer.fit(np.array([[0.0, 0.0], [1.0, 1.0]]))
         assert not quantizer.covers(np.zeros((1, 3)))  # other width
-        legacy = UniformQuantizer.__new__(UniformQuantizer)
-        state = dict(quantizer.__dict__)
-        del state["_raw_low"], state["_raw_high"]
-        legacy.__setstate__(state)  # as unpickled from before the raw range
-        assert not legacy.covers(np.zeros((1, 2)))
-        np.testing.assert_array_equal(legacy.quantize(np.ones((1, 2))), [[7, 7]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_are_not_covered(self, value):
+        # covers() does not scan for non-finite values: each fails the range
+        # test, so the append that holds one is simply not covered.
+        quantizer = UniformQuantizer(bits=3).fit(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        rows = np.full((2, 2), 0.5)
+        assert quantizer.covers(rows)
+        rows[1, 0] = value
+        assert not quantizer.covers(rows)

@@ -688,6 +688,26 @@ class TestShardAppend:
         assert calls == {"reprogram": 0, "calibrate": 0}
         assert searcher.shard_sizes == (17, 17, 17, 17)
 
+    def test_append_scans_its_rows_for_non_finite_values_once(self, monkeypatch):
+        # append() rejects non-finite rows itself; the covers test and the
+        # receiving shards read the checked rows without scanning again.
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(64, NUM_FEATURES))
+        labels = rng.integers(0, 5, size=64)
+        rows = _clipped(rng.normal(size=(4, NUM_FEATURES)), features)
+        searcher = self._make("mcam-3bit", shards=4).fit(features, labels)
+        shapes = []
+        real_isfinite = np.isfinite
+
+        def isfinite(values, *args, **kwargs):
+            shapes.append(np.shape(values))
+            return real_isfinite(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", isfinite)
+        searcher.append(rows, labels[:4])
+        assert shapes == [(4, NUM_FEATURES)]
+        assert searcher.shard_sizes == (17, 17, 17, 17)
+
     def test_append_inside_a_constant_columns_band_refits(self, store):
         # A constant feature v is calibrated as [v - 0.5, v + 0.5]; a new value
         # inside that band but not v moves the full-store calibration, so it

@@ -238,9 +238,13 @@ class TestSearcherReuse:
     def test_sharded_memory_classifies_like_unsharded(self, small_space):
         embeddings, labels = small_space.sample([0, 1, 2, 3], 6, rng=9)
         queries, _ = small_space.sample([0, 1, 2, 3], 4, rng=10)
+        from repro.core import ShardedSearcher
+
         plain = MANNMemory(searcher_factory=lambda: MCAMSearcher(bits=3))
         sharded = MANNMemory(
-            searcher_factory=lambda: MCAMSearcher(bits=3), shards=3, executor="processes"
+            searcher_factory=lambda: ShardedSearcher(
+                lambda: MCAMSearcher(bits=3), num_shards=3, executor="processes"
+            )
         )
         plain.write(embeddings, labels)
         sharded.write(embeddings, labels)

@@ -5,8 +5,8 @@ a hung worker, a corrupt or deleted spool entry, or a lost shared-memory
 segment changes *how long* a batch takes — never *what it computes* and
 never whether the process survives.  These tests pin the policy object
 (:class:`~repro.runtime.supervision.PoolSupervisor`, driven by fake
-clocks), the determinism of the fault-injection harness, the spool
-integrity headers, and — most importantly — the end-to-end chaos
+clocks), the determinism of the fault-injection harness, spool bundle
+integrity, and — most importantly — the end-to-end chaos
 scenarios: every injected fault either heals in place and replays the
 idempotent batch to a bitwise-identical result, or fails typed within its
 deadline, with no hang and no leaked ring segment either way.
@@ -40,11 +40,9 @@ from repro.runtime import (
 )
 from repro.runtime.process_pool import _evict_searcher_entries
 from repro.runtime.transport import (
-    load_pickle_spool_bytes,
     load_spool_payload,
     verify_spool_entry,
     write_spool_bundle,
-    write_spool_pickle,
 )
 
 WORKERS = 2
@@ -283,32 +281,12 @@ class TestFaultInjector:
 
 
 # ----------------------------------------------------------------------
-# Spool integrity headers
+# Spool bundle integrity
 # ----------------------------------------------------------------------
 class TestSpoolIntegrity:
     @staticmethod
     def _payload():
         return (SoftwareSearcher("euclidean").fit(RNG.normal(size=(8, 4))), np.arange(8))
-
-    @staticmethod
-    def _read(path):
-        with open(path, "rb") as fh:
-            return fh.read()
-
-    def test_pickle_spool_round_trips_and_verifies(self, tmp_path):
-        path = write_spool_pickle(str(tmp_path / "entry.pkl"), self._payload())
-        shard, index_map = load_pickle_spool_bytes(self._read(path), path)
-        np.testing.assert_array_equal(index_map, np.arange(8))
-        assert shard.num_entries == 8
-
-    def test_corrupt_pickle_spool_fails_checksum(self, tmp_path):
-        path = write_spool_pickle(str(tmp_path / "entry.pkl"), self._payload())
-        size = os.path.getsize(path)
-        with open(path, "r+b") as fh:
-            fh.seek(size // 2)
-            fh.write(b"\xde\xad\xbe\xef")
-        with pytest.raises(SpoolIntegrityError, match="checksum"):
-            load_pickle_spool_bytes(self._read(path), path)
 
     def test_missing_entry_raises_typed(self, tmp_path):
         path = str(tmp_path / "gone")
@@ -327,15 +305,6 @@ class TestSpoolIntegrity:
         assert not verify_spool_entry(path)
         with pytest.raises(SpoolIntegrityError):
             load_spool_payload(path)
-
-    def test_pickle_spool_with_overwritten_magic_fails_typed(self, tmp_path):
-        # Every spool file is written with its header, so a file without
-        # one is damaged — never an older format to load unverified.
-        path = write_spool_pickle(str(tmp_path / "entry.pkl"), self._payload())
-        with open(path, "r+b") as fh:
-            fh.write(b"\x00" * 5)
-        with pytest.raises(SpoolIntegrityError, match="integrity header"):
-            load_pickle_spool_bytes(self._read(path), path)
 
     def test_bundle_without_manifest_fails_typed(self, tmp_path):
         path = write_spool_bundle(str(tmp_path / "bundle"), self._payload())
@@ -577,11 +546,9 @@ class TestChaosRecovery:
 
     def test_restart_budget_demotes_to_serial_then_reprobes(self):
         queries = RNG.normal(size=(4, 4))
-        with ProcessShardExecutor(
-            num_workers=WORKERS,
-            max_restarts=1,
-            serial_cooldown_s=1.5,
-        ) as executor:
+        with ProcessShardExecutor(num_workers=WORKERS) as executor:
+            executor.supervisor.max_restarts = 1
+            executor.supervisor.cooldown_s = 1.5
             slow_jobs, slow_expected = two_shard_jobs(executor, queries, delay_s=0.2)
             fast_jobs, fast_expected = two_shard_jobs(
                 executor, queries, searcher_id="chaos-fast"

@@ -751,7 +751,6 @@ def _make_engine(max_batch=4, weights=(("a", 3.0),), searcher=None):
         max_queue=1024,
         max_in_flight=2,
         min_delay_s=0.0,
-        latency_window=64,
     )
     for name, weight in weights:
         engine.add_lane(name, searcher, weight=weight, max_queue=None)

@@ -20,6 +20,7 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -38,8 +39,8 @@ from repro.runtime import (
     shared_memory_available,
     verify_spool_entry,
 )
+from repro.core.sharding import SerialShardExecutor
 from repro.runtime.process_pool import _evict_searcher_entries
-from repro.runtime.transport import load_pickle_spool_bytes
 from repro.storage import (
     JOURNAL_NAME,
     MANIFEST_NAME,
@@ -49,6 +50,8 @@ from repro.storage import (
     load_snapshot_shard,
     read_journal,
 )
+from repro.storage import snapshot as snapshot_module
+from repro.utils.io import load_json, save_json
 
 pytestmark = pytest.mark.durability
 
@@ -92,6 +95,17 @@ def fitted_searcher(directory=None, **kwargs):
     if directory is not None:
         searcher.enable_durability(directory)
     return searcher
+
+
+class _SourceRecordingExecutor(SerialShardExecutor):
+    """The serial executor, recording every restore source it is given."""
+
+    def __init__(self):
+        super().__init__()
+        self.sources = []
+
+    def attach_restore_source(self, searcher_id, directory, applied_seq):
+        self.sources.append((directory, applied_seq))
 
 
 def assert_bitwise(got, want):
@@ -229,15 +243,49 @@ class TestSnapshotRestore:
         assert_bitwise(restored.kneighbors_batch(QUERIES, k=3), want)
         restored.close()
 
-    def test_snapshot_shards_verify_like_transport_spools(self, tmp_path):
+    def test_snapshot_shards_match_their_manifest_size_and_crc(self, tmp_path):
         searcher = fitted_searcher(tmp_path)
         generation = searcher.snapshot()
         searcher.close()
-        for index in range(searcher.num_shards):
-            path = os.path.join(generation, f"shard-{index}.pkl")
-            with open(path, "rb") as handle:
-                engine, index_map = load_pickle_spool_bytes(handle.read(), path)
-            assert engine.num_entries == len(index_map)
+        manifest = load_json(tmp_path / MANIFEST_NAME)
+        assert manifest["format"] == 2
+        assert len(manifest["shards"]) == searcher.num_shards
+        for index, entry in enumerate(manifest["shards"]):
+            assert entry["file"] == f"shard-{index}.pkl"
+            with open(os.path.join(generation, entry["file"]), "rb") as handle:
+                data = handle.read()
+            assert len(data) == entry["bytes"]
+            assert zlib.crc32(data) == entry["crc32"]
+
+    def test_generation_holds_exactly_the_files_its_manifest_lists(self, tmp_path):
+        searcher = fitted_searcher(tmp_path)
+        searcher.snapshot()
+        searcher.append(*append_row(1))
+        generation = searcher.snapshot()
+        searcher.close()
+        manifest = load_json(tmp_path / MANIFEST_NAME)
+        assert os.path.basename(generation) == manifest["snapshot_dir"]
+        listed = [entry["file"] for entry in manifest["shards"]] + [manifest["store"]["file"]]
+        assert sorted(os.listdir(generation)) == sorted(listed)
+
+    def test_format_1_generation_is_refused_before_any_file_is_unpickled(
+        self, tmp_path, monkeypatch
+    ):
+        searcher = fitted_searcher(tmp_path)
+        searcher.snapshot()
+        searcher.close()
+        manifest = load_json(tmp_path / MANIFEST_NAME)
+        manifest["format"] = 1
+        save_json(manifest, tmp_path / MANIFEST_NAME)
+        unpickled = []
+        monkeypatch.setattr(
+            snapshot_module, "load_checked_pickle", lambda *args: unpickled.append(args)
+        )
+        with pytest.raises(SnapshotIntegrityError, match="format 1"):
+            make_sharded().restore(tmp_path)
+        with pytest.raises(SnapshotIntegrityError, match="format 1"):
+            load_snapshot_shard(str(tmp_path), 0)
+        assert unpickled == []
 
     def test_journal_replay_recovers_acknowledged_appends(self, tmp_path):
         searcher = fitted_searcher(tmp_path)
@@ -306,9 +354,10 @@ class TestSnapshotRestore:
         for seq in range(1, 4):
             searcher.append(*append_row(seq))
         searcher.snapshot()
-        searcher.close()  # joins the background checkpoint
+        # snapshot() checkpointed the journal before it returned.
         records, _ = read_journal(str(tmp_path / JOURNAL_NAME))
         assert records == []  # the new snapshot covers every append
+        searcher.close()
 
     def test_restore_without_snapshot_raises_typed(self, tmp_path):
         with pytest.raises(SnapshotIntegrityError):
@@ -368,23 +417,31 @@ class TestSnapshotRestore:
         restored.close()
         reference.close()
 
-    def test_checkpoint_failure_surfaces_on_next_snapshot(self, tmp_path):
-        searcher = fitted_searcher(tmp_path)
+    def test_checkpoint_failure_raises_from_its_own_snapshot(self, tmp_path):
+        executor = _SourceRecordingExecutor()
+        searcher = fitted_searcher(tmp_path, executor=executor)
         searcher.append(*append_row(1))
-        searcher.snapshot()  # healthy background checkpoint
+        searcher.snapshot()  # healthy checkpoint
 
         def boom(applied_seq):
             raise SnapshotIntegrityError("checkpoint blew up")
 
         searcher._journal.checkpoint = boom
         searcher.append(*append_row(2))
-        searcher.snapshot()  # schedules the failing checkpoint off-thread
-        # The failure is recorded, not lost to the daemon thread's stderr:
-        # the next snapshot joins that thread and re-raises it typed.
+        want = searcher.kneighbors_batch(QUERIES, k=3)
         with pytest.raises(SnapshotIntegrityError, match="checkpoint blew up"):
             searcher.snapshot()
-        assert searcher.checkpoint_error is None  # consumed by the raise
+        # The generation committed and was registered before the checkpoint
+        # ran, and the journal kept the record that generation covers.
+        assert executor.sources == [(str(tmp_path), 1), (str(tmp_path), 2)]
+        assert load_json(tmp_path / MANIFEST_NAME)["applied_seq"] == 2
+        records, _ = read_journal(str(tmp_path / JOURNAL_NAME))
+        assert [record.seq for record in records] == [2]
         searcher.close()
+        restored = make_sharded().restore(tmp_path)
+        assert restored.num_entries == BASE_ROWS + 2
+        assert_bitwise(restored.kneighbors_batch(QUERIES, k=3), want)
+        restored.close()
 
     def test_hibernate_releases_state_and_restore_brings_it_back(self, tmp_path):
         searcher = fitted_searcher(tmp_path)
@@ -835,7 +892,7 @@ class TestAtomicIO:
 
         target = tmp_path / "table.csv"
         save_csv([{"a": 1, "b": 2}], target)
-        save_csv([{"a": 3, "b": 4}], target, fsync=True)
+        save_csv([{"a": 3, "b": 4}], target)
         rows = load_csv(target)
         assert len(rows) == 1 and rows[0]["a"] == "3"
         assert os.listdir(tmp_path) == ["table.csv"]
