@@ -45,8 +45,7 @@ share one physical copy of them, but the search tables a worker builds from
 them (the MCAM's by-cell conductance tables) are private to that worker.
 Every shard therefore has a home worker: with ``W`` workers and ``S``
 shards, shard ``s`` runs on worker ``(offset + s) mod W`` when ``W <= S``
-(when ``W > S``, consecutive batches rotate over all ``W`` workers; see
-:meth:`ProcessShardExecutor._home_workers`), and a batch
+(see :meth:`ProcessShardExecutor._home_workers` for ``W > S``), and a batch
 sends each worker it uses one job, the group of its shards' jobs.  Closing
 a :class:`~repro.core.sharding.ShardedSearcher` sends an eviction message
 to every live worker (:meth:`ProcessShardExecutor.evict`), so long-running
@@ -1008,12 +1007,12 @@ class ProcessShardExecutor:
         With ``W`` workers and a searcher of ``S`` shards, ``W <= S`` puts
         shard ``s`` on worker ``(offset + s) mod W`` for every batch, so
         each worker builds and keeps the search tables of its own shards
-        only.  With ``W > S`` the searcher's batch ``b`` starts at worker
-        ``(offset + b * S) mod W``, so consecutive batches rotate over all
-        ``W`` workers (every worker ranks even when ``S`` does not divide
-        ``W``), and a shard is resident in ``W / gcd(W, S)`` of them.  Each
-        searcher gets the next ``offset`` on its first batch, so searchers
-        sharing an executor do not all put their shard 0 on worker 0.
+        only.  With ``W > S`` the searcher's consecutive batches take turns
+        over ``W // S`` disjoint sets of ``S`` workers, so two batches in
+        flight still use every worker, and a shard is resident in
+        ``W // S`` of them.  Each searcher gets the next ``offset`` on its
+        first batch, so searchers sharing an executor do not all put their
+        shard 0 on worker 0.
         """
         workers = self._pool.effective_workers
         searcher_id = jobs[0][0]
@@ -1025,7 +1024,7 @@ class ProcessShardExecutor:
             offset, batch = route
             route[1] = batch + 1
         shards = len(jobs)
-        base = offset + batch * shards if workers > shards else offset
+        base = offset + (batch % max(1, workers // shards)) * shards
         return [(base + job[1]) % workers for job in jobs]
 
     def _dispatch_cached(self, jobs: list) -> Optional[Callable[..., list]]:

@@ -29,11 +29,13 @@ on the steady-state path:
   deserialized clones — and a worker that never touches a shard never
   faults its pages in at all.
 
-:func:`load_checked_pickle` unpickles the files of durable snapshots
-(:mod:`repro.storage.snapshot`), whose manifest records each file's CRC-32.
-Every unpickle in this module follows a CRC check, so a scribbled byte
-surfaces as :class:`~repro.exceptions.SpoolIntegrityError`, never as
-garbage.
+:func:`write_checked_pickle` / :func:`load_checked_pickle` write and read
+the files of durable snapshots (:mod:`repro.storage.snapshot`): bare
+pickles whose size and CRC-32 the snapshot manifest records.  Every
+unpickle in this module follows a CRC check, so a scribbled byte surfaces
+as :class:`~repro.exceptions.SpoolIntegrityError` (a spool) or
+:class:`~repro.exceptions.SnapshotIntegrityError` (a snapshot file), never
+as garbage.
 
 Lifecycle: segments are unlinked on ``close()``, on context-manager exit of
 the owning executor, and by a :func:`weakref.finalize` safety net when the
@@ -50,7 +52,7 @@ import threading
 import weakref
 import zlib
 from collections import OrderedDict
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +66,7 @@ except ImportError:  # pragma: no cover - exotic builds without _posixshmem
 #: :func:`shared_memory_available`, which mypy cannot see through.
 _shared_memory: Any = _shm_module
 
-from ..exceptions import ConfigurationError, SpoolIntegrityError
+from ..exceptions import ConfigurationError, SnapshotIntegrityError, SpoolIntegrityError
 
 
 def shared_memory_available() -> bool:
@@ -399,20 +401,39 @@ def _read_verified_bundle(path: str) -> Tuple[bytes, int]:
     return data, len(manifest["buffer_bytes"])
 
 
-def load_checked_pickle(data: bytes, crc32: int, source: str) -> Any:
-    """Unpickle ``data`` once its CRC-32 matches ``crc32``.
+def write_checked_pickle(staging: str, filename: str, payload: Any) -> Dict[str, Any]:
+    """Pickle ``payload`` to ``filename`` in ``staging``: one write, one fsync.
 
-    The reader of snapshot files, whose manifest records each file's size
-    and CRC-32.  A mismatch or an unreadable stream raises
-    :class:`~repro.exceptions.SpoolIntegrityError`; nothing is unpickled
-    before the checksum passes.
+    Returns the file's snapshot-manifest entry: its ``file`` name and the
+    ``bytes`` and ``crc32`` taken from the bytes in memory, which
+    :func:`load_checked_pickle` checks before it unpickles.  The caller
+    renames the staging directory into place.
     """
-    if (zlib.crc32(data) & 0xFFFFFFFF) != crc32:
-        raise SpoolIntegrityError(f"{source} is corrupt (checksum mismatch)")
+    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    with open(os.path.join(staging, filename), "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    return {"file": filename, "bytes": len(data), "crc32": zlib.crc32(data) & 0xFFFFFFFF}
+
+
+def load_checked_pickle(directory: str, entry: Dict[str, Any]) -> Any:
+    """Unpickle the file a manifest ``entry`` names, once its size and CRC-32 match.
+
+    The reader of :func:`write_checked_pickle`'s files.  A missing file, a
+    size or checksum mismatch, or an unreadable stream raises
+    :class:`~repro.exceptions.SnapshotIntegrityError`; nothing is
+    unpickled before both checks pass.
+    """
+    path = os.path.join(directory, entry["file"])
     try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if len(data) != entry["bytes"] or (zlib.crc32(data) & 0xFFFFFFFF) != entry["crc32"]:
+            raise SnapshotIntegrityError(f"snapshot file at {path} is corrupt (checksum mismatch)")
         return pickle.loads(data)
-    except (pickle.UnpicklingError, EOFError, ValueError) as exc:
-        raise SpoolIntegrityError(f"{source} is unreadable: {exc}") from exc
+    except (OSError, pickle.UnpicklingError, EOFError, ValueError) as exc:
+        raise SnapshotIntegrityError(f"snapshot file at {path} is unreadable: {exc}") from exc
 
 
 def load_spool_payload(path: str) -> Any:
@@ -473,5 +494,6 @@ __all__ = [
     "remove_spool_entry",
     "shared_memory_available",
     "verify_spool_entry",
+    "write_checked_pickle",
     "write_spool_bundle",
 ]

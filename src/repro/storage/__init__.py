@@ -18,10 +18,10 @@ restart.  Three pieces compose:
   more tenants than RAM holds, restoring cold tenants transparently on
   their next lease.
 
-Every on-disk artifact is either a snapshot file whose manifest CRC
-:func:`~repro.runtime.transport.load_checked_pickle` checks before it
-unpickles, or a length+CRC framed journal record; nothing partial is ever
-served — corruption surfaces as
+Every on-disk artifact is either a snapshot file whose manifest size and
+CRC-32 :func:`~repro.runtime.transport.load_checked_pickle` checks before
+it unpickles, or a length+CRC framed journal record; nothing partial is
+ever served — corruption surfaces as
 :class:`~repro.exceptions.SnapshotIntegrityError`.
 """
 

@@ -17,30 +17,30 @@ Layout under the snapshot directory::
         store.pkl       <- retained features/labels payload
 
 The manifest is the only integrity record: each data file is a bare
-pickle whose size and CRC-32 the writer takes from the bytes in memory,
-and :func:`~repro.runtime.transport.load_checked_pickle` checks that CRC
+pickle written by :func:`~repro.runtime.transport.write_checked_pickle`,
+which takes its size and CRC-32 from the bytes in memory, and read back by
+:func:`~repro.runtime.transport.load_checked_pickle`, which checks both
 before it unpickles.  A generation is written into a ``.tmp`` staging
 directory (one write and one fsync per file, one fsync of the directory)
 and renamed into place before the manifest flips to it, so a crash at any
 point leaves either the previous complete snapshot or none; readers trust
 only what the manifest references.  A manifest of another format than
-this module writes is refused before any file is read.
+this module writes, or one with a field missing or of the wrong JSON type,
+is refused before any file is read.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import shutil
-import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..circuits.mcam_array import preserve_search_caches
-from ..exceptions import SnapshotIntegrityError, SpoolIntegrityError
-from ..runtime.transport import load_checked_pickle
+from ..exceptions import SnapshotIntegrityError
+from ..runtime.transport import load_checked_pickle, write_checked_pickle
 from ..utils.io import fsync_directory, load_json, save_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -61,6 +61,27 @@ JOURNAL_NAME = "journal.wal"
 _SNAPSHOT_FORMAT = 2
 _STORE_FILE = "store.pkl"
 
+#: Every field of a manifest and of its file entries, with its JSON types;
+#: checked with ``type(...) in`` so a JSON boolean is never taken for a count.
+_MANIFEST_FIELDS: Dict[str, Tuple[type, ...]] = {
+    "format": (int,),
+    "kind": (str,),
+    "snapshot_id": (int,),
+    "snapshot_dir": (str,),
+    "applied_seq": (int,),
+    "num_entries": (int,),
+    "num_features": (int,),
+    "appendable": (bool,),
+    "requested_shards": (int, type(None)),
+    "max_rows_per_array": (int, type(None)),
+    "epoch_counter": (int,),
+    "calibration_fingerprint": (str, type(None)),
+    "shards": (list,),
+    "store": (dict,),
+}
+_FILE_FIELDS: Dict[str, Tuple[type, ...]] = {"file": (str,), "bytes": (int,), "crc32": (int,)}
+_SHARD_FIELDS = dict(_FILE_FIELDS, epoch=(int,), entries=(int,))
+
 
 @dataclass
 class SnapshotState:
@@ -72,26 +93,12 @@ class SnapshotState:
     labels: Optional[np.ndarray]
 
 
-def _write_staged(staging: str, filename: str, payload: Any) -> Dict[str, Any]:
-    """Pickle ``payload`` into ``staging``; its manifest entry (size, CRC-32)."""
-    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    with open(os.path.join(staging, filename), "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    return {"file": filename, "bytes": len(data), "crc32": zlib.crc32(data) & 0xFFFFFFFF}
-
-
 def _next_snapshot_id(directory: str) -> int:
     """One past the newest generation visible on disk or in the manifest."""
-    newest = -1
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    if os.path.exists(manifest_path):
-        try:
-            manifest = load_json(manifest_path)
-            newest = int(manifest.get("snapshot_id", -1))
-        except (OSError, ValueError):
-            pass  # unreadable manifest: fall back to the directory scan
+    try:
+        newest: int = _load_manifest(directory)["snapshot_id"]
+    except SnapshotIntegrityError:
+        newest = -1  # no readable manifest: the directory scan decides
     for name in os.listdir(directory):
         stem = name[:-4] if name.endswith(".tmp") else name
         if stem.startswith("snap-"):
@@ -131,10 +138,10 @@ def write_snapshot(
     # cheaper than the first query rebuilding them.
     with preserve_search_caches():
         for index, (engine, index_map, epoch) in enumerate(shard_states):
-            entry = _write_staged(staging, f"shard-{index}.pkl", (engine, index_map))
+            entry = write_checked_pickle(staging, f"shard-{index}.pkl", (engine, index_map))
             entry.update(epoch=int(epoch), entries=int(engine.num_entries))
             shard_entries.append(entry)
-    store_entry = _write_staged(
+    store_entry = write_checked_pickle(
         staging,
         _STORE_FILE,
         {"features": searcher._store_features, "labels": searcher._labels},
@@ -172,14 +179,19 @@ def write_snapshot(
     return final_dir
 
 
+def _has_fields(record: Any, fields: Dict[str, Tuple[type, ...]]) -> bool:
+    return isinstance(record, dict) and all(
+        field in record and type(record[field]) in kinds for field, kinds in fields.items()
+    )
+
+
 def _load_manifest(directory: str) -> Dict[str, Any]:
+    """The manifest, of this module's format, with every field of its JSON type."""
     manifest_path = os.path.join(directory, MANIFEST_NAME)
-    if not os.path.exists(manifest_path):
-        raise SnapshotIntegrityError(f"no snapshot manifest at {manifest_path}")
     try:
         manifest = load_json(manifest_path)
     except (OSError, ValueError) as exc:
-        raise SnapshotIntegrityError(f"snapshot manifest unreadable at {manifest_path}") from exc
+        raise SnapshotIntegrityError(f"no readable snapshot manifest at {manifest_path}") from exc
     if not isinstance(manifest, dict):
         raise SnapshotIntegrityError(f"snapshot manifest malformed at {manifest_path}")
     if manifest.get("format") != _SNAPSHOT_FORMAT:
@@ -187,25 +199,15 @@ def _load_manifest(directory: str) -> Dict[str, Any]:
             f"snapshot manifest at {manifest_path} has format {manifest.get('format')!r}; "
             f"this version reads format {_SNAPSHOT_FORMAT} only"
         )
-    return manifest
-
-
-def _verified_payload(snap_dir: str, entry: Dict[str, Any]) -> Any:
-    """Load one manifest-referenced file, enforcing its size and CRC-32."""
-    path = os.path.join(snap_dir, entry["file"])
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise SnapshotIntegrityError(f"snapshot file missing at {path}") from exc
-    if len(data) != entry["bytes"]:
+    if not (
+        _has_fields(manifest, _MANIFEST_FIELDS)
+        and _has_fields(manifest["store"], _FILE_FIELDS)
+        and all(_has_fields(entry, _SHARD_FIELDS) for entry in manifest["shards"])
+    ):
         raise SnapshotIntegrityError(
-            f"snapshot file at {path} has {len(data)} bytes, expected {entry['bytes']}"
+            f"snapshot manifest malformed at {manifest_path} (a field is missing or mistyped)"
         )
-    try:
-        return load_checked_pickle(data, entry["crc32"], f"snapshot file {path}")
-    except SpoolIntegrityError as exc:
-        raise SnapshotIntegrityError(str(exc)) from exc
+    return manifest
 
 
 def load_snapshot(directory: str) -> SnapshotState:
@@ -219,16 +221,16 @@ def load_snapshot(directory: str) -> SnapshotState:
     """
     directory = os.fspath(directory)
     manifest = _load_manifest(directory)
-    snap_dir = os.path.join(directory, str(manifest["snapshot_dir"]))
+    snap_dir = os.path.join(directory, manifest["snapshot_dir"])
     shards: List[Tuple["NearestNeighborSearcher", np.ndarray]] = []
     for entry in manifest["shards"]:
-        engine, index_map = _verified_payload(snap_dir, entry)
+        engine, index_map = load_checked_pickle(snap_dir, entry)
         shards.append((engine, np.asarray(index_map, dtype=np.int64)))
     if not shards:
         raise SnapshotIntegrityError(f"snapshot at {directory} references no shards")
-    store = _verified_payload(snap_dir, manifest["store"])
+    store = load_checked_pickle(snap_dir, manifest["store"])
     fingerprint = shards[0][0].calibration_fingerprint()
-    if fingerprint != manifest.get("calibration_fingerprint"):
+    if fingerprint != manifest["calibration_fingerprint"]:
         raise SnapshotIntegrityError(
             f"snapshot at {directory} restored a different calibration state "
             f"than it recorded"
@@ -253,7 +255,7 @@ def load_snapshot_shard(directory: str, shard_index: int) -> Any:
     wanted = f"shard-{shard_index}.pkl"
     for entry in manifest["shards"]:
         if entry["file"] == wanted:
-            return _verified_payload(os.path.join(directory, str(manifest["snapshot_dir"])), entry)
+            return load_checked_pickle(os.path.join(directory, manifest["snapshot_dir"]), entry)
     raise SnapshotIntegrityError(
         f"snapshot at {directory} holds no shard {shard_index} "
         f"({len(manifest['shards'])} shards recorded)"

@@ -19,16 +19,16 @@ import numpy as np
 PathLike = Union[str, Path]
 
 
-def _to_jsonable(value: Any) -> Any:
+def to_jsonable(value: Any) -> Any:
     """Recursively convert numpy scalars/arrays and dataclasses to JSON types."""
     if is_dataclass(value) and not isinstance(value, type):
-        return _to_jsonable(asdict(value))
+        return to_jsonable(asdict(value))
     if isinstance(value, Mapping):
-        return {str(key): _to_jsonable(val) for key, val in value.items()}
+        return {str(key): to_jsonable(val) for key, val in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_to_jsonable(item) for item in value]
+        return [to_jsonable(item) for item in value]
     if isinstance(value, np.ndarray):
-        return _to_jsonable(value.tolist())
+        return to_jsonable(value.tolist())
     if isinstance(value, (np.floating,)):
         return float(value)
     if isinstance(value, (np.integer,)):
@@ -36,11 +36,6 @@ def _to_jsonable(value: Any) -> Any:
     if isinstance(value, (np.bool_,)):
         return bool(value)
     return value
-
-
-def to_jsonable(value: Any) -> Any:
-    """Public wrapper for converting arbitrary results to JSON-ready values."""
-    return _to_jsonable(value)
 
 
 def fsync_directory(directory: PathLike) -> None:
@@ -65,7 +60,7 @@ def save_json(data: Any, path: PathLike, indent: int = 2, fsync: bool = False) -
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp_path = path.with_name(path.name + ".tmp")
     with tmp_path.open("w", encoding="utf-8") as handle:
-        json.dump(_to_jsonable(data), handle, indent=indent, sort_keys=False)
+        json.dump(to_jsonable(data), handle, indent=indent, sort_keys=False)
         handle.write("\n")
         if fsync:
             handle.flush()
@@ -90,7 +85,7 @@ def save_csv(records: Sequence[Mapping[str, Any]], path: PathLike) -> Path:
     Like :func:`save_json`, the file lands via tmp-write + ``os.replace``
     so a crash mid-export cannot leave a truncated table behind.
     """
-    records = [dict(_to_jsonable(record)) for record in records]
+    records = [dict(to_jsonable(record)) for record in records]
     if not records:
         raise ValueError("cannot write an empty list of records to CSV")
     columns: list = []

@@ -371,15 +371,6 @@ class TestShardAffinity:
             # worker ranked, and each shard is resident in two of them.
             assert _resident_by_worker(executor, searcher._searcher_id) == [[0], [1], [0], [1]]
 
-    def test_more_workers_than_shards_rotate_so_every_worker_ranks(self):
-        with ProcessShardExecutor(num_workers=3) as executor:
-            searcher = self._serve(executor, num_shards=2, batches=3)
-            # Batch b starts at worker 2b mod 3: batches ran on workers
-            # (0, 1), (2, 0) and (1, 2), so every worker ranked both shards
-            # although 2 shards do not divide 3 workers.
-            assert _resident_by_worker(executor, searcher._searcher_id) == [[0, 1]] * 3
-            assert executor.ring_in_flight == 0
-
     def test_searchers_sharing_an_executor_start_on_different_workers(self):
         with ProcessShardExecutor(num_workers=2) as executor:
             first = self._serve(executor, num_shards=2, batches=1)

@@ -78,6 +78,18 @@ def in_range_row(seq):
     return np.clip(features, stored.min(axis=0), stored.max(axis=0)), labels
 
 
+#: Every field of a format-2 manifest and of its file entries, as key paths.
+MANIFEST_FIELDS = (
+    "format kind snapshot_id snapshot_dir applied_seq num_entries num_features appendable "
+    "requested_shards max_rows_per_array epoch_counter calibration_fingerprint shards store"
+).split()
+MANIFEST_FIELD_PATHS = (
+    [(field,) for field in MANIFEST_FIELDS]
+    + [("shards", 0, field) for field in ("file", "bytes", "crc32", "epoch", "entries")]
+    + [("store", field) for field in ("file", "bytes", "crc32")]
+)
+
+
 def make_sharded(shards=3, executor="serial", appendable=True, seed=7):
     return make_searcher(
         "mcam-3bit",
@@ -249,6 +261,7 @@ class TestSnapshotRestore:
         searcher.close()
         manifest = load_json(tmp_path / MANIFEST_NAME)
         assert manifest["format"] == 2
+        assert sorted(manifest) == sorted(MANIFEST_FIELDS)
         assert len(manifest["shards"]) == searcher.num_shards
         for index, entry in enumerate(manifest["shards"]):
             assert entry["file"] == f"shard-{index}.pkl"
@@ -284,6 +297,38 @@ class TestSnapshotRestore:
         with pytest.raises(SnapshotIntegrityError, match="format 1"):
             make_sharded().restore(tmp_path)
         with pytest.raises(SnapshotIntegrityError, match="format 1"):
+            load_snapshot_shard(str(tmp_path), 0)
+        assert unpickled == []
+
+    @pytest.mark.parametrize("damage", ["missing", "mistyped"])
+    @pytest.mark.parametrize(
+        "path", MANIFEST_FIELD_PATHS, ids=lambda path: "/".join(map(str, path))
+    )
+    def test_manifest_with_a_damaged_field_is_refused_typed(
+        self, tmp_path, monkeypatch, path, damage
+    ):
+        searcher = fitted_searcher(tmp_path)
+        searcher.snapshot()
+        searcher.close()
+        manifest = load_json(tmp_path / MANIFEST_NAME)
+        *parents, field = path
+        record = manifest
+        for step in parents:
+            record = record[step]
+        if damage == "missing":
+            del record[field]
+        else:
+            # A JSON boolean is never a count, name, list or fingerprint,
+            # and a count is never the boolean ``appendable``.
+            record[field] = 1 if type(record[field]) is bool else True
+        save_json(manifest, tmp_path / MANIFEST_NAME)
+        unpickled = []
+        monkeypatch.setattr(
+            snapshot_module, "load_checked_pickle", lambda *args: unpickled.append(args)
+        )
+        with pytest.raises(SnapshotIntegrityError):
+            make_sharded().restore(tmp_path)
+        with pytest.raises(SnapshotIntegrityError):
             load_snapshot_shard(str(tmp_path), 0)
         assert unpickled == []
 
