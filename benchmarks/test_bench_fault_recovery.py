@@ -334,7 +334,7 @@ def test_hung_worker_fails_typed_within_budget(bench_report, record_result):
         ]
         started = time.perf_counter()
         with pytest.raises(ServingTimeoutError):
-            executor.map_cached(jobs, timeout=DEADLINE_BUDGET_S)
+            executor.submit_cached(jobs, timeout=DEADLINE_BUDGET_S)()
         elapsed = time.perf_counter() - started
         # Typed failure in roughly the budget plus the heals — never the
         # 60 s the hung workers would have cost.

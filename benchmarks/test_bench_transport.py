@@ -2,9 +2,9 @@
 
 Steady-state batches reach the workers through shared memory — queries are
 written once into a segment every worker maps, and workers write their
-results back in place — and shards reach them as memory-mapped spool
-bundles.  This benchmark pins that moving bytes this way changes nothing
-that is computed: the shared-memory transport must match the serial
+results back in place — and shards reach them as one memory-mapped,
+checksummed spool file per shard epoch.  This benchmark pins that moving
+bytes this way changes nothing that is computed: the shared-memory transport must match the serial
 executor bitwise at 1, 2 and 4 workers (run on every host).
 
 Its speed gate compared shared memory against the pickle transport, which

@@ -28,7 +28,8 @@ Two serving-oriented extensions ride on the executor seam:
 
 * executors exposing ``publish_shard`` and ``submit_cached`` (the
   ``"processes"`` strategy) receive each programmed shard **once per
-  program epoch** — published through ``publish_shard`` and cached
+  program epoch** — published through ``publish_shard`` (one
+  memory-mapped, checksummed spool file per shard epoch) and cached
   worker-resident — so steady-state query batches ship only query payloads
   through ``submit_cached``; every other executor ranks self-contained
   shard jobs through ``map``, and
@@ -217,10 +218,10 @@ class ShardedSearcher(NearestNeighborSearcher):
         searcher then **shares** rather than owns: several searchers can
         serve from one long-running worker pool, and :meth:`close` evicts
         this searcher's worker-cached shards without shutting the shared
-        pool down.  An instance needs ``map(fn, jobs)`` (order-preserving)
-        and ``close()``; the searcher also uses ``publish_shard``,
-        ``submit_cached`` (whose collect takes ``timeout``), ``evict``,
-        ``attach_restore_source`` and ``note_append_seq`` when present.
+        pool down.  An instance needs ``close()`` and either
+        ``publish_shard`` with ``submit_cached`` (whose collect takes
+        ``timeout``) or ``map(fn, jobs)`` (order-preserving); the searcher
+        also calls ``evict`` when present.
     num_workers:
         Worker bound for pooled executors; defaults to the host CPU count.
         Applies only when ``executor`` is given by name — a shared instance
@@ -284,12 +285,13 @@ class ShardedSearcher(NearestNeighborSearcher):
                     "num_workers applies only when the executor is given by "
                     "name; configure the shared executor instance directly"
                 )
-            if not callable(getattr(executor, "map", None)) or not callable(
-                getattr(executor, "close", None)
-            ):
+            ranks = callable(getattr(executor, "submit_cached", None)) or callable(
+                getattr(executor, "map", None)
+            )
+            if not ranks or not callable(getattr(executor, "close", None)):
                 raise SearchError(
                     "executor must be 'serial', 'processes' or an object "
-                    "with map(fn, jobs) and close()"
+                    "with close() and either submit_cached(jobs) or map(fn, jobs)"
                 )
             self.executor_name = str(getattr(executor, "name", type(executor).__name__))
             self._executor = executor
@@ -539,13 +541,10 @@ class ShardedSearcher(NearestNeighborSearcher):
                 # before any shard mutates, so once append() returns the caller
                 # holds a durable acknowledgement that survives kill -9.
                 self._journal.record(self._append_seq + 1, features, labels)
-            # The sequence advances even without a journal: snapshots stamp
-            # it as applied_seq, which lets the executor's disk-restore rung
-            # tell a snapshot that still matches this searcher from one
-            # taken before later acknowledged appends.
+            # Snapshots stamp the sequence as applied_seq, and a restore
+            # replays only the journal records after it.
             self._append_seq += 1
             self._apply_append(features, labels)
-        self._note_append_seq()
         return self
 
     def _apply_append(
@@ -665,14 +664,12 @@ class ShardedSearcher(NearestNeighborSearcher):
         serialize against the capture — each lands either wholly before it
         (covered by the recorded ``applied_seq``) or wholly after it
         (replayed from the journal on restore), so the generation is one
-        consistent cut of ``(applied_seq, shard states)``.  The executor
-        (if it supports warm restart) is first pointed at the committed
-        generation as this searcher's restore source.  When the snapshot
-        lands in the durability directory, the journal is then
+        consistent cut of ``(applied_seq, shard states)``.  When the
+        snapshot lands in the durability directory, the journal is then
         checkpointed — records the snapshot covers are truncated away.  A
-        failed checkpoint raises from here; the generation stays committed
-        and registered, and the journal keeps the records it covers, which
-        a restore skips.
+        failed checkpoint raises from here; the generation stays committed,
+        and the journal keeps the records it covers, which a restore
+        skips.
         """
         from ..storage.snapshot import write_snapshot
 
@@ -686,7 +683,6 @@ class ShardedSearcher(NearestNeighborSearcher):
                 applied_seq=applied_seq,
                 fault_injector=self.storage_fault_injector,
             )
-        self._attach_restore_source(directory, applied_seq)
         if self._journal is not None and directory == self._storage_dir:
             self._journal.checkpoint(applied_seq)
         return path
@@ -754,8 +750,6 @@ class ShardedSearcher(NearestNeighborSearcher):
                     )
                 self._apply_append(record.features, record.labels)
                 self._append_seq = record.seq
-            applied_seq = self._append_seq
-        self._attach_restore_source(directory, applied_seq)
         return self
 
     def hibernate(self, directory: Optional[Any] = None) -> str:
@@ -787,28 +781,6 @@ class ShardedSearcher(NearestNeighborSearcher):
                 evict(self._searcher_id, broadcast=True)
         self._published_epochs.clear()
         self._published_paths.clear()
-
-    def _attach_restore_source(self, directory: str, applied_seq: int) -> None:
-        """Register ``directory`` as this searcher's disk restore source.
-
-        ``applied_seq`` tells the executor which append the snapshot covers
-        up to, so its disk-restore rung can refuse a generation that later
-        acknowledged appends have made stale.
-        """
-        attach = getattr(self._executor, "attach_restore_source", None)
-        if attach is not None:
-            attach(self._searcher_id, directory, applied_seq=applied_seq)
-
-    def _note_append_seq(self) -> None:
-        """Tell the executor how far past any snapshot this searcher is.
-
-        The executor's disk-restore rung must never republish a shard from
-        a snapshot generation older than the last acknowledged append —
-        this hook is how it learns the current sequence.
-        """
-        note = getattr(self._executor, "note_append_seq", None)
-        if note is not None:
-            note(self._searcher_id, self._append_seq)
 
     # ------------------------------------------------------------------
     # Ranking

@@ -12,7 +12,7 @@ Scopes follow the layering the repo established in PRs 1–8:
   domain: exception typing (RPL006), swallow hygiene (RPL007), timeout
   discipline and pump purity (RPL009) and lock ordering (RPL010) apply;
 * **pool boundary** (everywhere, including tests and benchmarks):
-  nothing unpicklable crosses ``submit_all``/``submit_to``/``map_cached``/
+  nothing unpicklable crosses ``submit_all``/``submit_to``/
   ``submit_cached``/``broadcast`` (RPL008);
 * **persistence scope** (``repro.utils.io``, ``repro.storage``,
   ``repro.runtime.transport``): files land via tmp-write +
@@ -401,7 +401,7 @@ class PoolBoundaryPicklableRule(Rule):
 
     Lambdas and functions defined inside another function cannot be
     pickled, so passing one into the pool seam (``submit_all``/
-    ``submit_to``/``map_cached``/``submit_cached``/``broadcast``) fails
+    ``submit_to``/``submit_cached``/``broadcast``) fails
     only at dispatch time, deep inside a worker traceback.  Flag it at the
     call site instead.
     """
@@ -410,10 +410,10 @@ class PoolBoundaryPicklableRule(Rule):
     name = "unpicklable-at-pool-boundary"
     description = (
         "lambdas/nested functions must not be passed into submit_all/"
-        "submit_to/map_cached/submit_cached/broadcast"
+        "submit_to/submit_cached/broadcast"
     )
 
-    _BOUNDARY = {"submit_all", "submit_to", "map_cached", "submit_cached", "broadcast"}
+    _BOUNDARY = {"submit_all", "submit_to", "submit_cached", "broadcast"}
 
     @staticmethod
     def _nested_function_names(tree: ast.Module) -> Set[str]:

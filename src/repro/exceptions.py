@@ -74,10 +74,11 @@ class WorkerCrashError(ServingError):
 class SpoolIntegrityError(ServingError):
     """Raised when a published shard spool entry is corrupt or missing.
 
-    Spool bundles carry a checksum in their header; a worker that reads a
-    truncated, scribbled or deleted bundle raises this instead of crashing
-    on garbage.  The executor reacts by evicting the bad entry and
-    republishing the shard from the parent-resident payload.
+    Each spool entry is one file whose CRC-32 covers every byte after its
+    prefix, stored states included; a worker that reads a truncated,
+    scribbled or deleted entry raises this before it unpickles anything.
+    The executor reacts by republishing the shard from the parent-resident
+    payload.
     """
 
 

@@ -8,16 +8,15 @@ The execution layer behind the statistical sweeps:
   epoch instead of once per query batch,
 * :mod:`repro.runtime.transport` — the zero-copy transport layer under the
   shard executor: a shared-memory ring for query/result batches, safe for
-  concurrent dispatching threads, and memory-mapped ``.npy`` spool
-  bundles,
+  concurrent dispatching threads, and one memory-mapped, checksummed
+  spool file per published shard epoch,
 * :mod:`repro.runtime.trials` — the trial/episode dispatcher the Fig. 7/8
   harnesses fan out on, with a strict determinism contract (self-contained
   units, bitwise-identical results at any worker count),
 * :mod:`repro.runtime.supervision` — the fault-tolerance policy: a pool
   supervisor that heals a dead/hung worker pool in place at a bounded
-  restart rate (the full degradation ladder is ``shm → serial →
-  disk-restore``, the last rung served by :mod:`repro.storage`
-  snapshots),
+  restart rate, demoting to in-process serial execution when heals come
+  too fast (the degradation ladder is ``shm → serial``),
 * :mod:`repro.runtime.faults` — a deterministic, seeded fault-injection
   harness (kill-worker-mid-batch, corrupt/drop-spool, corrupt-segment,
   delay-collect, torn-journal-tail, corrupt-snapshot, drop-manifest)

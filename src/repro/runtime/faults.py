@@ -9,8 +9,9 @@ assert exact recovery behavior:
 * ``kill_worker`` — SIGKILL one worker process right after a batch is
   dispatched (the mid-batch crash: its futures fail with
   ``BrokenProcessPool``),
-* ``corrupt_spool`` — scribble over a published shard spool entry so the
-  next cache-miss load fails its checksum
+* ``corrupt_spool`` — scribble over the middle of a published shard spool
+  entry (for an MCAM shard, its stored states) so the next cache-miss
+  load fails the file's CRC-32
   (:class:`~repro.exceptions.SpoolIntegrityError`),
 * ``drop_spool`` — delete a published spool entry outright,
 * ``corrupt_segment`` — unlink a just-acquired shared-memory ring
@@ -46,7 +47,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from random import Random
 
@@ -188,7 +189,7 @@ class FaultInjector:
             path = self._pick_spool_entry(executor)
             if path is None:
                 return None
-            return self._scribble_midstream(os.path.join(path, "payload.pkl"))
+            return self._scribble_midstream(path)
         if armed.fault == "torn_journal_tail":
             if path is None:
                 return None
@@ -277,5 +278,6 @@ class FaultInjector:
     def _pick_spool_entry(executor: Any) -> Optional[str]:
         """The first published spool path, in deterministic key order."""
         with executor._lock:
-            entries: List[Tuple[str, str]] = sorted(executor._published.items())
-        return entries[0][1] if entries else None
+            keys = sorted(executor._published)
+            path: Optional[str] = executor._published[keys[0]][0] if keys else None
+        return path

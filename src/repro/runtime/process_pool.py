@@ -55,11 +55,12 @@ shared pools do not accumulate shards of dead searchers.
 shared memory: queries are written once into a segment of the executor's
 :class:`~.transport.SharedMemoryRing` that every worker maps, workers
 write their top-k indices/scores back into the same segment in place, and
-published shards are memory-mapped ``.npy`` bundles whose pages all
-workers share.  A batch holds its segment from dispatch until its collect
-has copied the results out, so any number of threads may dispatch through
-one executor and collect in any order.  A host without shared memory
-cannot build the executor; ``executor="serial"`` serves there.
+each published shard is one checksummed spool file that every worker
+memory-maps, so all of them share its pages.  A batch holds its segment
+from dispatch until its collect has copied the results out, so any number
+of threads may dispatch through one executor and collect in any order.  A
+host without shared memory cannot build the executor; ``executor="serial"``
+serves there.
 
 **Supervision and recovery.**  Cached-rank dispatches are supervised: a
 batch whose worker crashes (``BrokenProcessPool``), hangs past
@@ -74,7 +75,7 @@ or keep its shared-memory segment (allocation fails, or a worker finds it
 gone) is replayed in process, and the next batch tries shared memory
 again.  A pool that dies faster than it heals is demoted to in-process
 serial execution — bitwise identical, just slow — until its cool-down
-passes, so the degradation ladder is ``shm → serial → disk-restore``.
+passes, so the degradation ladder is ``shm → serial``.
 All injection points for the chaos suite live in :mod:`~.faults`.
 
 All pools support the context-manager protocol, ``close()`` is idempotent,
@@ -106,7 +107,6 @@ from ..exceptions import (
     ConfigurationError,
     ServingError,
     ServingTimeoutError,
-    SnapshotIntegrityError,
     SpoolIntegrityError,
     WorkerCrashError,
 )
@@ -169,7 +169,7 @@ def _init_worker() -> None:
 
 
 def _probe_echo(value: Any) -> Any:
-    """Trivial round-trip job used by :meth:`PersistentProcessPool.probe`."""
+    """Trivial round-trip job: the first job every worker's executor gets."""
     return value
 
 
@@ -326,22 +326,6 @@ class PersistentProcessPool:
         except OSError:  # already reaped
             return None
         return pid
-
-    def probe(self, timeout: float = 5.0) -> bool:
-        """Whether a trivial round trip through every worker completes in time.
-
-        Starts the pool if needed; False means a worker is dead or wedged —
-        the caller should heal before dispatching.
-        """
-        try:
-            futures = [
-                self.submit_to(worker, _probe_echo, worker)
-                for worker in range(self.effective_workers)
-            ]
-            replies = _await_futures(futures, timeout, what="probe")
-        except Exception:
-            return False
-        return replies == list(range(len(futures)))
 
     def submit_to(self, worker: int, fn: Callable, job: Any) -> Future:
         """Submit ``fn(job)`` to worker ``worker``'s own queue; returns the future.
@@ -514,8 +498,8 @@ def _resident_shard(
     """The worker-resident ``(shard, index_map)`` for one cache key.
 
     On an epoch match the resident entry serves without touching the spool;
-    on a miss the published memory-mapped bundle is loaded and replaces
-    the cached entry in place.  A corrupt or missing
+    on a miss the published spool file is checked, memory-mapped and
+    loaded, and replaces the cached entry in place.  A corrupt or missing
     spool entry raises :class:`~repro.exceptions.SpoolIntegrityError` —
     typed and recoverable (the parent repairs the spool and retries) —
     instead of crashing the worker on garbage bytes.
@@ -677,33 +661,17 @@ class ProcessShardExecutor:
         #: (or anything with ``touch(searcher_id)``) notified on every cached
         #: dispatch so serving traffic refreshes LRU recency.
         self.tenant_policy: Any = None
-        #: ``(snapshot directory, applied_seq)`` per restored/snapshotted
-        #: searcher — the restore-from-disk rung: a spool entry that is
-        #: corrupt while no parent-resident payload exists (a
-        #: warm-restarted host) is republished straight from the snapshot
-        #: on disk, but only while the snapshot still covers the
-        #: searcher's last acknowledged append.
-        self._restore_sources: Dict[str, Tuple[str, int]] = {}
-        #: Last acknowledged append sequence per searcher (monotonic; fed
-        #: by :meth:`note_append_seq`).  Compared against a restore
-        #: source's ``applied_seq`` so the disk rung never republishes a
-        #: shard from a snapshot that pre-dates acknowledged appends.
-        self._append_seqs: Dict[str, int] = {}
         #: Shared-memory segments of dispatched batches (thread-safe).
         self._ring = _transport.SharedMemoryRing()
         self._spool_dir: Optional[str] = None
         self._spool_finalizer: Optional[weakref.finalize] = None
-        #: Current spool path per published ``(searcher_id, shard_index)``;
-        #: epoch-named bundle publications replace (and delete) the previous
-        #: epoch's entry.
-        self._published: Dict[Tuple[str, int], str] = {}
-        #: Parent-resident payload per published key (payload, epoch) —
-        #: the recovery source of truth.  Spool files live in the parent's
-        #: tempdir and survive worker death, but a *corrupt or deleted*
-        #: entry can only be republished because the parent still holds the
-        #: payload object; the shard objects are alive in the owning
+        #: ``(spool path, payload)`` per published ``(searcher_id,
+        #: shard_index)``.  A new epoch's entry replaces (and deletes) the
+        #: previous epoch's.  The payload is the recovery source: spool
+        #: files outlive a dead worker, but a corrupt or deleted entry is
+        #: republished from it.  The shard objects are alive in the owning
         #: searcher anyway, so these references cost no copies.
-        self._payloads: Dict[Tuple[str, int], Tuple[object, int]] = {}
+        self._published: Dict[Tuple[str, int], Tuple[str, Any]] = {}
         #: Serializes publish/evict/close bookkeeping: a scheduler pump
         #: thread publishing epochs must not race a foreground ``close()``
         #: (or two searchers' ``close()`` calls racing each other) over the
@@ -753,11 +721,10 @@ class ProcessShardExecutor:
 
         Called by the sharded searcher once per ``(shard, program epoch)`` —
         not per batch; publishing an epoch again is a no-op.  The payload
-        lands in an epoch-named memory-mapped bundle with an integrity
-        manifest (readers can never observe a half-written epoch because
-        the directory is renamed into place, and the previous epoch's
-        bundle is deleted after the swap), and the payload reference is
-        retained parent-side so the supervisor can republish a corrupted
+        lands in one epoch-named, checksummed spool file (renamed into
+        place, so readers never observe a half-written epoch; the previous
+        epoch's file is deleted after the swap), and the payload reference
+        is retained parent-side so the supervisor can republish a corrupted
         entry during recovery.
         """
         with self._lock:
@@ -767,106 +734,31 @@ class ProcessShardExecutor:
             key = (searcher_id, shard_index)
             previous = self._published.get(key)
             path = f"{stem}-e{epoch}"
-            if previous == path:
+            if previous is not None and previous[0] == path:
                 # Another thread dispatching through the same searcher
                 # published this epoch first; an epoch names one payload.
                 return path
             _transport.write_spool_bundle(path, payload)
             if previous is not None:
-                _transport.remove_spool_entry(previous)
-            self._published[key] = path
-            self._payloads[key] = (payload, epoch)
+                _transport.remove_spool_entry(previous[0])
+            self._published[key] = (path, payload)
             return path
-
-    def attach_restore_source(
-        self, searcher_id: str, directory: str, applied_seq: int = 0
-    ) -> None:
-        """Register a snapshot directory as a searcher's disk restore source.
-
-        Called by :meth:`~repro.core.sharding.ShardedSearcher.snapshot` and
-        ``restore()``: once attached, spool recovery has one rung below the
-        parent-resident payloads — a corrupt or missing entry whose payload
-        reference is gone (a warm-restarted process, an evicted tenant) is
-        reloaded from the verified snapshot instead of failing the batch.
-        ``applied_seq`` is the append sequence the snapshot covers up to;
-        appends acknowledged after it (see :meth:`note_append_seq`) make
-        the source stale, and the rung then refuses it.
-        """
-        with self._lock:
-            self._restore_sources[searcher_id] = (os.fspath(directory), int(applied_seq))
-            current = self._append_seqs.get(searcher_id, 0)
-            self._append_seqs[searcher_id] = max(current, int(applied_seq))
-
-    def note_append_seq(self, searcher_id: str, seq: int) -> None:
-        """Record a searcher's last acknowledged append sequence (monotonic).
-
-        Called by :meth:`~repro.core.sharding.ShardedSearcher.append` after
-        each acknowledged append: a restore source whose ``applied_seq``
-        falls behind this watermark no longer reflects the searcher's
-        served state and is refused by the disk-restore rung.
-        """
-        with self._lock:
-            current = self._append_seqs.get(searcher_id, 0)
-            self._append_seqs[searcher_id] = max(current, int(seq))
-
-    def _load_restore_payload(
-        self, key: Tuple[str, int], source: Optional[Tuple[str, int]]
-    ) -> Any:
-        """The restore-from-disk rung: reload one shard from its snapshot.
-
-        Returns ``None`` when there is no restore source, the snapshot
-        itself fails verification, or acknowledged appends have landed
-        after the snapshot was taken (its shard payloads would serve
-        stale rows with valid checksums) — recovery then has nothing left
-        to offer and the batch fails typed rather than serving wrong
-        results.  Disk restores and stale refusals are counted on the
-        supervisor for observability.
-        """
-        if source is None:
-            return None
-        directory, snapshot_seq = source
-        with self._lock:
-            current_seq = self._append_seqs.get(key[0], snapshot_seq)
-        if current_seq > snapshot_seq:
-            self._supervisor.record_stale_restore()
-            return None
-        from ..storage.snapshot import load_snapshot_shard
-
-        try:
-            payload = load_snapshot_shard(directory, key[1])
-        except (SnapshotIntegrityError, OSError):
-            return None
-        self._supervisor.record_disk_restore()
-        return payload
 
     def _repair_spool(self) -> int:
         """Verify every published entry; republish the broken ones.
 
-        Returns how many entries were republished.  Broken entries are
-        rewritten from the parent-resident payload when one exists, else
-        from the searcher's snapshot restore source (the disk rung); an
-        entry with neither is skipped — its jobs fail typed.  A rewrite
-        keeps the entry's path: dispatched job tuples carry it, and retried
-        batches replay those same tuples.
+        Returns how many entries were republished, each from its
+        parent-resident payload.  A rewrite keeps the entry's path:
+        dispatched job tuples carry it, and retried batches replay those
+        same tuples.  The lock makes concurrent repairs of one entry write
+        it once.
         """
-        with self._lock:
-            entries = [
-                (key, path, self._payloads.get(key))
-                for key, path in self._published.items()
-            ]
-            sources = dict(self._restore_sources)
         repaired = 0
-        for key, path, payload_entry in entries:
-            if _transport.verify_spool_entry(path):
-                continue
-            payload = None if payload_entry is None else payload_entry[0]
-            if payload is None:
-                payload = self._load_restore_payload(key, sources.get(key[0]))
-            if payload is None:
-                continue
-            _transport.remove_spool_entry(path)
-            _transport.write_spool_bundle(path, payload)
-            repaired += 1
+        with self._lock:
+            for path, payload in self._published.values():
+                if not _transport.verify_spool_entry(path):
+                    _transport.write_spool_bundle(path, payload)
+                    repaired += 1
         return repaired
 
     def _heal_pool(self) -> None:
@@ -882,36 +774,23 @@ class ProcessShardExecutor:
         self._pool.terminate()
         self._repair_spool()
 
-    def map(self, fn: Callable, jobs: Iterable) -> list:
-        """Apply ``fn`` to every job in worker processes, preserving order."""
-        return self._pool.map(fn, jobs)
-
-    def map_cached(self, jobs: Iterable, timeout: Optional[float] = None) -> list:
-        """Rank cache-keyed shard jobs (built against published payloads).
-
-        Jobs carry ``(searcher_id, shard_index, epoch, spool_path,
-        shard_rng, queries, shard_k)``.  Every job of one batch carries the
-        same query matrix, as the sharded searcher's fan-out does: it is
-        written into shared memory once, and a batch that mixes query
-        matrices raises :class:`~repro.exceptions.ServingError`.  Returns
-        one ``(indices, scores)`` pair of ordinary arrays per job.
-        """
-        return self.submit_cached(jobs, timeout=timeout)()
-
     def submit_cached(
         self, jobs: Iterable, timeout: Optional[float] = None
     ) -> Callable[..., list]:
         """Dispatch cache-keyed shard jobs, keeping the batch in flight.
 
-        The non-blocking counterpart of :meth:`map_cached` and the primitive
-        under the serving scheduler's multi-batch pipeline: the batch's
-        queries are written into a shared-memory segment and the per-shard
-        jobs submitted to the workers, then a ``collect(timeout=None)``
-        callable is returned whose call blocks until every shard finished
-        and yields the per-shard result list.  The batch holds its segment
-        until that collect has copied the results out, so any number of
-        batches, dispatched from any threads, may be in flight at once and
-        be collected in any order.  Call each collect once.
+        Jobs carry ``(searcher_id, shard_index, epoch, spool_path,
+        shard_rng, queries, shard_k)``, built against published payloads.
+        Every job of one batch carries the same query matrix, as the
+        sharded searcher's fan-out does: it is written into a shared-memory
+        segment once (a batch that mixes query matrices raises
+        :class:`~repro.exceptions.ServingError`) and the per-shard jobs are
+        submitted to the workers.  The returned ``collect(timeout=None)``
+        blocks until every shard finished and yields one ``(indices,
+        scores)`` pair of ordinary arrays per job.  The batch holds its
+        segment until that collect has copied the results out, so any
+        number of batches, dispatched from any threads, may be in flight at
+        once and be collected in any order.  Call each collect once.
 
         **Deadlines and recovery.**  ``timeout`` (here, or passed to the
         collect, which wins) is the batch's total wall-clock budget.  The
@@ -985,8 +864,7 @@ class ProcessShardExecutor:
         shared-memory segment.  Jobs run in the parent at collect time with
         the same ranking function, so results stay bitwise identical — the
         service degrades in throughput, not in answers or availability.
-        One rung remains below: a corrupt spool entry is repaired (from the
-        parent payload, else from the snapshot restore source on disk) and
+        A corrupt spool entry is republished from the parent payload and
         the batch replayed once before failing typed.  Neither use records
         a pool success.
         """
@@ -1204,14 +1082,10 @@ class ProcessShardExecutor:
             # key snapshotted by one caller can legitimately be gone by the
             # time it pops it.
             stale = [
-                self._published.pop(key)
+                self._published.pop(key)[0]
                 for key in list(self._published)
                 if key[0] == searcher_id
             ]
-            for key in [key for key in self._payloads if key[0] == searcher_id]:
-                del self._payloads[key]
-            self._restore_sources.pop(searcher_id, None)
-            self._append_seqs.pop(searcher_id, None)
         for path in stale:
             _transport.remove_spool_entry(path)
         if broadcast:
@@ -1230,9 +1104,6 @@ class ProcessShardExecutor:
             self._routes.clear()
         with self._lock:
             self._published.clear()
-            self._payloads.clear()
-            self._restore_sources.clear()
-            self._append_seqs.clear()
             finalizer, self._spool_finalizer = self._spool_finalizer, None
             self._spool_dir = None
         self._ring.close()

@@ -9,10 +9,8 @@ pool, verify and republish spool entries) and guards it with a generation
 counter so concurrent collects that observed the same dead pool heal it
 exactly once.  When restarts come too fast — ``max_restarts`` within
 ``restart_window_s`` — the supervisor demotes the executor to in-process
-serial execution and re-probes the pool after a cool-down.  The full
-degradation ladder is ``shm -> serial -> disk-restore``: below serial sits
-the storage tier, which republishes lost shard payloads from on-disk
-snapshots (counted via :meth:`PoolSupervisor.record_disk_restore`).
+serial execution and re-probes the pool after a cool-down, so the
+degradation ladder is ``shm -> serial``.
 
 The supervisor takes an injectable monotonic ``clock`` so the chaos tests
 can drive cool-down transitions deterministically, and it is thread-safe:
@@ -61,12 +59,6 @@ class PoolSupervisor:
       After ``cooldown_s`` the next dispatch probes the pool again; a
       batch that completes calls :meth:`record_success`, which clears the
       restart history and lifts the demotion.
-
-    One rung sits below even the serial demotion: when spool repair must
-    reload a shard from its on-disk snapshot (no parent-resident payload —
-    a warm-restarted host or an evicted cold tenant), the executor counts
-    it here via :meth:`record_disk_restore`, making
-    ``shm -> serial -> disk-restore`` degradations observable end to end.
     """
 
     def __init__(
@@ -85,8 +77,6 @@ class PoolSupervisor:
         self._lock = threading.Lock()
         self._generation = 0
         self._total_restarts = 0
-        self._total_disk_restores = 0
-        self._total_stale_restores = 0
         self._restarts: Deque[float] = deque()
         self._demoted_at: Optional[float] = None
 
@@ -102,33 +92,10 @@ class PoolSupervisor:
         with self._lock:
             return self._total_restarts
 
-    @property
-    def total_disk_restores(self) -> int:
-        """Shard payloads reloaded from snapshots during spool repair."""
-        with self._lock:
-            return self._total_disk_restores
-
-    def record_disk_restore(self) -> None:
-        """Count one restore-from-disk repair (the rung below serial)."""
-        with self._lock:
-            self._total_disk_restores += 1
-
-    @property
-    def total_stale_restores(self) -> int:
-        """Disk restores refused because appends outran the snapshot.
-
-        A snapshot generation whose ``applied_seq`` pre-dates the
-        searcher's last acknowledged append would serve stale rows with
-        valid checksums; the executor refuses it and the batch fails
-        typed instead.
-        """
-        with self._lock:
-            return self._total_stale_restores
-
-    def record_stale_restore(self) -> None:
-        """Count one refused (stale-snapshot) restore-from-disk attempt."""
-        with self._lock:
-            self._total_stale_restores += 1
+    #: Always 0: spool repair republishes from the parent's payloads only.
+    #: Kept because ``perfbench`` still reports both as metrics.
+    total_disk_restores = 0
+    total_stale_restores = 0
 
     @property
     def demoted(self) -> bool:

@@ -8,8 +8,8 @@ the process boundary on the serving hot path:
 * **per-epoch payloads** — the programmed shard engines published to the
   spool once per program epoch.
 
-Both travel through POSIX shared memory, so no ndarray payload is pickled
-on the steady-state path:
+Both travel through memory the processes share, so no ndarray payload is
+pickled on the steady-state path:
 
 * :class:`SharedMemoryRing` keeps the executor's reusable
   ``multiprocessing.shared_memory`` segments.  The parent writes a query
@@ -20,14 +20,13 @@ on the steady-state path:
   through one ring.  :class:`ShardBatchLayout` computes the byte layout of
   one dispatched batch (the query block followed by per-shard result
   blocks).
-* :func:`write_spool_bundle` / :func:`load_spool_payload` publish shard
-  payloads as memory-mapped ``.npy`` bundles: the pickle stream is written
-  with its ndarray buffers extracted out-of-band (pickle protocol 5) and
-  each buffer lands in its own ``.npy`` file that workers
-  ``np.load(mmap_mode="r")``.  N workers on one host then share one
-  physical copy of each shard's programmed profiles instead of N
-  deserialized clones — and a worker that never touches a shard never
-  faults its pages in at all.
+* :func:`write_spool_bundle` / :func:`load_spool_payload` publish each
+  shard payload as one file: the pickle stream with its ndarray buffers
+  extracted out-of-band (pickle protocol 5), each buffer at an aligned
+  offset of the same file, under one CRC-32 that covers every byte.
+  Workers memory-map the file and unpickle around read-only views of the
+  map, so N workers on one host share one physical copy of each shard's
+  programmed states instead of N deserialized clones.
 
 :func:`write_checked_pickle` / :func:`load_checked_pickle` write and read
 the files of durable snapshots (:mod:`repro.storage.snapshot`): bare
@@ -44,10 +43,12 @@ owner is garbage collected without closing.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import mmap
 import os
 import pickle
-import shutil
+import struct
 import threading
 import weakref
 import zlib
@@ -304,101 +305,90 @@ def attach_segment(name: str) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Memory-mapped spool bundles
+# Memory-mapped spool entries
 # ----------------------------------------------------------------------
-_BUNDLE_PAYLOAD = "payload.pkl"
-_BUNDLE_MANIFEST = "manifest.json"
-
-#: Every field a bundle manifest must carry, with its JSON type.
-_MANIFEST_FIELDS = {"format": int, "payload_crc32": int, "payload_bytes": int, "buffer_bytes": list}
+_SPOOL_MAGIC = b"RSPOOL01"
+_UINT32 = struct.Struct("<I")
+#: The fixed prefix of a spool entry: magic, CRC-32, header length.  The
+#: CRC covers every byte after its own field, to the end of the file.
+_SPOOL_PREFIX = struct.Struct("<8sII")
+_CHECKED_FROM = len(_SPOOL_MAGIC) + _UINT32.size
 
 
 def write_spool_bundle(path: str, payload: Any) -> str:
-    """Publish ``payload`` as a memory-mappable bundle directory at ``path``.
+    """Publish ``payload`` as one memory-mappable, checksummed file at ``path``.
 
-    The pickle stream is written with every contiguous ndarray buffer
-    extracted out-of-band (protocol 5); each buffer lands in its own
-    ``buf<i>.npy`` so :func:`load_spool_payload` can hand ``np.load``
-    memory maps back to the unpickler.  A ``manifest.json`` header records
-    the stream's CRC-32 and every file's byte size, so readers detect a
-    scribbled or truncated bundle (:class:`~repro.exceptions.SpoolIntegrityError`)
-    instead of unpickling garbage.  The bundle is assembled in a sibling
-    temp directory and renamed into place, so a reader can never observe a
-    half-written bundle; callers encode the program epoch in ``path``,
-    which is why a plain rename (no replace-over-existing) is enough.
+    The file holds a fixed prefix (magic, CRC-32, header length), a JSON
+    header (the stream's length and each buffer's offset and size), the
+    protocol-5 pickle stream, and every contiguous ndarray buffer the
+    pickler extracted out-of-band, each at a 64-byte-aligned offset, so
+    :func:`load_spool_payload` can hand the unpickler views of one memory
+    map.  The CRC-32 covers every byte after its own field, stored states
+    included.  The file is written to ``<path>.tmp`` and ``os.replace``-d
+    into place, so a reader never observes a half-written entry, and a
+    republish replaces the entry at the same path.
     """
-    buffers: List = []
-    data = pickle.dumps(payload, protocol=5, buffer_callback=buffers.append)
-    staging = f"{path}.tmp"
-    shutil.rmtree(staging, ignore_errors=True)
-    os.makedirs(staging)
-    buffer_bytes = []
-    for index, buffer in enumerate(buffers):
-        buffer_path = os.path.join(staging, f"buf{index}.npy")
-        np.save(buffer_path, np.frombuffer(buffer, dtype=np.uint8))
-        buffer_bytes.append(os.path.getsize(buffer_path))
-    with open(os.path.join(staging, _BUNDLE_PAYLOAD), "wb") as fh:
-        fh.write(data)
-    manifest = {
-        "format": 1,
-        "payload_crc32": zlib.crc32(data) & 0xFFFFFFFF,
-        "payload_bytes": len(data),
-        "buffer_bytes": buffer_bytes,
-    }
-    with open(os.path.join(staging, _BUNDLE_MANIFEST), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)
-    os.rename(staging, path)
+    buffers: List[pickle.PickleBuffer] = []
+    stream = pickle.dumps(payload, protocol=5, buffer_callback=buffers.append)
+    views = [buffer.raw() for buffer in buffers]
+    # The header records absolute buffer offsets, which depend on its own
+    # length: recompute until that length stops changing (it only grows).
+    header_bytes = 0
+    while True:
+        cursor = _SPOOL_PREFIX.size + header_bytes + len(stream)
+        spans: List[List[int]] = []
+        for view in views:
+            offset = _aligned(cursor)
+            spans.append([offset, view.nbytes])
+            cursor = offset + view.nbytes
+        header = json.dumps({"stream_bytes": len(stream), "buffers": spans}).encode()
+        if len(header) == header_bytes:
+            break
+        header_bytes = len(header)
+    pieces: List[Any] = [header, stream]
+    cursor = _SPOOL_PREFIX.size + header_bytes + len(stream)
+    for view, (offset, nbytes) in zip(views, spans):
+        pieces += [bytes(offset - cursor), view]
+        cursor = offset + nbytes
+    crc = zlib.crc32(_UINT32.pack(header_bytes))
+    for piece in pieces:
+        crc = zlib.crc32(piece, crc)
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(_SPOOL_PREFIX.pack(_SPOOL_MAGIC, crc, header_bytes))
+        for piece in pieces:
+            fh.write(piece)
+    os.replace(tmp, path)
     return path
 
 
-def _read_bundle_manifest(path: str) -> dict:
-    """A bundle's manifest, with every field present and of its JSON type."""
-    manifest_path = os.path.join(path, _BUNDLE_MANIFEST)
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise SpoolIntegrityError(f"spool bundle manifest unreadable at {path}: {exc}") from exc
-    # ``type(...) is`` rather than isinstance: JSON booleans are not sizes.
-    if not (
-        isinstance(manifest, dict)
-        and all(type(manifest.get(field)) is kind for field, kind in _MANIFEST_FIELDS.items())
-        and all(type(size) is int for size in manifest["buffer_bytes"])
-    ):
-        raise SpoolIntegrityError(
-            f"spool bundle manifest malformed at {path} (a field is missing or mistyped)"
-        )
-    return manifest
+def _spool_views(path: str) -> Tuple[memoryview, List[memoryview]]:
+    """A spool entry's stream and buffers: read-only views of one memory map.
 
-
-def _read_verified_bundle(path: str) -> Tuple[bytes, int]:
-    """A bundle's pickle stream and buffer count, checked against its manifest.
-
-    The stream's length and CRC-32 must match, and every ``buf*.npy`` file
-    must exist with its recorded byte size; anything else raises
+    The magic and the CRC-32 are checked before the header is parsed; a
+    missing, empty, truncated or damaged entry raises
     :class:`~repro.exceptions.SpoolIntegrityError`.
     """
-    if not os.path.isdir(path):
-        raise SpoolIntegrityError(f"spool entry missing at {path}")
-    manifest = _read_bundle_manifest(path)
-    with open(os.path.join(path, _BUNDLE_PAYLOAD), "rb") as fh:
-        data = fh.read()
-    if len(data) != manifest["payload_bytes"] or (
-        zlib.crc32(data) & 0xFFFFFFFF
-    ) != manifest["payload_crc32"]:
-        raise SpoolIntegrityError(f"spool bundle payload corrupt at {path} (checksum mismatch)")
-    for index, expected in enumerate(manifest["buffer_bytes"]):
-        buffer_path = os.path.join(path, f"buf{index}.npy")
-        try:
-            actual = os.path.getsize(buffer_path)
-        except OSError as exc:
-            raise SpoolIntegrityError(f"spool bundle buffer missing at {buffer_path}") from exc
-        if actual != expected:
-            raise SpoolIntegrityError(
-                f"spool bundle buffer truncated at {buffer_path} "
-                f"({actual} bytes, expected {expected})"
-            )
-    return data, len(manifest["buffer_bytes"])
+    try:
+        with open(path, "rb") as fh:
+            view = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
+    except FileNotFoundError as exc:
+        raise SpoolIntegrityError(f"spool entry missing at {path}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: an empty file cannot be mapped
+        raise SpoolIntegrityError(f"spool entry unreadable at {path}: {exc}") from exc
+    if len(view) < _SPOOL_PREFIX.size:
+        raise SpoolIntegrityError(f"spool entry truncated at {path} ({len(view)} bytes)")
+    magic, crc, header_bytes = _SPOOL_PREFIX.unpack_from(view)
+    if magic != _SPOOL_MAGIC or zlib.crc32(view[_CHECKED_FROM:]) != crc:
+        raise SpoolIntegrityError(f"spool entry corrupt at {path} (magic or checksum mismatch)")
+    start = _SPOOL_PREFIX.size + header_bytes
+    try:
+        header = json.loads(bytes(view[_SPOOL_PREFIX.size : start]))
+        stream = view[start : start + header["stream_bytes"]]
+        buffers = [view[offset : offset + size] for offset, size in header["buffers"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SpoolIntegrityError(f"spool entry header malformed at {path}: {exc}") from exc
+    return stream, buffers
 
 
 def write_checked_pickle(staging: str, filename: str, payload: Any) -> Dict[str, Any]:
@@ -437,52 +427,43 @@ def load_checked_pickle(directory: str, entry: Dict[str, Any]) -> Any:
 
 
 def load_spool_payload(path: str) -> Any:
-    """Load a published shard bundle, verified against its manifest.
+    """Load a published spool entry once its magic and CRC-32 match.
 
-    The pickled object is reconstructed around ``np.load(mmap_mode="r")``
-    buffer views, so every ndarray in the payload is backed by the page
-    cache and shared physically across the workers of one host (the
-    arrays come back read-only, which the search path never violates).  A
-    missing, truncated or scribbled bundle raises
+    The file is memory-mapped once and the unpickler gets read-only views
+    of that map as its out-of-band buffers, so every ndarray in the payload
+    is backed by the page cache and shared physically across the workers
+    of one host (the arrays come back read-only, which the search path
+    never violates).  Nothing is unpickled before the checks pass: a
+    missing, truncated or scribbled entry raises
     :class:`~repro.exceptions.SpoolIntegrityError` — a typed, recoverable
     signal the executor answers by republishing the entry — instead of
     crashing the worker on garbage bytes.
     """
+    stream, buffers = _spool_views(path)
     try:
-        data, buffer_count = _read_verified_bundle(path)
-        buffers = [
-            np.load(os.path.join(path, f"buf{index}.npy"), mmap_mode="r")
-            for index in range(buffer_count)
-        ]
-        return pickle.loads(data, buffers=buffers)
-    except SpoolIntegrityError:
-        raise
-    except FileNotFoundError as exc:
-        raise SpoolIntegrityError(f"spool entry missing at {path}") from exc
-    except (OSError, pickle.UnpicklingError, EOFError, ValueError) as exc:
+        return pickle.loads(stream, buffers=buffers)
+    except (pickle.UnpicklingError, EOFError, ValueError) as exc:
         raise SpoolIntegrityError(f"spool entry unreadable at {path}: {exc}") from exc
 
 
 def verify_spool_entry(path: str) -> bool:
-    """Whether a published spool bundle passes its manifest checks.
+    """Whether a published spool entry passes its magic and CRC-32 checks.
 
-    The parent-side recovery check: cheap (checksums the pickle stream,
-    stats the buffer files — never unpickles or maps the payload).  A
-    bundle whose manifest is gone or lacks a field is damaged, not an
-    older format: every bundle is written with a complete one.  Used by
-    the supervisor to decide which entries must be republished after a
-    fault.
+    The parent-side recovery check, the same one :func:`load_spool_payload`
+    runs, without unpickling.  Used by the supervisor to decide which
+    entries must be republished after a fault.
     """
     try:
-        _read_verified_bundle(path)
-        return True
-    except (SpoolIntegrityError, OSError):
+        _spool_views(path)
+    except SpoolIntegrityError:
         return False
+    return True
 
 
 def remove_spool_entry(path: str) -> None:
-    """Delete a published spool bundle (best effort)."""
-    shutil.rmtree(path, ignore_errors=True)
+    """Delete a published spool entry (best effort)."""
+    with contextlib.suppress(OSError):
+        os.remove(path)
 
 
 __all__ = [

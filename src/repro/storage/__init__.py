@@ -1,8 +1,10 @@
 """Durable shard storage tier: snapshots, append journaling, cold tenancy.
 
 The serving runtime keeps fitted stores in memory and ships them to
-workers through transport spools; this package is what survives a process
-restart.  Three pieces compose:
+workers through transport spools, which it republishes from those
+in-memory payloads when one is damaged; this package is what survives a
+process restart, and ``restore()`` is the only way back into serving.
+Three pieces compose:
 
 * :mod:`.snapshot` — crash-safe, checksummed snapshots of a fitted
   :class:`~repro.core.sharding.ShardedSearcher` (atomic generation
@@ -31,7 +33,6 @@ from .snapshot import (
     MANIFEST_NAME,
     SnapshotState,
     load_snapshot,
-    load_snapshot_shard,
     write_snapshot,
 )
 from .tenancy import ColdTenantPool
@@ -44,7 +45,6 @@ __all__ = [
     "MANIFEST_NAME",
     "SnapshotState",
     "load_snapshot",
-    "load_snapshot_shard",
     "read_journal",
     "write_snapshot",
 ]

@@ -26,7 +26,9 @@ and renamed into place before the manifest flips to it, so a crash at any
 point leaves either the previous complete snapshot or none; readers trust
 only what the manifest references.  A manifest of another format than
 this module writes, or one with a field missing or of the wrong JSON type,
-is refused before any file is read.
+is refused before any file is read.  :func:`load_snapshot` reads a whole
+generation at once, for :meth:`~repro.core.sharding.ShardedSearcher.restore`;
+nothing reads one shard back on its own.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ __all__ = [
     "MANIFEST_NAME",
     "SnapshotState",
     "load_snapshot",
-    "load_snapshot_shard",
     "write_snapshot",
 ]
 
@@ -240,23 +241,4 @@ def load_snapshot(directory: str) -> SnapshotState:
         shards=shards,
         features=store["features"],
         labels=store["labels"],
-    )
-
-
-def load_snapshot_shard(directory: str, shard_index: int) -> Any:
-    """Load one verified ``(engine, index_map)`` shard payload by index.
-
-    The executor's restore-from-disk rung: when a published spool entry is
-    lost and no parent-resident payload exists (a fresh process after a
-    restart), the shard is reloaded straight from the snapshot.
-    """
-    directory = os.fspath(directory)
-    manifest = _load_manifest(directory)
-    wanted = f"shard-{shard_index}.pkl"
-    for entry in manifest["shards"]:
-        if entry["file"] == wanted:
-            return load_checked_pickle(os.path.join(directory, manifest["snapshot_dir"]), entry)
-    raise SnapshotIntegrityError(
-        f"snapshot at {directory} holds no shard {shard_index} "
-        f"({len(manifest['shards'])} shards recorded)"
     )

@@ -197,14 +197,14 @@ class TestRuleViolations:
             "def f(pool, jobs):\n"
             "    def helper(job):\n"
             "        return job\n"
-            "    return pool.map_cached(jobs, fn=helper)\n"
+            "    return pool.submit_cached(jobs, fn=helper)()\n"
         )
         assert "RPL008" in codes_of(lint_source(nested, ANYWHERE_PATH))
         module_level = (
             "def helper(job):\n"
             "    return job\n"
             "def f(pool, jobs):\n"
-            "    return pool.map_cached(jobs, fn=helper)\n"
+            "    return pool.submit_cached(jobs, fn=helper)()\n"
         )
         assert "RPL008" not in codes_of(lint_source(module_level, ANYWHERE_PATH))
 

@@ -296,7 +296,7 @@ class TestWorkerShardCache:
         # through map: the worker processes receive every programmed shard
         # with every batch, and nothing is published to the spool.
         features, labels, queries = self._store()
-        processes = ProcessShardExecutor(num_workers=WORKERS)
+        processes = PersistentProcessPool(num_workers=WORKERS)
         batches = []
 
         class MapOnly:

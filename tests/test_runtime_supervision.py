@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import sys
+import threading
 import time
 
 import numpy as np
@@ -38,6 +40,7 @@ from repro.runtime import (
     ProcessShardExecutor,
     worker_shard_cache_epochs,
 )
+from repro.runtime import transport as transport_module
 from repro.runtime.process_pool import _evict_searcher_entries
 from repro.runtime.transport import (
     load_spool_payload,
@@ -115,23 +118,26 @@ class _SlowShard:
         return self.shard._rank_batch(queries, rng=rng, k=k)
 
 
-def two_shard_jobs(executor, queries, k=2, searcher_id="chaos", epoch=1, delay_s=0.0):
+def two_shard_jobs(
+    executor, queries, k=2, searcher_id="chaos", epoch=1, delay_s=0.0, rows=8
+):
     """Publish two SoftwareSearcher shards and build their cached-rank jobs.
 
     Mirrors what :class:`~repro.core.sharding.ShardedSearcher` dispatches;
     returns ``(jobs, expected)`` where ``expected`` is the per-shard
-    globally indexed result an undisturbed run must match bitwise.
+    globally indexed result an undisturbed run must match bitwise.  Each
+    shard holds ``rows`` rows.
     """
-    features = np.random.default_rng(11).normal(size=(16, 4))
+    features = np.random.default_rng(11).normal(size=(2 * rows, 4))
     shards = [
-        SoftwareSearcher("euclidean").fit(features[:8]),
-        SoftwareSearcher("euclidean").fit(features[8:]),
+        SoftwareSearcher("euclidean").fit(features[:rows]),
+        SoftwareSearcher("euclidean").fit(features[rows:]),
     ]
     paths = [
         executor.publish_shard(
             searcher_id,
             index,
-            (_SlowShard(shard, delay_s) if delay_s else shard, np.arange(8) + 8 * index),
+            (_SlowShard(shard, delay_s) if delay_s else shard, np.arange(rows) + rows * index),
             epoch=epoch,
         )
         for index, shard in enumerate(shards)
@@ -145,17 +151,37 @@ def two_shard_jobs(executor, queries, k=2, searcher_id="chaos", epoch=1, delay_s
         local_indices, scores = shard._rank_batch(
             queries, rng=np.random.default_rng(0), k=k
         )
-        expected.append((local_indices + 8 * index, scores))
+        expected.append((local_indices + rows * index, scores))
     return jobs, expected
 
 
-def damage_manifest(path, replacement=None):
-    """Delete a bundle's manifest, or replace it with ``replacement``'s JSON."""
-    manifest_path = os.path.join(path, "manifest.json")
-    os.remove(manifest_path)
-    if replacement is not None:
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(replacement, fh)
+#: Ways to damage a spool entry outside its buffers, each checked typed.
+ENTRY_DAMAGE = ("truncated", "magic", "header")
+
+
+def damage_entry(path, damage):
+    """Truncate a spool entry, or change one byte of its magic or its header.
+
+    The header byte is the first digit of the stream length, so the header
+    stays valid JSON and only the CRC can tell.
+    """
+    if damage == "truncated":
+        os.truncate(path, os.path.getsize(path) // 2)
+        return
+    with open(path, "r+b") as fh:
+        data = fh.read()
+        key = b'"stream_bytes": '
+        offset = 0 if damage == "magic" else data.index(key) + len(key)
+        fh.seek(offset)
+        fh.write(b"8" if data[offset : offset + 1] == b"9" else b"9")
+
+
+def buffer_spans(path):
+    """The ``[offset, size]`` of every out-of-band buffer, from an entry's header."""
+    prefix = transport_module._SPOOL_PREFIX
+    with open(path, "rb") as fh:
+        _, _, header_bytes = prefix.unpack(fh.read(prefix.size))
+        return json.loads(fh.read(header_bytes))["buffers"]
 
 
 def assert_batch_matches(results, expected):
@@ -281,7 +307,7 @@ class TestFaultInjector:
 
 
 # ----------------------------------------------------------------------
-# Spool bundle integrity
+# Spool entry integrity
 # ----------------------------------------------------------------------
 class TestSpoolIntegrity:
     @staticmethod
@@ -297,39 +323,113 @@ class TestSpoolIntegrity:
     def test_corrupt_bundle_payload_fails_checksum(self, tmp_path):
         path = write_spool_bundle(str(tmp_path / "bundle"), self._payload())
         assert verify_spool_entry(path)
-        payload_path = os.path.join(path, "payload.pkl")
-        size = os.path.getsize(payload_path)
-        with open(payload_path, "r+b") as fh:
+        size = os.path.getsize(path)
+        with open(path, "r+b") as fh:
             fh.seek(size // 2)
             fh.write(b"\xde\xad\xbe\xef")
+        assert os.path.getsize(path) == size
         assert not verify_spool_entry(path)
-        with pytest.raises(SpoolIntegrityError):
+        with pytest.raises(SpoolIntegrityError, match="checksum"):
             load_spool_payload(path)
 
-    def test_bundle_without_manifest_fails_typed(self, tmp_path):
-        path = write_spool_bundle(str(tmp_path / "bundle"), self._payload())
-        damage_manifest(path)
+    def test_rewritten_stored_row_fails_checksum_before_unpickling(self, tmp_path, monkeypatch):
+        # One stored row of a 4096-row 3-bit MCAM shard lives in its 2 MB
+        # states buffer, which workers memory-map and rank from.
+        rng = np.random.default_rng(5)
+        searcher = make_searcher("mcam-3bit", num_features=64, seed=3)
+        searcher.fit(rng.normal(size=(4096, 64)), rng.integers(0, 5, 4096))
+        payload = (searcher, np.arange(4096))
+        path = write_spool_bundle(str(tmp_path / "shard-e1"), payload)
+        offset, nbytes = max(buffer_spans(path), key=lambda span: span[1])
+        states = searcher.array.stored_states
+        assert nbytes == states.nbytes
+        row = 1234
+        size = os.path.getsize(path)
+        with open(path, "r+b") as fh:
+            fh.seek(offset + row * states[row].nbytes)
+            fh.write(states[row + 1].tobytes())
+        assert os.path.getsize(path) == size
+        unpickled = []
+        monkeypatch.setattr(
+            transport_module.pickle, "loads", lambda *args, **kwargs: unpickled.append(args)
+        )
         assert not verify_spool_entry(path)
-        with pytest.raises(SpoolIntegrityError, match="manifest"):
+        with pytest.raises(SpoolIntegrityError, match="checksum"):
+            load_spool_payload(path)
+        assert unpickled == []
+        monkeypatch.undo()
+        # The repair rewrites the entry from the payload, which then serves bitwise.
+        write_spool_bundle(path, payload)
+        loaded, index_map = load_spool_payload(path)
+        queries = rng.normal(size=(8, 64))
+        want = searcher._rank_batch(queries, rng=np.random.default_rng(0), k=4)
+        got = loaded._rank_batch(queries, rng=np.random.default_rng(0), k=4)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(index_map, np.arange(4096))
+
+    @pytest.mark.parametrize("damage", ENTRY_DAMAGE)
+    def test_damaged_prefix_or_header_fails_typed(self, tmp_path, damage):
+        path = write_spool_bundle(str(tmp_path / "bundle"), self._payload())
+        damage_entry(path, damage)
+        assert not verify_spool_entry(path)
+        with pytest.raises(SpoolIntegrityError, match="checksum"):
             load_spool_payload(path)
 
-    @pytest.mark.parametrize(
-        "manifest",
-        [
-            {},
-            {"format": 1},
-            {"format": 1, "payload_crc32": 0, "payload_bytes": 0, "buffer_bytes": [True]},
-        ],
-        ids=["empty", "format-only", "boolean-size"],
-    )
-    def test_manifest_missing_fields_fails_typed(self, tmp_path, manifest):
-        # A manifest that parses but lacks payload_bytes, payload_crc32 or
-        # buffer_bytes is damage, not a KeyError for the caller to meet.
-        path = write_spool_bundle(str(tmp_path / "bundle"), self._payload())
-        damage_manifest(path, manifest)
+    def test_empty_entry_fails_typed(self, tmp_path):
+        path = str(tmp_path / "empty")
+        open(path, "wb").close()
         assert not verify_spool_entry(path)
-        with pytest.raises(SpoolIntegrityError, match="manifest"):
+        with pytest.raises(SpoolIntegrityError, match="unreadable"):
             load_spool_payload(path)
+
+    def test_concurrent_repairs_rewrite_each_broken_entry_once(self):
+        # Collects on several threads can meet the same broken entries at
+        # once; two interleaved writers of one staging file would publish
+        # a torn entry.
+        interval = sys.getswitchinterval()
+        with ProcessShardExecutor(num_workers=1) as executor:
+            paths = [
+                executor.publish_shard("race", index, self._payload(), epoch=1)
+                for index in range(3)
+            ]
+            for path in paths:
+                damage_entry(path, "header")
+            repaired = []
+            threads = [
+                threading.Thread(target=lambda: repaired.append(executor._repair_spool()))
+                for _ in range(8)
+            ]
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(repaired) == len(threads) and sum(repaired) == len(paths)
+            assert all(verify_spool_entry(path) for path in paths)
+
+    def test_published_entry_is_one_file_that_evict_and_close_remove(self):
+        with ProcessShardExecutor(num_workers=1) as executor:
+            first = executor.publish_shard("files", 0, self._payload(), epoch=1)
+            second = executor.publish_shard("files", 1, self._payload(), epoch=1)
+            spool = os.path.dirname(first)
+            assert sorted(os.listdir(spool)) == sorted(
+                os.path.basename(path) for path in (first, second)
+            )
+            assert all(os.path.isfile(path) for path in (first, second))
+            # A new epoch replaces the previous one's file.
+            third = executor.publish_shard("files", 0, self._payload(), epoch=2)
+            assert sorted(os.listdir(spool)) == sorted(
+                os.path.basename(path) for path in (second, third)
+            )
+            executor.evict("files", broadcast=False)
+            assert os.listdir(spool) == []
+            executor.publish_shard("files", 0, self._payload(), epoch=3)
+        assert not os.path.exists(spool)
 
 
 # ----------------------------------------------------------------------
@@ -368,10 +468,10 @@ class TestPoolTimeouts:
         with pytest.raises(WorkerCrashError, match="died mid-batch"):
             _await_futures([future], timeout=1.0)
 
-    def test_probe_and_kill_one_worker(self):
+    def test_kill_one_worker_kills_the_lowest_pid(self):
         pool = PersistentProcessPool(num_workers=WORKERS)
         try:
-            assert pool.probe()
+            assert pool.map(_echo_job, [0, 1], timeout=30.0) == [0, 1]
             pids = pool.worker_pids()
             assert len(pids) == WORKERS
             assert pool.kill_one_worker() == pids[0]
@@ -388,10 +488,10 @@ class TestChaosRecovery:
         queries = RNG.normal(size=(5, 4))
         with ProcessShardExecutor(num_workers=WORKERS) as executor:
             jobs, expected = two_shard_jobs(executor, queries, delay_s=0.2)
-            assert_batch_matches(executor.map_cached(jobs), expected)  # warm pool
+            assert_batch_matches(executor.submit_cached(jobs)(), expected)  # warm pool
             injector = FaultInjector().arm("kill_worker")
             executor.fault_injector = injector
-            assert_batch_matches(executor.map_cached(jobs), expected)
+            assert_batch_matches(executor.submit_cached(jobs)(), expected)
             assert [f["fault"] for f in injector.fired] == ["kill_worker"]
             assert isinstance(injector.fired[0]["detail"], int)
             assert executor.supervisor.total_restarts == 1
@@ -399,7 +499,7 @@ class TestChaosRecovery:
             assert executor.ring_in_flight == 0
             assert executor.active_transport == "shm"
             # The healed pool serves undisturbed steady state.
-            assert_batch_matches(executor.map_cached(jobs), expected)
+            assert_batch_matches(executor.submit_cached(jobs)(), expected)
             assert executor.supervisor.total_restarts == 1
             assert executor.ring_in_flight == 0
 
@@ -409,9 +509,9 @@ class TestChaosRecovery:
         _evict_searcher_entries(searcher_id)  # forked workers inherit this cache
         with ProcessShardExecutor(num_workers=WORKERS) as executor:
             jobs, expected = two_shard_jobs(executor, queries, searcher_id=searcher_id, delay_s=0.2)
-            assert_batch_matches(executor.map_cached(jobs), expected)
+            assert_batch_matches(executor.submit_cached(jobs)(), expected)
             executor.fault_injector = FaultInjector().arm("kill_worker")
-            assert_batch_matches(executor.map_cached(jobs), expected)
+            assert_batch_matches(executor.submit_cached(jobs)(), expected)
             assert executor.supervisor.total_restarts == 1
             assert executor.ring_in_flight == 0
             # The respawned workers loaded only their own shard again.
@@ -437,7 +537,7 @@ class TestChaosRecovery:
             ]
             started = time.monotonic()
             with pytest.raises(ServingTimeoutError):
-                executor.map_cached(jobs, timeout=1.0)
+                executor.submit_cached(jobs, timeout=1.0)()
             # Typed failure within roughly the budget plus the heals — not
             # the 30 s the hung workers would have cost.
             assert time.monotonic() - started < 15.0
@@ -445,41 +545,46 @@ class TestChaosRecovery:
             assert executor.ring_in_flight == 0
             # The pool was healed behind the raise: the next batch works.
             good_jobs, expected = two_shard_jobs(executor, queries)
-            assert_batch_matches(executor.map_cached(good_jobs), expected)
+            assert_batch_matches(executor.submit_cached(good_jobs)(), expected)
 
     @pytest.mark.parametrize("fault", ["corrupt_spool", "drop_spool"])
     def test_spool_faults_are_repaired_and_replayed_bitwise(self, fault):
         queries = RNG.normal(size=(4, 4))
         with ProcessShardExecutor(num_workers=1) as executor:
-            jobs, expected = two_shard_jobs(executor, queries)
-            assert_batch_matches(executor.map_cached(jobs), expected)
+            jobs, expected = two_shard_jobs(executor, queries, rows=64)
+            assert_batch_matches(executor.submit_cached(jobs)(), expected)
             # Evict the single worker's resident shards so the next batch
             # must reload from the (about to be broken) spool.
             assert executor._pool.broadcast(_evict_searcher_entries, "chaos") == 1
+            path = executor._published[("chaos", 0)][0]
+            middle = os.path.getsize(path) // 2
             injector = FaultInjector().arm(fault)
             executor.fault_injector = injector
-            assert_batch_matches(executor.map_cached(jobs), expected)
+            assert_batch_matches(executor.submit_cached(jobs)(), expected)
             assert [f["fault"] for f in injector.fired] == [fault]
-            assert injector.fired[0]["detail"] is not None
+            assert injector.fired[0]["detail"] == path
+            if fault == "corrupt_spool":
+                # The scribble landed in the stored rows, not in the stream.
+                assert any(start <= middle < start + size for start, size in buffer_spans(path))
             # Spool repair is not a pool restart.
             assert executor.supervisor.total_restarts == 0
-            for path in executor._published.values():
-                assert verify_spool_entry(path)
+            for entry, _ in executor._published.values():
+                assert verify_spool_entry(entry)
 
-    @pytest.mark.parametrize("manifest", [None, {"format": 1}], ids=["deleted", "format-only"])
-    def test_damaged_headers_are_republished_and_replayed_bitwise(self, manifest):
+    @pytest.mark.parametrize("damage", ENTRY_DAMAGE)
+    def test_damaged_entries_are_republished_and_replayed_bitwise(self, damage):
         queries = RNG.normal(size=(4, 4))
         with ProcessShardExecutor(num_workers=1) as executor:
             jobs, expected = two_shard_jobs(executor, queries)
-            assert_batch_matches(executor.map_cached(jobs), expected)
+            assert_batch_matches(executor.submit_cached(jobs)(), expected)
             # Force the next batch to reload from the spool.
             assert executor._pool.broadcast(_evict_searcher_entries, "chaos") == 1
-            path = executor._published[("chaos", 0)]
-            damage_manifest(path, manifest)
+            path = executor._published[("chaos", 0)][0]
+            damage_entry(path, damage)
             assert not verify_spool_entry(path)
-            assert_batch_matches(executor.map_cached(jobs), expected)
+            assert_batch_matches(executor.submit_cached(jobs)(), expected)
             assert executor.supervisor.total_restarts == 0
-            for entry in executor._published.values():
+            for entry, _ in executor._published.values():
                 assert verify_spool_entry(entry)
 
     def test_lost_segment_replays_in_process_bitwise(self):
@@ -492,7 +597,7 @@ class TestChaosRecovery:
             injector = FaultInjector().arm("corrupt_segment")
             executor.fault_injector = injector
             try:
-                assert_batch_matches(executor.map_cached(jobs), expected)
+                assert_batch_matches(executor.submit_cached(jobs)(), expected)
                 lost = injector.fired[0]["detail"]
                 assert lost is not None
                 # The replay ran in this process, on the parent's copies.
@@ -501,7 +606,7 @@ class TestChaosRecovery:
                 # Losing a segment is not a pool restart.
                 assert executor.supervisor.total_restarts == 0
                 # The next batch rides shared memory again, on a new segment.
-                assert_batch_matches(executor.map_cached(jobs), expected)
+                assert_batch_matches(executor.submit_cached(jobs)(), expected)
                 assert executor.active_transport == "shm"
                 names = executor._ring.segment_names
                 assert len(names) == 1 and lost not in names
@@ -517,7 +622,6 @@ class TestChaosRecovery:
         # Every segment create, unlink and attach takes the resource
         # tracker's lock.  A worker forked while another dispatching thread
         # holds it inherits it held, and must still attach its segments.
-        import threading
         from multiprocessing import resource_tracker
 
         tracker_lock = resource_tracker._resource_tracker._lock
@@ -537,7 +641,7 @@ class TestChaosRecovery:
             holder.start()
             assert held.wait(10.0)
             try:
-                results = executor.map_cached(jobs, timeout=10.0)
+                results = executor.submit_cached(jobs, timeout=10.0)()
             finally:
                 done.set()
                 holder.join()
@@ -553,21 +657,21 @@ class TestChaosRecovery:
             fast_jobs, fast_expected = two_shard_jobs(
                 executor, queries, searcher_id="chaos-fast"
             )
-            assert_batch_matches(executor.map_cached(slow_jobs), slow_expected)
+            assert_batch_matches(executor.submit_cached(slow_jobs)(), slow_expected)
             executor.fault_injector = FaultInjector().arm("kill_worker")
             # The crash exhausts the 1-restart budget; the replay runs
             # in-process serially — bitwise identical, pool left down.
-            assert_batch_matches(executor.map_cached(slow_jobs), slow_expected)
+            assert_batch_matches(executor.submit_cached(slow_jobs)(), slow_expected)
             assert executor.supervisor.demoted
             assert executor.active_transport == "serial"
             assert not executor._pool.is_live
             # Steady-state demoted batches stay serial (and correct).
-            assert_batch_matches(executor.map_cached(fast_jobs), fast_expected)
+            assert_batch_matches(executor.submit_cached(fast_jobs)(), fast_expected)
             assert not executor._pool.is_live
             time.sleep(1.6)
             # Cooled down: the next batch probes the pool; success lifts
             # the demotion.
-            assert_batch_matches(executor.map_cached(fast_jobs), fast_expected)
+            assert_batch_matches(executor.submit_cached(fast_jobs)(), fast_expected)
             assert not executor.supervisor.demoted
             assert executor.active_transport == "shm"
             assert executor._pool.is_live
@@ -590,7 +694,7 @@ class TestChaosRecovery:
             # not dispatch 30 s of serial work — it fails typed instead.
             started = time.monotonic()
             with pytest.raises(ServingTimeoutError, match="deadline"):
-                executor.map_cached(jobs, timeout=0.3)
+                executor.submit_cached(jobs, timeout=0.3)()
             assert time.monotonic() - started < 15.0
 
 
@@ -646,10 +750,9 @@ class TestEvictionRobustness:
         queries = RNG.normal(size=(3, 4))
         with ProcessShardExecutor(num_workers=WORKERS) as executor:
             jobs, expected = two_shard_jobs(executor, queries, searcher_id="doomed")
-            assert_batch_matches(executor.map_cached(jobs), expected)
+            assert_batch_matches(executor.submit_cached(jobs)(), expected)
             assert executor._pool.kill_one_worker() is not None
             # Best-effort hygiene must swallow the broken pool, and the
             # bookkeeping must be gone regardless.
             executor.evict("doomed", broadcast=True)
             assert not executor._published
-            assert not executor._payloads

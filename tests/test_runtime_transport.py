@@ -1,17 +1,20 @@
 """Zero-copy shard transport: lifecycle, concurrency and cache eviction.
 
 The transport's contract extends the runtime's: moving payloads through
-shared memory (or memory-mapped spool bundles) changes *how bytes travel*,
+shared memory (or memory-mapped spool files) changes *how bytes travel*,
 never *what is computed* — and it must never leak segments.  These tests
 pin segment lifecycle (unlinked on ``close()``, on context-manager exit and
 via the ``weakref.finalize`` safety net), batches that stay correct when
 several are in flight from several threads, the in-process replay when a
-segment cannot be allocated, bundle-spool round trips, and the eviction
+segment cannot be allocated, one-file spool round trips, and the eviction
 message that keeps long-running shared pools from accumulating dead
 searchers' shards.
 """
 
 from __future__ import annotations
+
+import mmap
+import os
 
 import numpy as np
 import pytest
@@ -57,6 +60,15 @@ def _segment_exists(name: str) -> bool:
         return False
     segment.close()
     return True
+
+
+def _mapped_file(array):
+    """The memory map under a spool-loaded array, found through its bases."""
+    base = array
+    while not isinstance(base, memoryview):
+        base = base.base
+    assert isinstance(base.obj, mmap.mmap)
+    return base.obj
 
 
 def _probe_worker_cache(_=None):
@@ -179,12 +191,17 @@ class TestSpoolBundles:
         searcher.fit(features, RNG.integers(0, 3, size=40))
         index_map = np.arange(40, dtype=np.int64)
         path = write_spool_bundle(str(tmp_path / "shard-e1"), (searcher, index_map))
+        # One regular file per entry, and no staging file left behind.
+        assert os.listdir(tmp_path) == ["shard-e1"] and os.path.isfile(path)
 
         loaded, loaded_map = load_spool_payload(path)
         np.testing.assert_array_equal(index_map, loaded_map)
-        # The reconstructed arrays are read-only views over the mapped
-        # bundle (that is the N-workers-one-copy property)...
+        # The reconstructed arrays are read-only, aligned views of one
+        # memory map of the entry (the N-workers-one-copy property)...
         assert not loaded_map.flags.writeable
+        maps = {id(_mapped_file(array)) for array in (loaded_map, loaded.array._stored_states)}
+        assert len(maps) == 1
+        assert loaded_map.ctypes.data % 64 == 0
         # ...and searching them is bitwise identical to the original.
         queries = RNG.normal(size=(5, 6))
         expected_indices, expected_scores = searcher._rank_batch(
@@ -228,9 +245,7 @@ class TestExecutorTransportLifecycle:
                 np.testing.assert_array_equal(expected.indices, result.indices)
                 np.testing.assert_array_equal(expected.scores, result.scores)
                 assert expected.labels == result.labels
-            import os
-
-            assert all(os.path.isdir(p) for p in sharded._published_paths.values())
+            assert all(os.path.isfile(p) for p in sharded._published_paths.values())
             names = sharded._executor._ring.segment_names
             assert names
         assert all(not _segment_exists(name) for name in names)
@@ -310,7 +325,7 @@ class TestSharedMemoryRequirement:
             assert sharded._executor._ring.segment_names
 
 
-class TestMapCachedContract:
+class TestSubmitCachedContract:
     def test_per_job_query_batches_are_rejected(self):
         """A batch writes one query matrix to shared memory for all shards;
         jobs carrying different arrays must fail typed, not be silently
@@ -334,7 +349,7 @@ class TestMapCachedContract:
                 ("per-job", 1, 1, paths[1], np.random.default_rng(0), queries_b, 2),
             ]
             with pytest.raises(ServingError, match="same query matrix"):
-                executor.map_cached(jobs)
+                executor.submit_cached(jobs)()
             assert executor.ring_in_flight == 0
 
 
@@ -639,15 +654,15 @@ class TestInFlightDispatch:
             np.testing.assert_array_equal(index_map, np.arange(6))
 
     @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")
-    def test_map_cached_results_survive_later_batches(self):
+    def test_collected_results_survive_later_batches(self):
         with ProcessShardExecutor(num_workers=WORKERS) as executor:
             jobs, expected = self._two_shard_jobs(executor, RNG.normal(size=(3, 4)))
-            results = executor.map_cached(jobs)
+            results = executor.submit_cached(jobs)()
             # Two later batches of the same shape reuse the ring's segments;
             # the first batch's results are the caller's own arrays.
             for _ in range(2):
                 later = RNG.normal(size=(3, 4))
-                executor.map_cached([job[:5] + (later,) + job[6:] for job in jobs])
+                executor.submit_cached([job[:5] + (later,) + job[6:] for job in jobs])()
             self._assert_batch(results, expected)
 
     @pytest.mark.skipif(not shared_memory_available(), reason="no shared memory on host")

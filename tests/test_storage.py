@@ -7,9 +7,9 @@ expected artifact of an abrupt death mid-write — is silently truncated,
 while corruption *behind* the tail or inside a snapshot fails typed with
 :class:`~repro.exceptions.SnapshotIntegrityError` rather than serving
 partial state.  On top sit the warm-restart integration rungs: snapshot
-geometry surviving config drift, the executor's restore-from-disk spool
-repair, and :class:`~repro.storage.ColdTenantPool` serving ``2N`` tenants
-on ``N``-capacity RAM with bitwise parity.
+geometry surviving config drift, restores into a worker pool, and
+:class:`~repro.storage.ColdTenantPool` serving ``2N`` tenants on
+``N``-capacity RAM with bitwise parity.
 """
 
 from __future__ import annotations
@@ -27,27 +27,14 @@ import pytest
 
 import repro
 from repro.core import make_searcher
-from repro.exceptions import (
-    ConfigurationError,
-    SearchError,
-    SnapshotIntegrityError,
-    SpoolIntegrityError,
-)
-from repro.runtime import (
-    FaultInjector,
-    ProcessShardExecutor,
-    shared_memory_available,
-    verify_spool_entry,
-)
-from repro.core.sharding import SerialShardExecutor
-from repro.runtime.process_pool import _evict_searcher_entries
+from repro.exceptions import ConfigurationError, SearchError, SnapshotIntegrityError
+from repro.runtime import FaultInjector, ProcessShardExecutor, shared_memory_available
 from repro.storage import (
     JOURNAL_NAME,
     MANIFEST_NAME,
     AppendJournal,
     ColdTenantPool,
     load_snapshot,
-    load_snapshot_shard,
     read_journal,
 )
 from repro.storage import snapshot as snapshot_module
@@ -109,17 +96,6 @@ def fitted_searcher(directory=None, **kwargs):
     return searcher
 
 
-class _SourceRecordingExecutor(SerialShardExecutor):
-    """The serial executor, recording every restore source it is given."""
-
-    def __init__(self):
-        super().__init__()
-        self.sources = []
-
-    def attach_restore_source(self, searcher_id, directory, applied_seq):
-        self.sources.append((directory, applied_seq))
-
-
 def assert_bitwise(got, want):
     np.testing.assert_array_equal(got.indices, want.indices)
     np.testing.assert_array_equal(got.scores, want.scores)
@@ -127,12 +103,7 @@ def assert_bitwise(got, want):
 
 
 def scribble(path):
-    """Flip bytes mid-file: size-preserving corruption the CRC must catch.
-
-    A spool bundle directory is scribbled in its pickle stream.
-    """
-    if os.path.isdir(path):
-        path = os.path.join(path, "payload.pkl")
+    """Flip bytes mid-file: size-preserving corruption the CRC must catch."""
     size = os.path.getsize(path)
     with open(path, "r+b") as handle:
         handle.seek(size // 2)
@@ -296,8 +267,6 @@ class TestSnapshotRestore:
         )
         with pytest.raises(SnapshotIntegrityError, match="format 1"):
             make_sharded().restore(tmp_path)
-        with pytest.raises(SnapshotIntegrityError, match="format 1"):
-            load_snapshot_shard(str(tmp_path), 0)
         assert unpickled == []
 
     @pytest.mark.parametrize("damage", ["missing", "mistyped"])
@@ -328,8 +297,6 @@ class TestSnapshotRestore:
         )
         with pytest.raises(SnapshotIntegrityError):
             make_sharded().restore(tmp_path)
-        with pytest.raises(SnapshotIntegrityError):
-            load_snapshot_shard(str(tmp_path), 0)
         assert unpickled == []
 
     def test_journal_replay_recovers_acknowledged_appends(self, tmp_path):
@@ -463,8 +430,7 @@ class TestSnapshotRestore:
         reference.close()
 
     def test_checkpoint_failure_raises_from_its_own_snapshot(self, tmp_path):
-        executor = _SourceRecordingExecutor()
-        searcher = fitted_searcher(tmp_path, executor=executor)
+        searcher = fitted_searcher(tmp_path)
         searcher.append(*append_row(1))
         searcher.snapshot()  # healthy checkpoint
 
@@ -476,9 +442,8 @@ class TestSnapshotRestore:
         want = searcher.kneighbors_batch(QUERIES, k=3)
         with pytest.raises(SnapshotIntegrityError, match="checkpoint blew up"):
             searcher.snapshot()
-        # The generation committed and was registered before the checkpoint
-        # ran, and the journal kept the record that generation covers.
-        assert executor.sources == [(str(tmp_path), 1), (str(tmp_path), 2)]
+        # The generation committed before the checkpoint ran, and the
+        # journal kept the record that generation covers.
         assert load_json(tmp_path / MANIFEST_NAME)["applied_seq"] == 2
         records, _ = read_journal(str(tmp_path / JOURNAL_NAME))
         assert [record.seq for record in records] == [2]
@@ -555,54 +520,6 @@ class TestWarmRestart:
             restored = make_sharded(executor=executor).restore(tmp_path)
             assert_bitwise(restored.kneighbors_batch(QUERIES, k=3), want)
             restored.close()
-
-    def test_corrupt_spool_repairs_from_snapshot_when_payloads_are_gone(self, tmp_path):
-        with ProcessShardExecutor(num_workers=1) as executor:
-            searcher = fitted_searcher(tmp_path, executor=executor)
-            want = searcher.kneighbors_batch(QUERIES, k=3)
-            searcher.snapshot()
-            # Simulate a warm-restarted serving process: the parent-resident
-            # payload references are gone, only spools and snapshot remain.
-            with executor._lock:
-                executor._payloads.clear()
-                published = dict(executor._published)
-            assert published
-            for path in published.values():
-                scribble(path)
-            # Drop the worker-resident copies so the next batch must reload
-            # from the (corrupt) spool and exercise the repair ladder.
-            executor._pool.broadcast(_evict_searcher_entries, searcher._searcher_id)
-            assert_bitwise(searcher.kneighbors_batch(QUERIES, k=3), want)
-            assert executor.supervisor.total_disk_restores >= 1
-            for path in published.values():
-                assert verify_spool_entry(path)
-            searcher.close()
-
-    def test_stale_restore_source_is_refused_not_served(self, tmp_path):
-        # Acknowledged appends land AFTER the snapshot: the generation on
-        # disk has valid checksums but stale rows.  When a spool entry
-        # breaks with no parent payload left, the disk rung must refuse
-        # it and fail the batch typed — never silently republish and
-        # serve pre-append results.
-        with ProcessShardExecutor(num_workers=1) as executor:
-            searcher = fitted_searcher(tmp_path, executor=executor)
-            searcher.snapshot()
-            searcher.append(*append_row(1))
-            # Publish the post-append epochs, then simulate a warm restart
-            # that lost the parent-resident payload references.
-            searcher.kneighbors_batch(QUERIES, k=3)
-            with executor._lock:
-                executor._payloads.clear()
-                published = dict(executor._published)
-            assert published
-            for path in published.values():
-                scribble(path)
-            executor._pool.broadcast(_evict_searcher_entries, searcher._searcher_id)
-            with pytest.raises(SpoolIntegrityError):
-                searcher.kneighbors_batch(QUERIES, k=3)
-            assert executor.supervisor.total_stale_restores >= 1
-            assert executor.supervisor.total_disk_restores == 0
-            searcher.close()
 
     def test_scheduler_snapshot_lane_round_trips(self, tmp_path):
         from repro.serving import MicroBatchScheduler
@@ -757,18 +674,6 @@ class TestCrashChaos:
         scribble(os.path.join(generation, "store.pkl"))
         with pytest.raises(SnapshotIntegrityError):
             make_sharded().restore(tmp_path)
-
-    def test_load_snapshot_shard_verifies_too(self, tmp_path):
-        searcher = fitted_searcher(tmp_path)
-        generation = searcher.snapshot()
-        searcher.close()
-        engine, index_map = load_snapshot_shard(str(tmp_path), 0)
-        assert engine.num_entries == len(index_map)
-        scribble(os.path.join(generation, "shard-0.pkl"))
-        with pytest.raises(SnapshotIntegrityError):
-            load_snapshot_shard(str(tmp_path), 0)
-        with pytest.raises(SnapshotIntegrityError):
-            load_snapshot_shard(str(tmp_path), 99)
 
 
 # ----------------------------------------------------------------------
