@@ -41,6 +41,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import SearchError
+from ..utils.growth import append_rows
 from ..utils.rng import SeedLike, ensure_rng
 from ..utils.validation import check_bits, check_feature_matrix, check_int_in_range
 from ..circuits.conductance_lut import ConductanceLUT
@@ -539,6 +540,19 @@ class MCAMSearcher(NearestNeighborSearcher):
         self.quantizer = UniformQuantizer(bits=self.bits)
         self._calibrated = False
         self._array: Optional[MCAMArray] = None
+        #: Growth buffer of ``_labels`` under :meth:`_extend_fit` (see
+        #: :func:`~repro.utils.growth.append_rows`); fits release it, and
+        #: pickles leave it behind.
+        self._labels_spare: Optional[np.ndarray] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        state.pop("_labels_spare", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._labels_spare = None
 
     def _calibrate(self, features: np.ndarray) -> None:
         # Calibrating on the full store (rather than this engine's slice of
@@ -592,11 +606,14 @@ class MCAMSearcher(NearestNeighborSearcher):
             rng=self.program_seed,
         )
         if self._labels is not None and label_array is not None:
-            self._labels = np.concatenate([self._labels, label_array])
+            self._labels, self._labels_spare = append_rows(
+                self._labels, self._labels_spare, label_array
+            )
         self._num_entries += features.shape[0]
         return True
 
     def _fit(self, features: np.ndarray, labels: Optional[np.ndarray]) -> None:
+        self._labels_spare = None
         if not self._calibrated:
             self.quantizer._fit_checked(features)
         states = self.quantizer._quantize_checked(features)
@@ -1001,10 +1018,11 @@ def make_searcher(
 
     ``appendable=True`` builds a sharded searcher that retains its fitted
     store so :meth:`~repro.core.sharding.ShardedSearcher.append` can grow it
-    live: new rows route to the least-full shard, in-range rows program
-    only themselves and other rows refit through the delta-reprogramming
-    path, and the served results stay bitwise identical to a from-scratch
-    refit of the combined store.
+    live: new rows route in blocks of S rows (S shards) to the least-full
+    shard, so an append of up to S rows changes one shard; in-range rows
+    program only themselves and other rows refit through the
+    delta-reprogramming path, and the served results stay bitwise identical
+    to a from-scratch refit of the combined store.
     """
     factory = get_backend(name)
     if (shards is not None or max_rows_per_array is not None) and not getattr(

@@ -34,12 +34,14 @@ Two serving-oriented extensions ride on the executor seam:
   through ``submit_cached``; every other executor ranks self-contained
   shard jobs through ``map``, and
 * :meth:`ShardedSearcher.append` grows a fitted store live (with
-  ``appendable=True``): new rows route to the least-full shard.  Rows inside
-  the frozen calibration program only themselves, into only the shards that
-  receive them — O(appended rows), like writing one row of a physical MCAM;
-  other rows recalibrate and refit through the arrays' delta-reprogramming
-  path.  Either way the served results stay bitwise identical to a
-  from-scratch refit.
+  ``appendable=True``): new rows route in blocks of S (the shard count) to
+  the least-full shard, so an append of up to S rows changes one shard and
+  the others stay worker-resident.  Rows inside the frozen calibration
+  program only themselves, into only the shards that receive them —
+  O(appended rows), like writing one row of a physical MCAM; other rows
+  recalibrate and refit through the arrays' delta-reprogramming path.
+  Either way the served results stay bitwise identical to a from-scratch
+  refit.
 """
 
 from __future__ import annotations
@@ -228,13 +230,14 @@ class ShardedSearcher(NearestNeighborSearcher):
         is configured by whoever built it.
     appendable:
         When True the searcher retains its fitted store so :meth:`append`
-        can grow it live: new rows route to the least-full shard (opening a
-        fresh fixed-geometry tile only when every existing one is full) and
-        program into it alone when they lie inside the frozen calibration;
-        otherwise each touched shard refits through the engines'
-        delta-reprogramming path.  Served results stay bitwise identical to
-        a from-scratch refit of the combined store for the deterministic
-        engines.
+        can grow it live: new rows route in blocks of S rows (S shards) to
+        the least-full shard (opening a fresh fixed-geometry tile only when
+        every existing one is full), so an append of up to S rows changes
+        one shard, and they program into it alone when they lie inside the
+        frozen calibration; otherwise each touched shard refits through the
+        engines' delta-reprogramming path.  Served results stay bitwise
+        identical to a from-scratch refit of the combined store for the
+        deterministic engines.
     """
 
     #: Monotonic source of searcher identities used to key worker-resident
@@ -311,7 +314,8 @@ class ShardedSearcher(NearestNeighborSearcher):
         #: Full fitted store, retained only for appendable searchers.
         self._store_features: Optional[np.ndarray] = None
         self._store_labels: Optional[np.ndarray] = None
-        #: Growth buffers of the retained store ("features", "labels"; see
+        #: Growth buffers of the retained store ("features", "labels") and
+        #: of each shard's index map ("index_map_<shard>"; see
         #: :func:`~repro.utils.growth.append_rows`).  Fit, restore and
         #: hibernate release them.
         self._store_spare: Dict[str, np.ndarray] = {}
@@ -439,20 +443,29 @@ class ShardedSearcher(NearestNeighborSearcher):
     # ------------------------------------------------------------------
     # Live ingestion
     # ------------------------------------------------------------------
-    def _route_appended_rows(self, num_new: int, full_features: np.ndarray) -> Dict[int, List[int]]:
+    def _route_appended_rows(
+        self, num_new: int, full_features: np.ndarray
+    ) -> Dict[int, np.ndarray]:
         """Assign new global rows to the least-full shards, growing the geometry.
 
-        Rows are routed one at a time to the smallest open shard (ties break
-        toward the lower shard index); in fixed-geometry mode a fresh tile is
-        opened — calibrated like its siblings — once every existing tile is
-        full.  Returns the new global rows of every shard that received any,
-        keyed by shard index.
+        Rows are dealt in blocks of S, the shard count when the append
+        starts, and each block goes to the smallest open shard (ties break
+        toward the lower shard index).  An append of up to S rows therefore
+        programs one shard while the others stay as published, and a bulk
+        append still spreads evenly: with a fixed shard count, shard sizes
+        stay within S rows of each other.  In fixed-geometry mode a block
+        that fills a tile continues in the next least-full open tile, and a
+        fresh tile is opened — calibrated like its siblings — only once
+        every existing tile is full.  Each receiving shard's index map grows
+        into spare capacity.  Returns the new global rows of every shard
+        that received any, keyed by shard index.
         """
         capacity = self.max_rows_per_array
+        block = len(self._shards)
         sizes = [index_map.shape[0] for index_map in self._index_maps]
-        routed: Dict[int, List[int]] = {}
-        next_global = self._num_entries
-        for _ in range(num_new):
+        owners = np.empty(num_new, dtype=np.int64)
+        placed = 0
+        while placed < num_new:
             open_shards = [
                 index
                 for index, size in enumerate(sizes)
@@ -470,22 +483,33 @@ class ShardedSearcher(NearestNeighborSearcher):
                 self._shard_epochs.append(0)
                 self._index_maps.append(np.empty(0, dtype=np.int64))
                 sizes.append(0)
-            routed.setdefault(target, []).append(next_global)
-            sizes[target] += 1
-            next_global += 1
-        # One concatenation per touched shard keeps a bulk append linear in
-        # the appended row count instead of copying the growing map per row.
-        for target, new_globals in routed.items():
-            self._index_maps[target] = np.concatenate(
-                [self._index_maps[target], np.asarray(new_globals, dtype=np.int64)]
+            # The rest of the current block, cut short by the tile's room.
+            take = min(num_new - placed, block - placed % block)
+            if capacity is not None:
+                take = min(take, capacity - sizes[target])
+            owners[placed : placed + take] = target
+            sizes[target] += take
+            placed += take
+        routed: Dict[int, np.ndarray] = {}
+        spare = self._store_spare
+        for target in np.unique(owners).tolist():
+            rows = self._num_entries + np.flatnonzero(owners == target)
+            key = f"index_map_{target}"
+            self._index_maps[target], spare[key] = append_rows(
+                self._index_maps[target], spare.get(key), rows
             )
+            routed[target] = rows
         return routed
 
     def append(self, features: Any, labels: Any = None) -> "ShardedSearcher":
         """Grow the fitted store in place (live ingestion).
 
-        New rows receive the next global indices and route to the
-        least-full shard.  Rows that lie inside the frozen calibration
+        New rows receive the next global indices and route, in blocks of S
+        rows for S shards, to the least-full shard: unless it fills a
+        fixed-geometry tile, an append of up to S rows changes one shard,
+        whose epoch alone moves, so the other shards stay resident in the
+        workers that serve them.  Rows that lie inside
+        the frozen calibration
         (:meth:`~repro.core.search.NearestNeighborSearcher.calibration_covers`)
         leave it as it is: only the receiving shards change, and engines
         that support it
@@ -556,8 +580,8 @@ class ShardedSearcher(NearestNeighborSearcher):
         ``calibration_covers`` for all new rows at once.  Covered rows skip
         the full-store recalibration, and each receiving shard is offered
         just its new rows through ``_extend_fit`` (refitting its slice when
-        the engine declines).  The retained store grows into spare capacity
-        instead of being copied.
+        the engine declines).  The retained store and the receiving shards'
+        index maps grow into spare capacity instead of being copied.
         """
         if self._store_features is None:
             raise SearchError("appendable searcher lost its retained store")

@@ -9,11 +9,12 @@ benchmark serves (its worker caches and transport are tested in
 ``tests/test_runtime.py``).
 """
 
-import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.circuits import MCAMArray, TCAMArray, partition_rows, split_rows_evenly
 from repro.circuits.mcam_array import preserve_search_caches
@@ -490,10 +491,6 @@ class TestShardAppend:
             base.kneighbors_batch(queries, k=4), searcher.kneighbors_batch(queries, k=4)
         )
 
-    @pytest.mark.skipif(
-        (os.cpu_count() or 1) < 4,
-        reason="multi-worker append parity mirrors the multi-core benchmark gates",
-    )
     @pytest.mark.parametrize("num_workers", (2, 4))
     def test_append_parity_on_processes_executor(self, store, num_workers):
         features, labels, queries = store
@@ -510,6 +507,144 @@ class TestShardAppend:
                     refit.kneighbors_batch(queries, k=k),
                     grown.kneighbors_batch(queries, k=k),
                 )
+
+    def test_append_republishes_only_its_shard_on_processes(self, monkeypatch):
+        # A 4-row append into 4 shards programs one of them: the next batch
+        # republishes that shard alone, and the other three keep their spool
+        # entries (and stay resident in their workers).
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(64, NUM_FEATURES))
+        labels = rng.integers(0, 5, size=68)
+        rows = _clipped(rng.normal(size=(4, NUM_FEATURES)), features)
+        queries = rng.normal(size=(6, NUM_FEATURES))
+        config = dict(shards=4, executor="processes", num_workers=2)
+        with self._make("mcam-3bit", **config) as searcher:
+            searcher.fit(features, labels[:64])
+            searcher.kneighbors_batch(queries, k=2)  # warm: every shard published
+            before = dict(searcher._published_paths)
+            searcher.append(rows, labels[64:])
+            published = []
+            real_publish = searcher._executor.publish_shard
+
+            def publish(searcher_id, index, payload, epoch=0):
+                published.append(index)
+                return real_publish(searcher_id, index, payload, epoch=epoch)
+
+            monkeypatch.setattr(searcher._executor, "publish_shard", publish)
+            got = searcher.kneighbors_batch(queries, k=5)
+            assert published == [0]
+            after = dict(searcher._published_paths)
+            assert after[0] != before[0]
+            assert {i: after[i] for i in (1, 2, 3)} == {i: before[i] for i in (1, 2, 3)}
+        base = make_searcher("mcam-3bit", num_features=NUM_FEATURES, seed=7).fit(
+            np.vstack([features, rows]), labels
+        )
+        _assert_batch_equal(base.kneighbors_batch(queries, k=5), got)
+
+    @pytest.mark.parametrize("name", ("euclidean", "mcam-3bit"))
+    @given(
+        layout=st.one_of(
+            st.builds(lambda count: {"shards": count}, st.integers(1, 5)),
+            st.builds(lambda rows: {"max_rows_per_array": rows}, st.integers(1, 9)),
+        ),
+        fit_rows=st.integers(1, 20),
+        append_sizes=st.lists(st.integers(1, 11), min_size=1, max_size=6),
+        snapshot_after=st.integers(0, 6),
+        seed=st.integers(0, 2**16),
+    )
+    # Pinned cases: blocks of 2 to 4 rows into 4 shards, and a fill that
+    # opens tiles.  Generated ones add random shapes on top.
+    @example(
+        layout={"shards": 4}, fit_rows=18, append_sizes=[4, 2, 3, 9, 1], snapshot_after=1, seed=3
+    )
+    @example(
+        layout={"max_rows_per_array": 3}, fit_rows=7, append_sizes=[1, 5, 2], snapshot_after=0,
+        seed=4,
+    )
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_block_routed_appends_stay_balanced_bitwise_and_restorable(
+        self, name, layout, fit_rows, append_sizes, snapshot_after, seed
+    ):
+        rng = np.random.default_rng(seed)
+        total = fit_rows + sum(append_sizes)
+        stored = rng.normal(size=(fit_rows, NUM_FEATURES))
+        # Rows inside the fitted range take the MCAM's rows-only path.
+        appended = _clipped(rng.normal(size=(total - fit_rows, NUM_FEATURES)), stored)
+        rows = np.vstack([stored, appended])
+        labels = rng.integers(0, 5, size=total)
+        queries = rng.normal(size=(5, NUM_FEATURES))
+        capacity = layout.get("max_rows_per_array")
+        with tempfile.TemporaryDirectory() as directory:
+            writer = self._make(name, **layout).fit(stored, labels[:fit_rows])
+            writer.enable_durability(directory)
+            writer.snapshot()
+            end = fit_rows
+            for step, size in enumerate(append_sizes):
+                block = writer.num_shards
+                sizes, epochs = writer.shard_sizes, list(writer._shard_epochs)
+                writer.append(rows[end : end + size], labels[end : end + size])
+                end += size
+                grown = writer.shard_sizes
+                assert sum(grown) == end
+                changed = [i for i, now in enumerate(grown) if i >= len(sizes) or now != sizes[i]]
+                moved = [i for i, epoch in enumerate(epochs) if writer._shard_epochs[i] != epoch]
+                assert moved == [i for i in changed if i < len(sizes)]
+                if capacity is None:
+                    assert len(grown) == block
+                    assert max(grown) - min(grown) <= block
+                    if size <= block:
+                        assert len(changed) == 1
+                else:
+                    assert max(grown) <= capacity
+                    if len(grown) > len(sizes):
+                        # A tile opens only once every tile is full.
+                        assert all(tile == capacity for tile in grown[:-1])
+                    if size <= block:
+                        # One tile, unless the block filled it and went on.
+                        assert sum(grown[i] < capacity for i in changed) <= 1
+                base = make_searcher(name, num_features=NUM_FEATURES, seed=7).fit(
+                    rows[:end], labels[:end]
+                )
+                for k in (1, min(4, end)):
+                    _assert_batch_equal(
+                        base.kneighbors_batch(queries, k=k), writer.kneighbors_batch(queries, k=k)
+                    )
+                if step == snapshot_after:
+                    writer.snapshot()
+            # The journal holds the appends after the last snapshot; a fresh
+            # searcher replays them through the same routing.
+            reader = self._make(name, **layout).restore(directory)
+            assert reader.shard_sizes == writer.shard_sizes
+            for k in (1, min(4, end)):
+                _assert_batch_equal(
+                    writer.kneighbors_batch(queries, k=k), reader.kneighbors_batch(queries, k=k)
+                )
+            writer.close()
+            reader.close()
+
+    def test_appends_grow_index_map_and_labels_into_one_buffer(self, store):
+        # Both 1-row appends land in the open second tile.  The first copies
+        # its 14 rows into a buffer with room for two more (about 1/8 spare);
+        # the second writes behind them instead of copying, and a pickle of
+        # the shard carries exactly its rows.
+        features, labels, _ = store
+        rows = _clipped(features[30:32], features[:30])
+        searcher = self._make("mcam-3bit", max_rows_per_array=16).fit(features[:30], labels[:30])
+        maps, shard_labels = [], []
+        for row in range(2):
+            searcher.append(rows[row : row + 1], labels[30 + row : 31 + row])
+            maps.append(searcher._index_maps[1])
+            shard_labels.append(searcher.shard_searchers[1]._labels)
+        assert searcher.shard_sizes == (16, 16)
+        np.testing.assert_array_equal(maps[1], np.arange(16, 32))
+        np.testing.assert_array_equal(shard_labels[1], labels[16:32])
+        assert maps[0].base is not None and maps[1].base is maps[0].base
+        assert shard_labels[0].base is not None and shard_labels[1].base is shard_labels[0].base
+        payload = (searcher.shard_searchers[1], searcher._index_maps[1])
+        engine, index_map = pickle.loads(pickle.dumps(payload, protocol=5))
+        assert engine.num_entries == 16
+        assert index_map.shape == (16,) and engine._labels.shape == (16,)
+        assert engine._labels_spare is None
 
     def test_append_requires_appendable_flag(self, store):
         features, labels, _ = store
@@ -684,9 +819,10 @@ class TestShardAppend:
         monkeypatch.setattr(MCAMArray, "reprogram", count("reprogram", MCAMArray.reprogram))
         monkeypatch.setattr(MCAMSearcher, "_calibrate", count("calibrate", MCAMSearcher._calibrate))
         searcher.append(rows, labels[:4])
-        assert sorted(quantized) == [1, 1, 1, 1]
+        # One block of S = 4 rows: one shard quantizes and programs them.
+        assert quantized == [4]
         assert calls == {"reprogram": 0, "calibrate": 0}
-        assert searcher.shard_sizes == (17, 17, 17, 17)
+        assert searcher.shard_sizes == (20, 16, 16, 16)
 
     def test_append_scans_its_rows_for_non_finite_values_once(self, monkeypatch):
         # append() rejects non-finite rows itself; the covers test and the
@@ -706,7 +842,7 @@ class TestShardAppend:
         monkeypatch.setattr(np, "isfinite", isfinite)
         searcher.append(rows, labels[:4])
         assert shapes == [(4, NUM_FEATURES)]
-        assert searcher.shard_sizes == (17, 17, 17, 17)
+        assert searcher.shard_sizes == (20, 16, 16, 16)
 
     def test_append_inside_a_constant_columns_band_refits(self, store):
         # A constant feature v is calibrated as [v - 0.5, v + 0.5]; a new value
