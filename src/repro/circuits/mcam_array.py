@@ -19,10 +19,8 @@ Two fidelity levels are supported:
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,30 +40,6 @@ from .sense_amplifier import IdealWinnerTakeAll, SensingResult, sense_all
 #: Salt mixed into the row-keyed reprogramming seeds so the per-row streams
 #: cannot collide with other consumers of the same base seed.
 _REPROGRAM_KEY_SALT = 0x52455052  # "REPR"
-
-#: Per-thread flag for :func:`preserve_search_caches`, consulted by
-#: :meth:`MCAMArray.__getstate__`.
-_PICKLE_SEARCH_CACHES = threading.local()
-
-
-@contextmanager
-def preserve_search_caches() -> Iterator[None]:
-    """Pickle MCAM arrays **with** their derived search caches.
-
-    By default :meth:`MCAMArray.__getstate__` drops the lazily built
-    query-path caches so transport spools stay lean (workers rebuild them
-    on first search).  The storage tier inverts that trade-off: a snapshot
-    of a *serving* process should restore warm, first query included, so
-    :func:`repro.storage.snapshot.write_snapshot` pickles shard engines
-    inside this context and pays the larger snapshot for a restore that
-    skips the cache rebuild entirely.  Thread-local and reentrant.
-    """
-    prior = getattr(_PICKLE_SEARCH_CACHES, "active", False)
-    _PICKLE_SEARCH_CACHES.active = True
-    try:
-        yield
-    finally:
-        _PICKLE_SEARCH_CACHES.active = prior
 
 
 def _labels_of_winners(labels: List[Optional[int]], winners: np.ndarray, what: str) -> np.ndarray:
@@ -362,16 +336,9 @@ class MCAMArray(FixedGeometryArray):
         the programmed state and dominate the pickle payload (a by-cell
         table is ``num_states`` times the stored-state matrix); dropping them
         makes shipping a programmed array across a process boundary — the
-        worker-resident shard cache of :mod:`repro.runtime` — cost the stored
-        states, not the query cache.  The receiver rebuilds them lazily and
-        bitwise identically on first search.  Inside a
-        :func:`preserve_search_caches` block every built by-cell table is
-        kept when it is *expensive* to rebuild — look-up-table mode, where
-        it takes a full gather over the stored states — so snapshots taken
-        from a serving process restore warm instead of lean.  In per-cell
-        device mode the tables are a relayout of the already-persisted
-        programmed profiles; they are always dropped rather than doubling
-        the payload to save a memcpy-speed transpose.
+        worker-resident shard cache of :mod:`repro.runtime` — or into a
+        snapshot cost the stored states, not the query cache.  The receiver
+        rebuilds them lazily and bitwise identically on first search.
 
         The spare capacity of :meth:`append` is never pickled: the stored
         arrays are leading-slice views of their growth buffers and pickle
@@ -383,14 +350,9 @@ class MCAMArray(FixedGeometryArray):
         state = self.__dict__.copy()
         del state["_spare"]
         del state["_row_offsets"]
-        preserve = getattr(_PICKLE_SEARCH_CACHES, "active", False)
         for name, _ in self._BY_CELL_TABLES:
-            if not preserve or self._profiles is not None:
-                state[name] = None
-            elif state[name] is not None:
-                state[name] = np.ascontiguousarray(state[name])
-        if not preserve:
-            state["_gather_offsets"] = None
+            state[name] = None
+        state["_gather_offsets"] = None
         return state
 
     def __setstate__(self, state) -> None:

@@ -17,9 +17,10 @@ Scopes follow the layering the repo established in PRs 1–8:
 * **persistence scope** (``repro.utils.io``, ``repro.storage``,
   ``repro.runtime.transport``): files land via tmp-write +
   ``os.replace``, never an in-place write-mode open (RPL011);
-* **no unframed spool read** (all of ``src/repro``): only the two
-  modules that check a CRC before unpickling may call ``pickle.load``
-  or ``pickle.loads`` (RPL012);
+* **no unframed read** (all of ``src/repro``): only
+  ``repro.runtime.transport``, whose one frame decoder checks a length
+  and a CRC before unpickling, may call ``pickle.load`` or
+  ``pickle.loads`` (RPL012);
 * **one process-pool factory** (everywhere): worker processes are
   constructed only in ``repro/runtime/process_pool.py``, whose workers
   all start through its initializer (RPL013).
@@ -658,29 +659,29 @@ class NonAtomicPersistRule(Rule):
 
 
 class UnframedPickleLoadRule(Rule):
-    """RPL012: only CRC-checking modules unpickle.
+    """RPL012: only the frame decoder unpickles.
 
     Unpickling bytes that no checksum covers turns one scribbled byte of a
-    spool bundle, snapshot file or journal record into arbitrary objects.
-    :mod:`repro.runtime.transport` (spools and snapshot files) and
-    :mod:`repro.storage.journal` (append records) check a CRC before every
-    unpickle; anywhere else in the package ``pickle.load`` and
+    spool entry, snapshot file or journal record into arbitrary objects.
+    All three are checksummed frames, and :mod:`repro.runtime.transport`
+    decodes every one: it checks the frame's length and CRC-32 before it
+    unpickles.  Anywhere else in the package ``pickle.load`` and
     ``pickle.loads`` are flagged, as is importing them from ``pickle``.
     """
 
     code = "RPL012"
     name = "unframed-pickle-load"
     description = (
-        "pickle.load/pickle.loads only in repro/runtime/transport.py and "
-        "repro/storage/journal.py, which check a CRC before unpickling"
+        "pickle.load/pickle.loads only in repro/runtime/transport.py, which "
+        "checks a frame's length and CRC before unpickling"
     )
     scope = _PACKAGE
 
-    _FRAMED_READERS = ("src/repro/runtime/transport.py", "src/repro/storage/journal.py")
+    _FRAME_DECODER = "src/repro/runtime/transport.py"
     _CALLS = {"pickle.load", "pickle.loads"}
 
     def check(self, tree: ast.Module, source: str, path: str) -> Iterator[Finding]:
-        if path.endswith(self._FRAMED_READERS):
+        if path.endswith(self._FRAME_DECODER):
             return
         for node in ast.walk(tree):
             imported = (
@@ -692,9 +693,8 @@ class UnframedPickleLoadRule(Rule):
                 yield self.finding(
                     path,
                     node,
-                    "unpickling outside transport.py/journal.py reads bytes no "
-                    "CRC covers; load persisted pickles through "
-                    "repro.runtime.transport",
+                    "unpickling outside transport.py reads bytes no CRC covers; "
+                    "decode persisted or spooled pickles through repro.runtime.transport",
                 )
 
 

@@ -665,13 +665,14 @@ class ProcessShardExecutor:
         self._ring = _transport.SharedMemoryRing()
         self._spool_dir: Optional[str] = None
         self._spool_finalizer: Optional[weakref.finalize] = None
-        #: ``(spool path, payload)`` per published ``(searcher_id,
-        #: shard_index)``.  A new epoch's entry replaces (and deletes) the
-        #: previous epoch's.  The payload is the recovery source: spool
-        #: files outlive a dead worker, but a corrupt or deleted entry is
-        #: republished from it.  The shard objects are alive in the owning
-        #: searcher anyway, so these references cost no copies.
-        self._published: Dict[Tuple[str, int], Tuple[str, Any]] = {}
+        #: ``(spool path, payload, frame CRC-32)`` per published
+        #: ``(searcher_id, shard_index)``.  A new epoch's entry replaces (and
+        #: deletes) the previous epoch's.  The payload is the recovery
+        #: source: spool files outlive a dead worker, but a corrupt or
+        #: deleted entry is republished from it.  The shard objects are
+        #: alive in the owning searcher anyway, so these references cost no
+        #: copies.
+        self._published: Dict[Tuple[str, int], Tuple[str, Any, int]] = {}
         #: Serializes publish/evict/close bookkeeping: a scheduler pump
         #: thread publishing epochs must not race a foreground ``close()``
         #: (or two searchers' ``close()`` calls racing each other) over the
@@ -724,8 +725,8 @@ class ProcessShardExecutor:
         lands in one epoch-named, checksummed spool file (renamed into
         place, so readers never observe a half-written epoch; the previous
         epoch's file is deleted after the swap), and the payload reference
-        is retained parent-side so the supervisor can republish a corrupted
-        entry during recovery.
+        and the frame's CRC-32 are retained parent-side so the supervisor
+        can republish a corrupted entry during recovery.
         """
         with self._lock:
             stem = os.path.join(
@@ -738,10 +739,10 @@ class ProcessShardExecutor:
                 # Another thread dispatching through the same searcher
                 # published this epoch first; an epoch names one payload.
                 return path
-            _transport.write_spool_bundle(path, payload)
+            crc = _transport.write_spool_bundle(path, payload)
             if previous is not None:
                 _transport.remove_spool_entry(previous[0])
-            self._published[key] = (path, payload)
+            self._published[key] = (path, payload, crc)
             return path
 
     def _repair_spool(self) -> int:
@@ -750,13 +751,17 @@ class ProcessShardExecutor:
         Returns how many entries were republished, each from its
         parent-resident payload.  A rewrite keeps the entry's path:
         dispatched job tuples carry it, and retried batches replay those
-        same tuples.  The lock makes concurrent repairs of one entry write
-        it once.
+        same tuples, so an entry is rewritten only when its payload still
+        encodes to the CRC-32 it was published with; an epoch whose shard
+        an append grew in place is not, and its batches fail typed.  The
+        lock makes concurrent repairs of one entry write it once.
         """
         repaired = 0
         with self._lock:
-            for path, payload in self._published.values():
-                if not _transport.verify_spool_entry(path):
+            for path, payload, crc in self._published.values():
+                if _transport.verify_spool_entry(path):
+                    continue
+                if _transport.encode_frame(payload)[1] == crc:
                     _transport.write_spool_bundle(path, payload)
                     repaired += 1
         return repaired
@@ -816,12 +821,7 @@ class ProcessShardExecutor:
         if len(job_list) <= 1:
             # No pipe is crossed for a single job; ranking in process also
             # populates the parent-resident cache (see evict()).
-            results = [_rank_cached_shard_job(job) for job in job_list]
-
-            def collect_ready(timeout: Optional[float] = None) -> list:
-                return results
-
-            return collect_ready
+            return self._submit_cached_serial(job_list)
         queries = job_list[0][5]
         if any(job[5] is not queries for job in job_list[1:]):
             raise ServingError(
@@ -859,14 +859,15 @@ class ProcessShardExecutor:
     def _submit_cached_serial(self, jobs: list) -> Callable[..., list]:
         """In-process execution: the rung below the worker pool.
 
-        Used while the supervisor has demoted the pool (restarts exceeded
-        the budget) and for a batch that could not get or keep its
-        shared-memory segment.  Jobs run in the parent at collect time with
-        the same ranking function, so results stay bitwise identical — the
-        service degrades in throughput, not in answers or availability.
+        Used for a batch of one job, while the supervisor has demoted the
+        pool (restarts exceeded the budget), and for a batch that could not
+        get or keep its shared-memory segment.  Jobs run in the parent at
+        collect time with the same ranking function, so results stay
+        bitwise identical — the service degrades in throughput, not in
+        answers or availability.
         A corrupt spool entry is republished from the parent payload and
-        the batch replayed once before failing typed.  Neither use records
-        a pool success.
+        the batch replayed once before failing typed.  No use records a
+        pool success.
         """
 
         def collect(timeout: Optional[float] = None) -> list:

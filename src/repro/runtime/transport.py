@@ -21,20 +21,19 @@ pickled on the steady-state path:
   one dispatched batch (the query block followed by per-shard result
   blocks).
 * :func:`write_spool_bundle` / :func:`load_spool_payload` publish each
-  shard payload as one file: the pickle stream with its ndarray buffers
-  extracted out-of-band (pickle protocol 5), each buffer at an aligned
-  offset of the same file, under one CRC-32 that covers every byte.
-  Workers memory-map the file and unpickle around read-only views of the
-  map, so N workers on one host share one physical copy of each shard's
+  shard payload as one file holding one frame (below).  Workers
+  memory-map the file and unpickle around read-only views of the map, so
+  N workers on one host share one physical copy of each shard's
   programmed states instead of N deserialized clones.
 
-:func:`write_checked_pickle` / :func:`load_checked_pickle` write and read
-the files of durable snapshots (:mod:`repro.storage.snapshot`): bare
-pickles whose size and CRC-32 the snapshot manifest records.  Every
-unpickle in this module follows a CRC check, so a scribbled byte surfaces
-as :class:`~repro.exceptions.SpoolIntegrityError` (a spool) or
-:class:`~repro.exceptions.SnapshotIntegrityError` (a snapshot file), never
-as garbage.
+Spool entries, snapshot files (:func:`load_snapshot_file`) and journal
+records (:func:`read_frames`) are all checksummed frames of
+:func:`encode_frame`.  This is the only module that unpickles, and it
+checks a frame's length and CRC-32 before it parses a header or
+unpickles a byte, so a scribbled byte surfaces as
+:class:`~repro.exceptions.SpoolIntegrityError` (a spool entry) or
+:class:`~repro.exceptions.SnapshotIntegrityError` (a snapshot file or a
+journal record), never as garbage.
 
 Lifecycle: segments are unlinked on ``close()``, on context-manager exit of
 the owning executor, and by a :func:`weakref.finalize` safety net when the
@@ -53,7 +52,7 @@ import threading
 import weakref
 import zlib
 from collections import OrderedDict
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -305,37 +304,38 @@ def attach_segment(name: str) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Memory-mapped spool entries
+# Checksummed frames: spool entries, snapshot files and journal records
 # ----------------------------------------------------------------------
-_SPOOL_MAGIC = b"RSPOOL01"
+_FRAME_MAGIC = b"RFRAME01"
 _UINT32 = struct.Struct("<I")
-#: The fixed prefix of a spool entry: magic, CRC-32, header length.  The
-#: CRC covers every byte after its own field, to the end of the file.
-_SPOOL_PREFIX = struct.Struct("<8sII")
-_CHECKED_FROM = len(_SPOOL_MAGIC) + _UINT32.size
+_UINT64 = struct.Struct("<Q")
+#: A frame's fixed prefix: magic, the length's CRC-32, the frame's length,
+#: the frame's CRC-32 (of every byte after its own field) and the header's length.
+_FRAME_PREFIX = struct.Struct("<8sIQII")
+_CHECKED_FROM = _FRAME_PREFIX.size - _UINT32.size
+#: A decoded frame: its end offset, CRC-32, stream and buffers.
+_Frame = Tuple[int, int, memoryview, List[memoryview]]
 
 
-def write_spool_bundle(path: str, payload: Any) -> str:
-    """Publish ``payload`` as one memory-mappable, checksummed file at ``path``.
+def encode_frame(payload: Any) -> Tuple[List[Any], int]:
+    """``payload`` as one checksummed frame: its pieces, in order, and its CRC-32.
 
-    The file holds a fixed prefix (magic, CRC-32, header length), a JSON
-    header (the stream's length and each buffer's offset and size), the
-    protocol-5 pickle stream, and every contiguous ndarray buffer the
-    pickler extracted out-of-band, each at a 64-byte-aligned offset, so
-    :func:`load_spool_payload` can hand the unpickler views of one memory
-    map.  The CRC-32 covers every byte after its own field, stored states
-    included.  The file is written to ``<path>.tmp`` and ``os.replace``-d
-    into place, so a reader never observes a half-written entry, and a
-    republish replaces the entry at the same path.
+    After the fixed prefix come a JSON header (the stream's length and each
+    buffer's offset and size, counted from the frame's start), the
+    protocol-5 pickle stream, and every buffer the pickler extracted
+    out-of-band, each at a 64-byte-aligned offset; the frame is padded to a
+    multiple of 64 bytes, so frames written back to back stay aligned.  The
+    length has a CRC of its own, so a reader tells a frame cut short from a
+    damaged length.  An unchanged payload encodes to the same bytes.
     """
     buffers: List[pickle.PickleBuffer] = []
     stream = pickle.dumps(payload, protocol=5, buffer_callback=buffers.append)
     views = [buffer.raw() for buffer in buffers]
-    # The header records absolute buffer offsets, which depend on its own
-    # length: recompute until that length stops changing (it only grows).
+    # The header records buffer offsets, which depend on its own length:
+    # recompute until that length stops changing (it only grows).
     header_bytes = 0
     while True:
-        cursor = _SPOOL_PREFIX.size + header_bytes + len(stream)
+        cursor = _FRAME_PREFIX.size + header_bytes + len(stream)
         spans: List[List[int]] = []
         for view in views:
             offset = _aligned(cursor)
@@ -346,88 +346,101 @@ def write_spool_bundle(path: str, payload: Any) -> str:
             break
         header_bytes = len(header)
     pieces: List[Any] = [header, stream]
-    cursor = _SPOOL_PREFIX.size + header_bytes + len(stream)
+    cursor = _FRAME_PREFIX.size + header_bytes + len(stream)
     for view, (offset, nbytes) in zip(views, spans):
         pieces += [bytes(offset - cursor), view]
         cursor = offset + nbytes
+    frame_bytes = _aligned(cursor)
+    pieces.append(bytes(frame_bytes - cursor))
     crc = zlib.crc32(_UINT32.pack(header_bytes))
     for piece in pieces:
         crc = zlib.crc32(piece, crc)
+    length_crc = zlib.crc32(_UINT64.pack(frame_bytes))
+    prefix = _FRAME_PREFIX.pack(_FRAME_MAGIC, length_crc, frame_bytes, crc, header_bytes)
+    return [prefix, *pieces], crc
+
+
+def _frame_at(data: memoryview, start: int, path: str, error: Type[Exception]) -> Optional[_Frame]:
+    """The frame at byte ``start`` of ``data``, or None if ``data`` ends inside it.
+
+    ``data`` ends inside a frame within its prefix, or short of the end its
+    length names once that length passed its own CRC.  The frame's CRC-32
+    is checked before the header is parsed; any other damage raises
+    ``error``.  The stream and buffers are views of ``data``.
+    """
+    if len(data) - start < _FRAME_PREFIX.size:
+        return None
+    magic, length_crc, frame_bytes, crc, header_bytes = _FRAME_PREFIX.unpack_from(data, start)
+    if (
+        magic != _FRAME_MAGIC
+        or zlib.crc32(_UINT64.pack(frame_bytes)) != length_crc
+        or frame_bytes < _FRAME_PREFIX.size
+    ):
+        raise error(f"frame at byte {start} of {path} failed its magic or length checksum")
+    end = start + frame_bytes
+    if end > len(data):
+        return None
+    if zlib.crc32(data[start + _CHECKED_FROM : end]) != crc:
+        raise error(f"frame at byte {start} of {path} failed its checksum")
+    head = start + _FRAME_PREFIX.size
+    try:
+        header = json.loads(bytes(data[head : head + header_bytes]))
+        stream = data[head + header_bytes : head + header_bytes + header["stream_bytes"]]
+        spans = header["buffers"]
+        buffers = [data[start + offset : start + offset + size] for offset, size in spans]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise error(f"frame at byte {start} of {path} has a malformed header: {exc}") from exc
+    return end, crc, stream, buffers
+
+
+def _read_file(path: str, error: Type[Exception], mapped: bool) -> memoryview:
+    """The bytes of the file at ``path``: a shared read-only map, or a writable copy."""
+    try:
+        with open(path, "rb") as fh:
+            if mapped:
+                return memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
+            data = memoryview(bytearray(os.fstat(fh.fileno()).st_size))
+            fh.readinto(data)
+            return data
+    except FileNotFoundError as exc:
+        raise error(f"{path} is missing") from exc
+    except (OSError, ValueError) as exc:  # ValueError: an empty file cannot be mapped
+        raise error(f"{path} is unreadable: {exc}") from exc
+
+
+def _read_frame(path: str, error: Type[Exception]) -> _Frame:
+    """The one frame filling the file at ``path``, in views of its read-only map."""
+    data = _read_file(path, error, mapped=True)
+    frame = _frame_at(data, 0, path, error)
+    if frame is None or frame[0] != len(data):
+        raise error(f"{path} does not end where its frame's checksummed length says")
+    return frame
+
+
+def _unpickle(path: str, stream: memoryview, buffers: List[Any], error: Type[Exception]) -> Any:
+    try:
+        return pickle.loads(stream, buffers=buffers)
+    except (pickle.UnpicklingError, EOFError, ValueError) as exc:
+        raise error(f"frame at {path} is unreadable: {exc}") from exc
+
+
+def write_spool_bundle(path: str, payload: Any) -> int:
+    """Publish ``payload`` as the one frame of a file at ``path``; return its CRC-32.
+
+    The frame is written to ``<path>.tmp`` and ``os.replace``-d into place,
+    so a reader never observes a half-written entry, and a republish
+    replaces the entry at the same path.
+    """
+    pieces, crc = encode_frame(payload)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(_SPOOL_PREFIX.pack(_SPOOL_MAGIC, crc, header_bytes))
-        for piece in pieces:
-            fh.write(piece)
+        fh.writelines(pieces)
     os.replace(tmp, path)
-    return path
-
-
-def _spool_views(path: str) -> Tuple[memoryview, List[memoryview]]:
-    """A spool entry's stream and buffers: read-only views of one memory map.
-
-    The magic and the CRC-32 are checked before the header is parsed; a
-    missing, empty, truncated or damaged entry raises
-    :class:`~repro.exceptions.SpoolIntegrityError`.
-    """
-    try:
-        with open(path, "rb") as fh:
-            view = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
-    except FileNotFoundError as exc:
-        raise SpoolIntegrityError(f"spool entry missing at {path}") from exc
-    except (OSError, ValueError) as exc:  # ValueError: an empty file cannot be mapped
-        raise SpoolIntegrityError(f"spool entry unreadable at {path}: {exc}") from exc
-    if len(view) < _SPOOL_PREFIX.size:
-        raise SpoolIntegrityError(f"spool entry truncated at {path} ({len(view)} bytes)")
-    magic, crc, header_bytes = _SPOOL_PREFIX.unpack_from(view)
-    if magic != _SPOOL_MAGIC or zlib.crc32(view[_CHECKED_FROM:]) != crc:
-        raise SpoolIntegrityError(f"spool entry corrupt at {path} (magic or checksum mismatch)")
-    start = _SPOOL_PREFIX.size + header_bytes
-    try:
-        header = json.loads(bytes(view[_SPOOL_PREFIX.size : start]))
-        stream = view[start : start + header["stream_bytes"]]
-        buffers = [view[offset : offset + size] for offset, size in header["buffers"]]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise SpoolIntegrityError(f"spool entry header malformed at {path}: {exc}") from exc
-    return stream, buffers
-
-
-def write_checked_pickle(staging: str, filename: str, payload: Any) -> Dict[str, Any]:
-    """Pickle ``payload`` to ``filename`` in ``staging``: one write, one fsync.
-
-    Returns the file's snapshot-manifest entry: its ``file`` name and the
-    ``bytes`` and ``crc32`` taken from the bytes in memory, which
-    :func:`load_checked_pickle` checks before it unpickles.  The caller
-    renames the staging directory into place.
-    """
-    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    with open(os.path.join(staging, filename), "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    return {"file": filename, "bytes": len(data), "crc32": zlib.crc32(data) & 0xFFFFFFFF}
-
-
-def load_checked_pickle(directory: str, entry: Dict[str, Any]) -> Any:
-    """Unpickle the file a manifest ``entry`` names, once its size and CRC-32 match.
-
-    The reader of :func:`write_checked_pickle`'s files.  A missing file, a
-    size or checksum mismatch, or an unreadable stream raises
-    :class:`~repro.exceptions.SnapshotIntegrityError`; nothing is
-    unpickled before both checks pass.
-    """
-    path = os.path.join(directory, entry["file"])
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if len(data) != entry["bytes"] or (zlib.crc32(data) & 0xFFFFFFFF) != entry["crc32"]:
-            raise SnapshotIntegrityError(f"snapshot file at {path} is corrupt (checksum mismatch)")
-        return pickle.loads(data)
-    except (OSError, pickle.UnpicklingError, EOFError, ValueError) as exc:
-        raise SnapshotIntegrityError(f"snapshot file at {path} is unreadable: {exc}") from exc
+    return crc
 
 
 def load_spool_payload(path: str) -> Any:
-    """Load a published spool entry once its magic and CRC-32 match.
+    """Load a published spool entry once its frame's length and CRC-32 check.
 
     The file is memory-mapped once and the unpickler gets read-only views
     of that map as its out-of-band buffers, so every ndarray in the payload
@@ -439,25 +452,58 @@ def load_spool_payload(path: str) -> Any:
     signal the executor answers by republishing the entry — instead of
     crashing the worker on garbage bytes.
     """
-    stream, buffers = _spool_views(path)
-    try:
-        return pickle.loads(stream, buffers=buffers)
-    except (pickle.UnpicklingError, EOFError, ValueError) as exc:
-        raise SpoolIntegrityError(f"spool entry unreadable at {path}: {exc}") from exc
+    _, _, stream, buffers = _read_frame(path, SpoolIntegrityError)
+    return _unpickle(path, stream, buffers, SpoolIntegrityError)
 
 
 def verify_spool_entry(path: str) -> bool:
-    """Whether a published spool entry passes its magic and CRC-32 checks.
+    """Whether a published spool entry passes its frame's checks.
 
     The parent-side recovery check, the same one :func:`load_spool_payload`
     runs, without unpickling.  Used by the supervisor to decide which
     entries must be republished after a fault.
     """
     try:
-        _spool_views(path)
+        _read_frame(path, SpoolIntegrityError)
     except SpoolIntegrityError:
         return False
     return True
+
+
+def load_snapshot_file(path: str, crc: int) -> Any:
+    """A snapshot file's payload, once its frame checks and has the CRC-32 ``crc``.
+
+    The file is mapped as a spool entry is, and each restored array gets a
+    writable ``bytearray`` of its own: views of the map would be read-only
+    and keep the whole file mapped until the last of them died, after an
+    append had replaced the rest.  A missing, cut or damaged file, or a
+    frame other than the one whose CRC the manifest records, raises
+    :class:`~repro.exceptions.SnapshotIntegrityError` before anything is
+    unpickled.
+    """
+    _, found, stream, buffers = _read_frame(path, SnapshotIntegrityError)
+    if found != crc:
+        raise SnapshotIntegrityError(f"{path} is not the frame its manifest records (CRC-32)")
+    own = [bytearray(buffer) for buffer in buffers]
+    return _unpickle(path, stream, own, SnapshotIntegrityError)
+
+
+def read_frames(path: str) -> Tuple[List[Any], int]:
+    """The payloads of a file of frames written back to back, and where they end.
+
+    A file that ends inside a frame has a torn tail: the whole frames
+    before it are returned.  Any other damage raises
+    :class:`~repro.exceptions.SnapshotIntegrityError`.
+    """
+    data = _read_file(path, SnapshotIntegrityError, mapped=False)
+    payloads: List[Any] = []
+    end = 0
+    while True:
+        frame = _frame_at(data, end, path, SnapshotIntegrityError)
+        if frame is None:
+            return payloads, end
+        end, _, stream, buffers = frame
+        payloads.append(_unpickle(path, stream, buffers, SnapshotIntegrityError))
 
 
 def remove_spool_entry(path: str) -> None:
@@ -470,11 +516,12 @@ __all__ = [
     "SharedMemoryRing",
     "ShardBatchLayout",
     "attach_segment",
-    "load_checked_pickle",
+    "encode_frame",
+    "load_snapshot_file",
     "load_spool_payload",
+    "read_frames",
     "remove_spool_entry",
     "shared_memory_available",
     "verify_spool_entry",
-    "write_checked_pickle",
     "write_spool_bundle",
 ]

@@ -9,7 +9,7 @@ Three pieces compose:
 * :mod:`.snapshot` — crash-safe, checksummed snapshots of a fitted
   :class:`~repro.core.sharding.ShardedSearcher` (atomic generation
   directories referenced by an atomically replaced manifest that records
-  every file's size and CRC-32),
+  every file's CRC-32),
 * :mod:`.journal` — a write-ahead append journal: acknowledged
   ``append()`` calls are fsync'd before routing, and recovery replays
   them over the last snapshot so a restored searcher is bitwise identical
@@ -20,10 +20,10 @@ Three pieces compose:
   more tenants than RAM holds, restoring cold tenants transparently on
   their next lease.
 
-Every on-disk artifact is either a snapshot file whose manifest size and
-CRC-32 :func:`~repro.runtime.transport.load_checked_pickle` checks before
-it unpickles, or a length+CRC framed journal record; nothing partial is
-ever served — corruption surfaces as
+Every snapshot file and journal record is a checksummed frame of
+:func:`~repro.runtime.transport.encode_frame`, the format of spool entries
+too, which :mod:`repro.runtime.transport` checks before it unpickles;
+nothing partial is ever served — corruption surfaces as
 :class:`~repro.exceptions.SnapshotIntegrityError`.
 """
 

@@ -7,41 +7,37 @@ sees the call return, the rows survive ``kill -9``.  Recovery replays
 records newer than the last snapshot's ``applied_seq`` in order, which
 makes a restored searcher bitwise identical to one that never crashed.
 
-Each record carries its own length and CRC-32::
+Each record ``(seq, features, labels)`` is one checksummed frame of
+:func:`~repro.runtime.transport.encode_frame`, appended back to back; a
+frame's length carries a CRC of its own, and its CRC-32 covers the rest.
+Two failure modes are deliberately distinguished:
 
-    b"RJNL\\x01" | crc32(payload) LE u32 | len(payload) LE u64 | payload
-
-where ``payload`` pickles ``(seq, features, labels)``.  Two failure modes
-are deliberately distinguished:
-
-* **torn tail** — the file ends mid-frame (short header or short
-  payload).  That is the expected artifact of a crash mid-write: replay
-  stops at the last complete frame, and ``repair=True`` truncates the
-  tear so later appends cannot land behind garbage.
-* **corruption** — a *complete* frame whose CRC or sequence ordering is
-  wrong.  That is silent data damage, never a crash artifact, and raises
-  :class:`~repro.exceptions.SnapshotIntegrityError` rather than serving
-  partial state.
+* **torn tail** — the file ends inside a frame: inside its prefix, or
+  short of the end that its checked length names.  That is the expected
+  artifact of a crash mid-write: replay stops at the last whole frame,
+  and ``repair=True`` truncates the tear so later appends cannot land
+  behind garbage.
+* **corruption** — anything else: a frame with a bad magic, a length or
+  content that fails its checksum, or sequence numbers out of order.
+  That is silent data damage, never a crash artifact, and raises
+  :class:`~repro.exceptions.SnapshotIntegrityError`, leaving the file as
+  it is, rather than serving partial state.
 """
 
 from __future__ import annotations
 
 import io
 import os
-import pickle
 import threading
-import zlib
 from typing import Any, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import ConfigurationError, SnapshotIntegrityError
+from ..runtime.transport import encode_frame, read_frames
 from ..utils.io import fsync_directory
 
 __all__ = ["AppendJournal", "JournalRecord", "read_journal"]
-
-_MAGIC = b"RJNL\x01"
-_HEADER_BYTES = len(_MAGIC) + 4 + 8
 
 
 class JournalRecord(NamedTuple):
@@ -52,65 +48,33 @@ class JournalRecord(NamedTuple):
     labels: Optional[np.ndarray]
 
 
-def _frame(record: JournalRecord) -> bytes:
-    payload = pickle.dumps(tuple(record), protocol=pickle.HIGHEST_PROTOCOL)
-    return (
-        _MAGIC
-        + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "little")
-        + len(payload).to_bytes(8, "little")
-        + payload
-    )
-
-
 def read_journal(path: str, repair: bool = False) -> Tuple[List[JournalRecord], int]:
-    """Read every complete journal record at ``path``.
+    """Read every whole journal record at ``path``.
 
     Returns ``(records, valid_bytes)`` where ``valid_bytes`` is the offset
-    of the last complete frame's end.  A torn tail (short header or short
-    payload) ends the scan; with ``repair=True`` the file is truncated to
-    ``valid_bytes`` so subsequent appends extend a clean log.  A complete
-    frame that fails its CRC, carries the wrong magic, or breaks the
-    strictly-increasing sequence order raises
-    :class:`~repro.exceptions.SnapshotIntegrityError`.
+    of the last whole frame's end.  A torn tail ends the scan; with
+    ``repair=True`` the file is truncated to ``valid_bytes`` so subsequent
+    appends extend a clean log.  Any other damage, and a sequence that is
+    not strictly increasing, raises
+    :class:`~repro.exceptions.SnapshotIntegrityError` and leaves the file
+    untouched.
     """
     records: List[JournalRecord] = []
     if not os.path.exists(path):
         return records, 0
-    with open(path, "rb") as fh:
-        data = fh.read()
-    offset = 0
-    last_seq: Optional[int] = None
-    while offset < len(data):
-        header = data[offset : offset + _HEADER_BYTES]
-        if len(header) < _HEADER_BYTES:
-            break  # torn tail: crash mid-header
-        if not header.startswith(_MAGIC):
+    payloads, valid_bytes = read_frames(path)
+    for seq, features, labels in payloads:
+        if records and seq <= records[-1].seq:
             raise SnapshotIntegrityError(
-                f"journal frame at byte {offset} of {path} has bad magic"
+                f"journal at {path} is out of order: seq {seq} after {records[-1].seq}"
             )
-        crc = int.from_bytes(header[len(_MAGIC) : len(_MAGIC) + 4], "little")
-        length = int.from_bytes(header[len(_MAGIC) + 4 :], "little")
-        payload = data[offset + _HEADER_BYTES : offset + _HEADER_BYTES + length]
-        if len(payload) < length:
-            break  # torn tail: crash mid-payload
-        if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-            raise SnapshotIntegrityError(
-                f"journal frame at byte {offset} of {path} failed its checksum"
-            )
-        seq, features, labels = pickle.loads(payload)
-        if last_seq is not None and seq <= last_seq:
-            raise SnapshotIntegrityError(
-                f"journal at {path} is out of order: seq {seq} after {last_seq}"
-            )
-        last_seq = seq
         records.append(JournalRecord(int(seq), features, labels))
-        offset += _HEADER_BYTES + length
-    if repair and offset < len(data):
+    if repair and valid_bytes < os.path.getsize(path):
         with open(path, "r+b") as fh:
-            fh.truncate(offset)
+            fh.truncate(valid_bytes)
             fh.flush()
             os.fsync(fh.fileno())
-    return records, offset
+    return records, valid_bytes
 
 
 class AppendJournal:
@@ -144,10 +108,10 @@ class AppendJournal:
 
     def record(self, seq: int, features: np.ndarray, labels: Optional[np.ndarray]) -> None:
         """Durably record one append before it is routed to shards."""
-        frame = _frame(JournalRecord(int(seq), np.asarray(features), labels))
+        pieces, _ = encode_frame((int(seq), np.asarray(features), labels))
         with self._lock:
             handle = self._open_handle()
-            handle.write(frame)
+            handle.writelines(pieces)
             handle.flush()
             os.fsync(handle.fileno())
         injector = self.fault_injector
@@ -188,7 +152,7 @@ class AppendJournal:
             tmp_path = f"{self._path}.tmp"
             with open(tmp_path, "wb") as fh:
                 for record in keep:
-                    fh.write(_frame(record))
+                    fh.writelines(encode_frame(tuple(record))[0])
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp_path, self._path)

@@ -5,30 +5,32 @@ A snapshot persists everything a fitted
 process restart: every per-shard engine (with its programmed arrays and
 frozen calibration state), every index map, the retained store of
 appendable searchers, the label vector, and a ``manifest.json`` recording
-per-file sizes and CRC-32s plus the searcher's append sequence number and
-epoch counter.
+each file's CRC-32 plus the searcher's append sequence number and epoch
+counter.
 
 Layout under the snapshot directory::
 
     manifest.json       <- atomic (tmp + os.replace + fsync), written LAST
     journal.wal         <- the append journal (see :mod:`.journal`)
     snap-<id>/          <- one immutable snapshot generation
-        shard-<i>.pkl   <- one pickled ``(engine, index_map)`` per shard
-        store.pkl       <- retained features/labels payload
+        shard-<i>.pkl   <- one ``(engine, index_map)`` frame per shard
+        store.pkl       <- retained features/labels frame
 
-The manifest is the only integrity record: each data file is a bare
-pickle written by :func:`~repro.runtime.transport.write_checked_pickle`,
-which takes its size and CRC-32 from the bytes in memory, and read back by
-:func:`~repro.runtime.transport.load_checked_pickle`, which checks both
-before it unpickles.  A generation is written into a ``.tmp`` staging
-directory (one write and one fsync per file, one fsync of the directory)
-and renamed into place before the manifest flips to it, so a crash at any
-point leaves either the previous complete snapshot or none; readers trust
+Each data file is one checksummed frame of
+:func:`~repro.runtime.transport.encode_frame` (a shard's file is byte for
+byte the spool entry the runtime would publish for it), and the manifest
+records the frame's own CRC-32, so each byte keeps one checksum.  A
+generation is written into a ``.tmp`` staging directory (one write and
+one fsync per file, one fsync of the directory) and renamed into place
+before the manifest flips to it, so a crash at any point leaves either
+the previous complete snapshot or none; readers trust
 only what the manifest references.  A manifest of another format than
-this module writes, or one with a field missing or of the wrong JSON type,
-is refused before any file is read.  :func:`load_snapshot` reads a whole
-generation at once, for :meth:`~repro.core.sharding.ShardedSearcher.restore`;
-nothing reads one shard back on its own.
+this module writes (format 1 framed files with a header of their own,
+format 2 held bare pickles), or one with a field missing or of the wrong
+JSON type, is refused before any file is read.  :func:`load_snapshot`
+reads a whole generation at once, for
+:meth:`~repro.core.sharding.ShardedSearcher.restore`; nothing reads one
+shard back on its own.
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..circuits.mcam_array import preserve_search_caches
 from ..exceptions import SnapshotIntegrityError
-from ..runtime.transport import load_checked_pickle, write_checked_pickle
+from ..runtime.transport import encode_frame, load_snapshot_file
 from ..utils.io import fsync_directory, load_json, save_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -59,7 +60,7 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.wal"
-_SNAPSHOT_FORMAT = 2
+_SNAPSHOT_FORMAT = 3
 _STORE_FILE = "store.pkl"
 
 #: Every field of a manifest and of its file entries, with its JSON types;
@@ -80,7 +81,7 @@ _MANIFEST_FIELDS: Dict[str, Tuple[type, ...]] = {
     "shards": (list,),
     "store": (dict,),
 }
-_FILE_FIELDS: Dict[str, Tuple[type, ...]] = {"file": (str,), "bytes": (int,), "crc32": (int,)}
+_FILE_FIELDS: Dict[str, Tuple[type, ...]] = {"file": (str,), "crc32": (int,)}
 _SHARD_FIELDS = dict(_FILE_FIELDS, epoch=(int,), entries=(int,))
 
 
@@ -110,6 +111,19 @@ def _next_snapshot_id(directory: str) -> int:
     return newest + 1
 
 
+def _write_file(staging: str, name: str, payload: Any) -> Dict[str, Any]:
+    """Write ``payload`` as the one frame of ``name`` in ``staging``; return its entry.
+
+    One write and one fsync; the caller renames the staging directory into place.
+    """
+    pieces, crc = encode_frame(payload)
+    with open(os.path.join(staging, name), "wb") as fh:
+        fh.writelines(pieces)
+        fh.flush()
+        os.fsync(fh.fileno())
+    return {"file": name, "crc32": crc}
+
+
 def write_snapshot(
     searcher: "ShardedSearcher",
     directory: str,
@@ -133,16 +147,11 @@ def write_snapshot(
 
     shard_entries: List[Dict[str, Any]] = []
     shard_states = zip(searcher._shards, searcher._index_maps, searcher._shard_epochs)
-    # Snapshots keep the engines' derived search caches: transport spools
-    # strip them to stay lean on the wire, but a snapshot taken from a
-    # query-warmed process restores warm — reading the caches back is far
-    # cheaper than the first query rebuilding them.
-    with preserve_search_caches():
-        for index, (engine, index_map, epoch) in enumerate(shard_states):
-            entry = write_checked_pickle(staging, f"shard-{index}.pkl", (engine, index_map))
-            entry.update(epoch=int(epoch), entries=int(engine.num_entries))
-            shard_entries.append(entry)
-    store_entry = write_checked_pickle(
+    for index, (engine, index_map, epoch) in enumerate(shard_states):
+        entry = _write_file(staging, f"shard-{index}.pkl", (engine, index_map))
+        entry.update(epoch=int(epoch), entries=int(engine.num_entries))
+        shard_entries.append(entry)
+    store_entry = _write_file(
         staging,
         _STORE_FILE,
         {"features": searcher._store_features, "labels": searcher._labels},
@@ -214,22 +223,24 @@ def _load_manifest(directory: str) -> Dict[str, Any]:
 def load_snapshot(directory: str) -> SnapshotState:
     """Load and fully verify the snapshot referenced by the manifest.
 
-    Every file is checked against its manifest size and CRC-32 before it
-    is unpickled; any mismatch — including a missing manifest, a manifest
-    of another format or a calibration fingerprint that moved — raises
-    :class:`~repro.exceptions.SnapshotIntegrityError`.  Partial state is
-    never returned.
+    Every file's frame is checked, and its CRC-32 held against the
+    manifest's, before it is unpickled; any mismatch — including a missing
+    manifest, a manifest of another format or a calibration fingerprint
+    that moved — raises :class:`~repro.exceptions.SnapshotIntegrityError`.
+    Partial state is never returned.
     """
     directory = os.fspath(directory)
     manifest = _load_manifest(directory)
     snap_dir = os.path.join(directory, manifest["snapshot_dir"])
     shards: List[Tuple["NearestNeighborSearcher", np.ndarray]] = []
     for entry in manifest["shards"]:
-        engine, index_map = load_checked_pickle(snap_dir, entry)
+        path = os.path.join(snap_dir, entry["file"])
+        engine, index_map = load_snapshot_file(path, entry["crc32"])
         shards.append((engine, np.asarray(index_map, dtype=np.int64)))
     if not shards:
         raise SnapshotIntegrityError(f"snapshot at {directory} references no shards")
-    store = load_checked_pickle(snap_dir, manifest["store"])
+    store_entry = manifest["store"]
+    store = load_snapshot_file(os.path.join(snap_dir, store_entry["file"]), store_entry["crc32"])
     fingerprint = shards[0][0].calibration_fingerprint()
     if fingerprint != manifest["calibration_fingerprint"]:
         raise SnapshotIntegrityError(

@@ -12,14 +12,13 @@ matmul Hamming kernel.
 
 from __future__ import annotations
 
-import contextlib
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.circuits import mcam_array
-from repro.circuits.mcam_array import MCAMArray, preserve_search_caches
+from repro.circuits.mcam_array import MCAMArray
 from repro.circuits.mcam_cell import ML_PRECHARGE_V, MCAMVoltageScheme
 from repro.circuits.tcam import DONT_CARE, TCAMArray
 from repro.core.search import MCAMSearcher, TCAMLSHSearcher
@@ -628,21 +627,19 @@ class TestArrayAppend:
         fresh = MCAMArray(num_cells=8, bits=3, variation=variation)
         fresh.reprogram(states, labels=range(40), rng=5)
         fresh.row_conductances_batch(queries)
-        for preserve in (False, True):
-            with preserve_search_caches() if preserve else contextlib.nullcontext():
-                grown_bytes, fresh_bytes = pickle.dumps(grown), pickle.dumps(fresh)
-                # The memo never reaches a pickle: without it the array
-                # pickles to the same size.
-                memo, grown._row_offsets = grown._row_offsets, None
-                assert len(pickle.dumps(grown)) == len(grown_bytes)
-                grown._row_offsets = memo
-            assert len(grown_bytes) == len(fresh_bytes)
-            restored = pickle.loads(grown_bytes)
-            assert restored._spare == {}
-            assert restored._row_offsets is None
-            np.testing.assert_array_equal(
-                restored.row_conductances_batch(queries), fresh.row_conductances_batch(queries)
-            )
+        grown_bytes, fresh_bytes = pickle.dumps(grown), pickle.dumps(fresh)
+        # The memo never reaches a pickle: without it the array pickles to
+        # the same size.
+        memo, grown._row_offsets = grown._row_offsets, None
+        assert len(pickle.dumps(grown)) == len(grown_bytes)
+        grown._row_offsets = memo
+        assert len(grown_bytes) == len(fresh_bytes)
+        restored = pickle.loads(grown_bytes)
+        assert restored._spare == {}
+        assert restored._row_offsets is None
+        np.testing.assert_array_equal(
+            restored.row_conductances_batch(queries), fresh.row_conductances_batch(queries)
+        )
         # Without the memo the restored array draws a refit's rows again,
         # bitwise like the array that kept it.
         mutated = states.copy()
@@ -741,11 +738,3 @@ class TestFloat32SearchTable:
         array.screened_top_k(RNG.integers(0, 8, size=(2, 8)), 2)
         assert len(pickle.dumps(array)) == lean
         assert pickle.loads(pickle.dumps(array))._by_cell_estimates is None
-        # A snapshot of a serving process restores warm: under
-        # preserve_search_caches, LUT mode keeps every built table.
-        with preserve_search_caches():
-            restored = pickle.loads(pickle.dumps(array))
-        if variation is None:
-            assert restored._by_cell_estimates.tobytes() == array._by_cell_estimates.tobytes()
-        else:
-            assert restored._by_cell_estimates is None

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.circuits import MCAMArray, TCAMArray, partition_rows, split_rows_evenly
-from repro.circuits.mcam_array import preserve_search_caches
 from repro.core import (
     MCAMSearcher,
     ShardedSearcher,
@@ -882,8 +881,6 @@ class TestShardAppend:
             if warm:
                 shard.kneighbors_batch(queries, k=1)
                 fresh.kneighbors_batch(queries, k=1)
-            with preserve_search_caches():
-                assert len(pickle.dumps(shard)) == len(pickle.dumps(fresh))
             assert len(pickle.dumps(shard)) == len(pickle.dumps(fresh))
         assert len(pickle.dumps(searcher._store_features)) == len(pickle.dumps(grown_rows))
 

@@ -303,8 +303,10 @@ class TestRuleViolations:
     def test_rpl012_flags_unframed_pickle_load(self):
         bad = "import pickle\ndef read(data):\n    return pickle.loads(data)\n"
         assert "RPL012" in codes_of(lint_source(bad, PACKAGE_PATH))
-        # The CRC-checking spool reader is where persisted pickles load.
+        # The frame decoder is the one place persisted or spooled pickles
+        # load; the journal decodes its records through it too.
         assert "RPL012" not in codes_of(lint_source(bad, "src/repro/runtime/transport.py"))
+        assert "RPL012" in codes_of(lint_source(bad, "src/repro/storage/journal.py"))
 
     def test_rpl012_flags_pickle_loads_imported_by_name(self):
         bad = "from pickle import dumps, loads\n"

@@ -27,6 +27,7 @@ import pytest
 from repro.core import SoftwareSearcher, make_searcher
 from repro.core.search import MCAMSearcher
 from repro.core.sharding import ShardedSearcher
+from repro.devices.variation import GaussianVthVariationModel
 from repro.exceptions import (
     ConfigurationError,
     ServingTimeoutError,
@@ -178,9 +179,9 @@ def damage_entry(path, damage):
 
 def buffer_spans(path):
     """The ``[offset, size]`` of every out-of-band buffer, from an entry's header."""
-    prefix = transport_module._SPOOL_PREFIX
+    prefix = transport_module._FRAME_PREFIX
     with open(path, "rb") as fh:
-        _, _, header_bytes = prefix.unpack(fh.read(prefix.size))
+        *_, header_bytes = prefix.unpack(fh.read(prefix.size))
         return json.loads(fh.read(header_bytes))["buffers"]
 
 
@@ -321,7 +322,8 @@ class TestSpoolIntegrity:
             load_spool_payload(path)
 
     def test_corrupt_bundle_payload_fails_checksum(self, tmp_path):
-        path = write_spool_bundle(str(tmp_path / "bundle"), self._payload())
+        path = str(tmp_path / "bundle")
+        write_spool_bundle(path, self._payload())
         assert verify_spool_entry(path)
         size = os.path.getsize(path)
         with open(path, "r+b") as fh:
@@ -339,7 +341,8 @@ class TestSpoolIntegrity:
         searcher = make_searcher("mcam-3bit", num_features=64, seed=3)
         searcher.fit(rng.normal(size=(4096, 64)), rng.integers(0, 5, 4096))
         payload = (searcher, np.arange(4096))
-        path = write_spool_bundle(str(tmp_path / "shard-e1"), payload)
+        path = str(tmp_path / "shard-e1")
+        write_spool_bundle(path, payload)
         offset, nbytes = max(buffer_spans(path), key=lambda span: span[1])
         states = searcher.array.stored_states
         assert nbytes == states.nbytes
@@ -370,7 +373,8 @@ class TestSpoolIntegrity:
 
     @pytest.mark.parametrize("damage", ENTRY_DAMAGE)
     def test_damaged_prefix_or_header_fails_typed(self, tmp_path, damage):
-        path = write_spool_bundle(str(tmp_path / "bundle"), self._payload())
+        path = str(tmp_path / "bundle")
+        write_spool_bundle(path, self._payload())
         damage_entry(path, damage)
         assert not verify_spool_entry(path)
         with pytest.raises(SpoolIntegrityError, match="checksum"):
@@ -568,7 +572,7 @@ class TestChaosRecovery:
                 assert any(start <= middle < start + size for start, size in buffer_spans(path))
             # Spool repair is not a pool restart.
             assert executor.supervisor.total_restarts == 0
-            for entry, _ in executor._published.values():
+            for entry, *_ in executor._published.values():
                 assert verify_spool_entry(entry)
 
     @pytest.mark.parametrize("damage", ENTRY_DAMAGE)
@@ -584,8 +588,70 @@ class TestChaosRecovery:
             assert not verify_spool_entry(path)
             assert_batch_matches(executor.submit_cached(jobs)(), expected)
             assert executor.supervisor.total_restarts == 0
-            for entry, _ in executor._published.values():
+            for entry, *_ in executor._published.values():
                 assert verify_spool_entry(entry)
+
+    @pytest.mark.parametrize("device", [False, True], ids=["lut", "device"])
+    def test_repair_never_republishes_a_grown_shard_under_its_old_epoch(self, device):
+        rng = np.random.default_rng(29)
+        features, labels = rng.normal(size=(64, 8)), rng.integers(0, 5, 64)
+        rows = np.clip(rng.normal(size=(4, 8)), features.min(axis=0), features.max(axis=0))
+        row_labels, queries = rng.integers(0, 5, 4), rng.normal(size=(4, 8))
+        kwargs = dict(num_features=8, seed=3, shards=4, appendable=True)
+        if device:
+            kwargs.update(variation=GaussianVthVariationModel(sigma_v=0.05), program_seed=9)
+        with ProcessShardExecutor(num_workers=WORKERS) as executor:
+            searcher = make_searcher("mcam-3bit", executor=executor, **kwargs).fit(features, labels)
+            searcher.kneighbors_batch(queries, k=3)  # publishes every shard
+            sid = searcher._searcher_id
+            jobs = [
+                (sid, index, searcher._shard_epochs[index], executor._published[(sid, index)][0])
+                for index in range(4)
+            ]
+            jobs = [job + (np.random.default_rng(0), queries, 3) for job in jobs]
+            want = executor.submit_cached(jobs)()
+
+            def evict_and_scribble(path):
+                assert executor._pool.broadcast(_evict_searcher_entries, sid) == WORKERS
+                _evict_searcher_entries(sid)
+                with open(path, "rb") as fh:
+                    published = fh.read()
+                with open(path, "r+b") as fh:
+                    fh.seek(len(published) // 2)
+                    fh.write(b"\xde\xad\xbe\xef")
+                return published
+
+            # An unchanged shard re-encodes to the bytes it was published as.
+            published = evict_and_scribble(jobs[1][3])
+            assert executor._repair_spool() == 1
+            with open(jobs[1][3], "rb") as fh:
+                assert fh.read() == published
+            assert_batch_matches(executor.submit_cached(jobs)(), want)
+
+            # An append grows shard 0 in place under a new epoch; its old
+            # epoch's entry is not rewritten with the grown shard, and a
+            # batch of the old epoch fails typed.
+            searcher.append(rows, row_labels)
+            assert searcher.shard_sizes == (20, 16, 16, 16)
+            evict_and_scribble(jobs[0][3])
+            with open(jobs[0][3], "rb") as fh:
+                scribbled = fh.read()
+            assert executor._repair_spool() == 0
+            with open(jobs[0][3], "rb") as fh:
+                assert fh.read() == scribbled
+            with pytest.raises(SpoolIntegrityError):
+                executor.submit_cached(jobs)()
+            with pytest.raises(SpoolIntegrityError):
+                executor.submit_cached(jobs[:1])()
+
+            # The next batch publishes the grown shard's epoch, bitwise.
+            reference = make_searcher("mcam-3bit", **kwargs).fit(features, labels)
+            reference.append(rows, row_labels)
+            got = searcher.kneighbors_batch(queries, k=3)
+            expected = reference.kneighbors_batch(queries, k=3)
+            np.testing.assert_array_equal(got.indices, expected.indices)
+            np.testing.assert_array_equal(got.scores, expected.scores)
+            searcher.close()
 
     def test_lost_segment_replays_in_process_bitwise(self):
         queries = RNG.normal(size=(4, 4))

@@ -190,7 +190,8 @@ class TestSpoolBundles:
         features = RNG.normal(size=(40, 6))
         searcher.fit(features, RNG.integers(0, 3, size=40))
         index_map = np.arange(40, dtype=np.int64)
-        path = write_spool_bundle(str(tmp_path / "shard-e1"), (searcher, index_map))
+        path = str(tmp_path / "shard-e1")
+        write_spool_bundle(path, (searcher, index_map))
         # One regular file per entry, and no staging file left behind.
         assert os.listdir(tmp_path) == ["shard-e1"] and os.path.isfile(path)
 
@@ -212,7 +213,8 @@ class TestSpoolBundles:
         np.testing.assert_array_equal(expected_scores, scores)
 
     def test_remove_spool_entry_is_best_effort(self, tmp_path):
-        bundle = write_spool_bundle(str(tmp_path / "bundle-e1"), np.arange(3))
+        bundle = str(tmp_path / "bundle-e1")
+        write_spool_bundle(bundle, np.arange(3))
         remove_spool_entry(bundle)
         remove_spool_entry(str(tmp_path / "never-existed"))  # best effort
         assert not (tmp_path / "bundle-e1").exists()
@@ -488,9 +490,9 @@ class TestWorkerShardCacheEviction:
         from repro.core import SoftwareSearcher
 
         features = RNG.normal(size=(10, 4))
-        path = write_spool_bundle(
-            str(tmp_path / "shard-e1"),
-            (SoftwareSearcher("euclidean").fit(features), np.arange(10, dtype=np.int64)),
+        path = str(tmp_path / "shard-e1")
+        write_spool_bundle(
+            path, (SoftwareSearcher("euclidean").fit(features), np.arange(10, dtype=np.int64))
         )
         job = (
             "evict-me",
@@ -535,10 +537,9 @@ class TestResidentShardBound:
         monkeypatch.setattr(process_pool, "_MAX_RESIDENT_SHARDS", 3)
         features = RNG.normal(size=(6, 3))
         payload = (SoftwareSearcher("euclidean").fit(features), np.arange(6, dtype=np.int64))
-        paths = [
-            write_spool_bundle(str(tmp_path / f"shard{index}-e1"), payload)
-            for index in range(4)
-        ]
+        paths = [str(tmp_path / f"shard{index}-e1") for index in range(4)]
+        for path in paths:
+            write_spool_bundle(path, payload)
         try:
             for index in range(3):
                 process_pool._resident_shard("bounded", index, 1, paths[index])

@@ -20,7 +20,6 @@ import subprocess
 import sys
 import threading
 import time
-import zlib
 
 import numpy as np
 import pytest
@@ -28,7 +27,13 @@ import pytest
 import repro
 from repro.core import make_searcher
 from repro.exceptions import ConfigurationError, SearchError, SnapshotIntegrityError
-from repro.runtime import FaultInjector, ProcessShardExecutor, shared_memory_available
+from repro.runtime import (
+    FaultInjector,
+    ProcessShardExecutor,
+    shared_memory_available,
+    write_spool_bundle,
+)
+from repro.runtime import transport as transport_module
 from repro.storage import (
     JOURNAL_NAME,
     MANIFEST_NAME,
@@ -65,15 +70,15 @@ def in_range_row(seq):
     return np.clip(features, stored.min(axis=0), stored.max(axis=0)), labels
 
 
-#: Every field of a format-2 manifest and of its file entries, as key paths.
+#: Every field of a format-3 manifest and of its file entries, as key paths.
 MANIFEST_FIELDS = (
     "format kind snapshot_id snapshot_dir applied_seq num_entries num_features appendable "
     "requested_shards max_rows_per_array epoch_counter calibration_fingerprint shards store"
 ).split()
 MANIFEST_FIELD_PATHS = (
     [(field,) for field in MANIFEST_FIELDS]
-    + [("shards", 0, field) for field in ("file", "bytes", "crc32", "epoch", "entries")]
-    + [("store", field) for field in ("file", "bytes", "crc32")]
+    + [("shards", 0, field) for field in ("file", "crc32", "epoch", "entries")]
+    + [("store", field) for field in ("file", "crc32")]
 )
 
 
@@ -159,10 +164,33 @@ class TestAppendJournal:
         path = self.journal_path(tmp_path)
         self.write_records(path, [1, 2, 3])
         with open(path, "r+b") as handle:
-            handle.seek(20)  # inside the first frame's payload
+            handle.seek(60)  # inside the first frame, past its prefix
             handle.write(b"\xff\xff")
         with pytest.raises(SnapshotIntegrityError):
             read_journal(path, repair=True)
+
+    def test_a_damaged_length_raises_typed_and_keeps_the_file(self, tmp_path):
+        # A length no check covered would read as a torn tail, and the
+        # repair would truncate acknowledged records away.
+        path = self.journal_path(tmp_path)
+        self.write_records(path, [1, 2, 3])
+        with open(path, "rb") as handle:
+            journal = handle.read()
+        prefix = transport_module._FRAME_PREFIX
+        starts = [0]
+        while starts[-1] < len(journal):
+            starts.append(starts[-1] + prefix.unpack_from(journal, starts[-1])[2])
+        assert len(starts) == 4 and starts[-1] == len(journal)
+        for start in starts[:-1]:
+            # The magic is 8 bytes; the length's CRC-32 (4) and the length (8) follow.
+            for offset in range(start + 8, start + 20):
+                damaged = bytearray(journal)
+                damaged[offset] ^= 0xFF
+                with open(path, "wb") as handle:
+                    handle.write(damaged)
+                with pytest.raises(SnapshotIntegrityError, match="length"):
+                    read_journal(path, repair=True)
+                assert os.path.getsize(path) == len(journal)
 
     def test_non_increasing_sequence_raises_typed(self, tmp_path):
         path = self.journal_path(tmp_path)
@@ -226,20 +254,24 @@ class TestSnapshotRestore:
         assert_bitwise(restored.kneighbors_batch(QUERIES, k=3), want)
         restored.close()
 
-    def test_snapshot_shards_match_their_manifest_size_and_crc(self, tmp_path):
+    def test_snapshot_shards_are_their_spool_frames_under_the_manifest_crc(self, tmp_path):
         searcher = fitted_searcher(tmp_path)
+        searcher.kneighbors_batch(QUERIES, k=3)  # built search caches stay out of files
         generation = searcher.snapshot()
-        searcher.close()
         manifest = load_json(tmp_path / MANIFEST_NAME)
-        assert manifest["format"] == 2
+        assert manifest["format"] == 3
         assert sorted(manifest) == sorted(MANIFEST_FIELDS)
         assert len(manifest["shards"]) == searcher.num_shards
-        for index, entry in enumerate(manifest["shards"]):
+        payloads = zip(searcher._shards, searcher._index_maps)
+        for index, (entry, payload) in enumerate(zip(manifest["shards"], payloads)):
             assert entry["file"] == f"shard-{index}.pkl"
+            spool_entry = str(tmp_path / f"spool-{index}")
+            assert write_spool_bundle(spool_entry, payload) == entry["crc32"]
             with open(os.path.join(generation, entry["file"]), "rb") as handle:
                 data = handle.read()
-            assert len(data) == entry["bytes"]
-            assert zlib.crc32(data) == entry["crc32"]
+            with open(spool_entry, "rb") as handle:
+                assert data == handle.read()
+        searcher.close()
 
     def test_generation_holds_exactly_the_files_its_manifest_lists(self, tmp_path):
         searcher = fitted_searcher(tmp_path)
@@ -252,22 +284,21 @@ class TestSnapshotRestore:
         listed = [entry["file"] for entry in manifest["shards"]] + [manifest["store"]["file"]]
         assert sorted(os.listdir(generation)) == sorted(listed)
 
-    def test_format_1_generation_is_refused_before_any_file_is_unpickled(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("old_format", [1, 2])
+    def test_older_format_generation_is_refused_before_any_file_is_read(
+        self, tmp_path, monkeypatch, old_format
     ):
         searcher = fitted_searcher(tmp_path)
         searcher.snapshot()
         searcher.close()
         manifest = load_json(tmp_path / MANIFEST_NAME)
-        manifest["format"] = 1
+        manifest["format"] = old_format
         save_json(manifest, tmp_path / MANIFEST_NAME)
-        unpickled = []
-        monkeypatch.setattr(
-            snapshot_module, "load_checked_pickle", lambda *args: unpickled.append(args)
-        )
-        with pytest.raises(SnapshotIntegrityError, match="format 1"):
+        read = []
+        monkeypatch.setattr(snapshot_module, "load_snapshot_file", lambda *args: read.append(args))
+        with pytest.raises(SnapshotIntegrityError, match=f"format {old_format}"):
             make_sharded().restore(tmp_path)
-        assert unpickled == []
+        assert read == []
 
     @pytest.mark.parametrize("damage", ["missing", "mistyped"])
     @pytest.mark.parametrize(
@@ -291,13 +322,11 @@ class TestSnapshotRestore:
             # and a count is never the boolean ``appendable``.
             record[field] = 1 if type(record[field]) is bool else True
         save_json(manifest, tmp_path / MANIFEST_NAME)
-        unpickled = []
-        monkeypatch.setattr(
-            snapshot_module, "load_checked_pickle", lambda *args: unpickled.append(args)
-        )
+        read = []
+        monkeypatch.setattr(snapshot_module, "load_snapshot_file", lambda *args: read.append(args))
         with pytest.raises(SnapshotIntegrityError):
             make_sharded().restore(tmp_path)
-        assert unpickled == []
+        assert read == []
 
     def test_journal_replay_recovers_acknowledged_appends(self, tmp_path):
         searcher = fitted_searcher(tmp_path)
